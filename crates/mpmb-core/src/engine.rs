@@ -9,7 +9,7 @@
 //! * [`TrialEngine`] is the per-method plug-in: how to run trial `t`
 //!   into an accumulator, and how to merge two accumulators.
 //! * [`Executor`] owns the loop: sequential or chunked-parallel
-//!   (via [`chunk_ranges`](crate::parallel::chunk_ranges)), observer
+//!   (via [`chunk_ranges`]), observer
 //!   hooks (forkable observers are aggregated deterministically across
 //!   chunks; others see only sequential runs), and a cooperative
 //!   [`Cancel`] check every [`CHECK_EVERY`] trials.
@@ -30,10 +30,27 @@
 //! trials yields the same bytes as one sequential pass.
 
 use crate::observer::{NoopObserver, TrialObserver};
-use crate::parallel::chunk_ranges;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
+
+/// Splits `total` trials into at most `threads` contiguous, non-empty
+/// ranges covering `0..total` in order.
+///
+/// This is the canonical trial partition for every deterministic parallel
+/// runner in the workspace: merging per-range results *in range order*
+/// reproduces the sequential trial order exactly, so any two callers that
+/// split with this function and merge in order produce bit-identical
+/// output. The [`Executor`] is built on it; external drivers should go
+/// through the executor rather than reimplementing the split.
+pub fn chunk_ranges(total: u64, threads: usize) -> Vec<Range<u64>> {
+    let threads = threads.max(1) as u64;
+    let per = total.div_ceil(threads);
+    (0..threads)
+        .map(|i| (i * per).min(total)..((i + 1) * per).min(total))
+        .filter(|r| !r.is_empty())
+        .collect()
+}
 
 /// Trials between cancellation checks. Small enough that a block
 /// finishes quickly even on large graphs; large enough that the
@@ -231,7 +248,7 @@ impl<A> Partial<A> {
     ///
     /// This is the scatter-gather primitive: a coordinator hands
     /// disjoint sub-ranges of `0..trials_requested` to workers (see
-    /// [`Executor::run_subrange`]), each returns a `Partial` covering
+    /// [`Executor::resume_within`]), each returns a `Partial` covering
     /// only its assignment, and the coordinator absorbs them back.
     /// Under the module's determinism contract the absorbed result
     /// finalizes bit-identically to a single local run, regardless of
@@ -323,7 +340,7 @@ impl std::error::Error for AbsorbError {}
 /// execution of a [`TrialEngine`], with cancellation and resume.
 ///
 /// Parallel runs split the trial range with
-/// [`chunk_ranges`](crate::parallel::chunk_ranges) — the canonical
+/// [`chunk_ranges`] — the canonical
 /// contiguous partition — and merge per-range accumulators in range
 /// order, reproducing the sequential fold exactly.
 #[derive(Clone, Copy, Debug)]
@@ -377,7 +394,7 @@ impl Executor {
         observer: &mut dyn TrialObserver,
     ) -> Partial<E::Acc> {
         let mut partial = Partial::empty(engine.new_acc(), trials);
-        self.advance(engine, &mut partial, cancel, observer);
+        self.advance(engine, &mut partial, 0..trials, cancel, observer);
         partial
     }
 
@@ -391,13 +408,35 @@ impl Executor {
         partial: &mut Partial<E::Acc>,
         cancel: &Cancel,
     ) {
-        self.advance(engine, partial, cancel, &mut NoopObserver);
+        let all = 0..partial.trials_requested();
+        self.advance(engine, partial, all, cancel, &mut NoopObserver);
     }
 
+    /// [`Executor::resume`] restricted to the missing trials inside
+    /// `within` — the worker half of a scatter-gather partition. A
+    /// worker starts from an empty partial over the full space and runs
+    /// only its assigned range; absorbing such partials for a disjoint
+    /// cover of the space into one master via [`Partial::absorb`]
+    /// reproduces a local [`Executor::run`] bit-for-bit. Instrumented
+    /// exactly like a local run: one phase span, one solver-metrics
+    /// record.
+    pub fn resume_within<E: TrialEngine>(
+        &self,
+        engine: &E,
+        partial: &mut Partial<E::Acc>,
+        within: Range<u64>,
+        cancel: &Cancel,
+    ) {
+        self.advance(engine, partial, within, cancel, &mut NoopObserver);
+    }
+
+    /// The one instrumented trial loop: runs the partial's missing
+    /// trials that fall inside `within`, until `cancel` fires.
     fn advance<E: TrialEngine>(
         &self,
         engine: &E,
         partial: &mut Partial<E::Acc>,
+        within: Range<u64>,
         cancel: &Cancel,
         observer: &mut dyn TrialObserver,
     ) {
@@ -411,6 +450,10 @@ impl Executor {
         let started = span.is_active().then(Instant::now);
 
         for gap in partial.missing() {
+            let gap = gap.start.max(within.start)..gap.end.min(within.end);
+            if gap.is_empty() {
+                continue;
+            }
             if cancel.expired() {
                 break;
             }
@@ -434,38 +477,6 @@ impl Executor {
                 sm.record_run(resumed, cancel.is_raised(), checks);
             });
         }
-    }
-
-    /// Runs only `range` of the trial space `0..total` — the worker
-    /// half of a scatter-gather partition. The returned partial spans
-    /// the full space, but its completed ranges (and accumulator
-    /// contributions) cover exactly the prefix of `range` that ran
-    /// before `cancel` fired. Absorbing such partials for a disjoint
-    /// cover of `0..total` into one master via [`Partial::absorb`]
-    /// reproduces a local [`Executor::run`] bit-for-bit.
-    ///
-    /// # Panics
-    /// Panics if `range` escapes `0..total`.
-    pub fn run_subrange<E: TrialEngine>(
-        &self,
-        engine: &E,
-        range: Range<u64>,
-        total: u64,
-        cancel: &Cancel,
-    ) -> Partial<E::Acc> {
-        assert!(
-            range.end <= total,
-            "subrange {range:?} escapes trial space 0..{total}"
-        );
-        let mut partial = Partial::empty(engine.new_acc(), total);
-        if cancel.expired() {
-            return partial;
-        }
-        for (acc, done) in self.run_range(engine, range, cancel, &mut NoopObserver) {
-            engine.merge(&mut partial.acc, acc);
-            partial.mark_done(done);
-        }
-        partial
     }
 
     /// Executes one contiguous trial range, split across the executor's
@@ -679,6 +690,28 @@ mod tests {
         assert_eq!(p.done_ranges(), std::slice::from_ref(&(0..100)));
     }
 
+    /// A worker's view: `range` of `0..total`, run into an empty partial.
+    fn piece(exec: Executor, range: Range<u64>, total: u64, cancel: &Cancel) -> Partial<u64> {
+        let mut p = Partial::empty(0, total);
+        exec.resume_within(&SumEngine, &mut p, range, cancel);
+        p
+    }
+
+    #[test]
+    fn chunk_ranges_cover_exactly() {
+        for (total, threads) in [(10u64, 3usize), (1, 8), (100, 1), (7, 7), (0, 4)] {
+            let ranges = chunk_ranges(total, threads);
+            let mut covered = 0u64;
+            let mut expect_start = 0u64;
+            for r in &ranges {
+                assert_eq!(r.start, expect_start);
+                covered += r.end - r.start;
+                expect_start = r.end;
+            }
+            assert_eq!(covered, total, "total={total} threads={threads}");
+        }
+    }
+
     #[test]
     fn scatter_gather_absorb_matches_local_run() {
         let local = Executor::new(3).run(&SumEngine, 1_000, &Cancel::never());
@@ -687,7 +720,7 @@ mod tests {
         for workers in [1usize, 2, 3, 7] {
             let mut pieces: Vec<Partial<u64>> = chunk_ranges(1_000, workers)
                 .into_iter()
-                .map(|r| Executor::new(2).run_subrange(&SumEngine, r, 1_000, &Cancel::never()))
+                .map(|r| piece(Executor::new(2), r, 1_000, &Cancel::never()))
                 .collect();
             pieces.reverse();
             let mut master: Partial<u64> = Partial::empty(0, 1_000);
@@ -701,38 +734,47 @@ mod tests {
     }
 
     #[test]
-    fn run_subrange_respects_cancel_and_resumes() {
+    fn resume_within_respects_cancel_and_resumes() {
         let exec = Executor::new(1).check_every(8);
         let cancel = Cancel::after_trials(10);
-        let piece = exec.run_subrange(&SumEngine, 200..600, 1_000, &cancel);
-        let done = piece.trials_done();
+        let first = piece(exec, 200..600, 1_000, &cancel);
+        let done = first.trials_done();
         assert!((10..400).contains(&done), "done={done}");
         assert_eq!(
-            piece.done_ranges(),
+            first.done_ranges(),
             std::slice::from_ref(&(200..200 + done))
         );
-        assert_eq!(piece.trials_requested(), 1_000);
+        assert_eq!(first.trials_requested(), 1_000);
         // The remainder of the assignment, run elsewhere, absorbs cleanly.
-        let rest = exec.run_subrange(&SumEngine, 200 + done..600, 1_000, &Cancel::never());
+        let rest = piece(exec, 200 + done..600, 1_000, &Cancel::never());
         let mut master: Partial<u64> = Partial::empty(0, 1_000);
-        master.absorb(piece, |a, b| *a += b).unwrap();
+        master.absorb(first, |a, b| *a += b).unwrap();
         master.absorb(rest, |a, b| *a += b).unwrap();
         assert_eq!(master.done_ranges(), std::slice::from_ref(&(200..600)));
         assert_eq!(master.acc, (200..600).map(|t| t + 1).sum::<u64>());
     }
 
     #[test]
+    fn resume_within_skips_trials_already_done() {
+        let exec = Executor::new(2);
+        let mut p = piece(exec, 100..300, 1_000, &Cancel::never());
+        exec.resume_within(&SumEngine, &mut p, 0..400, &Cancel::never());
+        assert_eq!(p.done_ranges(), std::slice::from_ref(&(0..400)));
+        assert_eq!(p.acc, full_sum(400));
+    }
+
+    #[test]
     fn absorb_rejects_overlap_and_mismatch() {
         let exec = Executor::new(1);
-        let mut master = exec.run_subrange(&SumEngine, 0..50, 100, &Cancel::never());
-        let overlapping = exec.run_subrange(&SumEngine, 40..60, 100, &Cancel::never());
+        let mut master = piece(exec, 0..50, 100, &Cancel::never());
+        let overlapping = piece(exec, 40..60, 100, &Cancel::never());
         let before = master.acc;
         assert_eq!(
             master.absorb(overlapping, |a, b| *a += b),
             Err(AbsorbError::Overlap(40..60))
         );
         assert_eq!(master.acc, before, "failed absorb must not mutate");
-        let wrong_space = exec.run_subrange(&SumEngine, 50..60, 200, &Cancel::never());
+        let wrong_space = piece(exec, 50..60, 200, &Cancel::never());
         assert_eq!(
             master.absorb(wrong_space, |a, b| *a += b),
             Err(AbsorbError::TrialSpaceMismatch {

@@ -39,7 +39,6 @@ pub mod mcvp;
 pub mod observer;
 pub mod ols;
 pub mod os;
-pub mod parallel;
 pub mod query;
 pub mod threshold;
 pub mod topk;
@@ -59,7 +58,7 @@ pub use counting::{
     sample_count_distribution_parallel, CountDistribution, TooManyButterflies,
 };
 pub use distribution::{Distribution, Tally};
-pub use engine::{AbsorbError, Cancel, Executor, Partial, TrialEngine, CHECK_EVERY};
+pub use engine::{chunk_ranges, AbsorbError, Cancel, Executor, Partial, TrialEngine, CHECK_EVERY};
 pub use ensemble::{aggregate, run_os_ensemble, EnsembleEntry, EnsembleReport};
 pub use estimators::exact_prefix::estimate_exact_prefix;
 pub use estimators::karp_luby::{
@@ -84,7 +83,6 @@ pub use os::{
     os_smb_of_world, EdgeOracle, OrderingSampling, OsConfig, OsEngine, OsTrials, SamplingOracle,
     StreamingOracle, WorldOracle,
 };
-pub use parallel::chunk_ranges;
 pub use query::{estimate_prob_of, QueryResult, QueryTrials};
 pub use threshold::{max_weight_distribution, MaxWeightDistribution};
 pub use topk::{shared_vertices, top_k_diverse};

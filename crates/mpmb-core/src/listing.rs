@@ -3,7 +3,7 @@
 //! The listing phase — enumerating every butterfly of the backbone, or
 //! building a full-backbone [`CandidateSet`] — used to be the last
 //! single-threaded wall in the pipeline: the sampling phases have had
-//! deterministic multi-threaded runners in [`crate::parallel`] since the
+//! deterministic multi-threaded runners in [`crate::engine`] since the
 //! start, but `for_each_backbone_butterfly` walked all `O(|L|²)` left
 //! pairs on one core.
 //!

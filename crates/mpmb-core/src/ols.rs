@@ -165,7 +165,7 @@ impl OrderingListingSampling {
     /// (Algorithm 3 lines 2–4).
     ///
     /// With `threads > 1` the [`Executor`] splits the trial range with
-    /// [`crate::parallel::chunk_ranges`] and merges per-range `S_MB`
+    /// [`crate::engine::chunk_ranges`] and merges per-range `S_MB`
     /// unions in range order before the (total-order) candidate sort —
     /// the result is byte-identical to the sequential build, candidate
     /// indices included.

@@ -17,9 +17,6 @@
 
 use crate::solve::PartialState;
 use bigraph::codec::{open_frame, seal_frame, CodecError, Decoder, Encoder};
-use bigraph::fx::FxHashMap;
-use mpmb_core::engine::Partial;
-use mpmb_core::{Butterfly, CandidateSet, Checkpoint, KlCandidate, Tally};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -71,90 +68,6 @@ pub struct Snapshot {
     pub partials: Vec<(String, PartialState)>,
 }
 
-/// Tags for [`PartialState`] variants in the snapshot payload.
-const TAG_OS: u8 = 0;
-const TAG_MCVP: u8 = 1;
-const TAG_OLS_PREPARE: u8 = 2;
-const TAG_OLS_SAMPLE: u8 = 3;
-const TAG_KL: u8 = 4;
-const TAG_QUERY: u8 = 5;
-const TAG_COUNT: u8 = 6;
-const TAG_FAST: u8 = 7;
-
-/// Encodes one solver state behind its tag byte. `pub(crate)`: the
-/// cluster wire protocol ([`crate::cluster::proto`]) frames the same
-/// encoding, so a worker's range response and a checkpointed partial
-/// stay one format.
-pub(crate) fn encode_state(state: &PartialState, enc: &mut Encoder) {
-    match state {
-        PartialState::Os(p) => {
-            enc.u8(TAG_OS);
-            p.encode(enc);
-        }
-        PartialState::McVp(p) => {
-            enc.u8(TAG_MCVP);
-            p.encode(enc);
-        }
-        PartialState::OlsPrepare(p) => {
-            enc.u8(TAG_OLS_PREPARE);
-            p.encode(enc);
-        }
-        PartialState::OlsSample {
-            candidates,
-            partial,
-        } => {
-            enc.u8(TAG_OLS_SAMPLE);
-            candidates.encode(enc);
-            partial.encode(enc);
-        }
-        PartialState::Kl {
-            candidates,
-            partial,
-        } => {
-            enc.u8(TAG_KL);
-            candidates.encode(enc);
-            partial.encode(enc);
-        }
-        PartialState::Query(p) => {
-            enc.u8(TAG_QUERY);
-            p.encode(enc);
-        }
-        PartialState::Count(p) => {
-            enc.u8(TAG_COUNT);
-            p.encode(enc);
-        }
-        PartialState::Fast(p) => {
-            enc.u8(TAG_FAST);
-            p.encode(enc);
-        }
-    }
-}
-
-/// Decodes one tagged solver state (inverse of [`encode_state`]).
-pub(crate) fn decode_state(dec: &mut Decoder<'_>) -> Result<PartialState, CodecError> {
-    Ok(match dec.u8()? {
-        TAG_OS => PartialState::Os(Partial::<Tally>::decode(dec)?),
-        TAG_MCVP => PartialState::McVp(Partial::<Tally>::decode(dec)?),
-        TAG_OLS_PREPARE => PartialState::OlsPrepare(Partial::<Vec<Butterfly>>::decode(dec)?),
-        TAG_OLS_SAMPLE => PartialState::OlsSample {
-            candidates: CandidateSet::decode(dec)?,
-            partial: Partial::<Tally>::decode(dec)?,
-        },
-        TAG_KL => PartialState::Kl {
-            candidates: CandidateSet::decode(dec)?,
-            partial: Partial::<Vec<(u32, KlCandidate)>>::decode(dec)?,
-        },
-        TAG_QUERY => PartialState::Query(Partial::<u64>::decode(dec)?),
-        TAG_COUNT => PartialState::Count(Partial::<FxHashMap<u64, u64>>::decode(dec)?),
-        TAG_FAST => PartialState::Fast(Partial::<Vec<mpmb_core::FastSample>>::decode(dec)?),
-        other => {
-            return Err(CodecError::Invalid(format!(
-                "unknown partial-state tag {other}"
-            )))
-        }
-    })
-}
-
 impl Snapshot {
     /// Serializes into a sealed frame ready to hit disk.
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -174,7 +87,7 @@ impl Snapshot {
         enc.u64(self.partials.len() as u64);
         for (key, state) in &self.partials {
             enc.str(key);
-            encode_state(state, &mut enc);
+            state.encode(&mut enc);
         }
         seal_frame(MAGIC, VERSION, &enc.into_bytes())
     }
@@ -213,7 +126,7 @@ impl Snapshot {
         let mut partials = Vec::with_capacity(partial_count);
         for _ in 0..partial_count {
             let key = dec.str()?;
-            let state = decode_state(&mut dec)?;
+            let state = PartialState::decode(&mut dec)?;
             partials.push((key, state));
         }
         if dec.remaining() != 0 {

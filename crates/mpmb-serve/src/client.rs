@@ -348,21 +348,6 @@ fn call_retry_raw(
     })))
 }
 
-/// Reads one `(status, body)` response from a stream.
-pub fn read_response(stream: TcpStream) -> std::io::Result<(u16, String)> {
-    let (status, _headers, body) = read_response_ext(stream)?;
-    Ok((status, body))
-}
-
-/// Reads one `(status, headers, body)` response from a stream. Header
-/// names are lowercased; the body must be UTF-8.
-pub fn read_response_ext(stream: TcpStream) -> std::io::Result<FullResponse> {
-    let (status, headers, raw) = read_response_raw(stream)?;
-    String::from_utf8(raw)
-        .map(|b| (status, headers, b))
-        .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "non-UTF-8 body"))
-}
-
 /// Reads one response from a stream, body as raw bytes.
 pub fn read_response_raw(stream: TcpStream) -> std::io::Result<RawResponse> {
     let mut reader = BufReader::new(stream);

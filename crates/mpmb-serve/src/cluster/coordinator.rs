@@ -1,22 +1,22 @@
 //! The coordinator half: deterministic scatter-gather over workers.
 //!
-//! `advance_cluster_solve` mirrors [`crate::solve::advance_solve`]
-//! phase for phase, with one difference: wherever the single-node
-//! driver hands a trial space to the in-process
-//! [`mpmb_core::Executor`], the coordinator splits the *missing*
-//! ranges of the master partial with the canonical
-//! [`mpmb_core::chunk_ranges`] partition, posts each range to a
-//! worker, and absorbs the returned partials. Preparing (`ols`,
-//! `ols-kl` phase 1) runs locally on the coordinator — it is cheap,
-//! and shipping its [`CandidateSet`] output with every range request
-//! means workers never re-run it.
+//! A coordinator drives every request through the same method table
+//! and driver as a single node ([`crate::solve`]), with a [`Scatter`]
+//! as its range runner: wherever a local run hands a phase's trial
+//! space to the in-process [`mpmb_core::Executor`], the coordinator
+//! splits the *missing* ranges of the master partial with the
+//! canonical [`mpmb_core::chunk_ranges`] partition, posts each range to
+//! a worker, and absorbs the returned partials with the engine's own
+//! [`TrialEngine::merge`]. Preparing (`ols`, `ols-kl` phase 1) and
+//! `/v1/query` run on the coordinator itself; shipping the prepared
+//! [`CandidateSet`] with every range request means workers never
+//! re-run it.
 //!
 //! Determinism: a trial's result is a function of its index alone, and
 //! absorption is order-insensitive, so the master accumulator after
-//! gather is byte-identical to a local run's — the finalization step
-//! literally *is* the single-node code path, called with the fully
-//! covered master state. Worker count, range boundaries, retries, and
-//! re-dispatches can change scheduling only, never bytes.
+//! gather is byte-identical to a local run's, and finalization is the
+//! method table's own finalize step. Worker count, range boundaries,
+//! retries, and re-dispatches can change scheduling only, never bytes.
 //!
 //! Failure: a range call that dies in transport (or returns bytes that
 //! fail the frame checksum) marks its worker down and leaves the range
@@ -27,256 +27,27 @@
 //! the result cache, so a retried request continues the gather instead
 //! of restarting it.
 
-use super::proto::RangeRequest;
-use super::{merge, proto, Cluster, ClusterError};
+use super::proto::{self, RangeRequest};
+use super::{Cluster, ClusterError};
 use crate::client::{self, ClientError, RetryPolicy};
 use crate::server::AppState;
-use crate::solve::{
-    self, Cancel, CountProgress, FastProgress, Outcome, PartialState, Progress, SolveProgress,
-};
-use bigraph::UncertainBipartiteGraph;
+use crate::solve::{Cancel, Job, PartialState};
 use mpmb_core::engine::Partial;
-use mpmb_core::{
-    chunk_ranges, CandidateSet, Executor, KarpLubyTrials, OlsConfig, PrepareTrials, Tally,
-    TrialEngine,
-};
+use mpmb_core::{chunk_ranges, CandidateSet, TrialEngine};
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Everything a range request carries besides the range itself.
-struct ScatterSpec<'a> {
-    graph: &'a str,
-    method: &'a str,
-    trials: u64,
-    prep: u64,
-    seed: u64,
-    threads: u64,
-    candidates: Option<&'a CandidateSet>,
-}
-
-/// Starts or resumes a scattered solve. Mirrors
-/// [`solve::advance_solve`]'s contract: `prior` must come from the
-/// same request key, and the completed result is bit-identical to a
-/// single-node run.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn advance_cluster_solve(
-    state: &AppState,
-    cluster: &Cluster,
-    graph_name: &str,
-    g: &UncertainBipartiteGraph,
-    method: &str,
-    trials: u64,
-    prep: u64,
-    seed: u64,
-    threads: usize,
-    prior: Option<PartialState>,
-    cancel: &Cancel,
-) -> Result<SolveProgress, ClusterError> {
-    match method {
-        "os" | "mcvp" => {
-            let mut master = match (method, prior) {
-                ("os", None) => PartialState::Os(Partial::empty(Tally::new(), trials)),
-                ("mcvp", None) => PartialState::McVp(Partial::empty(Tally::new(), trials)),
-                ("os", Some(s @ PartialState::Os(_)))
-                | ("mcvp", Some(s @ PartialState::McVp(_))) => s,
-                (_, Some(other)) => return Err(mismatch(method, &other)),
-                _ => unreachable!(),
-            };
-            let spec = ScatterSpec {
-                graph: graph_name,
-                method,
-                trials,
-                prep,
-                seed,
-                threads: threads as u64,
-                candidates: None,
-            };
-            let executed = scatter(state, cluster, &spec, &mut master, cancel)?;
-            finish(g, method, trials, prep, seed, master, executed, 0)
-        }
-        "ols" | "ols-kl" => advance_cluster_ols(
-            state, cluster, graph_name, g, method, trials, prep, seed, threads, prior, cancel,
-        ),
-        other => Err(ClusterError::BadRequest(format!(
-            "unknown method `{other}` (expected os|mcvp|ols|ols-kl)"
-        ))),
-    }
-}
-
-/// The two-phase OLS pipeline: preparing runs locally (resumable,
-/// exactly like the single-node driver), estimation scatters.
-#[allow(clippy::too_many_arguments)]
-fn advance_cluster_ols(
-    state: &AppState,
-    cluster: &Cluster,
-    graph_name: &str,
-    g: &UncertainBipartiteGraph,
-    method: &str,
-    trials: u64,
-    prep: u64,
-    seed: u64,
-    threads: usize,
-    prior: Option<PartialState>,
-    cancel: &Cancel,
-) -> Result<SolveProgress, ClusterError> {
-    let cfg = OlsConfig {
-        prep_trials: prep,
-        seed,
-        ..Default::default()
-    };
-    let mut executed = 0u64;
-    let (candidates, mut master) = match prior {
-        None | Some(PartialState::OlsPrepare(_)) => {
-            let prep_engine = PrepareTrials::new(g, &cfg);
-            let mut p = match prior {
-                Some(PartialState::OlsPrepare(p)) => p,
-                _ => Partial::empty(prep_engine.new_acc(), prep),
-            };
-            let before = p.trials_done();
-            Executor::new(threads).resume(&prep_engine, &mut p, cancel);
-            executed += p.trials_done() - before;
-            if !p.completed() {
-                let trials_done = p.trials_done();
-                return Ok(Progress {
-                    outcome: Outcome::Incomplete(PartialState::OlsPrepare(p)),
-                    trials_done,
-                    trials_requested: prep + trials,
-                    executed,
-                });
-            }
-            let candidates = prep_engine.finalize(p.acc);
-            let master = if method == "ols" {
-                PartialState::OlsSample {
-                    candidates: candidates.clone(),
-                    partial: Partial::empty(Tally::new(), trials),
-                }
-            } else {
-                let n = candidates.len() as u64;
-                PartialState::Kl {
-                    candidates: candidates.clone(),
-                    partial: Partial::empty(Vec::new(), n),
-                }
-            };
-            (candidates, master)
-        }
-        Some(s @ PartialState::OlsSample { .. }) if method == "ols" => {
-            let PartialState::OlsSample { candidates, .. } = &s else {
-                unreachable!()
-            };
-            (candidates.clone(), s)
-        }
-        Some(s @ PartialState::Kl { .. }) if method == "ols-kl" => {
-            let PartialState::Kl { candidates, .. } = &s else {
-                unreachable!()
-            };
-            (candidates.clone(), s)
-        }
-        Some(other) => return Err(mismatch(method, &other)),
-    };
-    let spec = ScatterSpec {
-        graph: graph_name,
-        method,
-        trials,
-        prep,
-        seed,
-        threads: threads as u64,
-        candidates: Some(&candidates),
-    };
-    executed += scatter(state, cluster, &spec, &mut master, cancel)?;
-    finish(g, method, trials, prep, seed, master, executed, prep)
-}
-
-/// Starts or resumes a scattered `/v1/count` run.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn advance_cluster_count(
-    state: &AppState,
-    cluster: &Cluster,
-    graph_name: &str,
-    g: &UncertainBipartiteGraph,
-    trials: u64,
-    seed: u64,
-    threads: usize,
-    prior: Option<PartialState>,
-    cancel: &Cancel,
-) -> Result<CountProgress, ClusterError> {
-    let mut master = match prior {
-        None => PartialState::Count(Partial::empty(Default::default(), trials)),
-        Some(s @ PartialState::Count(_)) => s,
-        Some(other) => return Err(mismatch("count", &other)),
-    };
-    let spec = ScatterSpec {
-        graph: graph_name,
-        method: "count",
-        trials,
-        prep: 0,
-        seed,
-        threads: threads as u64,
-        candidates: None,
-    };
-    let executed = scatter(state, cluster, &spec, &mut master, cancel)?;
-    if merge::completed(&master) {
-        let mut progress = solve::advance_count(g, trials, seed, 1, Some(master), &Cancel::never())
-            .map_err(ClusterError::BadRequest)?;
-        progress.executed = executed;
-        Ok(progress)
-    } else {
-        let (done, requested) = merge::progress_of(&master);
-        Ok(Progress {
-            outcome: Outcome::Incomplete(master),
-            trials_done: done,
-            trials_requested: requested,
-            executed,
-        })
-    }
-}
-
-/// Starts or resumes a scattered fast-tier (sublinear) estimate.
-/// `delta` affects only finalization, so it never travels with the
-/// range requests — workers return raw per-trial rows.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn advance_cluster_fast(
-    state: &AppState,
-    cluster: &Cluster,
-    graph_name: &str,
-    g: &UncertainBipartiteGraph,
-    trials: u64,
-    seed: u64,
-    delta: f64,
-    threads: usize,
-    prior: Option<PartialState>,
-    cancel: &Cancel,
-) -> Result<FastProgress, ClusterError> {
-    let mut master = match prior {
-        None => PartialState::Fast(Partial::empty(Vec::new(), trials)),
-        Some(s @ PartialState::Fast(_)) => s,
-        Some(other) => return Err(mismatch("fast", &other)),
-    };
-    let spec = ScatterSpec {
-        graph: graph_name,
-        method: "fast",
-        trials,
-        prep: 0,
-        seed,
-        threads: threads as u64,
-        candidates: None,
-    };
-    let executed = scatter(state, cluster, &spec, &mut master, cancel)?;
-    if merge::completed(&master) {
-        let mut progress =
-            solve::advance_fast(g, trials, seed, delta, 1, Some(master), &Cancel::never())
-                .map_err(ClusterError::BadRequest)?;
-        progress.executed = executed;
-        Ok(progress)
-    } else {
-        let (done, requested) = merge::progress_of(&master);
-        Ok(Progress {
-            outcome: Outcome::Incomplete(master),
-            trials_done: done,
-            trials_requested: requested,
-            executed,
-        })
-    }
+/// The coordinator's range runner (`solve::Runner::Cluster`).
+pub(crate) struct Scatter<'a> {
+    /// Server state: membership probes and cluster metrics.
+    pub state: &'a AppState,
+    /// Worker membership and retry policy.
+    pub cluster: &'a Cluster,
+    /// The registered graph name workers resolve.
+    pub graph: &'a str,
+    /// Solver threads per range call, and for phases run locally.
+    pub threads: usize,
 }
 
 /// Broadcasts a graph-registration body to every *healthy* worker. A
@@ -318,63 +89,6 @@ pub(crate) fn broadcast_register(cluster: &Cluster, body: &[u8]) -> Result<(), C
     Ok(())
 }
 
-fn mismatch(method: &str, state: &PartialState) -> ClusterError {
-    ClusterError::BadRequest(format!(
-        "cached partial state `{}` does not match method `{method}`",
-        state.kind()
-    ))
-}
-
-/// Completed masters finalize through the *single-node* driver (which
-/// executes zero trials on an already-covered partial and runs the
-/// same finalization code, keeping the response bytes identical);
-/// incomplete ones become a resumable [`Outcome::Incomplete`].
-/// `prep` is added to the phase-2-local trial accounting.
-#[allow(clippy::too_many_arguments)]
-fn finish(
-    g: &UncertainBipartiteGraph,
-    method: &str,
-    trials: u64,
-    prep: u64,
-    seed: u64,
-    master: PartialState,
-    executed: u64,
-    prep_base: u64,
-) -> Result<SolveProgress, ClusterError> {
-    if merge::completed(&master) {
-        let mut progress = solve::advance_solve(
-            g,
-            method,
-            trials,
-            prep,
-            seed,
-            1,
-            Some(master),
-            &Cancel::never(),
-        )
-        .map_err(ClusterError::BadRequest)?;
-        progress.executed = executed;
-        return Ok(progress);
-    }
-    let trials_done = prep_base + work_done(&master);
-    Ok(Progress {
-        outcome: Outcome::Incomplete(master),
-        trials_done,
-        trials_requested: prep_base + trials,
-        executed,
-    })
-}
-
-/// Executed-trial units of a state: actual Karp-Luby samples for `Kl`
-/// (whose executor "trials" are whole candidates), covered trial
-/// indices otherwise. Matches the single-node drivers' accounting.
-fn work_done(state: &PartialState) -> u64 {
-    match state {
-        PartialState::Kl { partial, .. } => KarpLubyTrials::consumed(&partial.acc),
-        other => merge::progress_of(other).0,
-    }
-}
-
 /// How one range call failed.
 enum CallFailure {
     /// No usable HTTP response (connect refused, reset, truncation) —
@@ -392,155 +106,170 @@ enum CallFailure {
     },
 }
 
-/// Runs scatter rounds until the master is covered, the deadline
-/// fires, or no worker can make progress. Returns the executed-trial
-/// delta absorbed by this call.
-fn scatter(
-    state: &AppState,
-    cluster: &Cluster,
-    spec: &ScatterSpec<'_>,
-    master: &mut PartialState,
-    cancel: &Cancel,
-) -> Result<u64, ClusterError> {
-    let start_units = work_done(master);
-    let mut round = 0u64;
-    loop {
-        if merge::completed(master) {
-            return Ok(work_done(master) - start_units);
-        }
-        if cancel.expired() {
-            // The caller caches the partial master; a retried request
-            // resumes the gather from here.
-            return Ok(work_done(master) - start_units);
-        }
-        let mut healthy = cluster.members.healthy();
-        if healthy.is_empty() {
-            // One synchronous probe round: workers that restarted
-            // since they were marked down rejoin immediately.
-            if cluster.members.probe_all(&state.metrics) == 0 {
-                if work_done(master) > start_units {
-                    return Ok(work_done(master) - start_units);
-                }
-                return Err(ClusterError::NoWorkers);
+impl Scatter<'_> {
+    /// Runs scatter rounds until `master` is covered, the deadline
+    /// fires, or no worker can make progress. Each reply must stay
+    /// inside its assigned range and is absorbed with `engine`'s own
+    /// merge — the fold the local executor uses between chunks.
+    pub(crate) fn run<E: TrialEngine>(
+        &self,
+        job: &Job,
+        candidates: Option<&CandidateSet>,
+        engine: &E,
+        master: &mut Partial<E::Acc>,
+        unwrap: fn(PartialState) -> Result<Partial<E::Acc>, PartialState>,
+        cancel: &Cancel,
+    ) -> Result<(), ClusterError> {
+        let (state, cluster) = (self.state, self.cluster);
+        let start_done = master.trials_done();
+        let mut round = 0u64;
+        loop {
+            if master.completed() || cancel.expired() {
+                // On an expired deadline the caller caches the partial
+                // master; a retried request resumes the gather from here.
+                return Ok(());
             }
-            healthy = cluster.members.healthy();
-        }
+            let mut healthy = cluster.members.healthy();
+            if healthy.is_empty() {
+                // One synchronous probe round: workers that restarted
+                // since they were marked down rejoin immediately.
+                if cluster.members.probe_all(&state.metrics) == 0 {
+                    if master.trials_done() > start_done {
+                        return Ok(());
+                    }
+                    return Err(ClusterError::NoWorkers);
+                }
+                healthy = cluster.members.healthy();
+            }
 
-        let assignments = plan_assignments(&merge::missing_of(master), &healthy);
-        state
-            .metrics
-            .cluster_ranges_dispatched
-            .add(assignments.len() as u64);
-        if round > 0 {
+            let assignments = plan_assignments(&master.missing(), &healthy);
             state
                 .metrics
-                .cluster_redispatch
+                .cluster_ranges_dispatched
                 .add(assignments.len() as u64);
-        }
-        round += 1;
+            if round > 0 {
+                state
+                    .metrics
+                    .cluster_redispatch
+                    .add(assignments.len() as u64);
+            }
+            round += 1;
 
-        // Each range call gets its own hop in the trace tree: a child
-        // span of this request's context, whose id the worker's
-        // in-range spans then parent on. The spawned threads install
-        // only the span context (no profile) so the `cluster.range`
-        // timeline spans never double-count into the phase table —
-        // stitching below attributes time precisely instead.
-        let ctx = obs::current();
-        let hops: Vec<Option<obs::SpanContext>> = assignments
-            .iter()
-            .map(|_| ctx.span.as_ref().map(|sc| sc.child()))
-            .collect();
-        let results: Vec<Result<RangeReply, CallFailure>> = std::thread::scope(|s| {
-            let handles: Vec<_> = assignments
-                .iter()
-                .zip(&hops)
-                .map(|((w, range), hop)| {
-                    let addr = cluster.members.addr(*w);
-                    let range = range.clone();
-                    let retry = &cluster.retry;
-                    let trace = hop.as_ref().map(|sc| proto::TraceContext {
-                        trace_id: sc.trace_id.to_string(),
-                        parent_span: sc.span_id,
-                    });
-                    let hop = hop.clone();
-                    s.spawn(move || {
-                        let _g = hop.map(|sc| {
-                            obs::install(obs::ObsCtx {
-                                trace_id: Some(Arc::clone(&sc.trace_id)),
-                                span: Some(sc),
-                                profile: None,
-                                solver: None,
-                            })
-                        });
-                        let mut sp = obs::span("cluster.range");
-                        sp.items(range.end - range.start);
-                        sp.field("worker", addr);
-                        sp.field("range_start", range.start);
-                        sp.field("range_end", range.end);
-                        call_worker(addr, retry, spec, range, trace)
+            // Each range call gets its own hop in the trace tree: a child
+            // span of this request's context, whose id the worker's
+            // in-range spans then parent on. The spawned threads install
+            // only the span context (no profile) so the `cluster.range`
+            // timeline spans never double-count into the phase table —
+            // stitching below attributes time precisely instead.
+            let ctx = obs::current();
+            let results: Vec<Result<RangeReply, CallFailure>> = std::thread::scope(|s| {
+                let handles: Vec<_> = assignments
+                    .iter()
+                    .map(|(w, range)| {
+                        let addr = cluster.members.addr(*w);
+                        let retry = &cluster.retry;
+                        let hop = ctx.span.as_ref().map(|sc| sc.child());
+                        let request = RangeRequest {
+                            graph: self.graph.to_string(),
+                            method: job.method.to_string(),
+                            trials: job.trials,
+                            prep: job.prep,
+                            seed: job.seed,
+                            threads: self.threads as u64,
+                            start: range.start,
+                            end: range.end,
+                            candidates: candidates.cloned(),
+                            trace: hop.as_ref().map(|sc| proto::TraceContext {
+                                trace_id: sc.trace_id.to_string(),
+                                parent_span: sc.span_id,
+                            }),
+                        };
+                        s.spawn(move || {
+                            let _g = hop.map(|sc| {
+                                obs::install(obs::ObsCtx {
+                                    trace_id: Some(Arc::clone(&sc.trace_id)),
+                                    span: Some(sc),
+                                    profile: None,
+                                    solver: None,
+                                })
+                            });
+                            let mut sp = obs::span("cluster.range");
+                            sp.items(request.end - request.start);
+                            sp.field("worker", addr);
+                            sp.field("range_start", request.start);
+                            sp.field("range_end", request.end);
+                            call_worker(addr, retry, &request)
+                        })
                     })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("scatter thread panicked"))
-                .collect()
-        });
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("scatter thread panicked"))
+                    .collect()
+            });
 
-        let mut progressed = false;
-        let mut transient_failures = 0usize;
-        let mut merge_span = obs::span("cluster.merge");
-        let mut absorbed = 0u64;
-        for ((widx, range), result) in assignments.iter().zip(results) {
-            match result {
-                Ok(reply) => {
-                    check_containment(&reply.state, range)?;
-                    let before = merge::progress_of(master).0;
-                    let covered = merge::progress_of(&reply.state).0;
-                    merge::absorb_state(master, reply.state)?;
-                    if merge::progress_of(master).0 > before {
-                        progressed = true;
+            let mut progressed = false;
+            let mut transient_failures = 0usize;
+            let mut merge_span = obs::span("cluster.merge");
+            let mut absorbed = 0u64;
+            for ((widx, range), result) in assignments.iter().zip(results) {
+                match result {
+                    Ok(reply) => {
+                        let piece = unwrap(reply.state).map_err(|other| {
+                            ClusterError::Protocol(format!(
+                                "range response kind `{}` does not match request method `{}`",
+                                other.kind(),
+                                job.method
+                            ))
+                        })?;
+                        check_containment(&piece, range)?;
+                        let before = master.trials_done();
+                        let covered = piece.trials_done();
+                        master
+                            .absorb(piece, |acc, from| engine.merge(acc, from))
+                            .map_err(|e| ClusterError::Protocol(e.to_string()))?;
+                        progressed |= master.trials_done() > before;
+                        absorbed += covered;
+                        stitch_reply(&ctx, cluster.members.addr(*widx), &reply.phases, reply.wall);
                     }
-                    absorbed += covered;
-                    stitch_reply(&ctx, cluster.members.addr(*widx), reply.phases, reply.wall);
-                }
-                Err(CallFailure::WorkerLost(reason)) => {
-                    obs::event(
-                        "cluster.worker_lost",
-                        &[
-                            ("worker", cluster.members.addr(*widx).into()),
-                            ("range_start", range.start.into()),
-                            ("range_end", range.end.into()),
-                            ("reason", reason.into()),
-                        ],
-                    );
-                    state.metrics.cluster_worker_errors.inc();
-                    cluster.members.mark_down(*widx);
-                    transient_failures += 1;
-                }
-                Err(CallFailure::Overloaded) => {
-                    state.metrics.cluster_worker_errors.inc();
-                    cluster.members.mark_down(*widx);
-                    transient_failures += 1;
-                }
-                Err(CallFailure::Fatal { status, body }) => {
-                    return Err(ClusterError::Worker {
-                        addr: cluster.members.addr(*widx).to_string(),
-                        status,
-                        body,
-                    });
+                    Err(CallFailure::WorkerLost(reason)) => {
+                        obs::event(
+                            "cluster.worker_lost",
+                            &[
+                                ("worker", cluster.members.addr(*widx).into()),
+                                ("range_start", range.start.into()),
+                                ("range_end", range.end.into()),
+                                ("reason", reason.into()),
+                            ],
+                        );
+                        state.metrics.cluster_worker_errors.inc();
+                        cluster.members.mark_down(*widx);
+                        transient_failures += 1;
+                    }
+                    Err(CallFailure::Overloaded) => {
+                        state.metrics.cluster_worker_errors.inc();
+                        cluster.members.mark_down(*widx);
+                        transient_failures += 1;
+                    }
+                    Err(CallFailure::Fatal { status, body }) => {
+                        return Err(ClusterError::Worker {
+                            addr: cluster.members.addr(*widx).to_string(),
+                            status,
+                            body,
+                        });
+                    }
                 }
             }
-        }
-        merge_span.items(absorbed);
-        drop(merge_span);
-        if !progressed && transient_failures == 0 {
-            // Every worker answered yet nothing advanced — e.g. worker
-            // deadlines too short to finish a single check interval.
-            // Erroring beats scattering the same ranges forever.
-            return Err(ClusterError::Protocol(
-                "scatter round completed without progress".to_string(),
-            ));
+            merge_span.items(absorbed);
+            drop(merge_span);
+            if !progressed && transient_failures == 0 {
+                // Every worker answered yet nothing advanced — e.g. worker
+                // deadlines too short to finish a single check interval.
+                // Erroring beats scattering the same ranges forever.
+                return Err(ClusterError::Protocol(
+                    "scatter round completed without progress".to_string(),
+                ));
+            }
         }
     }
 }
@@ -567,136 +296,78 @@ fn plan_assignments(gaps: &[Range<u64>], healthy: &[usize]) -> Vec<(usize, Range
     assignments
 }
 
-/// A successful range call: the worker's partial, its phase profile
-/// (absent from v1 workers), and the call's wall time as seen from the
-/// coordinator.
+/// A successful range call: the worker's partial, its phase profile,
+/// and the call's wall time as seen from the coordinator.
 struct RangeReply {
     state: PartialState,
-    phases: Option<Vec<obs::PhaseStat>>,
+    phases: Vec<obs::PhaseStat>,
     wall: Duration,
 }
 
 /// Folds one worker reply into the request's profile: each returned
 /// phase becomes a worker-labeled child entry (`addr/phase`), and the
 /// gap between the call's wall time and the worker's own accounted
-/// time is charged to `cluster.network`. A v1 worker returns no
-/// profile — its whole call degrades to one `addr/unattributed` entry
-/// rather than an error.
-fn stitch_reply(
-    ctx: &obs::ObsCtx,
-    addr: &str,
-    phases: Option<Vec<obs::PhaseStat>>,
-    wall: Duration,
-) {
+/// time is charged to `cluster.network`.
+fn stitch_reply(ctx: &obs::ObsCtx, addr: &str, phases: &[obs::PhaseStat], wall: Duration) {
     let Some(profile) = &ctx.profile else { return };
-    match phases {
-        Some(phases) => {
-            let accounted: f64 = phases.iter().map(|p| p.secs).sum();
-            for p in &phases {
-                profile.absorb(&format!("{addr}/{}", p.name), p.secs, p.items, p.calls);
-            }
-            let overhead = wall.as_secs_f64() - accounted;
-            if overhead > 0.0 {
-                profile.absorb("cluster.network", overhead, 0, 1);
-            }
-        }
-        None => profile.absorb(&format!("{addr}/unattributed"), wall.as_secs_f64(), 0, 1),
+    let accounted: f64 = phases.iter().map(|p| p.secs).sum();
+    for p in phases {
+        profile.absorb(&format!("{addr}/{}", p.name), p.secs, p.items, p.calls);
+    }
+    let overhead = wall.as_secs_f64() - accounted;
+    if overhead > 0.0 {
+        profile.absorb("cluster.network", overhead, 0, 1);
     }
 }
 
-/// One framed range call with retries; classifies the failure. A
-/// worker that rejects the v2 frame with `BadVersion` (pre-trace
-/// build) gets the same range re-sent as a v1 frame without the trace
-/// context — mixed-version clusters lose attribution, never answers.
+/// One framed range call with retries; classifies the failure.
 fn call_worker(
     addr: &str,
     retry: &RetryPolicy,
-    spec: &ScatterSpec<'_>,
-    range: Range<u64>,
-    trace: Option<proto::TraceContext>,
+    request: &RangeRequest,
 ) -> Result<RangeReply, CallFailure> {
     let started = Instant::now();
-    let request = RangeRequest {
-        graph: spec.graph.to_string(),
-        method: spec.method.to_string(),
-        trials: spec.trials,
-        prep: spec.prep,
-        seed: spec.seed,
-        threads: spec.threads,
-        start: range.start,
-        end: range.end,
-        candidates: spec.candidates.cloned(),
-        trace,
-    };
-    let result = match post_range(addr, retry, &request.encode()) {
-        Err(CallFailure::Fatal {
-            status: 400,
-            ref body,
-        }) if body.contains("unsupported format version") => {
-            obs::event(
-                "cluster.proto_downgrade",
-                &[("worker", addr.into()), ("version", 1u64.into())],
-            );
-            post_range(addr, retry, &request.encode_v1())
+    let bytes = match client::call_retry_expect(
+        addr,
+        "POST",
+        "/v1/internal/solve-range",
+        &request.encode(),
+        "application/octet-stream",
+        retry,
+    ) {
+        Ok((_headers, bytes, _retries)) => bytes,
+        Err(ClientError::Transport(e)) => return Err(CallFailure::WorkerLost(e.to_string())),
+        Err(ClientError::Status {
+            status: 429 | 503, ..
+        }) => return Err(CallFailure::Overloaded),
+        Err(ClientError::Status { status, body }) => {
+            return Err(CallFailure::Fatal { status, body })
         }
-        other => other,
     };
-    result.map(|(state, phases)| RangeReply {
+    let (state, phases) = proto::decode_response(&bytes)
+        .map_err(|e| CallFailure::WorkerLost(format!("undecodable response: {e}")))?;
+    Ok(RangeReply {
         state,
         phases,
         wall: started.elapsed(),
     })
 }
 
-/// Posts one already-encoded frame and decodes the reply.
-fn post_range(
-    addr: &str,
-    retry: &RetryPolicy,
-    frame: &[u8],
-) -> Result<(PartialState, Option<Vec<obs::PhaseStat>>), CallFailure> {
-    match client::call_retry_expect(
-        addr,
-        "POST",
-        "/v1/internal/solve-range",
-        frame,
-        "application/octet-stream",
-        retry,
-    ) {
-        Ok((_headers, bytes, _retries)) => proto::decode_response(&bytes)
-            .map_err(|e| CallFailure::WorkerLost(format!("undecodable response: {e}"))),
-        Err(ClientError::Transport(e)) => Err(CallFailure::WorkerLost(e.to_string())),
-        Err(ClientError::Status {
-            status: 429 | 503, ..
-        }) => Err(CallFailure::Overloaded),
-        Err(ClientError::Status { status, body }) => Err(CallFailure::Fatal { status, body }),
-    }
-}
-
 /// A worker must only cover trials inside its assigned range; anything
 /// else is a protocol violation (absorb would additionally catch
 /// overlaps, but out-of-range coverage in untouched space would pass
 /// silently without this check).
-fn check_containment(piece: &PartialState, assigned: &Range<u64>) -> Result<(), ClusterError> {
-    let (_, requested) = merge::progress_of(piece);
-    let mut cursor = 0u64;
-    let mut done = Vec::new();
-    for gap in merge::missing_of(piece) {
-        if cursor < gap.start {
-            done.push(cursor..gap.start);
-        }
-        cursor = gap.end;
+fn check_containment<A>(piece: &Partial<A>, assigned: &Range<u64>) -> Result<(), ClusterError> {
+    match piece
+        .done_ranges()
+        .iter()
+        .find(|r| r.start < assigned.start || r.end > assigned.end)
+    {
+        Some(r) => Err(ClusterError::Protocol(format!(
+            "worker covered {r:?} outside its assigned range {assigned:?}"
+        ))),
+        None => Ok(()),
     }
-    if cursor < requested {
-        done.push(cursor..requested);
-    }
-    for r in done {
-        if r.start < assigned.start || r.end > assigned.end {
-            return Err(ClusterError::Protocol(format!(
-                "worker covered {r:?} outside its assigned range {assigned:?}"
-            )));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -23,13 +23,13 @@
 //! machinery exercises worker crashes, resets, and truncated responses
 //! end to end.
 //!
-//! `POST /v1/query` stays coordinator-local (single-trial-stream
-//! estimates are cheap); every other solve-like endpoint —
-//! `/v1/solve`, `/v1/topk`, `/v1/count` — scatters.
+//! Single-node servers, coordinators, and workers share one driver
+//! ([`crate::solve`]); they differ only in the range runner it is
+//! handed. `POST /v1/query` and OLS preparing stay coordinator-local
+//! (cheap next to estimation); every other solve-like phase scatters.
 
 pub(crate) mod coordinator;
 pub(crate) mod membership;
-pub(crate) mod merge;
 pub(crate) mod proto;
 pub(crate) mod worker;
 
@@ -95,11 +95,15 @@ impl Cluster {
     }
 }
 
-/// Why a scattered request could not be answered.
+/// Why a solve-like request could not be answered — locally or
+/// scattered.
 #[derive(Debug)]
 pub enum ClusterError {
     /// The request itself is invalid (unknown method, bad state).
     BadRequest(String),
+    /// The request names something the graph does not have (a query
+    /// butterfly outside the backbone).
+    NotFound(String),
     /// Every configured worker is down and a fresh probe round found
     /// none alive.
     NoWorkers,
@@ -120,7 +124,7 @@ pub enum ClusterError {
 impl std::fmt::Display for ClusterError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ClusterError::BadRequest(msg) => write!(f, "{msg}"),
+            ClusterError::BadRequest(msg) | ClusterError::NotFound(msg) => write!(f, "{msg}"),
             ClusterError::NoWorkers => write!(f, "no healthy cluster workers"),
             ClusterError::Worker { addr, status, body } => {
                 write!(f, "worker {addr} answered {status}: {body}")

@@ -16,19 +16,13 @@
 //! The request ships the phase-2 candidate set for `ols`/`ols-kl`
 //! ranges: preparing runs once on the coordinator and workers never
 //! re-run it. Large candidate sets are bounded by the server's 4 MiB
-//! request-body cap — a documented limitation of the v1 protocol.
+//! request-body cap.
 //!
-//! **v2** appends observability to both directions: requests may carry
-//! the coordinator's trace context (trace id + parent span id), and
-//! responses may carry the worker's per-phase profile for the range.
-//! Both are strictly appended after the v1 layout, and decoders branch
-//! on the frame's actual version, so a v2 node reads v1 frames (and
-//! simply sees no trace context / no profile). A v1 worker rejects a
-//! v2 *request* with `BadVersion`; the coordinator detects that
-//! specific rejection and re-sends the range as a v1 frame — tracing
-//! degrades to unattributed spans, correctness never does.
+//! There is one wire version, [`VERSION`]: requests carry the
+//! coordinator's trace context (trace id + parent span id), responses
+//! carry the worker's per-phase profile for the range. Frames of any
+//! other version are rejected with `BadVersion`.
 
-use crate::checkpoint::{decode_state, encode_state};
 use crate::solve::PartialState;
 use bigraph::codec::{open_frame, seal_frame, CodecError, Decoder, Encoder};
 use mpmb_core::{CandidateSet, Checkpoint};
@@ -37,14 +31,11 @@ use mpmb_core::{CandidateSet, Checkpoint};
 pub(crate) const REQ_MAGIC: &[u8; 8] = b"MPMBRQ01";
 /// Magic prefix of a range response frame.
 pub(crate) const RESP_MAGIC: &[u8; 8] = b"MPMBRS01";
-/// Highest protocol version this build speaks; decoders accept
-/// anything up to it and encoders can down-rev for old peers.
+/// The protocol version this build speaks, and the only one it reads.
 pub(crate) const VERSION: u32 = 2;
-/// The pre-observability protocol: no trace context, no profiles.
-pub(crate) const VERSION_1: u32 = 1;
 
 /// The coordinator's position in the request's trace tree, shipped
-/// inside a v2 range request so worker spans join the same trace.
+/// inside a range request so worker spans join the same trace.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) struct TraceContext {
     /// Trace id shared by every hop of the client request.
@@ -62,7 +53,7 @@ pub(crate) struct TraceContext {
 pub(crate) struct RangeRequest {
     /// Registered graph name (must exist on the worker).
     pub graph: String,
-    /// `os` | `mcvp` | `ols` | `ols-kl` | `count`.
+    /// `os` | `mcvp` | `ols` | `ols-kl` | `count` | `fast`.
     pub method: String,
     /// The full request's trial budget (KL per-candidate fixed count
     /// for `ols-kl`) — part of engine seeding, NOT this range's size.
@@ -79,12 +70,22 @@ pub(crate) struct RangeRequest {
     pub end: u64,
     /// Phase-1 output for `ols`/`ols-kl`, computed on the coordinator.
     pub candidates: Option<CandidateSet>,
-    /// Coordinator trace context (v2 frames only; absent on v1).
+    /// Coordinator trace context, when the request is traced.
     pub trace: Option<TraceContext>,
 }
 
+/// Opens a frame that must carry exactly [`VERSION`].
+fn open<'a>(magic: &[u8; 8], bytes: &'a [u8]) -> Result<&'a [u8], CodecError> {
+    match open_frame(magic, VERSION, bytes)? {
+        (VERSION, payload) => Ok(payload),
+        (other, _) => Err(CodecError::BadVersion(other)),
+    }
+}
+
 impl RangeRequest {
-    fn encode_common(&self, enc: &mut Encoder) {
+    /// Seals this request into a checksummed frame.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut enc = Encoder::new();
         enc.str(&self.graph);
         enc.str(&self.method);
         enc.u64(self.trials);
@@ -97,15 +98,9 @@ impl RangeRequest {
             None => enc.u8(0),
             Some(c) => {
                 enc.u8(1);
-                c.encode(enc);
+                c.encode(&mut enc);
             }
         }
-    }
-
-    /// Seals this request into a checksummed v2 frame.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
-        self.encode_common(&mut enc);
         match &self.trace {
             None => enc.u8(0),
             Some(t) => {
@@ -117,26 +112,11 @@ impl RangeRequest {
         seal_frame(REQ_MAGIC, VERSION, &enc.into_bytes())
     }
 
-    /// Seals this request as a v1 frame (trace context dropped), for
-    /// workers that rejected the v2 encoding with `BadVersion`.
-    pub fn encode_v1(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
-        self.encode_common(&mut enc);
-        seal_frame(REQ_MAGIC, VERSION_1, &enc.into_bytes())
-    }
-
-    /// Opens and validates a request frame, version discarded.
-    #[cfg(test)]
+    /// Opens and validates a request frame.
     pub fn decode(bytes: &[u8]) -> Result<RangeRequest, CodecError> {
-        Ok(RangeRequest::decode_versioned(bytes)?.0)
-    }
-
-    /// Opens a request frame, also returning the frame's version so
-    /// the worker can mirror it on the response.
-    pub fn decode_versioned(bytes: &[u8]) -> Result<(RangeRequest, u32), CodecError> {
-        let (version, payload) = open_frame(REQ_MAGIC, VERSION, bytes)?;
+        let payload = open(REQ_MAGIC, bytes)?;
         let mut dec = Decoder::new(payload);
-        let mut req = RangeRequest {
+        let req = RangeRequest {
             graph: dec.str()?,
             method: dec.str()?,
             trials: dec.u64()?,
@@ -154,10 +134,7 @@ impl RangeRequest {
                     )))
                 }
             },
-            trace: None,
-        };
-        if version >= 2 {
-            req.trace = match dec.u8()? {
+            trace: match dec.u8()? {
                 0 => None,
                 1 => Some(TraceContext {
                     trace_id: dec.str()?,
@@ -168,8 +145,8 @@ impl RangeRequest {
                         "trace flag must be 0 or 1, got {other}"
                     )))
                 }
-            };
-        }
+            },
+        };
         if dec.remaining() != 0 {
             return Err(CodecError::Invalid(format!(
                 "{} trailing bytes after range request",
@@ -182,91 +159,76 @@ impl RangeRequest {
                 req.start, req.end
             )));
         }
-        Ok((req, version))
+        Ok(req)
     }
 }
 
-/// Seals a worker's partial state into a response frame of the given
-/// version. The payload starts with exactly the checkpoint encoding of
-/// [`PartialState`]; v2 appends the worker's phase profile for the
-/// range (name, seconds-as-bits, items, calls per phase) so the
-/// coordinator can stitch a cross-node timeline. `version` mirrors the
-/// request frame's, so an old coordinator is never sent fields it
-/// cannot read.
-pub(crate) fn encode_response(
-    version: u32,
-    state: &PartialState,
-    profile: Option<&[obs::PhaseStat]>,
-) -> Vec<u8> {
+/// Seals a worker's partial state into a response frame. The payload
+/// starts with exactly the checkpoint encoding of [`PartialState`],
+/// then the worker's phase profile for the range (name, seconds-as-bits,
+/// items, calls per phase) so the coordinator can stitch a cross-node
+/// timeline.
+pub(crate) fn encode_response(state: &PartialState, profile: Option<&[obs::PhaseStat]>) -> Vec<u8> {
     let mut enc = Encoder::new();
-    encode_state(state, &mut enc);
-    if version >= 2 {
-        match profile {
-            None => enc.u8(0),
-            Some(phases) => {
-                enc.u8(1);
-                enc.u32(phases.len() as u32);
-                for p in phases {
-                    enc.str(&p.name);
-                    enc.u64(p.secs.to_bits());
-                    enc.u64(p.items);
-                    enc.u64(p.calls);
-                }
+    state.encode(&mut enc);
+    match profile {
+        None => enc.u8(0),
+        Some(phases) => {
+            enc.u8(1);
+            enc.u32(phases.len() as u32);
+            for p in phases {
+                enc.str(&p.name);
+                enc.u64(p.secs.to_bits());
+                enc.u64(p.items);
+                enc.u64(p.calls);
             }
         }
     }
-    seal_frame(RESP_MAGIC, version.min(VERSION), &enc.into_bytes())
+    seal_frame(RESP_MAGIC, VERSION, &enc.into_bytes())
 }
 
-/// Opens a response frame back into the worker's partial state plus,
-/// for v2 frames, its phase profile (a v1 worker's response simply has
-/// none — the range shows up unattributed in the stitched trace).
+/// Opens a response frame back into the worker's partial state and its
+/// phase profile (empty when the worker's request was untraced).
 pub(crate) fn decode_response(
     bytes: &[u8],
-) -> Result<(PartialState, Option<Vec<obs::PhaseStat>>), CodecError> {
-    let (version, payload) = open_frame(RESP_MAGIC, VERSION, bytes)?;
+) -> Result<(PartialState, Vec<obs::PhaseStat>), CodecError> {
+    let payload = open(RESP_MAGIC, bytes)?;
     let mut dec = Decoder::new(payload);
-    let state = decode_state(&mut dec)?;
-    let profile = if version >= 2 {
-        match dec.u8()? {
-            0 => None,
-            1 => {
-                let n = dec.u32()?;
-                let mut phases = Vec::new();
-                for _ in 0..n {
-                    phases.push(obs::PhaseStat {
-                        name: dec.str()?,
-                        secs: f64::from_bits(dec.u64()?),
-                        items: dec.u64()?,
-                        calls: dec.u64()?,
-                    });
-                }
-                Some(phases)
-            }
-            other => {
-                return Err(CodecError::Invalid(format!(
-                    "profile flag must be 0 or 1, got {other}"
-                )))
+    let state = PartialState::decode(&mut dec)?;
+    let mut phases = Vec::new();
+    match dec.u8()? {
+        0 => {}
+        1 => {
+            for _ in 0..dec.u32()? {
+                phases.push(obs::PhaseStat {
+                    name: dec.str()?,
+                    secs: f64::from_bits(dec.u64()?),
+                    items: dec.u64()?,
+                    calls: dec.u64()?,
+                });
             }
         }
-    } else {
-        None
-    };
+        other => {
+            return Err(CodecError::Invalid(format!(
+                "profile flag must be 0 or 1, got {other}"
+            )))
+        }
+    }
     if dec.remaining() != 0 {
         return Err(CodecError::Invalid(format!(
             "{} trailing bytes after range response",
             dec.remaining()
         )));
     }
-    Ok((state, profile))
+    Ok((state, phases))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bigraph::{GraphBuilder, Left, Right, UncertainBipartiteGraph};
-    use mpmb_core::engine::Cancel;
-    use mpmb_core::{Executor, OlsConfig, OsConfig, OsTrials, PrepareTrials};
+    use mpmb_core::engine::{Cancel, Partial};
+    use mpmb_core::{Executor, OlsConfig, OsConfig, OsTrials, PrepareTrials, Tally};
 
     fn request() -> RangeRequest {
         RangeRequest {
@@ -299,8 +261,23 @@ mod tests {
             ..Default::default()
         };
         let engine = PrepareTrials::new(g, &cfg);
-        let partial = Executor::new(1).run_subrange(&engine, 0..50, 50, &Cancel::never());
+        let partial = Executor::new(1).run(&engine, 50, &Cancel::never());
         engine.finalize(partial.acc)
+    }
+
+    /// `range` of a 100-trial OS space, as a worker would return it.
+    fn os_piece(g: &UncertainBipartiteGraph, range: std::ops::Range<u64>) -> Partial<Tally> {
+        let engine = OsTrials::new(
+            g,
+            &OsConfig {
+                trials: 100,
+                seed: 3,
+                ..Default::default()
+            },
+        );
+        let mut partial = Partial::empty(Tally::new(), 100);
+        Executor::new(1).resume_within(&engine, &mut partial, range, &Cancel::never());
+        partial
     }
 
     fn assert_same(a: &RangeRequest, b: &RangeRequest) {
@@ -340,19 +317,11 @@ mod tests {
     #[test]
     fn response_round_trips_partial_state() {
         let g = graph();
-        let engine = OsTrials::new(
-            &g,
-            &OsConfig {
-                trials: 100,
-                seed: 3,
-                ..Default::default()
-            },
-        );
-        let partial = Executor::new(1).run_subrange(&engine, 10..20, 100, &Cancel::never());
+        let partial = os_piece(&g, 10..20);
         let counts: Vec<_> = partial.acc.counts().map(|(b, c)| (*b, *c)).collect();
-        let frame = encode_response(VERSION, &PartialState::Os(partial), None);
+        let frame = encode_response(&PartialState::Os(partial), None);
         let (state, profile) = decode_response(&frame).unwrap();
-        assert!(profile.is_none());
+        assert!(profile.is_empty());
         match state {
             PartialState::Os(p) => {
                 assert_eq!(p.trials_done(), 10);
@@ -365,7 +334,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_context_and_profile_round_trip_in_v2() {
+    fn trace_context_and_profile_round_trip() {
         let with_trace = RangeRequest {
             trace: Some(TraceContext {
                 trace_id: "req-42".to_string(),
@@ -373,20 +342,10 @@ mod tests {
             }),
             ..request()
         };
-        let (back, version) = RangeRequest::decode_versioned(&with_trace.encode()).unwrap();
-        assert_eq!(version, VERSION);
+        let back = RangeRequest::decode(&with_trace.encode()).unwrap();
         assert_eq!(back.trace, with_trace.trace);
 
         let g = graph();
-        let engine = OsTrials::new(
-            &g,
-            &OsConfig {
-                trials: 100,
-                seed: 3,
-                ..Default::default()
-            },
-        );
-        let partial = Executor::new(1).run_subrange(&engine, 0..10, 100, &Cancel::never());
         let phases = vec![
             obs::PhaseStat {
                 name: "os.sample".to_string(),
@@ -401,57 +360,30 @@ mod tests {
                 calls: 1,
             },
         ];
-        let frame = encode_response(VERSION, &PartialState::Os(partial), Some(&phases));
+        let frame = encode_response(&PartialState::Os(os_piece(&g, 0..10)), Some(&phases));
         let (_, profile) = decode_response(&frame).unwrap();
-        assert_eq!(profile.unwrap(), phases);
+        assert_eq!(profile, phases);
     }
 
     #[test]
-    fn v1_frames_interoperate_without_observability() {
-        // A v1 request (old coordinator, or the down-rev fallback)
-        // decodes on a v2 worker with no trace context.
-        let req = RangeRequest {
-            trace: Some(TraceContext {
-                trace_id: "dropped".to_string(),
-                parent_span: 7,
-            }),
-            ..request()
-        };
-        let (back, version) = RangeRequest::decode_versioned(&req.encode_v1()).unwrap();
-        assert_eq!(version, VERSION_1);
-        assert_eq!(back.trace, None);
-        assert_eq!(back.graph, req.graph);
-
-        // A v1 response (old worker) decodes on a v2 coordinator with
-        // no profile.
-        let g = graph();
-        let engine = OsTrials::new(
-            &g,
-            &OsConfig {
-                trials: 100,
-                seed: 3,
-                ..Default::default()
-            },
-        );
-        let partial = Executor::new(1).run_subrange(&engine, 0..10, 100, &Cancel::never());
-        let phases = vec![obs::PhaseStat {
-            name: "os.sample".to_string(),
-            secs: 0.5,
-            items: 10,
-            calls: 1,
-        }];
-        // Mirroring a v1 request drops the profile even when offered.
-        let frame = encode_response(VERSION_1, &PartialState::Os(partial), Some(&phases));
-        let (state, profile) = decode_response(&frame).unwrap();
-        assert!(profile.is_none());
-        assert!(matches!(state, PartialState::Os(_)));
-
-        // And a v1-only peer rejects v2 frames cleanly (the signal the
-        // coordinator's fallback keys on).
+    fn frames_of_any_other_version_are_rejected() {
+        // The same v2 payload resealed under version 1 (and 3) is refused
+        // in both directions.
         let v2 = request().encode();
+        let payload = open(REQ_MAGIC, &v2).unwrap();
+        for version in [1, 3] {
+            let frame = seal_frame(REQ_MAGIC, version, payload);
+            assert!(matches!(
+                RangeRequest::decode(&frame),
+                Err(CodecError::BadVersion(_))
+            ));
+        }
+        let g = graph();
+        let resp = encode_response(&PartialState::Os(os_piece(&g, 0..10)), None);
+        let payload = open(RESP_MAGIC, &resp).unwrap();
         assert_eq!(
-            open_frame(REQ_MAGIC, VERSION_1, &v2),
-            Err(CodecError::BadVersion(VERSION))
+            decode_response(&seal_frame(RESP_MAGIC, 1, payload)).err(),
+            Some(CodecError::BadVersion(1))
         );
     }
 

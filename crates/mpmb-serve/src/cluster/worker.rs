@@ -2,12 +2,14 @@
 //! `POST /v1/internal/solve-range`.
 //!
 //! A worker is an ordinary server that additionally answers range
-//! calls: decode the frame, look up the graph, build the exact engine
-//! a single-node run would build (same config, same seed), and execute
-//! just the requested index range through
-//! [`mpmb_core::Executor::run_subrange`]. The response is the framed
+//! calls: decode the frame, look up the graph, build the request's
+//! starting state (for OLS methods, the estimation phase over the
+//! shipped candidate set), and run it through the same driver a
+//! single-node request uses, with a [`Runner::Range`] that executes
+//! just the requested index range. The response is the framed
 //! [`PartialState`] — the same bytes a local run's checkpoint of that
-//! range would hold.
+//! range would hold — plus the range's phase profile, which the shared
+//! driver records exactly as it does for local runs.
 //!
 //! A worker that hits its own `--timeout-ms` mid-range still answers
 //! `200` with whatever prefix of the range completed: partial coverage
@@ -15,8 +17,8 @@
 //! the remaining trials. Only malformed frames (400), unknown graphs
 //! (404), and unknown methods (400) are errors.
 //!
-//! When a v2 request carries the coordinator's trace context, the
-//! worker re-installs its observability context around the range — the
+//! When a request carries the coordinator's trace context, the worker
+//! re-installs its observability context around the range — the
 //! coordinator's trace id with a fresh per-hop span id parented on the
 //! dispatching span. A `cluster.range.served` event emitted under that
 //! context is the worker-side anchor of the cross-node timeline (it
@@ -25,21 +27,19 @@
 //! stitching.
 
 use super::proto::{self, RangeRequest};
+use super::ClusterError;
 use crate::http::{Request, Response};
 use crate::server::AppState;
-use crate::solve::{Cancel, PartialState};
+use crate::solve::{self, Cancel, Job, Outcome, PartialState, Runner};
 use bigraph::UncertainBipartiteGraph;
-use mpmb_core::{
-    CountTrials, Executor, KarpLubyTrials, KlTrialPolicy, McVpConfig, McVpTrials, OlsConfig,
-    OptimizedTrials, OsConfig, OsTrials, SublinearTrials,
-};
+use mpmb_core::Executor;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Handles one range call end to end.
 pub(crate) fn handle_solve_range(state: &AppState, req: &Request) -> Response {
     let started = Instant::now();
-    let (rr, version) = match RangeRequest::decode_versioned(&req.body) {
+    let rr = match RangeRequest::decode(&req.body) {
         Ok(r) => r,
         Err(e) => return Response::error(400, &format!("bad range request: {e}")),
     };
@@ -72,9 +72,8 @@ pub(crate) fn handle_solve_range(state: &AppState, req: &Request) -> Response {
     let threads = (rr.threads.max(1) as usize).min(state.solver_thread_cap);
     let cancel = Cancel::at(state.timeout.map(|t| Instant::now() + t));
     match solve_range(&graph, &rr, threads, &cancel) {
-        Ok(partial) => {
-            let (done, _) = super::merge::progress_of(&partial);
-            state.metrics.trials_executed.add(done);
+        Ok((partial, executed)) => {
+            state.metrics.trials_executed.add(executed);
             let phases = outer.profile.as_ref().map(|p| p.snapshot());
             // Emitted while the hop context is installed: this line in
             // the worker's own sink carries the coordinator's trace id
@@ -88,144 +87,49 @@ pub(crate) fn handle_solve_range(state: &AppState, req: &Request) -> Response {
                     ("method", rr.method.as_str().into()),
                     ("start", rr.start.into()),
                     ("end", rr.end.into()),
-                    ("done", done.into()),
+                    ("done", executed.into()),
                     ("dur_us", (started.elapsed().as_micros() as u64).into()),
                 ],
             );
-            Response::octets(
-                200,
-                proto::encode_response(version, &partial, phases.as_deref()),
-            )
+            Response::octets(200, proto::encode_response(&partial, phases.as_deref()))
         }
-        Err(msg) => Response::error(400, &msg),
+        Err(e) => Response::error(400, &e.to_string()),
     }
 }
 
-/// Runs `[start, end)` of the request's trial space and returns the
-/// covered partial. The partial spans the *full* space (so the
-/// coordinator can absorb it directly); its done-set covers the prefix
-/// of the range that completed before `cancel` fired.
+/// Runs `[start, end)` of the request's trial space through the shared
+/// driver and returns the covered partial with the trials it executed.
+/// The partial spans the *full* space (so the coordinator can absorb it
+/// directly); its done-set covers the prefix of the range that
+/// completed before `cancel` fired.
 fn solve_range(
     g: &UncertainBipartiteGraph,
     rr: &RangeRequest,
     threads: usize,
     cancel: &Cancel,
-) -> Result<PartialState, String> {
-    let exec = Executor::new(threads);
-    let range = rr.start..rr.end;
-    match rr.method.as_str() {
-        "os" => {
-            if rr.end > rr.trials {
-                return Err(format!("range {range:?} escapes 0..{}", rr.trials));
-            }
-            let engine = OsTrials::new(
-                g,
-                &OsConfig {
-                    trials: rr.trials,
-                    seed: rr.seed,
-                    ..Default::default()
-                },
-            );
-            Ok(PartialState::Os(
-                exec.run_subrange(&engine, range, rr.trials, cancel),
-            ))
-        }
-        "mcvp" => {
-            if rr.end > rr.trials {
-                return Err(format!("range {range:?} escapes 0..{}", rr.trials));
-            }
-            let engine = McVpTrials::new(
-                g,
-                &McVpConfig {
-                    trials: rr.trials,
-                    seed: rr.seed,
-                },
-            );
-            Ok(PartialState::McVp(
-                exec.run_subrange(&engine, range, rr.trials, cancel),
-            ))
-        }
-        "ols" => {
-            let candidates = rr
-                .candidates
-                .clone()
-                .ok_or("ols range requires a candidate set")?;
-            if rr.end > rr.trials {
-                return Err(format!("range {range:?} escapes 0..{}", rr.trials));
-            }
-            let cfg = ols_config(rr);
-            let engine = OptimizedTrials::new(g, &candidates, cfg.sample_seed());
-            let partial = exec.run_subrange(&engine, range, rr.trials, cancel);
-            Ok(PartialState::OlsSample {
-                candidates,
-                partial,
-            })
-        }
-        "ols-kl" => {
-            let candidates = rr
-                .candidates
-                .clone()
-                .ok_or("ols-kl range requires a candidate set")?;
-            let total = candidates.len() as u64;
-            if rr.end > total {
-                return Err(format!("range {range:?} escapes 0..{total} candidates"));
-            }
-            let cfg = ols_config(rr);
-            let engine = KarpLubyTrials::new(
-                g,
-                &candidates,
-                KlTrialPolicy::Fixed(rr.trials),
-                cfg.sample_seed(),
-            );
-            // One KL "trial" is a whole candidate: check the deadline
-            // per candidate, matching the single-node driver.
-            let partial = exec
-                .check_every(1)
-                .run_subrange(&engine, range, total, cancel);
-            Ok(PartialState::Kl {
-                candidates,
-                partial,
-            })
-        }
-        "count" => {
-            if rr.end > rr.trials {
-                return Err(format!("range {range:?} escapes 0..{}", rr.trials));
-            }
-            let engine = CountTrials::new(g, rr.seed);
-            Ok(PartialState::Count(
-                exec.run_subrange(&engine, range, rr.trials, cancel),
-            ))
-        }
-        "fast" => {
-            if rr.end > rr.trials {
-                return Err(format!("range {range:?} escapes 0..{}", rr.trials));
-            }
-            let engine = SublinearTrials::new(g, rr.seed);
-            Ok(PartialState::Fast(
-                exec.run_subrange(&engine, range, rr.trials, cancel),
-            ))
-        }
-        other => Err(format!(
-            "unknown range method `{other}` (expected os|mcvp|ols|ols-kl|count|fast)"
-        )),
+) -> Result<(PartialState, u64), ClusterError> {
+    let job = Job::new(&rr.method, rr.trials, rr.prep, rr.seed);
+    if matches!(job.method, "ols" | "ols-kl") && rr.candidates.is_none() {
+        return Err(ClusterError::BadRequest(format!(
+            "{} range requires a candidate set",
+            job.method
+        )));
     }
-}
-
-/// The OLS config a single-node run would use for these parameters —
-/// seeding (notably `sample_seed()`) must match exactly.
-fn ols_config(rr: &RangeRequest) -> OlsConfig {
-    OlsConfig {
-        prep_trials: rr.prep,
-        seed: rr.seed,
-        ..Default::default()
+    let start = solve::start(&job, rr.candidates.clone())?;
+    let runner = Runner::Range(Executor::new(threads), rr.start..rr.end);
+    let progress = solve::advance(g, &job, Some(start), &runner, cancel)?;
+    match progress.outcome {
+        Outcome::Incomplete(partial) => Ok((partial, progress.executed)),
+        Outcome::Done(_) => unreachable!("range runs return their partial unfinalized"),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::merge;
     use bigraph::{GraphBuilder, Left, Right};
+    use mpmb_core::engine::Partial;
+    use mpmb_core::{OsConfig, OsTrials, SublinearTrials, TrialEngine};
 
     fn graph() -> UncertainBipartiteGraph {
         let mut b = GraphBuilder::new();
@@ -253,6 +157,29 @@ mod tests {
         }
     }
 
+    /// Runs three range calls covering `0..900` out of order and folds
+    /// them into one partial with `engine`'s merge.
+    fn reassemble<E: TrialEngine>(
+        engine: &E,
+        method: &str,
+        unwrap: impl Fn(PartialState) -> Partial<E::Acc>,
+    ) -> Partial<E::Acc> {
+        let run = |s, e, threads| {
+            let (state, executed) =
+                solve_range(&graph(), &rr(method, 900, s, e), threads, &Cancel::never()).unwrap();
+            assert_eq!(executed, e - s);
+            unwrap(state)
+        };
+        let mut master = run(0, 300, 1);
+        for (s, e) in [(600, 900), (300, 600)] {
+            master
+                .absorb(run(s, e, 2), |acc, from| engine.merge(acc, from))
+                .unwrap();
+        }
+        assert!(master.completed());
+        master
+    }
+
     #[test]
     fn os_range_pieces_reassemble_the_full_run() {
         let g = graph();
@@ -265,45 +192,29 @@ mod tests {
                 ..Default::default()
             },
         );
-        let full = Executor::new(2).run_subrange(&engine, 0..900, 900, &Cancel::never());
+        let full = Executor::new(2).run(&engine, 900, &Cancel::never());
         let reference: Vec<_> = full.acc.counts().map(|(b, c)| (*b, *c)).collect();
-
-        let mut master = solve_range(&g, &rr("os", 900, 0, 300), 1, &Cancel::never()).unwrap();
-        for (s, e) in [(600, 900), (300, 600)] {
-            let piece = solve_range(&g, &rr("os", 900, s, e), 2, &Cancel::never()).unwrap();
-            merge::absorb_state(&mut master, piece).unwrap();
-        }
-        assert!(merge::completed(&master));
-        match master {
-            PartialState::Os(p) => {
-                let got: Vec<_> = p.acc.counts().map(|(b, c)| (*b, *c)).collect();
-                assert_eq!(got, reference);
-            }
+        let master = reassemble(&engine, "os", |s| match s {
+            PartialState::Os(p) => p,
             other => panic!("wrong variant: {}", other.kind()),
-        }
+        });
+        let got: Vec<_> = master.acc.counts().map(|(b, c)| (*b, *c)).collect();
+        assert_eq!(got, reference);
     }
 
     #[test]
     fn fast_range_pieces_reassemble_the_full_run() {
         let g = graph();
         let engine = SublinearTrials::new(&g, 17);
-        let full = Executor::new(2).run_subrange(&engine, 0..900, 900, &Cancel::never());
+        let full = Executor::new(2).run(&engine, 900, &Cancel::never());
         let reference = engine.finalize(full.acc, 0.1);
-
-        let mut master = solve_range(&g, &rr("fast", 900, 0, 300), 1, &Cancel::never()).unwrap();
-        for (s, e) in [(600, 900), (300, 600)] {
-            let piece = solve_range(&g, &rr("fast", 900, s, e), 2, &Cancel::never()).unwrap();
-            merge::absorb_state(&mut master, piece).unwrap();
-        }
-        assert!(merge::completed(&master));
-        match master {
-            PartialState::Fast(p) => {
-                let got = engine.finalize(p.acc, 0.1);
-                assert_eq!(got.estimate.to_bits(), reference.estimate.to_bits());
-                assert_eq!(got.ci_high.to_bits(), reference.ci_high.to_bits());
-            }
+        let master = reassemble(&engine, "fast", |s| match s {
+            PartialState::Fast(p) => p,
             other => panic!("wrong variant: {}", other.kind()),
-        }
+        });
+        let got = engine.finalize(master.acc, 0.1);
+        assert_eq!(got.estimate.to_bits(), reference.estimate.to_bits());
+        assert_eq!(got.ci_high.to_bits(), reference.ci_high.to_bits());
     }
 
     #[test]
@@ -323,16 +234,18 @@ mod tests {
     #[test]
     fn expired_deadline_yields_partial_range_coverage() {
         let g = graph();
-        let partial = solve_range(
+        let (partial, done) = solve_range(
             &g,
             &rr("os", 1_000_000, 0, 1_000_000),
             1,
             &Cancel::after_trials(200),
         )
         .unwrap();
-        let (done, requested) = merge::progress_of(&partial);
-        assert!(done > 0 && done < requested, "done={done}");
+        assert!(done > 0 && done < 1_000_000, "done={done}");
         // The covered prefix starts at the range start.
-        assert_eq!(merge::missing_of(&partial), vec![done..1_000_000]);
+        match partial {
+            PartialState::Os(p) => assert_eq!(p.missing(), vec![done..1_000_000]),
+            other => panic!("wrong variant: {}", other.kind()),
+        }
     }
 }

@@ -57,6 +57,5 @@ pub use metrics::Metrics;
 pub use registry::{GraphHandle, Registry, RegistryError};
 pub use server::{AppState, Server, ServerConfig, SolveTrace};
 pub use solve::{
-    advance_count, advance_query, advance_solve, Cancel, CountProgress, Outcome, Partial,
-    PartialState, Progress, QueryProgress, SolveProgress, CHECK_EVERY,
+    advance_solve, Cancel, Outcome, Partial, PartialState, Progress, SolveProgress, CHECK_EVERY,
 };

@@ -191,14 +191,6 @@ impl GraphHandle {
         }
     }
 
-    /// The container file path, for container-backed handles.
-    pub fn container_path(&self) -> Option<&Path> {
-        match &self.backing {
-            Backing::Container { path, .. } => Some(path),
-            Backing::Memory { .. } => None,
-        }
-    }
-
     fn set_gauge_bytes(&self, bytes: u64) {
         if let Some(g) = self.gauge.get() {
             g.set(bytes as i64);
@@ -424,11 +416,6 @@ impl Registry {
     /// Whether no graph is registered.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Sum of resident bytes across all handles.
-    pub fn resident_total(&self) -> u64 {
-        self.list().iter().map(|(_, h)| h.resident_bytes()).sum()
     }
 
     /// Returns the resident graph for `handle`, materializing (and

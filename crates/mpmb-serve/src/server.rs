@@ -18,6 +18,7 @@
 
 use crate::cache::{CacheEntry, ResultCache};
 use crate::checkpoint::{CheckpointStore, LoadOutcome, Snapshot};
+use crate::cluster::coordinator::Scatter;
 use crate::cluster::{self, Cluster, ClusterError, Role};
 use crate::fault::{self, FaultAction, FaultPlan};
 use crate::http::{read_request, write_response, ReadError, Request, Response};
@@ -25,8 +26,8 @@ use crate::json::Json;
 use crate::metrics::{endpoint_index, Metrics};
 use crate::registry::{Registry, RegistryError};
 use crate::signal;
-use crate::solve::{self, Cancel, Outcome, PartialState};
-use mpmb_core::{Butterfly, Distribution};
+use crate::solve::{self, Answer, Cancel, Job, Outcome, PartialState, Runner};
+use mpmb_core::{Butterfly, Distribution, Executor};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
@@ -136,8 +137,7 @@ pub struct Budget {
     pub materialize: f64,
     /// Candidate preparation: OLS prepare passes and listing phases.
     pub prepare: f64,
-    /// Trial execution (sampling phases, plus time on legacy workers
-    /// that ship no profile).
+    /// Trial execution (sampling phases, local or worker-stitched).
     pub trials: f64,
     /// Cluster dispatch and merge: scatter/gather overhead plus
     /// per-worker wall time no worker phase accounted for.
@@ -158,7 +158,6 @@ impl Budget {
                 "queue.wait" => &mut b.queue,
                 "registry.materialize" => &mut b.materialize,
                 "cluster.merge" | "cluster.network" => &mut b.network,
-                "unattributed" => &mut b.trials,
                 n if n.contains("prepare") || n.contains("listing") => &mut b.prepare,
                 _ => &mut b.trials,
             };
@@ -797,10 +796,9 @@ fn route(state: &AppState, req: &Request) -> Response {
         ("GET", "/healthz") => handle_healthz(state),
         ("GET", "/v1/graphs") => handle_list_graphs(state),
         ("POST", "/v1/graphs") => handle_register_graph(state, req),
-        ("POST", "/v1/solve") => handle_solve(state, req, SolveMode::Solve),
-        ("POST", "/v1/topk") => handle_solve(state, req, SolveMode::TopK),
-        ("POST", "/v1/query") => handle_query(state, req),
-        ("POST", "/v1/count") => handle_count(state, req),
+        ("POST", "/v1/solve" | "/v1/topk" | "/v1/query" | "/v1/count") => {
+            handle_solve_like(state, req).unwrap_or_else(|resp| resp)
+        }
         ("POST", "/v1/internal/solve-range") => cluster::worker::handle_solve_range(state, req),
         ("GET", "/metrics") => Response::metrics_text(state.metrics.render()),
         ("GET", "/metrics/cluster") => handle_metrics_cluster(state),
@@ -1046,7 +1044,7 @@ fn handle_register_graph(state: &AppState, req: &Request) -> Response {
             _ => req.body.clone(),
         };
         if let Err(e) = cluster::coordinator::broadcast_register(cluster, &wire) {
-            return cluster_error_response(&e);
+            return error_response(&e);
         }
     }
     match state.registry.load_with_expected(name, &spec, expected) {
@@ -1058,270 +1056,304 @@ fn handle_register_graph(state: &AppState, req: &Request) -> Response {
     }
 }
 
-/// `/v1/solve` and `/v1/topk` share everything except result shaping.
+/// Which solve-like endpoint a request hit.
 #[derive(Clone, Copy, PartialEq)]
-enum SolveMode {
+enum Endpoint {
     Solve,
     TopK,
+    Query,
+    Count,
 }
 
-fn handle_solve(state: &AppState, req: &Request, mode: SolveMode) -> Response {
-    let body = match parse_body(req) {
-        Ok(b) => b,
-        Err(resp) => return resp,
-    };
-    let (name, entry) = match lookup_graph(state, &body) {
-        Ok(ge) => ge,
-        Err(resp) => return resp,
-    };
-    let graph = match materialize_graph(state, &entry) {
-        Ok(g) => g,
-        Err(resp) => return resp,
-    };
-    let method = body
-        .get("method")
-        .and_then(Json::as_str)
-        .unwrap_or("os")
-        .to_string();
-    let trials = body.get("trials").and_then(Json::as_u64).unwrap_or(20_000);
-    let prep = body.get("prep").and_then(Json::as_u64).unwrap_or(100);
-    let seed = body.get("seed").and_then(Json::as_u64).unwrap_or(0x5EED);
-    let threads = match solver_threads(state, &body) {
-        Ok(t) => t,
-        Err(resp) => return resp,
-    };
-    let k = body.get("k").and_then(Json::as_u64).unwrap_or(match mode {
-        SolveMode::Solve => 0,
-        SolveMode::TopK => 5,
-    }) as usize;
-    let max_shared = body.get("max_shared").and_then(Json::as_u64);
-    if trials == 0 || (matches!(method.as_str(), "ols" | "ols-kl") && prep == 0) {
-        return Response::error(400, "trials and prep must be positive");
-    }
-    if method == "fast" {
-        if mode == SolveMode::TopK {
-            return Response::error(
-                400,
-                "method `fast` estimates the expected count, not a butterfly ranking",
-            );
-        }
-        return handle_fast_solve(
-            state, &name, &graph, &body, trials, prep, seed, threads, k, max_shared,
-        );
-    }
-
-    // Thread count is excluded: parallel runs are bit-identical.
-    let key = format!(
-        "{}|{name}|{method}|{trials}|{prep}|{seed}|{k}|{max_shared:?}",
-        if mode == SolveMode::TopK {
-            "topk"
-        } else {
-            "solve"
-        },
-    );
-    let prior = match lookup_cache(state, &key) {
-        CacheLookup::Complete(hit) => return Response::json(200, hit),
-        CacheLookup::Partial(p) => Some(p),
-        CacheLookup::Miss => None,
-    };
-
-    let cancel = Cancel::at(state.timeout.map(|t| Instant::now() + t));
-    let progress = match &state.cluster {
-        Some(cluster) => match cluster::coordinator::advance_cluster_solve(
-            state, cluster, &name, &graph, &method, trials, prep, seed, threads, prior, &cancel,
-        ) {
-            Ok(p) => p,
-            Err(e) => return cluster_error_response(&e),
-        },
-        None => {
-            match solve::advance_solve(&graph, &method, trials, prep, seed, threads, prior, &cancel)
-            {
-                Ok(p) => p,
-                Err(msg) => return Response::error(400, &msg),
-            }
-        }
-    };
-    state.metrics.trials_executed.add(progress.executed);
-    let distribution = match progress.outcome {
-        Outcome::Done(d) => d,
-        Outcome::Incomplete(partial) => {
-            return deadline_response(
-                state,
-                &key,
-                partial,
-                progress.trials_done,
-                progress.trials_requested,
-            );
-        }
-    };
-
-    let body = solve_body(
-        &name,
-        &method,
-        seed,
-        progress.trials_requested,
-        progress.trials_done,
-        &distribution,
-        mode,
-        k,
-        max_shared,
-    );
-    state.cache.put_complete(&key, &body);
-    Response::json(200, body)
-}
-
-/// The completed solve/topk response body. Shared by [`handle_solve`]
-/// and the fast tier's escalation path, so an escalation-completed
-/// exact answer replays byte-identical to a directly-served one.
-#[allow(clippy::too_many_arguments)]
-fn solve_body(
-    name: &str,
-    method: &str,
-    seed: u64,
-    trials_requested: u64,
-    trials_done: u64,
-    distribution: &Distribution,
-    mode: SolveMode,
+/// One parsed solve-like request: what the method table runs, under
+/// which cache key, and the request fields its response echoes.
+struct Plan<'a> {
+    endpoint: Endpoint,
+    key: String,
+    job: Job<'a>,
+    threads: usize,
     k: usize,
     max_shared: Option<u64>,
-) -> String {
-    let mut fields = vec![
-        ("graph".to_string(), Json::Str(name.to_string())),
-        ("method".to_string(), Json::Str(method.to_string())),
-        ("seed".to_string(), Json::Num(seed as f64)),
-        (
-            "trials_requested".to_string(),
-            Json::Num(trials_requested as f64),
-        ),
-        ("trials_done".to_string(), Json::Num(trials_done as f64)),
-        ("support".to_string(), Json::Num(distribution.len() as f64)),
-    ];
-    match mode {
-        SolveMode::Solve => {
-            fields.push(("mpmb".to_string(), mpmb_json(distribution)));
-            if k > 0 {
-                fields.push(("top".to_string(), top_json(distribution, k, max_shared)));
-            }
-        }
-        SolveMode::TopK => {
-            fields.push(("k".to_string(), Json::Num(k as f64)));
-            fields.push(("top".to_string(), top_json(distribution, k, max_shared)));
-        }
-    }
-    Json::Obj(fields).to_string()
+    epsilon: f64,
 }
 
-/// Runs (or resumes) one fast-tier estimate: cache lookup, dispatch
-/// (cluster or local), deadline handling, and the per-answer fast
-/// metrics. `Err` carries the response to send directly — a complete
-/// cache replay, a 503 with the partial cached, or a 4xx/5xx.
-#[allow(clippy::too_many_arguments)]
-fn run_fast(
-    state: &AppState,
-    key: &str,
-    name: &str,
-    graph: &bigraph::UncertainBipartiteGraph,
-    trials: u64,
-    seed: u64,
-    delta: f64,
-    threads: usize,
-    deadline: Option<Instant>,
-) -> Result<(mpmb_core::FastEstimate, u64, u64), Response> {
-    let prior = match lookup_cache(state, key) {
-        CacheLookup::Complete(hit) => return Err(Response::json(200, hit)),
+/// The one pipeline behind `/v1/solve`, `/v1/topk`, `/v1/query`, and
+/// `/v1/count`: parse → key → cache lookup → drive → 503 or render.
+/// `Err` carries a response that ends the request early.
+fn handle_solve_like(state: &AppState, req: &Request) -> Result<Response, Response> {
+    let endpoint = match req.path.as_str() {
+        "/v1/topk" => Endpoint::TopK,
+        "/v1/query" => Endpoint::Query,
+        "/v1/count" => Endpoint::Count,
+        _ => Endpoint::Solve,
+    };
+    let body = parse_body(req)?;
+    let (name, entry) = lookup_graph(state, &body)?;
+    let graph = materialize_graph(state, &entry)?;
+    let plan = plan(state, endpoint, &name, &body)?;
+    let prior = match lookup_cache(state, &plan.key) {
+        CacheLookup::Complete(hit) => return Ok(Response::json(200, hit)),
         CacheLookup::Partial(p) => Some(p),
         CacheLookup::Miss => None,
     };
-    let cancel = Cancel::at(deadline);
-    let progress = match &state.cluster {
-        Some(cluster) => cluster::coordinator::advance_cluster_fast(
-            state, cluster, name, graph, trials, seed, delta, threads, prior, &cancel,
-        )
-        .map_err(|e| cluster_error_response(&e))?,
-        None => solve::advance_fast(graph, trials, seed, delta, threads, prior, &cancel)
-            .map_err(|msg| Response::error(400, &msg))?,
-    };
+    let deadline = state.timeout.map(|t| Instant::now() + t);
+    let progress = drive(
+        state,
+        &name,
+        &graph,
+        &plan.job,
+        plan.threads,
+        prior,
+        deadline,
+    )
+    .map_err(|e| error_response(&e))?;
     state.metrics.trials_executed.add(progress.executed);
-    match progress.outcome {
-        Outcome::Done(est) => {
+    let (done, requested) = (progress.trials_done, progress.trials_requested);
+    let answer = match progress.outcome {
+        Outcome::Done(answer) => answer,
+        Outcome::Incomplete(partial) => {
+            return Ok(deadline_response(
+                state, &plan.key, partial, done, requested,
+            ))
+        }
+    };
+    let body = render(
+        state, &name, &graph, &plan, answer, done, requested, deadline,
+    );
+    state.cache.put_complete(&plan.key, &body);
+    Ok(Response::json(200, body))
+}
+
+/// Runs `job` through the method table on this node's range runner: the
+/// scatter on a coordinator, the local executor otherwise.
+fn drive(
+    state: &AppState,
+    name: &str,
+    graph: &bigraph::UncertainBipartiteGraph,
+    job: &Job,
+    threads: usize,
+    prior: Option<PartialState>,
+    deadline: Option<Instant>,
+) -> Result<solve::Progress<Answer>, ClusterError> {
+    let runner = match &state.cluster {
+        Some(cluster) => Runner::Cluster(Scatter {
+            state,
+            cluster,
+            graph: name,
+            threads,
+        }),
+        None => Runner::Local(Executor::new(threads)),
+    };
+    solve::advance(graph, job, prior, &runner, &Cancel::at(deadline))
+}
+
+/// Parses a solve-like body, checking fields in the order each endpoint
+/// always has. Thread counts never enter a cache key: parallel runs are
+/// bit-identical.
+fn plan<'a>(
+    state: &AppState,
+    endpoint: Endpoint,
+    name: &str,
+    body: &'a Json,
+) -> Result<Plan<'a>, Response> {
+    let num = |field| body.get(field).and_then(Json::as_u64);
+    let butterfly = match endpoint {
+        Endpoint::Query => Some(butterfly_field(body)?),
+        _ => None,
+    };
+    let count = endpoint == Endpoint::Count;
+    let trials = num("trials").unwrap_or(if count { 2_000 } else { 20_000 });
+    let prep = num("prep").unwrap_or(100);
+    let seed = num("seed").unwrap_or(0x5EED);
+    // `/v1/query` runs single-threaded and takes no `threads` field.
+    let threads = match endpoint {
+        Endpoint::Query => 1,
+        _ => solver_threads(state, body)?,
+    };
+    let method = match endpoint {
+        Endpoint::Query => Some("query"),
+        _ => body.get("method").and_then(Json::as_str),
+    }
+    .unwrap_or(if count { "exact" } else { "os" });
+    let mut plan = Plan {
+        endpoint,
+        key: String::new(),
+        job: Job {
+            butterfly,
+            ..Job::new(method, trials, prep, seed)
+        },
+        threads,
+        k: num("k").unwrap_or(if endpoint == Endpoint::TopK { 5 } else { 0 }) as usize,
+        max_shared: num("max_shared"),
+        epsilon: body.get("epsilon").and_then(Json::as_f64).unwrap_or(0.05),
+    };
+    let ranking = matches!(endpoint, Endpoint::Solve | Endpoint::TopK);
+    if trials == 0 || (ranking && matches!(method, "ols" | "ols-kl") && prep == 0) {
+        let msg = if ranking {
+            "trials and prep must be positive"
+        } else {
+            "trials must be positive"
+        };
+        return Err(Response::error(400, msg));
+    }
+    if method == "fast" && endpoint != Endpoint::Query {
+        if endpoint == Endpoint::TopK {
+            return Err(Response::error(
+                400,
+                "method `fast` estimates the expected count, not a butterfly ranking",
+            ));
+        }
+        plan.job.delta = body.get("delta").and_then(Json::as_f64).unwrap_or(0.05);
+        let delta = plan.job.delta;
+        if !(delta > 0.0 && delta < 1.0) {
+            return Err(Response::error(400, "delta must be in (0, 1)"));
+        }
+        if !count && (plan.epsilon <= 0.0 || plan.epsilon.is_nan()) {
+            return Err(Response::error(400, "epsilon must be positive"));
+        }
+        let kind = if count { "count-fast" } else { "fast" };
+        plan.key = format!("{kind}|{name}|{trials}|{seed}|{delta}");
+        return Ok(plan);
+    }
+    plan.key = match endpoint {
+        Endpoint::Query => {
+            let b = butterfly.expect("query bodies were parsed for their butterfly");
+            format!("query|{name}|{b}|{trials}|{seed}")
+        }
+        Endpoint::Count if method == "exact" => {
+            plan.job.method = "count";
+            format!("count|{name}|{trials}|{seed}")
+        }
+        Endpoint::Count => {
+            return Err(Response::error(
+                400,
+                &format!("unknown method `{method}` (expected exact|fast)"),
+            ))
+        }
+        Endpoint::Solve | Endpoint::TopK => {
+            solve::check_solve_method(method).map_err(|msg| Response::error(400, &msg))?;
+            let kind = if endpoint == Endpoint::TopK {
+                "topk"
+            } else {
+                "solve"
+            };
+            let (k, max_shared) = (plan.k, plan.max_shared);
+            format!("{kind}|{name}|{method}|{trials}|{prep}|{seed}|{k}|{max_shared:?}")
+        }
+    };
+    Ok(plan)
+}
+
+/// Shapes a finished answer into its response body. A fast answer on
+/// `/v1/solve` whose certified CI misses the requested relative error
+/// first escalates to the exact tier (with `--fast-escalate`), spending
+/// what is left of `deadline`.
+#[allow(clippy::too_many_arguments)]
+fn render(
+    state: &AppState,
+    name: &str,
+    graph: &bigraph::UncertainBipartiteGraph,
+    plan: &Plan,
+    answer: Answer,
+    trials_done: u64,
+    trials_requested: u64,
+    deadline: Option<Instant>,
+) -> String {
+    let job = &plan.job;
+    let graph_field = ("graph", Json::Str(name.to_string()));
+    let fields = match answer {
+        Answer::Distribution(d) => {
+            return solve_body(name, plan, trials_requested, trials_done, &d);
+        }
+        Answer::Fast(est) => {
             state.metrics.fast_requests.inc();
             state
                 .metrics
                 .fast_relative_error
                 .observe(est.relative_error);
-            Ok((est, progress.trials_done, progress.trials_requested))
+            let solve = plan.endpoint == Endpoint::Solve;
+            let half_width = est.ci_high - est.estimate;
+            let escalate = solve
+                && state.fast_escalate
+                && mpmb_core::fast_escalation_needed(est.estimate, half_width, plan.epsilon);
+            if escalate {
+                state.metrics.fast_escalations.inc();
+                escalate_to_exact(state, name, graph, plan, deadline);
+            }
+            let mut fields = vec![
+                graph_field,
+                ("method", Json::Str("fast".to_string())),
+                ("seed", Json::Num(job.seed as f64)),
+                ("delta", Json::Num(job.delta)),
+            ];
+            if solve {
+                fields.push(("epsilon", Json::Num(plan.epsilon)));
+            }
+            fields.extend([
+                ("trials_requested", Json::Num(trials_requested as f64)),
+                ("trials_done", Json::Num(trials_done as f64)),
+                ("estimate", Json::Num(est.estimate)),
+                ("variance", Json::Num(est.variance)),
+                ("ci_low", Json::Num(est.ci_low)),
+                ("ci_high", Json::Num(est.ci_high)),
+                ("relative_error", Json::Num(est.relative_error)),
+            ]);
+            if solve {
+                fields.push(("escalated", Json::Bool(escalate)));
+            }
+            fields
         }
-        Outcome::Incomplete(partial) => Err(deadline_response(
-            state,
-            key,
-            partial,
-            progress.trials_done,
-            progress.trials_requested,
-        )),
-    }
+        Answer::Query(q) => vec![
+            graph_field,
+            (
+                "butterfly",
+                butterfly_json(&job.butterfly.expect("query jobs carry their butterfly")),
+            ),
+            ("existence_prob", Json::Num(q.existence_prob)),
+            ("conditional_max_prob", Json::Num(q.conditional_max_prob)),
+            ("prob", Json::Num(q.prob)),
+            ("trials", Json::Num(q.trials as f64)),
+        ],
+        Answer::Count(dist) => vec![
+            graph_field,
+            ("mean", Json::Num(dist.mean)),
+            ("variance", Json::Num(dist.variance)),
+            ("trials", Json::Num(dist.trials as f64)),
+            ("distinct_counts", Json::Num(dist.histogram.len() as f64)),
+        ],
+    };
+    Json::obj(fields).to_string()
 }
 
-/// `method=fast` on `/v1/solve`: a sublinear count estimate with a
-/// certified (1-delta) confidence interval, answered within the
-/// deadline the exact tiers would blow. With `--fast-escalate`, an
-/// answer whose CI misses the requested relative error seeds the
-/// exact os partial under the os cache key before returning.
-#[allow(clippy::too_many_arguments)]
-fn handle_fast_solve(
-    state: &AppState,
+/// The completed solve/topk response body. Shared by [`render`] and the
+/// fast tier's escalation path, so an escalation-completed exact answer
+/// replays byte-identical to a directly-served one.
+fn solve_body(
     name: &str,
-    graph: &bigraph::UncertainBipartiteGraph,
-    body: &Json,
-    trials: u64,
-    prep: u64,
-    seed: u64,
-    threads: usize,
-    k: usize,
-    max_shared: Option<u64>,
-) -> Response {
-    let delta = body.get("delta").and_then(Json::as_f64).unwrap_or(0.05);
-    if !(delta > 0.0 && delta < 1.0) {
-        return Response::error(400, "delta must be in (0, 1)");
-    }
-    let epsilon = body.get("epsilon").and_then(Json::as_f64).unwrap_or(0.05);
-    if epsilon <= 0.0 || epsilon.is_nan() {
-        return Response::error(400, "epsilon must be positive");
-    }
-    let key = format!("fast|{name}|{trials}|{seed}|{delta}");
-    let deadline = state.timeout.map(|t| Instant::now() + t);
-    let (est, trials_done, trials_requested) = match run_fast(
-        state, &key, name, graph, trials, seed, delta, threads, deadline,
-    ) {
-        Ok(done) => done,
-        Err(resp) => return resp,
-    };
-    let half_width = est.ci_high - est.estimate;
-    let escalate =
-        state.fast_escalate && mpmb_core::fast_escalation_needed(est.estimate, half_width, epsilon);
-    if escalate {
-        state.metrics.fast_escalations.inc();
-        escalate_to_exact(
-            state, name, graph, trials, prep, seed, threads, k, max_shared, deadline,
-        );
-    }
-    let body = Json::obj([
+    plan: &Plan,
+    trials_requested: u64,
+    trials_done: u64,
+    distribution: &Distribution,
+) -> String {
+    let mut fields = vec![
         ("graph", Json::Str(name.to_string())),
-        ("method", Json::Str("fast".to_string())),
-        ("seed", Json::Num(seed as f64)),
-        ("delta", Json::Num(delta)),
-        ("epsilon", Json::Num(epsilon)),
+        ("method", Json::Str(plan.job.method.to_string())),
+        ("seed", Json::Num(plan.job.seed as f64)),
         ("trials_requested", Json::Num(trials_requested as f64)),
         ("trials_done", Json::Num(trials_done as f64)),
-        ("estimate", Json::Num(est.estimate)),
-        ("variance", Json::Num(est.variance)),
-        ("ci_low", Json::Num(est.ci_low)),
-        ("ci_high", Json::Num(est.ci_high)),
-        ("relative_error", Json::Num(est.relative_error)),
-        ("escalated", Json::Bool(escalate)),
-    ])
-    .to_string();
-    state.cache.put_complete(&key, &body);
-    Response::json(200, body)
+        ("support", Json::Num(distribution.len() as f64)),
+    ];
+    let top = || ("top", top_json(distribution, plan.k, plan.max_shared));
+    if plan.endpoint == Endpoint::TopK {
+        fields.push(("k", Json::Num(plan.k as f64)));
+        fields.push(top());
+    } else {
+        fields.push(("mpmb", mpmb_json(distribution)));
+        if plan.k > 0 {
+            fields.push(top());
+        }
+    }
+    Json::obj(fields).to_string()
 }
 
 /// Seeds (or advances) the exact os-tier partial behind a fast answer,
@@ -1331,63 +1363,54 @@ fn handle_fast_solve(
 /// bytes identical to a direct run; an interrupted one caches the
 /// partial, so the retry resumes instead of restarting. Best-effort:
 /// errors leave the cache untouched and the fast answer stands.
-#[allow(clippy::too_many_arguments)]
 fn escalate_to_exact(
     state: &AppState,
     name: &str,
     graph: &bigraph::UncertainBipartiteGraph,
-    trials: u64,
-    prep: u64,
-    seed: u64,
-    threads: usize,
-    k: usize,
-    max_shared: Option<u64>,
+    fast: &Plan,
     deadline: Option<Instant>,
 ) {
-    let key = format!("solve|{name}|os|{trials}|{prep}|{seed}|{k}|{max_shared:?}");
-    let prior = match state.cache.get(&key) {
+    let (trials, prep, seed) = (fast.job.trials, fast.job.prep, fast.job.seed);
+    let (k, max_shared) = (fast.k, fast.max_shared);
+    let os = Plan {
+        key: format!("solve|{name}|os|{trials}|{prep}|{seed}|{k}|{max_shared:?}"),
+        job: Job::new("os", trials, prep, seed),
+        ..*fast
+    };
+    let prior = match state.cache.get(&os.key) {
         Some(CacheEntry::Complete(_)) => return, // exact answer already cached
         Some(CacheEntry::Partial(p)) => Some(p),
         None => None,
     };
-    let cancel = Cancel::at(deadline);
-    let result = match &state.cluster {
-        Some(cluster) => cluster::coordinator::advance_cluster_solve(
-            state, cluster, name, graph, "os", trials, prep, seed, threads, prior, &cancel,
-        )
-        .map_err(|e| e.to_string()),
-        None => solve::advance_solve(graph, "os", trials, prep, seed, threads, prior, &cancel),
+    let Ok(progress) = drive(state, name, graph, &os.job, os.threads, prior, deadline) else {
+        return;
     };
-    let Ok(progress) = result else { return };
     state.metrics.trials_executed.add(progress.executed);
     match progress.outcome {
-        Outcome::Done(distribution) => {
+        Outcome::Done(Answer::Distribution(d)) => {
             let body = solve_body(
                 name,
-                "os",
-                seed,
+                &os,
                 progress.trials_requested,
                 progress.trials_done,
-                &distribution,
-                SolveMode::Solve,
-                k,
-                max_shared,
+                &d,
             );
-            state.cache.put_complete(&key, &body);
+            state.cache.put_complete(&os.key, &body);
         }
-        Outcome::Incomplete(partial) => {
-            state.cache.put(&key, CacheEntry::Partial(partial));
-        }
+        Outcome::Done(_) => unreachable!("os answers with a distribution"),
+        Outcome::Incomplete(partial) => state.cache.put(&os.key, CacheEntry::Partial(partial)),
     }
 }
 
-/// Maps a cluster failure onto the HTTP edge: caller mistakes are
-/// 400s, a fully-down worker set is a retryable 503, and worker
-/// misbehavior (wrong graph set, protocol violations) is a 502 — the
-/// coordinator is fine, its upstream is not.
-fn cluster_error_response(e: &ClusterError) -> Response {
+/// Maps a driver failure onto the HTTP edge: caller mistakes are 400s
+/// (404 for a query butterfly outside the backbone), a fully-down
+/// worker set is a retryable 503, and worker misbehavior (wrong graph
+/// set, protocol violations) is a 502 — the coordinator is fine, its
+/// upstream is not.
+fn error_response(e: &ClusterError) -> Response {
     match e {
         ClusterError::BadRequest(msg) => Response::error(400, msg),
+        ClusterError::NotFound(msg) => Response::error(404, msg),
         ClusterError::NoWorkers => {
             Response::error(503, &e.to_string()).with_header("Retry-After", "1")
         }
@@ -1447,190 +1470,6 @@ fn deadline_response(
         .to_string(),
     )
     .with_header("Retry-After", "0")
-}
-
-fn handle_query(state: &AppState, req: &Request) -> Response {
-    let body = match parse_body(req) {
-        Ok(b) => b,
-        Err(resp) => return resp,
-    };
-    let (name, entry) = match lookup_graph(state, &body) {
-        Ok(ge) => ge,
-        Err(resp) => return resp,
-    };
-    let graph = match materialize_graph(state, &entry) {
-        Ok(g) => g,
-        Err(resp) => return resp,
-    };
-    let b = match butterfly_field(&body) {
-        Ok(b) => b,
-        Err(resp) => return resp,
-    };
-    let trials = body.get("trials").and_then(Json::as_u64).unwrap_or(20_000);
-    let seed = body.get("seed").and_then(Json::as_u64).unwrap_or(0x5EED);
-    if trials == 0 {
-        return Response::error(400, "trials must be positive");
-    }
-
-    let key = format!("query|{name}|{b}|{trials}|{seed}");
-    let prior = match lookup_cache(state, &key) {
-        CacheLookup::Complete(hit) => return Response::json(200, hit),
-        CacheLookup::Partial(p) => Some(p),
-        CacheLookup::Miss => None,
-    };
-
-    let cancel = Cancel::at(state.timeout.map(|t| Instant::now() + t));
-    let progress = match solve::advance_query(&graph, &b, trials, seed, prior, &cancel) {
-        Some(Ok(p)) => p,
-        Some(Err(msg)) => return Response::error(400, &msg),
-        None => return Response::error(404, "butterfly is not in the graph's backbone"),
-    };
-    state.metrics.trials_executed.add(progress.executed);
-    let q = match progress.outcome {
-        Outcome::Done(q) => q,
-        Outcome::Incomplete(partial) => {
-            return deadline_response(
-                state,
-                &key,
-                partial,
-                progress.trials_done,
-                progress.trials_requested,
-            );
-        }
-    };
-    let body = Json::obj([
-        ("graph", Json::Str(name)),
-        ("butterfly", butterfly_json(&b)),
-        ("existence_prob", Json::Num(q.existence_prob)),
-        ("conditional_max_prob", Json::Num(q.conditional_max_prob)),
-        ("prob", Json::Num(q.prob)),
-        ("trials", Json::Num(q.trials as f64)),
-    ])
-    .to_string();
-    state.cache.put_complete(&key, &body);
-    Response::json(200, body)
-}
-
-fn handle_count(state: &AppState, req: &Request) -> Response {
-    let body = match parse_body(req) {
-        Ok(b) => b,
-        Err(resp) => return resp,
-    };
-    let (name, entry) = match lookup_graph(state, &body) {
-        Ok(ge) => ge,
-        Err(resp) => return resp,
-    };
-    let graph = match materialize_graph(state, &entry) {
-        Ok(g) => g,
-        Err(resp) => return resp,
-    };
-    let trials = body.get("trials").and_then(Json::as_u64).unwrap_or(2_000);
-    let seed = body.get("seed").and_then(Json::as_u64).unwrap_or(0x5EED);
-    let threads = match solver_threads(state, &body) {
-        Ok(t) => t,
-        Err(resp) => return resp,
-    };
-    if trials == 0 {
-        return Response::error(400, "trials must be positive");
-    }
-    match body.get("method").and_then(Json::as_str).unwrap_or("exact") {
-        "exact" => {}
-        "fast" => return handle_fast_count(state, &name, &graph, &body, trials, seed, threads),
-        other => {
-            return Response::error(
-                400,
-                &format!("unknown method `{other}` (expected exact|fast)"),
-            )
-        }
-    }
-
-    // Thread count is excluded: parallel runs are bit-identical.
-    let key = format!("count|{name}|{trials}|{seed}");
-    let prior = match lookup_cache(state, &key) {
-        CacheLookup::Complete(hit) => return Response::json(200, hit),
-        CacheLookup::Partial(p) => Some(p),
-        CacheLookup::Miss => None,
-    };
-
-    let cancel = Cancel::at(state.timeout.map(|t| Instant::now() + t));
-    let progress = match &state.cluster {
-        Some(cluster) => match cluster::coordinator::advance_cluster_count(
-            state, cluster, &name, &graph, trials, seed, threads, prior, &cancel,
-        ) {
-            Ok(p) => p,
-            Err(e) => return cluster_error_response(&e),
-        },
-        None => match solve::advance_count(&graph, trials, seed, threads, prior, &cancel) {
-            Ok(p) => p,
-            Err(msg) => return Response::error(400, &msg),
-        },
-    };
-    state.metrics.trials_executed.add(progress.executed);
-    let dist = match progress.outcome {
-        Outcome::Done(d) => d,
-        Outcome::Incomplete(partial) => {
-            return deadline_response(
-                state,
-                &key,
-                partial,
-                progress.trials_done,
-                progress.trials_requested,
-            );
-        }
-    };
-    let body = Json::obj([
-        ("graph", Json::Str(name)),
-        ("mean", Json::Num(dist.mean)),
-        ("variance", Json::Num(dist.variance)),
-        ("trials", Json::Num(dist.trials as f64)),
-        ("distinct_counts", Json::Num(dist.histogram.len() as f64)),
-    ])
-    .to_string();
-    state.cache.put_complete(&key, &body);
-    Response::json(200, body)
-}
-
-/// `method=fast` on `/v1/count`: the same sublinear estimate as the
-/// fast solve tier (and the same cache namespace — only the response
-/// shape differs), without the escalation policy: `/v1/count`'s exact
-/// tier is the sampling distribution, not the os solver.
-fn handle_fast_count(
-    state: &AppState,
-    name: &str,
-    graph: &bigraph::UncertainBipartiteGraph,
-    body: &Json,
-    trials: u64,
-    seed: u64,
-    threads: usize,
-) -> Response {
-    let delta = body.get("delta").and_then(Json::as_f64).unwrap_or(0.05);
-    if !(delta > 0.0 && delta < 1.0) {
-        return Response::error(400, "delta must be in (0, 1)");
-    }
-    let key = format!("count-fast|{name}|{trials}|{seed}|{delta}");
-    let deadline = state.timeout.map(|t| Instant::now() + t);
-    let (est, trials_done, trials_requested) = match run_fast(
-        state, &key, name, graph, trials, seed, delta, threads, deadline,
-    ) {
-        Ok(done) => done,
-        Err(resp) => return resp,
-    };
-    let body = Json::obj([
-        ("graph", Json::Str(name.to_string())),
-        ("method", Json::Str("fast".to_string())),
-        ("seed", Json::Num(seed as f64)),
-        ("delta", Json::Num(delta)),
-        ("trials_requested", Json::Num(trials_requested as f64)),
-        ("trials_done", Json::Num(trials_done as f64)),
-        ("estimate", Json::Num(est.estimate)),
-        ("variance", Json::Num(est.variance)),
-        ("ci_low", Json::Num(est.ci_low)),
-        ("ci_high", Json::Num(est.ci_high)),
-        ("relative_error", Json::Num(est.relative_error)),
-    ])
-    .to_string();
-    state.cache.put_complete(&key, &body);
-    Response::json(200, body)
 }
 
 // --- small shared helpers -------------------------------------------------

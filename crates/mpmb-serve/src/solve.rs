@@ -1,40 +1,58 @@
-//! Cancellable, resumable solver drivers for the server.
+//! The method table and the one driver behind every solve-like request.
 //!
-//! Every endpoint's computation is one [`mpmb_core::Executor`] run over
-//! the corresponding [`mpmb_core::TrialEngine`] — the same single trial
-//! loop the library itself uses — so a run that finishes is
-//! **bit-identical** to the corresponding direct `mpmb_core` call, at
-//! any thread count. The server adds two things on top:
+//! Every method the server answers is a sequence of *phases*, and every
+//! phase is a set of independent, index-keyed trials over one
+//! [`mpmb_core::TrialEngine`] followed by a finalize step: OS (Alg. 2),
+//! MC-VP (Alg. 1), OLS preparing (Alg. 3) and its Karp-Luby (Alg. 4)
+//! and shared-trial (Alg. 5) estimators, `/v1/query`, `/v1/count`, and
+//! the sublinear `method=fast` tier. The method table has two parts:
+//! `start` gives each method's fresh state and trial space, and
+//! `step` has one arm per phase — the engine a single-node library
+//! call would build, the phase's `Phase` columns (check granularity,
+//! locality, trial accounting, worker-reply unwrap), and its finalize
+//! step: into an `Answer`, or, for OLS preparing, into the estimation
+//! phase.
 //!
-//! * a wall-clock [`Cancel`] deadline, checked every [`CHECK_EVERY`]
-//!   trials (every trial for Karp-Luby, whose "trial" is a whole
-//!   candidate);
-//! * **resumable partials**: a timed-out run returns a [`PartialState`]
-//!   capturing the merged accumulator plus the exact trial ranges that
-//!   ran. Feeding that state back into the same `advance_*` call
-//!   continues from where it stopped, and the completed result is still
-//!   bit-identical to an uninterrupted run — this is what lets the
-//!   result cache *refine* answers across repeated requests instead of
-//!   recomputing from trial zero.
+//! One driver, `advance`, runs any phase on any `Runner`:
 //!
-//! Multi-phase methods (`ols`, `ols-kl`) resume at sub-phase
-//! granularity: a partial may be mid-preparing, mid-sampling, or
-//! mid-Karp-Luby, and the candidate set survives inside the state so
-//! phase 1 never reruns.
+//! * `Runner::Local` — this node's [`Executor`] (single-node serving
+//!   and the CLI);
+//! * `Runner::Range` — one worker range call: only the assigned slice
+//!   of the trial space runs, and the partial goes back unfinalized;
+//! * `Runner::Cluster` — a coordinator: the missing ranges scatter to
+//!   workers and come back through the engine's own
+//!   [`TrialEngine::merge`]. OLS preparing and `/v1/query` still run on
+//!   the coordinator's own executor.
+//!
+//! A trial's result depends on its index alone and merging is
+//! order-insensitive, so a run that finishes is **bit-identical** to
+//! the corresponding direct `mpmb_core` call — at any thread count, any
+//! worker count, however the work was sliced. A run whose [`Cancel`]
+//! deadline fires first returns its [`PartialState`]; feeding that back
+//! continues where it stopped (OLS at sub-phase granularity, so
+//! preparing never reruns). That is what lets the result cache refine
+//! answers across repeated requests instead of recomputing from trial
+//! zero.
 
+use crate::cluster::coordinator::Scatter;
+use crate::cluster::ClusterError;
+use bigraph::codec::{CodecError, Decoder, Encoder};
 use bigraph::fx::FxHashMap;
 use bigraph::UncertainBipartiteGraph;
 pub use mpmb_core::engine::{Cancel, Partial, CHECK_EVERY};
+use mpmb_core::Checkpoint;
 use mpmb_core::{
     count_distribution_from_histogram, Butterfly, CandidateSet, CountDistribution, CountTrials,
     Distribution, Executor, FastEstimate, FastSample, KarpLubyTrials, KlCandidate, KlTrialPolicy,
     McVpConfig, McVpTrials, OlsConfig, OptimizedTrials, OsConfig, OsTrials, PrepareTrials,
     QueryResult, QueryTrials, SublinearTrials, Tally, TrialEngine,
 };
+use std::ops::Range;
 
 /// Where a cancelled request stopped: the method-specific accumulator
 /// plus completed trial ranges, ready to resume. This is what the
-/// result cache stores for timed-out requests.
+/// result cache stores for timed-out requests, what checkpoints
+/// persist, and what a worker returns for its range.
 #[derive(Clone, Debug)]
 pub enum PartialState {
     /// Ordering Sampling mid-run.
@@ -121,19 +139,107 @@ impl PartialState {
             | PartialState::Fast(_) => None,
         }
     }
+
+    /// Encodes this state behind its tag byte: the one format shared by
+    /// snapshots ([`crate::checkpoint`]) and worker range responses
+    /// ([`crate::cluster::proto`]). Tags are durable on-disk state —
+    /// never renumber one.
+    pub(crate) fn encode(&self, enc: &mut Encoder) {
+        enc.u8(match self {
+            PartialState::Os(_) => 0,
+            PartialState::McVp(_) => 1,
+            PartialState::OlsPrepare(_) => 2,
+            PartialState::OlsSample { .. } => 3,
+            PartialState::Kl { .. } => 4,
+            PartialState::Query(_) => 5,
+            PartialState::Count(_) => 6,
+            PartialState::Fast(_) => 7,
+        });
+        match self {
+            PartialState::Os(p) | PartialState::McVp(p) => p.encode(enc),
+            PartialState::OlsPrepare(p) => p.encode(enc),
+            PartialState::OlsSample {
+                candidates,
+                partial,
+            } => {
+                candidates.encode(enc);
+                partial.encode(enc);
+            }
+            PartialState::Kl {
+                candidates,
+                partial,
+            } => {
+                candidates.encode(enc);
+                partial.encode(enc);
+            }
+            PartialState::Query(p) => p.encode(enc),
+            PartialState::Count(p) => p.encode(enc),
+            PartialState::Fast(p) => p.encode(enc),
+        }
+    }
+
+    /// Decodes one tagged state (inverse of [`PartialState::encode`]).
+    pub(crate) fn decode(dec: &mut Decoder<'_>) -> Result<PartialState, CodecError> {
+        Ok(match dec.u8()? {
+            0 => PartialState::Os(Partial::decode(dec)?),
+            1 => PartialState::McVp(Partial::decode(dec)?),
+            2 => PartialState::OlsPrepare(Partial::decode(dec)?),
+            3 => PartialState::OlsSample {
+                candidates: CandidateSet::decode(dec)?,
+                partial: Partial::decode(dec)?,
+            },
+            4 => PartialState::Kl {
+                candidates: CandidateSet::decode(dec)?,
+                partial: Partial::decode(dec)?,
+            },
+            5 => PartialState::Query(Partial::decode(dec)?),
+            6 => PartialState::Count(Partial::decode(dec)?),
+            7 => PartialState::Fast(Partial::decode(dec)?),
+            other => {
+                return Err(CodecError::Invalid(format!(
+                    "unknown partial-state tag {other}"
+                )))
+            }
+        })
+    }
+
+    /// Whether this state is a phase of `method` (OLS preparing is a
+    /// phase of both OLS estimators).
+    fn is_phase_of(&self, method: &str) -> bool {
+        match self.kind() {
+            "ols-prepare" => matches!(method, "ols" | "ols-kl"),
+            "ols-sample" => method == "ols",
+            kind => kind == method,
+        }
+    }
 }
 
-/// Outcome of one `advance_*` call: either the finished value or the
+/// A finished request's result, one variant per result type the
+/// method table produces.
+#[derive(Clone, Debug)]
+pub(crate) enum Answer {
+    /// An MPMB distribution (`os`, `mcvp`, `ols`, `ols-kl`).
+    Distribution(Distribution),
+    /// A conditioned `/v1/query` estimate.
+    Query(QueryResult),
+    /// A `/v1/count` sampling distribution.
+    Count(CountDistribution),
+    /// A sublinear `method=fast` estimate.
+    Fast(FastEstimate),
+}
+
+/// Outcome of one driver call: either the finished value or the
 /// state to resume from next time.
 #[derive(Clone, Debug)]
 pub enum Outcome<T> {
     /// Every requested trial ran; the finalized result.
     Done(T),
-    /// The deadline fired first; resume from this state.
+    /// The deadline fired first (or this was a worker's range run,
+    /// which never finalizes); resume from this state.
     Incomplete(PartialState),
 }
 
-/// Progress report of one `advance_*` call.
+/// Progress report of one driver call.
 #[derive(Clone, Debug)]
 pub struct Progress<T> {
     /// Finished result or resumable state.
@@ -151,42 +257,413 @@ impl<T> Progress<T> {
     pub fn completed(&self) -> bool {
         matches!(self.outcome, Outcome::Done(_))
     }
+
+    fn map<U>(self, f: impl FnOnce(T) -> U) -> Progress<U> {
+        Progress {
+            outcome: match self.outcome {
+                Outcome::Done(v) => Outcome::Done(f(v)),
+                Outcome::Incomplete(s) => Outcome::Incomplete(s),
+            },
+            trials_done: self.trials_done,
+            trials_requested: self.trials_requested,
+            executed: self.executed,
+        }
+    }
 }
 
 /// A solve/topk request's progress.
 pub type SolveProgress = Progress<Distribution>;
-/// A `/v1/query` request's progress.
-pub type QueryProgress = Progress<QueryResult>;
-/// A `/v1/count` request's progress.
-pub type CountProgress = Progress<CountDistribution>;
 /// A `method=fast` request's progress.
 pub type FastProgress = Progress<FastEstimate>;
 
-/// Resumes `partial` on `exec` and returns how many trials this call
-/// executed.
-fn drive<E: TrialEngine>(
-    exec: Executor,
-    engine: &E,
-    partial: &mut Partial<E::Acc>,
+/// What one request asks the method table for: the method plus every
+/// parameter that seeds its engines. Thread counts are not among them
+/// — they never change an answer.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Job<'a> {
+    /// `os` | `mcvp` | `ols` | `ols-kl` | `query` | `count` | `fast`.
+    pub method: &'a str,
+    /// Trial budget (the per-candidate fixed count for `ols-kl`).
+    pub trials: u64,
+    /// OLS preparing budget.
+    pub prep: u64,
+    /// Base seed.
+    pub seed: u64,
+    /// `fast` only: the certified interval's miss probability. It
+    /// shapes finalization only, never the sampled rows.
+    pub delta: f64,
+    /// `query` only: the target butterfly.
+    pub butterfly: Option<Butterfly>,
+}
+
+impl<'a> Job<'a> {
+    /// A job with no `fast` or `query` extras.
+    pub fn new(method: &'a str, trials: u64, prep: u64, seed: u64) -> Self {
+        Job {
+            method,
+            trials,
+            prep,
+            seed,
+            delta: 0.05,
+            butterfly: None,
+        }
+    }
+
+    /// The OLS config a single-node run would use — seeding (notably
+    /// `sample_seed()`) must match exactly.
+    fn ols(&self) -> OlsConfig {
+        OlsConfig {
+            prep_trials: self.prep,
+            seed: self.seed,
+            ..Default::default()
+        }
+    }
+}
+
+/// Where a phase's trial ranges run.
+pub(crate) enum Runner<'a> {
+    /// In process, on this node's executor.
+    Local(Executor),
+    /// A worker's range call: only this slice of the phase's trial
+    /// space runs, and the partial comes back unfinalized.
+    Range(Executor, Range<u64>),
+    /// A coordinator: missing ranges scatter to workers.
+    Cluster(Scatter<'a>),
+}
+
+/// How one phase runs, beyond its engine: the per-phase columns of the
+/// method table.
+struct Phase<A> {
+    /// Trials between deadline checks.
+    every: u64,
+    /// Whether the phase stays on this node's executor — on a
+    /// coordinator too.
+    local: bool,
+    /// The phase's partial out of a worker reply, or the reply back if
+    /// it belongs to some other phase.
+    unwrap: fn(PartialState) -> Result<Partial<A>, PartialState>,
+    /// `(trials_done, trials_requested)` as the request reports them.
+    report: fn(&Job, &Partial<A>) -> (u64, u64),
+}
+
+impl<A> Phase<A> {
+    /// A phase that scatters, checks its deadline every
+    /// [`CHECK_EVERY`] trials, and reports its own trial space.
+    fn scattered(unwrap: fn(PartialState) -> Result<Partial<A>, PartialState>) -> Self {
+        Phase {
+            every: CHECK_EVERY,
+            local: false,
+            unwrap,
+            report: |_, p| (p.trials_done(), p.trials_requested()),
+        }
+    }
+
+    /// A phase that always runs where the request arrived.
+    fn local() -> Self {
+        Phase {
+            local: true,
+            ..Phase::scattered(Err)
+        }
+    }
+}
+
+/// One [`advance`] call's context and trial accounting.
+struct Cx<'a> {
+    job: &'a Job<'a>,
+    runner: &'a Runner<'a>,
+    cancel: &'a Cancel,
+    /// Trials executed across every phase this call ran.
+    executed: u64,
+    /// The last phase's `(trials_done, trials_requested)`.
+    reported: (u64, u64),
+}
+
+impl Cx<'_> {
+    /// Runs `partial`'s missing trials on the runner until they are
+    /// covered or the deadline fires. Returns the accumulator to
+    /// finalize once every trial is in — never for a worker's range,
+    /// which goes back unfinalized.
+    fn covered<E: TrialEngine>(
+        &mut self,
+        engine: &E,
+        partial: &mut Partial<E::Acc>,
+        candidates: Option<&CandidateSet>,
+        phase: Phase<E::Acc>,
+    ) -> Result<Option<E::Acc>, ClusterError>
+    where
+        E::Acc: Default,
+    {
+        let (job, cancel) = (self.job, self.cancel);
+        let before = (phase.report)(job, partial).0;
+        let exec = |e: Executor| e.check_every(phase.every);
+        match self.runner {
+            Runner::Cluster(scatter) if !phase.local => {
+                scatter.run(job, candidates, engine, partial, phase.unwrap, cancel)?
+            }
+            Runner::Cluster(scatter) => {
+                exec(Executor::new(scatter.threads)).resume(engine, partial, cancel)
+            }
+            Runner::Local(e) => exec(*e).resume(engine, partial, cancel),
+            Runner::Range(e, range) => {
+                let space = partial.trials_requested();
+                if range.end > space {
+                    return Err(ClusterError::BadRequest(format!(
+                        "range {range:?} escapes 0..{space}"
+                    )));
+                }
+                exec(*e).resume_within(engine, partial, range.clone(), cancel)
+            }
+        }
+        self.reported = (phase.report)(job, partial);
+        self.executed += self.reported.0 - before;
+        let finalize = partial.completed() && !matches!(self.runner, Runner::Range(..));
+        Ok(finalize.then(|| std::mem::take(&mut partial.acc)))
+    }
+}
+
+/// What a covered phase finalizes into.
+enum Next {
+    /// The request's answer.
+    Answer(Answer),
+    /// The next phase's fresh state (OLS preparing → estimation).
+    Phase(PartialState),
+}
+
+fn distribution(d: Distribution) -> Next {
+    Next::Answer(Answer::Distribution(d))
+}
+
+/// The method table, part one: the state each method starts in, with
+/// its trial space. A worker passes the candidate set its range
+/// request shipped, which starts an OLS method at its estimation
+/// phase.
+pub(crate) fn start(
+    job: &Job,
+    candidates: Option<CandidateSet>,
+) -> Result<PartialState, ClusterError> {
+    let trials = job.trials;
+    Ok(match (job.method, candidates) {
+        ("os", _) => PartialState::Os(Partial::empty(Tally::new(), trials)),
+        ("mcvp", _) => PartialState::McVp(Partial::empty(Tally::new(), trials)),
+        ("ols" | "ols-kl", None) => PartialState::OlsPrepare(Partial::empty(Vec::new(), job.prep)),
+        ("ols", Some(candidates)) => PartialState::OlsSample {
+            candidates,
+            partial: Partial::empty(Tally::new(), trials),
+        },
+        ("ols-kl", Some(candidates)) => PartialState::Kl {
+            partial: Partial::empty(Vec::new(), candidates.len() as u64),
+            candidates,
+        },
+        ("query", _) => PartialState::Query(Partial::empty(0, trials)),
+        ("count", _) => PartialState::Count(Partial::empty(FxHashMap::default(), trials)),
+        ("fast", _) => PartialState::Fast(Partial::empty(Vec::new(), trials)),
+        (other, _) => return Err(ClusterError::BadRequest(unknown_method(other))),
+    })
+}
+
+/// The method table, part two: one arm per phase. Each builds the
+/// engine a single-node library call would build, runs the phase's
+/// missing trials, and — once all are in — finalizes into the answer,
+/// or (OLS preparing) into the estimation phase. `None`: the phase
+/// stopped short; `state` holds where.
+fn step(
+    g: &UncertainBipartiteGraph,
+    state: &mut PartialState,
+    cx: &mut Cx<'_>,
+) -> Result<Option<Next>, ClusterError> {
+    let job = cx.job;
+    Ok(match state {
+        // Ordering Sampling (Alg. 2).
+        PartialState::Os(p) => {
+            let cfg = OsConfig {
+                trials: job.trials,
+                seed: job.seed,
+                ..Default::default()
+            };
+            let engine = OsTrials::new(g, &cfg);
+            let phase = Phase::scattered(|s| match s {
+                PartialState::Os(p) => Ok(p),
+                s => Err(s),
+            });
+            let acc = cx.covered(&engine, p, None, phase)?;
+            acc.map(|acc| distribution(acc.into_distribution()))
+        }
+        // The MC-VP baseline (Alg. 1).
+        PartialState::McVp(p) => {
+            let cfg = McVpConfig {
+                trials: job.trials,
+                seed: job.seed,
+            };
+            let engine = McVpTrials::new(g, &cfg);
+            let phase = Phase::scattered(|s| match s {
+                PartialState::McVp(p) => Ok(p),
+                s => Err(s),
+            });
+            let acc = cx.covered(&engine, p, None, phase)?;
+            acc.map(|acc| distribution(acc.into_distribution()))
+        }
+        // OLS phase 1 (Alg. 3): preparing the candidate set. Cheap next
+        // to estimation, so a coordinator runs it itself and ships the
+        // result with every range request.
+        PartialState::OlsPrepare(p) => {
+            let engine = PrepareTrials::new(g, &job.ols());
+            let phase = Phase {
+                report: |job, p| (p.trials_done(), job.prep + job.trials),
+                ..Phase::local()
+            };
+            let acc = cx.covered(&engine, p, None, phase)?;
+            acc.map(|acc| Next::Phase(start(job, Some(engine.finalize(acc))).expect("an OLS job")))
+        }
+        // OLS phase 2 with the shared-trial estimator (Alg. 5); reported
+        // trials count preparing too.
+        PartialState::OlsSample {
+            candidates,
+            partial,
+        } => {
+            let engine = OptimizedTrials::new(g, candidates, job.ols().sample_seed());
+            let phase = Phase {
+                report: |job, p| (job.prep + p.trials_done(), job.prep + p.trials_requested()),
+                ..Phase::scattered(|s| match s {
+                    PartialState::OlsSample { partial, .. } => Ok(partial),
+                    s => Err(s),
+                })
+            };
+            let acc = cx.covered(&engine, partial, Some(candidates), phase)?;
+            acc.map(|acc| distribution(acc.into_distribution()))
+        }
+        // OLS phase 2 with the Karp-Luby estimator (Alg. 4). One trial
+        // is one whole candidate, so the deadline is checked per
+        // candidate; trials are the samples it consumed, and once it
+        // ran the request is complete by construction.
+        PartialState::Kl {
+            candidates,
+            partial,
+        } => {
+            let policy = KlTrialPolicy::Fixed(job.trials);
+            let engine = KarpLubyTrials::new(g, candidates, policy, job.ols().sample_seed());
+            let phase = Phase {
+                every: 1,
+                report: |job, p: &Partial<Vec<_>>| {
+                    let consumed = job.prep + KarpLubyTrials::consumed(&p.acc);
+                    let requested = if p.completed() {
+                        consumed
+                    } else {
+                        job.prep + job.trials
+                    };
+                    (consumed, requested)
+                },
+                ..Phase::scattered(|s| match s {
+                    PartialState::Kl { partial, .. } => Ok(partial),
+                    s => Err(s),
+                })
+            };
+            let acc = cx.covered(&engine, partial, Some(candidates), phase)?;
+            acc.map(|acc| distribution(engine.finalize(acc).distribution))
+        }
+        // Conditioned `/v1/query` sampling for one butterfly.
+        PartialState::Query(p) => {
+            let engine = job
+                .butterfly
+                .and_then(|b| QueryTrials::new(g, &b, job.seed))
+                .ok_or_else(|| {
+                    ClusterError::NotFound("butterfly is not in the graph's backbone".into())
+                })?;
+            let acc = cx.covered(&engine, p, None, Phase::local())?;
+            acc.map(|hits| Next::Answer(Answer::Query(engine.finalize(hits, job.trials))))
+        }
+        // `/v1/count` butterfly-count sampling.
+        PartialState::Count(p) => {
+            let engine = CountTrials::new(g, job.seed);
+            let phase = Phase::scattered(|s| match s {
+                PartialState::Count(p) => Ok(p),
+                s => Err(s),
+            });
+            let acc = cx.covered(&engine, p, None, phase)?;
+            acc.map(|histogram| {
+                let dist = count_distribution_from_histogram(histogram, job.trials);
+                Next::Answer(Answer::Count(dist))
+            })
+        }
+        // The sublinear `method=fast` counting tier.
+        PartialState::Fast(p) => {
+            let engine = SublinearTrials::new(g, job.seed);
+            let phase = Phase::scattered(|s| match s {
+                PartialState::Fast(p) => Ok(p),
+                s => Err(s),
+            });
+            let acc = cx.covered(&engine, p, None, phase)?;
+            acc.map(|rows| Next::Answer(Answer::Fast(engine.finalize(rows, job.delta))))
+        }
+    })
+}
+
+/// The one driver behind every solve-like request: starts (`prior` =
+/// `None`) or resumes the request's phases on `runner` until it has an
+/// answer, or stops with a resumable state. `prior` must come from the
+/// same request key — the cache key enforces this server-side.
+pub(crate) fn advance(
+    g: &UncertainBipartiteGraph,
+    job: &Job,
+    prior: Option<PartialState>,
+    runner: &Runner<'_>,
     cancel: &Cancel,
-) -> u64 {
-    let before = partial.trials_done();
-    exec.resume(engine, partial, cancel);
-    partial.trials_done() - before
+) -> Result<Progress<Answer>, ClusterError> {
+    let mut state = match prior {
+        None => start(job, None)?,
+        Some(s) if s.is_phase_of(job.method) => s,
+        Some(other) => {
+            return Err(ClusterError::BadRequest(format!(
+                "cached partial state `{}` does not match method `{}`",
+                other.kind(),
+                job.method
+            )))
+        }
+    };
+    let mut cx = Cx {
+        job,
+        runner,
+        cancel,
+        executed: 0,
+        reported: (0, 0),
+    };
+    loop {
+        let outcome = match step(g, &mut state, &mut cx)? {
+            Some(Next::Phase(next)) => {
+                state = next;
+                continue;
+            }
+            Some(Next::Answer(answer)) => Outcome::Done(answer),
+            None => Outcome::Incomplete(state),
+        };
+        let (trials_done, trials_requested) = cx.reported;
+        return Ok(Progress {
+            outcome,
+            trials_done,
+            trials_requested,
+            executed: cx.executed,
+        });
+    }
 }
 
-fn state_mismatch<T>(method: &str, state: &PartialState) -> Result<T, String> {
-    Err(format!(
-        "cached partial state `{}` does not match method `{method}`",
-        state.kind()
-    ))
+/// The 400 body for a method outside the table's solve methods.
+fn unknown_method(method: &str) -> String {
+    format!("unknown method `{method}` (expected os|mcvp|ols|ols-kl)")
 }
 
-/// Starts or resumes a solve for `method`, running until completion or
-/// until `cancel` fires. `state` is a prior call's
+/// Rejects the table's methods that do not answer with an MPMB
+/// distribution (names outside the table fail when the driver starts).
+pub(crate) fn check_solve_method(method: &str) -> Result<(), String> {
+    match method {
+        "query" | "count" | "fast" => Err(unknown_method(method)),
+        _ => Ok(()),
+    }
+}
+
+/// Starts or resumes a solve for `method` on this node, running until
+/// completion or until `cancel` fires. `state` is a prior call's
 /// [`Outcome::Incomplete`] payload (or `None` to start fresh); the
 /// caller must pass it back under the same `(graph, method, trials,
-/// prep, seed)` — the cache key enforces this server-side.
+/// prep, seed)`.
 ///
 /// Completed results are bit-identical to the corresponding direct
 /// `mpmb_core` call, regardless of `threads` and of how many calls the
@@ -203,224 +680,21 @@ pub fn advance_solve(
     cancel: &Cancel,
 ) -> Result<SolveProgress, String> {
     assert!(trials > 0, "trials must be positive");
-    let exec = Executor::new(threads);
-    match method {
-        "os" => {
-            let engine = OsTrials::new(
-                g,
-                &OsConfig {
-                    trials,
-                    seed,
-                    ..Default::default()
-                },
-            );
-            let mut partial = match state {
-                None => Partial::empty(engine.new_acc(), trials),
-                Some(PartialState::Os(p)) => p,
-                Some(other) => return state_mismatch(method, &other),
-            };
-            let executed = drive(exec, &engine, &mut partial, cancel);
-            Ok(tally_progress(partial, executed, PartialState::Os))
-        }
-        "mcvp" => {
-            let engine = McVpTrials::new(g, &McVpConfig { trials, seed });
-            let mut partial = match state {
-                None => Partial::empty(engine.new_acc(), trials),
-                Some(PartialState::McVp(p)) => p,
-                Some(other) => return state_mismatch(method, &other),
-            };
-            let executed = drive(exec, &engine, &mut partial, cancel);
-            Ok(tally_progress(partial, executed, PartialState::McVp))
-        }
-        "ols" | "ols-kl" => advance_ols(g, method, trials, prep, seed, exec, state, cancel),
-        other => Err(format!(
-            "unknown method `{other}` (expected os|mcvp|ols|ols-kl)"
-        )),
-    }
+    check_solve_method(method)?;
+    let job = Job::new(method, trials, prep, seed);
+    let runner = Runner::Local(Executor::new(threads));
+    let progress = advance(g, &job, state, &runner, cancel).map_err(|e| e.to_string())?;
+    Ok(progress.map(|answer| match answer {
+        Answer::Distribution(d) => d,
+        _ => unreachable!("solve methods answer with a distribution"),
+    }))
 }
 
-/// Folds a tally-accumulating partial into a [`SolveProgress`].
-fn tally_progress(
-    partial: Partial<Tally>,
-    executed: u64,
-    wrap: fn(Partial<Tally>) -> PartialState,
-) -> SolveProgress {
-    let trials_done = partial.trials_done();
-    let trials_requested = partial.trials_requested();
-    let outcome = if partial.completed() {
-        Outcome::Done(partial.acc.into_distribution())
-    } else {
-        Outcome::Incomplete(wrap(partial))
-    };
-    Progress {
-        outcome,
-        trials_done,
-        trials_requested,
-        executed,
-    }
-}
-
-/// The two-phase OLS pipeline (both estimators), resumable at sub-phase
-/// granularity. Reported `trials_done` counts preparing + estimation
-/// trials; `trials_requested` is `prep + trials` (for Karp-Luby, which
-/// picks its own per-candidate counts, a completed run reports the
-/// trials it actually consumed).
-#[allow(clippy::too_many_arguments)]
-fn advance_ols(
-    g: &UncertainBipartiteGraph,
-    method: &str,
-    trials: u64,
-    prep: u64,
-    seed: u64,
-    exec: Executor,
-    state: Option<PartialState>,
-    cancel: &Cancel,
-) -> Result<SolveProgress, String> {
-    let cfg = OlsConfig {
-        prep_trials: prep,
-        seed,
-        ..Default::default()
-    };
-    let mut executed = 0u64;
-
-    // Phase 1: preparing, unless a later-phase state already has the
-    // candidate set.
-    let candidates = match state {
-        None | Some(PartialState::OlsPrepare(_)) => {
-            let prep_engine = PrepareTrials::new(g, &cfg);
-            let mut p = match state {
-                Some(PartialState::OlsPrepare(p)) => p,
-                _ => Partial::empty(prep_engine.new_acc(), prep),
-            };
-            executed += drive(exec, &prep_engine, &mut p, cancel);
-            if !p.completed() {
-                let trials_done = p.trials_done();
-                return Ok(Progress {
-                    outcome: Outcome::Incomplete(PartialState::OlsPrepare(p)),
-                    trials_done,
-                    trials_requested: prep + trials,
-                    executed,
-                });
-            }
-            prep_engine.finalize(p.acc)
-        }
-        Some(PartialState::OlsSample {
-            candidates,
-            partial,
-        }) if method == "ols" => {
-            return advance_ols_sample(g, &cfg, prep, exec, candidates, partial, executed, cancel);
-        }
-        Some(PartialState::Kl {
-            candidates,
-            partial,
-        }) if method == "ols-kl" => {
-            return advance_kl(
-                g, &cfg, trials, prep, exec, candidates, partial, executed, cancel,
-            );
-        }
-        Some(other) => return state_mismatch(method, &other),
-    };
-
-    // Phase 2 from scratch.
-    if method == "ols" {
-        let partial = Partial::empty(Tally::new(), trials);
-        advance_ols_sample(g, &cfg, prep, exec, candidates, partial, executed, cancel)
-    } else {
-        let partial = Partial::empty(Vec::new(), candidates.len() as u64);
-        advance_kl(
-            g, &cfg, trials, prep, exec, candidates, partial, executed, cancel,
-        )
-    }
-}
-
-/// OLS phase 2 with the optimized (shared-trial) estimator.
-#[allow(clippy::too_many_arguments)]
-fn advance_ols_sample(
-    g: &UncertainBipartiteGraph,
-    cfg: &OlsConfig,
-    prep: u64,
-    exec: Executor,
-    candidates: CandidateSet,
-    mut partial: Partial<Tally>,
-    mut executed: u64,
-    cancel: &Cancel,
-) -> Result<SolveProgress, String> {
-    let engine = OptimizedTrials::new(g, &candidates, cfg.sample_seed());
-    executed += drive(exec, &engine, &mut partial, cancel);
-    let trials_done = prep + partial.trials_done();
-    let trials_requested = prep + partial.trials_requested();
-    let outcome = if partial.completed() {
-        Outcome::Done(partial.acc.into_distribution())
-    } else {
-        Outcome::Incomplete(PartialState::OlsSample {
-            candidates,
-            partial,
-        })
-    };
-    Ok(Progress {
-        outcome,
-        trials_done,
-        trials_requested,
-        executed,
-    })
-}
-
-/// OLS phase 2 with the Karp-Luby estimator. One executor trial is one
-/// whole candidate, so cancellation is checked per candidate
-/// (`check_every(1)`) and resume restarts at candidate granularity —
-/// per-candidate trial counts stay part of the deterministic result.
-#[allow(clippy::too_many_arguments)]
-fn advance_kl(
-    g: &UncertainBipartiteGraph,
-    cfg: &OlsConfig,
-    trials: u64,
-    prep: u64,
-    exec: Executor,
-    candidates: CandidateSet,
-    mut partial: Partial<Vec<(u32, KlCandidate)>>,
-    mut executed: u64,
-    cancel: &Cancel,
-) -> Result<SolveProgress, String> {
-    let engine = KarpLubyTrials::new(
-        g,
-        &candidates,
-        KlTrialPolicy::Fixed(trials),
-        cfg.sample_seed(),
-    );
-    let before = KarpLubyTrials::consumed(&partial.acc);
-    exec.check_every(1).resume(&engine, &mut partial, cancel);
-    let consumed = KarpLubyTrials::consumed(&partial.acc);
-    executed += consumed - before;
-    if partial.completed() {
-        let report = engine.finalize(std::mem::take(&mut partial.acc));
-        // KL chooses its own per-candidate counts; once it ran, the
-        // request is complete by construction.
-        Ok(Progress {
-            outcome: Outcome::Done(report.distribution),
-            trials_done: prep + consumed,
-            trials_requested: prep + consumed,
-            executed,
-        })
-    } else {
-        Ok(Progress {
-            outcome: Outcome::Incomplete(PartialState::Kl {
-                candidates,
-                partial,
-            }),
-            trials_done: prep + consumed,
-            trials_requested: prep + trials,
-            executed,
-        })
-    }
-}
-
-/// Starts or resumes a sublinear `method=fast` estimate: the cheap
-/// counting tier that answers inside deadlines the per-world methods
-/// cannot. Same resume contract as [`advance_solve`] — a partial fed
-/// back under the same `(graph, trials, seed)` refines to the same
-/// bytes an uninterrupted run produces; `delta` only shapes the final
-/// confidence interval and may differ between calls without affecting
-/// the sampled rows.
+/// Starts or resumes a sublinear `method=fast` estimate on this node:
+/// the cheap counting tier that answers inside deadlines the per-world
+/// methods cannot. Same resume contract as [`advance_solve`]; `delta`
+/// only shapes the final confidence interval and may differ between
+/// calls without affecting the sampled rows.
 pub fn advance_fast(
     g: &UncertainBipartiteGraph,
     trials: u64,
@@ -431,91 +705,16 @@ pub fn advance_fast(
     cancel: &Cancel,
 ) -> Result<FastProgress, String> {
     assert!(trials > 0, "trials must be positive");
-    let engine = SublinearTrials::new(g, seed);
-    let mut partial = match state {
-        None => Partial::empty(engine.new_acc(), trials),
-        Some(PartialState::Fast(p)) => p,
-        Some(other) => return state_mismatch("fast", &other),
+    let job = Job {
+        delta,
+        ..Job::new("fast", trials, 0, seed)
     };
-    let executed = drive(Executor::new(threads), &engine, &mut partial, cancel);
-    let trials_done = partial.trials_done();
-    let trials_requested = partial.trials_requested();
-    let outcome = if partial.completed() {
-        Outcome::Done(engine.finalize(std::mem::take(&mut partial.acc), delta))
-    } else {
-        Outcome::Incomplete(PartialState::Fast(partial))
-    };
-    Ok(Progress {
-        outcome,
-        trials_done,
-        trials_requested,
-        executed,
-    })
-}
-
-/// Starts or resumes a conditioned `/v1/query` probability estimate.
-/// `None` if `b` is not a backbone butterfly of `g`.
-pub fn advance_query(
-    g: &UncertainBipartiteGraph,
-    b: &Butterfly,
-    trials: u64,
-    seed: u64,
-    state: Option<PartialState>,
-    cancel: &Cancel,
-) -> Option<Result<QueryProgress, String>> {
-    assert!(trials > 0, "trials must be positive");
-    let engine = QueryTrials::new(g, b, seed)?;
-    let mut partial = match state {
-        None => Partial::empty(0, trials),
-        Some(PartialState::Query(p)) => p,
-        Some(other) => return Some(state_mismatch("query", &other)),
-    };
-    let executed = drive(Executor::new(1), &engine, &mut partial, cancel);
-    let trials_done = partial.trials_done();
-    let trials_requested = partial.trials_requested();
-    let outcome = if partial.completed() {
-        Outcome::Done(engine.finalize(partial.acc, trials))
-    } else {
-        Outcome::Incomplete(PartialState::Query(partial))
-    };
-    Some(Ok(Progress {
-        outcome,
-        trials_done,
-        trials_requested,
-        executed,
+    let runner = Runner::Local(Executor::new(threads));
+    let progress = advance(g, &job, state, &runner, cancel).map_err(|e| e.to_string())?;
+    Ok(progress.map(|answer| match answer {
+        Answer::Fast(est) => est,
+        _ => unreachable!("the fast tier answers with an estimate"),
     }))
-}
-
-/// Starts or resumes a `/v1/count` butterfly-count sampling run.
-pub fn advance_count(
-    g: &UncertainBipartiteGraph,
-    trials: u64,
-    seed: u64,
-    threads: usize,
-    state: Option<PartialState>,
-    cancel: &Cancel,
-) -> Result<CountProgress, String> {
-    assert!(trials > 0, "trials must be positive");
-    let engine = CountTrials::new(g, seed);
-    let mut partial = match state {
-        None => Partial::empty(engine.new_acc(), trials),
-        Some(PartialState::Count(p)) => p,
-        Some(other) => return state_mismatch("count", &other),
-    };
-    let executed = drive(Executor::new(threads), &engine, &mut partial, cancel);
-    let trials_done = partial.trials_done();
-    let trials_requested = partial.trials_requested();
-    let outcome = if partial.completed() {
-        Outcome::Done(count_distribution_from_histogram(partial.acc, trials))
-    } else {
-        Outcome::Incomplete(PartialState::Count(partial))
-    };
-    Ok(Progress {
-        outcome,
-        trials_done,
-        trials_requested,
-        executed,
-    })
 }
 
 #[cfg(test)]
@@ -524,6 +723,23 @@ mod tests {
     use bigraph::{GraphBuilder, Left, Right};
     use mpmb_core::{OrderingListingSampling, OrderingSampling};
     use std::time::Instant;
+
+    /// Drives `job` on this node's executor.
+    fn local(
+        g: &UncertainBipartiteGraph,
+        job: &Job,
+        state: Option<PartialState>,
+        threads: usize,
+        cancel: &Cancel,
+    ) -> Result<Progress<Answer>, ClusterError> {
+        advance(
+            g,
+            job,
+            state,
+            &Runner::Local(Executor::new(threads)),
+            cancel,
+        )
+    }
 
     fn fig1() -> UncertainBipartiteGraph {
         let mut b = GraphBuilder::new();
@@ -684,14 +900,16 @@ mod tests {
         let g = fig1();
         let b = Butterfly::new(Left(0), Left(1), Right(1), Right(2));
         let core = mpmb_core::estimate_prob_of(&g, &b, 2_000, 9).unwrap();
+        let job = Job {
+            butterfly: Some(b),
+            ..Job::new("query", 2_000, 0, 9)
+        };
         let mut state = None;
         let q = loop {
-            let progress =
-                advance_query(&g, &b, 2_000, 9, state.take(), &Cancel::after_trials(256))
-                    .unwrap()
-                    .unwrap();
+            let progress = local(&g, &job, state.take(), 1, &Cancel::after_trials(256)).unwrap();
             match progress.outcome {
-                Outcome::Done(q) => break q,
+                Outcome::Done(Answer::Query(q)) => break q,
+                Outcome::Done(other) => panic!("query answered {other:?}"),
                 Outcome::Incomplete(s) => state = Some(s),
             }
         };
@@ -703,19 +921,27 @@ mod tests {
     fn query_rejects_non_backbone_butterfly() {
         let g = fig1();
         let bogus = Butterfly::new(Left(0), Left(5), Right(0), Right(1));
-        assert!(advance_query(&g, &bogus, 10, 0, None, &Cancel::never()).is_none());
+        let job = Job {
+            butterfly: Some(bogus),
+            ..Job::new("query", 10, 0, 0)
+        };
+        assert!(matches!(
+            local(&g, &job, None, 1, &Cancel::never()),
+            Err(ClusterError::NotFound(_))
+        ));
     }
 
     #[test]
     fn count_refines_to_core_result() {
         let g = fig1();
         let core = mpmb_core::sample_count_distribution_parallel(&g, 2_000, 13, 2);
+        let job = Job::new("count", 2_000, 0, 13);
         let mut state = None;
         let dist = loop {
-            let progress =
-                advance_count(&g, 2_000, 13, 2, state.take(), &Cancel::after_trials(300)).unwrap();
+            let progress = local(&g, &job, state.take(), 2, &Cancel::after_trials(300)).unwrap();
             match progress.outcome {
-                Outcome::Done(d) => break d,
+                Outcome::Done(Answer::Count(d)) => break d,
+                Outcome::Done(other) => panic!("count answered {other:?}"),
                 Outcome::Incomplete(s) => state = Some(s),
             }
         };
@@ -826,6 +1052,21 @@ mod tests {
     fn unknown_method_is_an_error() {
         let g = fig1();
         assert!(advance_solve(&g, "nope", 10, 10, 0, 1, None, &Cancel::never()).is_err());
+    }
+
+    #[test]
+    fn range_runs_return_their_partial_unfinalized() {
+        let g = fig1();
+        let job = Job::new("os", 500, 0, 3);
+        let full = Runner::Range(Executor::new(2), 0..500);
+        let progress = advance(&g, &job, None, &full, &Cancel::never()).unwrap();
+        assert_eq!(progress.executed, 500);
+        match progress.outcome {
+            Outcome::Incomplete(PartialState::Os(p)) => assert!(p.completed()),
+            other => panic!("expected the covered partial, got {other:?}"),
+        }
+        let escaping = Runner::Range(Executor::new(1), 400..600);
+        assert!(advance(&g, &job, None, &escaping, &Cancel::never()).is_err());
     }
 
     #[test]

@@ -385,6 +385,92 @@ fn cluster_trace_is_stitched_budgeted_and_answers_stay_bit_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Workers run their ranges through the same instrumented driver as a
+/// local solve, so every worker's sampling time comes back as its own
+/// `{addr}/os.sample` phase (not as unexplained network time), and each
+/// worker's own `/metrics` counts the phase.
+#[test]
+fn worker_ranges_ship_their_sampling_phase() {
+    let workers = [spawn_worker(0), spawn_worker(0)];
+    let coord = spawn_coordinator(&workers.iter().collect::<Vec<_>>(), 200);
+    let (status, _, got) = call_ext(
+        coord.addr.as_str(),
+        "POST",
+        "/v1/solve",
+        "{\"graph\":\"g\",\"method\":\"os\",\"trials\":2000,\"seed\":73}",
+        &[("X-Request-Id", "worker-phase-e2e")],
+    )
+    .unwrap();
+    assert_eq!(status, 200, "{got}");
+
+    let (status, resp) = call(coord.addr.as_str(), "GET", "/debug/trace", "").unwrap();
+    assert_eq!(status, 200, "{resp}");
+    let json = Json::parse(&resp).unwrap();
+    let entry = json
+        .get("traces")
+        .and_then(Json::as_arr)
+        .unwrap()
+        .iter()
+        .find(|t| t.get("trace_id").and_then(Json::as_str) == Some("worker-phase-e2e"))
+        .expect("cluster solve retained in the coordinator ring");
+    for w in &workers {
+        let phase = format!("{}/os.sample", w.addr);
+        let stat = entry
+            .get("phases")
+            .and_then(|p| p.get(&phase))
+            .unwrap_or_else(|| panic!("no `{phase}` in the stitched trace: {entry}"));
+        assert!(
+            stat.get("items").and_then(Json::as_u64).unwrap() > 0,
+            "{phase}: {stat}"
+        );
+        assert!(
+            fetch_metric(
+                &w.addr,
+                "mpmb_solver_phase_seconds_count{phase=\"os.sample\"}"
+            ) > 0,
+            "worker {} recorded no os.sample phase",
+            w.addr
+        );
+    }
+}
+
+/// The range protocol has one wire version: a worker answers a version-1
+/// request frame with a 400 naming the version, never a guess.
+#[test]
+fn v1_range_frames_are_rejected_with_400() {
+    let worker = spawn_worker(0);
+    let mut enc = bigraph::codec::Encoder::new();
+    enc.str("g");
+    enc.str("os");
+    // trials, prep, seed, threads, start, end
+    for field in [1_000u64, 100, 7, 1, 0, 500] {
+        enc.u64(field);
+    }
+    enc.u8(0); // no candidate set
+    let frame = bigraph::codec::seal_frame(b"MPMBRQ01", 1, &enc.into_bytes());
+    let once = mpmb_serve::RetryPolicy {
+        attempts: 1,
+        ..Default::default()
+    };
+    match mpmb_serve::call_retry_expect(
+        worker.addr.as_str(),
+        "POST",
+        "/v1/internal/solve-range",
+        &frame,
+        "application/octet-stream",
+        &once,
+    ) {
+        Err(mpmb_serve::ClientError::Status { status, body }) => {
+            assert_eq!(status, 400, "{body}");
+            assert!(body.contains("unsupported format version 1"), "{body}");
+        }
+        other => panic!("a v1 frame must get a 400, got {other:?}"),
+    }
+    // The worker keeps serving.
+    let (status, _) = call(worker.addr.as_str(), "GET", "/healthz", "").unwrap();
+    assert_eq!(status, 200);
+}
+
 /// Metrics federation under membership churn: `/metrics/cluster` merges
 /// every healthy worker's page under `node` labels; a worker SIGKILLed
 /// between scrapes bumps the failure counter while the survivor keeps

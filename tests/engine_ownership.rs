@@ -74,6 +74,51 @@ fn thread_scope_is_owned_by_the_executor() {
     );
 }
 
+/// Whether `src` names a `PartialState` variant (`PartialState::Os`,
+/// `PartialState::Kl { .. }`, …) rather than just the type.
+fn names_partial_state_variant(src: &str) -> bool {
+    src.match_indices("PartialState::").any(|(i, m)| {
+        src[i + m.len()..]
+            .chars()
+            .next()
+            .is_some_and(|c| c.is_ascii_uppercase())
+    })
+}
+
+/// The per-method fan-out lives in one place: the method table in
+/// `solve.rs`, which also owns each variant's durable snapshot tag
+/// (`checkpoint.rs`, the snapshot store, is allowed to name variants
+/// too). Any other serve-layer file naming a
+/// `PartialState` variant outside its `#[cfg(test)]` module has grown a
+/// per-method branch of its own — the pattern that made one new method
+/// touch 25 files. Add a row to the table instead.
+#[test]
+fn partial_state_variants_are_owned_by_the_method_table() {
+    let allowed = [
+        "crates/mpmb-serve/src/solve.rs",
+        "crates/mpmb-serve/src/checkpoint.rs",
+    ];
+    let mut offenders = Vec::new();
+    for path in crate_lib_sources(&["mpmb-serve"]) {
+        let src = std::fs::read_to_string(&path).expect("read source");
+        let non_test = src.split("#[cfg(test)]\nmod ").next().unwrap_or_default();
+        if names_partial_state_variant(non_test) && !allowed.contains(&rel(&path).as_str()) {
+            offenders.push(rel(&path));
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "`PartialState::<Variant>` outside the method table: {offenders:?}\n\
+         add a row to the table in crates/mpmb-serve/src/solve.rs instead"
+    );
+    // The guard itself must see variants where they do live.
+    let table = std::fs::read_to_string(
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/mpmb-serve/src/solve.rs"),
+    )
+    .expect("read solve.rs");
+    assert!(names_partial_state_variant(&table));
+}
+
 /// The serving layer must never reach for per-trial RNG streams — it
 /// drives solvers exclusively through `advance_*` + `Executor::resume`.
 #[test]

@@ -704,6 +704,36 @@ fn unknown_graph_and_bad_requests_are_4xx() {
     server.join();
 }
 
+/// A ~200 KB `[[[[…` body would recurse an uncapped JSON parser off the
+/// end of a worker thread's stack — an abort no `catch_unwind` can
+/// stop. It must be an ordinary 400, and the server must keep serving.
+#[test]
+fn deeply_nested_json_is_a_400_not_a_crash() {
+    let _guard = lock();
+    let (server, addr) = start(default_cfg());
+    register_graph(&addr);
+
+    let nested = "[".repeat(200_000);
+    for path in ["/v1/solve", "/v1/graphs"] {
+        let (status, resp) = call(addr.as_str(), "POST", path, &nested).unwrap();
+        assert_eq!(status, 400, "{path}: {resp}");
+    }
+
+    let (status, resp) = call(addr.as_str(), "GET", "/healthz", "").unwrap();
+    assert_eq!(status, 200, "{resp}");
+    let (status, resp) = call(
+        addr.as_str(),
+        "POST",
+        "/v1/solve",
+        "{\"graph\":\"g\",\"method\":\"os\",\"trials\":300,\"seed\":5}",
+    )
+    .unwrap();
+    assert_eq!(status, 200, "{resp}");
+
+    server.begin_shutdown();
+    server.join();
+}
+
 #[test]
 fn request_ids_are_echoed_and_minted() {
     let _guard = lock();
