@@ -77,7 +77,7 @@ pub use listing::{
     enumerate_backbone_butterflies_parallel, listing_shards,
 };
 pub use mcvp::{McVp, McVpConfig, McVpTrials};
-pub use observer::{ConvergenceTracker, MultiObserver, NoopObserver, TrialObserver};
+pub use observer::{ConvergenceTracker, NoopObserver, TrialObserver};
 pub use ols::{EstimatorKind, OlsConfig, OlsResult, OrderingListingSampling, PrepareTrials};
 pub use os::{
     os_smb_of_world, EdgeOracle, OrderingSampling, OsConfig, OsEngine, OsTrials, SamplingOracle,

@@ -136,79 +136,6 @@ impl TrialObserver for ConvergenceTracker {
     }
 }
 
-/// Fans one trial stream out to several observers.
-#[derive(Default)]
-pub struct MultiObserver<'a> {
-    observers: Vec<&'a mut dyn TrialObserver>,
-}
-
-impl<'a> MultiObserver<'a> {
-    /// Creates an empty fan-out.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds an observer.
-    pub fn push(&mut self, obs: &'a mut dyn TrialObserver) -> &mut Self {
-        self.observers.push(obs);
-        self
-    }
-}
-
-impl TrialObserver for MultiObserver<'_> {
-    fn observe(&mut self, trial: u64, smb: &[Butterfly]) {
-        for o in self.observers.iter_mut() {
-            o.observe(trial, smb);
-        }
-    }
-
-    /// Forks whichever children support forking (the rest simply see
-    /// nothing on the parallel path, as before).
-    fn fork(&self) -> Option<Box<dyn TrialObserver + Send>> {
-        let children: Vec<(usize, Box<dyn TrialObserver + Send>)> = self
-            .observers
-            .iter()
-            .enumerate()
-            .filter_map(|(i, o)| o.fork().map(|f| (i, f)))
-            .collect();
-        if children.is_empty() {
-            None
-        } else {
-            Some(Box::new(MultiFork { children }))
-        }
-    }
-
-    fn absorb(&mut self, mut chunk: Box<dyn TrialObserver + Send>) {
-        let Some(mf) = chunk
-            .as_any_mut()
-            .and_then(|a| a.downcast_mut::<MultiFork>())
-        else {
-            return;
-        };
-        for (i, f) in mf.children.drain(..) {
-            self.observers[i].absorb(f);
-        }
-    }
-}
-
-/// The fork of a [`MultiObserver`]: chunk-local children of the fan-out
-/// members that themselves forked, tagged with their parent index.
-struct MultiFork {
-    children: Vec<(usize, Box<dyn TrialObserver + Send>)>,
-}
-
-impl TrialObserver for MultiFork {
-    fn observe(&mut self, trial: u64, smb: &[Butterfly]) {
-        for (_, c) in self.children.iter_mut() {
-            c.observe(trial, smb);
-        }
-    }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn Any> {
-        Some(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,20 +173,6 @@ mod tests {
     }
 
     #[test]
-    fn multi_observer_fans_out() {
-        let target = bf(0, 1);
-        let mut t1 = ConvergenceTracker::new(target, 1);
-        let mut t2 = ConvergenceTracker::new(bf(0, 2), 1);
-        {
-            let mut multi = MultiObserver::new();
-            multi.push(&mut t1).push(&mut t2);
-            multi.observe(0, &[target]);
-        }
-        assert_eq!(t1.estimate(), 1.0);
-        assert_eq!(t2.estimate(), 0.0);
-    }
-
-    #[test]
     fn noop_observer_is_inert() {
         let mut n = NoopObserver;
         n.observe(0, &[bf(0, 1)]);
@@ -288,26 +201,5 @@ mod tests {
         // One block-granular snapshot per absorbed chunk that crossed a
         // multiple of `every`.
         assert_eq!(root.points(), &[(4, 1.0), (8, 0.75)]);
-    }
-
-    #[test]
-    fn multi_observer_forks_only_forkable_children() {
-        let target = bf(0, 1);
-        struct SeqOnly(u64);
-        impl TrialObserver for SeqOnly {
-            fn observe(&mut self, _t: u64, _s: &[Butterfly]) {
-                self.0 += 1;
-            }
-        }
-        let mut tracker = ConvergenceTracker::new(target, 1);
-        let mut seq = SeqOnly(0);
-        let mut multi = MultiObserver::new();
-        multi.push(&mut seq).push(&mut tracker);
-        let mut fork = multi.fork().expect("tracker child is forkable");
-        fork.observe(0, &[target]);
-        multi.absorb(fork);
-        drop(multi);
-        assert_eq!(tracker.trials(), 1);
-        assert_eq!(seq.0, 0, "non-forkable child sees nothing in parallel");
     }
 }

@@ -4,9 +4,10 @@
 //! queue is full the connection is answered `429` immediately (load
 //! shedding) instead of growing an unbounded backlog. A fixed pool of
 //! worker threads pops connections and speaks keep-alive HTTP/1.1 on
-//! them. Shutdown (SIGTERM, SIGINT, or `POST /admin/shutdown`) stops
-//! the accept loop, drains every queued and in-flight request, then
-//! joins the pool.
+//! them. Shutdown (SIGTERM, SIGINT, or `POST /admin/shutdown`) shuts
+//! the listener down, which wakes the accept thread blocked in
+//! `accept`, drains every queued and in-flight request, then joins the
+//! pool.
 //!
 //! Every request runs under an [`obs::ObsCtx`]: a trace id (the
 //! client's `X-Request-Id` if present, freshly minted otherwise, echoed
@@ -297,12 +298,22 @@ pub struct AppState {
     federation_seen: Mutex<std::collections::HashMap<String, Instant>>,
     /// Raised to begin a graceful drain.
     shutdown: AtomicBool,
+    /// The blocking listening socket; a drain shuts it down to wake the
+    /// accept thread.
+    listener: signal::Listener,
 }
 
 impl AppState {
     /// Whether a drain has been requested (flag or signal).
     pub fn shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst) || signal::requested()
+    }
+
+    /// Raises the drain flag, then shuts the listener down so a blocked
+    /// `accept` returns and the accept loop sees the flag.
+    fn begin_drain(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.listener.wake();
     }
 }
 
@@ -326,7 +337,6 @@ impl Server {
     pub fn start(cfg: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.listen)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
 
         let faults = match &cfg.fault_plan {
             None => None,
@@ -381,6 +391,7 @@ impl Server {
             fast_escalate: cfg.fast_escalate,
             federation_seen: Mutex::new(std::collections::HashMap::new()),
             shutdown: AtomicBool::new(false),
+            listener: signal::Listener::new(listener),
         });
 
         restore_from_checkpoint(&state);
@@ -445,7 +456,7 @@ impl Server {
         let accept_handle = std::thread::Builder::new()
             .name("mpmb-accept".to_string())
             .spawn(move || {
-                accept_loop(&accept_state, &listener, tx);
+                accept_loop(&accept_state, tx);
                 // `tx` drops here; workers drain the queue and exit.
             })
             .expect("spawn accept loop");
@@ -467,7 +478,7 @@ impl Server {
 
     /// Requests a graceful drain: stop accepting, finish in-flight work.
     pub fn begin_shutdown(&self) {
-        self.state.shutdown.store(true, Ordering::SeqCst);
+        self.state.begin_drain();
     }
 
     /// Blocks until the accept loop and every worker have exited, then
@@ -560,22 +571,25 @@ fn write_checkpoint(state: &AppState) {
     }
 }
 
-/// How long the accept loop sleeps between polls when idle, and the
-/// worker read timeout used to poll the shutdown flag on idle
-/// keep-alive connections.
+/// The worker read timeout after which an idle keep-alive connection
+/// checks for a drain, and the sleep slice of the checkpoint and probe
+/// threads. The accept path has no timer: a drain wakes it.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
-fn accept_loop(
-    state: &AppState,
-    listener: &TcpListener,
-    tx: std::sync::mpsc::SyncSender<(TcpStream, Instant)>,
-) {
+/// How long the accept loop pauses after a real `accept` failure (for
+/// example `EMFILE`), so a persistent one does not spin a core.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Hands each new connection to the worker pool as soon as it arrives.
+/// Blocks in `accept`; a drain sets the flag before it shuts the
+/// listener down, so the failed `accept` that follows ends the loop.
+fn accept_loop(state: &AppState, tx: std::sync::mpsc::SyncSender<(TcpStream, Instant)>) {
     loop {
         if state.shutting_down() {
             return;
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
+        match state.listener.accept() {
+            Ok(stream) => {
                 state.metrics.connections.inc();
                 match tx.try_send((stream, Instant::now())) {
                     Ok(()) => {}
@@ -588,10 +602,8 @@ fn accept_loop(
                     Err(TrySendError::Disconnected(_)) => return,
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
-            Err(_) => std::thread::sleep(POLL_INTERVAL),
+            Err(_) if state.shutting_down() => return,
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
     }
 }
@@ -804,7 +816,7 @@ fn route(state: &AppState, req: &Request) -> Response {
         ("GET", "/metrics/cluster") => handle_metrics_cluster(state),
         ("GET", "/debug/trace") => handle_debug_trace(state, req),
         ("POST", "/admin/shutdown") => {
-            state.shutdown.store(true, Ordering::SeqCst);
+            state.begin_drain();
             Response::json(202, Json::obj([("draining", Json::Bool(true))]).to_string())
         }
         (

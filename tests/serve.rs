@@ -3,8 +3,9 @@
 //! deadline 503s, and SIGTERM draining.
 //!
 //! Servers bind ephemeral ports (`127.0.0.1:0`). The SIGTERM test
-//! latches a process-global flag that every server instance observes,
-//! so all tests serialize on one mutex and clear the latch up front.
+//! latches a process-global flag that every server instance observes
+//! (and its handler shuts down every live listener), so all tests
+//! serialize on one mutex and clear the latch up front.
 
 use mpmb_serve::client::{call, call_ext};
 use mpmb_serve::json::Json;
@@ -339,9 +340,42 @@ fn fast_tier_answers_within_a_deadline_that_503s_os_and_escalates_to_exact() {
     // mmap-served storage path, not just in-memory registrations.
     let dir = scratch_dir("fast-tier");
     let container = dir.join("g.ubgc");
-    bigraph::write_container_path(&reference_graph(), &container).expect("write container");
+    let g = reference_graph();
+    bigraph::write_container_path(&g, &container).expect("write container");
+    // Size the trial budget from this host's own trial rates on the same
+    // graph, so the test holds on a slow debug build as on a fast one.
+    // The budget sits at the geometric middle of the window between
+    // "fast finishes inside the deadline" and "os does not": fast needs
+    // 1/m of the deadline and os m deadlines, with m = √(fast/os rate).
+    // On this tiny graph fast runs only ~4× os in a debug build (~7× in
+    // release; the tier's gain grows with the graph), so m ≈ 2; the
+    // 200 ms deadline keeps per-request overhead small beside it.
+    let os_rate = trials_per_second(|trials| {
+        mpmb_core::OrderingSampling::new(mpmb_core::OsConfig {
+            trials,
+            seed: 7,
+            ..Default::default()
+        })
+        .run(&g);
+    });
+    let fast_rate = trials_per_second(|trials| {
+        let cfg = mpmb_core::SublinearConfig {
+            trials,
+            seed: 7,
+            ..Default::default()
+        };
+        mpmb_core::estimate_fast(&g, &cfg, 1);
+    });
+    assert!(
+        fast_rate >= 2.0 * os_rate,
+        "fast ({fast_rate:.0}/s) must run well ahead of os ({os_rate:.0}/s)"
+    );
+    let timeout_ms: u64 = 200;
+    // Upper-case like the fixed budgets of the other tests.
+    #[allow(non_snake_case)]
+    let TRIALS = (timeout_ms as f64 / 1e3 * (os_rate * fast_rate).sqrt()).ceil() as u64;
     let cfg = ServerConfig {
-        timeout_ms: 80,
+        timeout_ms,
         fast_escalate: true,
         ..default_cfg()
     };
@@ -355,9 +389,8 @@ fn fast_tier_answers_within_a_deadline_that_503s_os_and_escalates_to_exact() {
     .unwrap();
     assert_eq!(status, 200, "container register failed: {body}");
 
-    // The exact tier cannot finish this budget inside one 80 ms
-    // deadline — its first attempt 503s with a cached partial.
-    const TRIALS: u64 = 30_000;
+    // The exact tier cannot finish this budget inside one deadline —
+    // its first attempt 503s with a cached partial.
     let os_body = format!("{{\"graph\":\"g\",\"method\":\"os\",\"trials\":{TRIALS},\"seed\":7}}");
     let (status, resp) = call(addr.as_str(), "POST", "/v1/solve", &os_body).unwrap();
     assert_eq!(status, 503, "os should blow the deadline: {resp}");
@@ -443,6 +476,21 @@ fn fast_tier_answers_within_a_deadline_that_503s_os_and_escalates_to_exact() {
     server.begin_shutdown();
     server.join();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Sequential trials per second of `run(trials)` on this host, timed
+/// over a run long enough (≥ 50 ms) to swamp timer resolution.
+fn trials_per_second(mut run: impl FnMut(u64)) -> f64 {
+    let mut trials = 1_000;
+    loop {
+        let t0 = std::time::Instant::now();
+        run(trials);
+        let secs = t0.elapsed().as_secs_f64();
+        if secs >= 0.05 {
+            return trials as f64 / secs;
+        }
+        trials *= 4;
+    }
 }
 
 #[test]
@@ -536,6 +584,40 @@ fn sigterm_drains_in_flight_request_then_exits() {
     // The listener is gone — new connections are refused.
     assert!(std::net::TcpStream::connect(addr.as_str()).is_err());
     signal::reset();
+}
+
+#[test]
+fn fresh_connections_are_served_without_an_accept_poll() {
+    let _guard = lock();
+    let (server, addr) = start(default_cfg());
+    // Each `call` opens a new `Connection: close` socket, so every round
+    // trip goes through `accept`. A 50 ms accept poll would cost about
+    // 50 × 50 ms = 2.5 s here; a blocking accept costs next to nothing.
+    const ROUND_TRIPS: u32 = 50;
+    let t0 = std::time::Instant::now();
+    for _ in 0..ROUND_TRIPS {
+        let (status, body) = call(addr.as_str(), "GET", "/healthz", "").unwrap();
+        assert_eq!(status, 200, "{body}");
+    }
+    let elapsed = t0.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "{ROUND_TRIPS} fresh-connection round trips took {elapsed:?}"
+    );
+    server.begin_shutdown();
+    server.join();
+}
+
+#[test]
+fn admin_shutdown_wakes_an_idle_server() {
+    let _guard = lock();
+    let (server, addr) = start(default_cfg());
+    let (status, body) = call(addr.as_str(), "POST", "/admin/shutdown", "").unwrap();
+    assert_eq!(status, 202, "{body}");
+    // No further connection arrives to unblock `accept`: the drain
+    // itself must wake the accept thread, or this join hangs.
+    server.join();
+    assert!(std::net::TcpStream::connect(addr.as_str()).is_err());
 }
 
 #[test]
