@@ -21,14 +21,6 @@ pub fn sequential_trials_per_sec(json: &str, method: &str) -> Option<f64> {
     parse_leading_f64(&rest[kat..])
 }
 
-/// Extracts the sequential listing seconds from a `listing_bench` JSON
-/// document (`"sequential": {"secs": ...}`).
-pub fn sequential_listing_secs(json: &str) -> Option<f64> {
-    let needle = "\"sequential\": {\"secs\": ";
-    let at = json.find(needle)? + needle.len();
-    parse_leading_f64(&json[at..])
-}
-
 /// Parses the longest numeric prefix (digits, sign, dot, exponent).
 fn parse_leading_f64(s: &str) -> Option<f64> {
     let end = s
@@ -70,13 +62,6 @@ mod tests {
         assert_eq!(sequential_trials_per_sec(SAMPLE, "os"), Some(4000.0));
         assert_eq!(sequential_trials_per_sec(SAMPLE, "ols"), Some(2100.5));
         assert_eq!(sequential_trials_per_sec(SAMPLE, "mcvp"), None);
-    }
-
-    #[test]
-    fn reads_listing_sequential_secs() {
-        let doc = r#"{"phase": "listing", "sequential": {"secs": 0.123456},"#;
-        assert_eq!(sequential_listing_secs(doc), Some(0.123456));
-        assert_eq!(sequential_listing_secs("{}"), None);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! `solver_bench` — trial-engine throughput benchmark: every sampler
-//! (os, mcvp, ols, ols-kl, fast) through the unified `Executor` at
+//! (os, mcvp, ols, ols-kl, fast) through the unified `Executor`, and
+//! the OLS listing phase's sharded backbone enumeration (listing), at
 //! several thread counts, as machine-readable JSON
 //! (`BENCH_solvers.json` in CI).
 //!
@@ -18,8 +19,8 @@
 //! --trials    sampling-phase trials per solver (default 20000)
 //! --prep      OLS preparing-phase trials (default 200)
 //! --repeats   timing repeats per configuration; min is reported (default 3)
-//! --methods   comma-separated subset of os,mcvp,ols,ols-kl,fast
-//!             (default all)
+//! --methods   comma-separated subset of os,mcvp,ols,ols-kl,fast,listing
+//!             (default all); listing's "trials" are butterflies listed
 //! --baseline  committed solver_bench JSON to gate against (optional)
 //! --max-regression  allowed fractional drop in sequential trials/sec
 //!             below the baseline before exiting non-zero (default 0.30)
@@ -37,18 +38,18 @@
 //!             passes 10)
 //! ```
 //!
-//! Every parallel run is checked against the sequential distribution
-//! (`identical` in the output) — the executor's contract is that thread
-//! count never changes a byte of the answer, so a "speedup" that fails
+//! Every parallel run is checked against the sequential answer
+//! (`identical` in the output) — the contract is that thread count
+//! never changes a byte of the answer, so a "speedup" that fails
 //! the check would be a correctness bug, not a win. Any mismatch makes
 //! the process exit non-zero, as does a baseline regression.
 
 use bench::default_scale;
 use datasets::Dataset;
 use mpmb_core::{
-    estimate_fast, Cancel, Distribution, EstimatorKind, Executor, FastEstimate, KlTrialPolicy,
-    McVpConfig, McVpTrials, OlsConfig, OrderingListingSampling, OsConfig, OsTrials,
-    SublinearConfig,
+    backbone_candidate_set, estimate_fast, Cancel, CandidateSet, Distribution, EstimatorKind,
+    Executor, FastEstimate, KlTrialPolicy, McVpConfig, McVpTrials, OlsConfig,
+    OrderingListingSampling, OsConfig, OsTrials, SublinearConfig,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -206,19 +207,21 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-const METHODS: [&str; 5] = ["os", "mcvp", "ols", "ols-kl", "fast"];
+const METHODS: [&str; 6] = ["os", "mcvp", "ols", "ols-kl", "fast", "listing"];
 
-/// What a solver pass produced: the full sampling distribution for the
-/// exact tiers, or the certified estimate for the sublinear fast tier.
-/// Either way the identity check is bit-exact — thread count must never
-/// change a byte of the answer.
+/// What a pass produced: the full sampling distribution for the exact
+/// tiers, the certified estimate for the sublinear fast tier, or the
+/// backbone candidate set for listing. Either way the identity check is
+/// bit-exact — thread count must never change a byte of the answer.
 enum BenchResult {
     Dist(Distribution),
     Fast(FastEstimate),
+    Listing(CandidateSet),
 }
 
-/// One solver pass on `threads` workers; returns the distribution and
-/// the total executor trials it ran (for the trials/sec figure).
+/// One pass on `threads` workers; returns the result and the work it
+/// did for the trials/sec figure: total executor trials for a solver,
+/// butterflies listed for listing.
 fn run_method(
     g: &bigraph::UncertainBipartiteGraph,
     method: &str,
@@ -284,6 +287,11 @@ fn run_method(
                 .unwrap_or(0);
             (BenchResult::Dist(res.distribution), prep + consumed)
         }
+        "listing" => {
+            let set = backbone_candidate_set(g, threads);
+            let listed = set.len() as u64;
+            (BenchResult::Listing(set), listed)
+        }
         other => unreachable!("unknown method {other}"),
     }
 }
@@ -304,7 +312,8 @@ fn time_min<F: FnMut() -> (BenchResult, u64)>(repeats: u32, mut f: F) -> (f64, B
 
 /// Bit-exact result equality: same support and zero maximum deviation
 /// for distributions, identical bits across all certified fields for a
-/// fast estimate.
+/// fast estimate, and for candidate sets the same butterfly, weight
+/// bits, edges and existence-probability bits at every index.
 fn identical(a: &BenchResult, b: &BenchResult) -> bool {
     match (a, b) {
         (BenchResult::Dist(a), BenchResult::Dist(b)) => {
@@ -315,6 +324,16 @@ fn identical(a: &BenchResult, b: &BenchResult) -> bool {
                 && a.variance.to_bits() == b.variance.to_bits()
                 && a.ci_low.to_bits() == b.ci_low.to_bits()
                 && a.ci_high.to_bits() == b.ci_high.to_bits()
+        }
+        (BenchResult::Listing(a), BenchResult::Listing(b)) => {
+            a.len() == b.len()
+                && (0..a.len()).all(|i| {
+                    let (ca, cb) = (a.get(i), b.get(i));
+                    ca.butterfly == cb.butterfly
+                        && ca.weight.to_bits() == cb.weight.to_bits()
+                        && ca.edges == cb.edges
+                        && ca.existence_prob.to_bits() == cb.existence_prob.to_bits()
+                })
         }
         _ => false,
     }
@@ -357,8 +376,8 @@ fn main() {
 
     let scale = args.scale.unwrap_or_else(|| default_scale(args.dataset));
     let generated = args.dataset.generate(scale, args.seed);
-    // In container mode the solvers run against the *attached* copy, so
-    // a storage-layer drift would surface as a distribution divergence.
+    // In container mode every method runs against the *attached* copy,
+    // so a storage-layer drift would surface as an answer divergence.
     let (g, load) = if args.container {
         let (attached, cmp) = bench::loadpath::compare_load_paths(&generated, args.repeats);
         (attached, Some(cmp))
@@ -427,12 +446,12 @@ fn main() {
     println!("  ]");
     println!("}}");
 
-    // Identity is the executor's contract: a parallel run that disagrees
-    // with the sequential distribution is a correctness bug, and the
-    // process must say so in its exit code, not just in a JSON field.
+    // Identity is the contract: a parallel run that disagrees with the
+    // sequential answer is a correctness bug, and the process must say
+    // so in its exit code, not just in a JSON field.
     if !mismatches.is_empty() {
         eprintln!(
-            "error: parallel runs diverged from the sequential distribution: {}",
+            "error: parallel runs diverged from the sequential answer: {}",
             mismatches.join(", ")
         );
         std::process::exit(1);

@@ -1,6 +1,6 @@
-//! Experiment harness shared by the `repro` binary and the criterion
-//! benches: dataset preparation at laptop or paper scale, budgeted timing
-//! (the stand-in for the paper's 4-hour timeout), and table formatting.
+//! Experiment harness shared by the `repro` and `solver_bench` binaries:
+//! dataset preparation at laptop or paper scale, budgeted timing (the
+//! stand-in for the paper's 4-hour timeout), and table formatting.
 
 pub mod baseline;
 pub mod experiments;

@@ -1,15 +1,16 @@
-//! Load-path benchmark behind the `--container` modes of
-//! `listing_bench` and `solver_bench`: the same generated graph is
-//! written both as a text edge list and as a `UBGCONT1` container, then
-//! re-loaded through [`bigraph::io::read_auto`] — the exact dispatch
-//! `mpmb serve` and the CLI run at attach time.
+//! Load-path benchmark behind `solver_bench --container`: the same
+//! generated graph is written both as a text edge list and as a
+//! `UBGCONT1` container, then re-loaded through
+//! [`bigraph::io::read_auto`] — the exact dispatch `mpmb serve` and
+//! the CLI run at attach time.
 //!
 //! The container format exists to make loading *cheap*: raw CSR
 //! sections mapped or streamed with no float parsing, no sorting, no
-//! rank recomputation (docs/STORAGE.md). The `min_speedup` gate in the
-//! binaries turns that into an enforced contract — perf-smoke runs with
-//! `--min-load-speedup 10`, so a regression that drags attach back
-//! toward parse speed fails CI instead of rotting silently.
+//! rank recomputation (docs/STORAGE.md). `solver_bench`'s
+//! `--min-load-speedup` gate turns that into an enforced contract —
+//! perf-smoke runs with `--min-load-speedup 10`, so a regression that
+//! drags attach back toward parse speed fails CI instead of rotting
+//! silently.
 
 use bigraph::UncertainBipartiteGraph;
 use std::path::PathBuf;
@@ -78,9 +79,9 @@ fn time_min<T>(repeats: u32, mut f: impl FnMut() -> T) -> (f64, T) {
 /// graphs reproduce the original bit-for-bit (container encodings
 /// compared, which covers every derived array the solvers index).
 ///
-/// Returns the container-loaded graph so container-mode benches run
-/// their kernels against the materialized arrays, not the generated
-/// ones — any drift would surface as a candidate-set divergence.
+/// Returns the container-loaded graph so a container-mode bench runs
+/// its methods against the materialized arrays, not the generated
+/// ones — any drift would surface as an answer divergence.
 ///
 /// # Panics
 ///

@@ -1,9 +1,9 @@
 //! Versioned, checksummed binary codec helpers.
 //!
-//! [`io`](crate::io)'s `UBGRAPH1` format established the workspace's
-//! binary conventions: an 8-byte magic, little-endian fixed-width
-//! integers, and length-prefixed variable records. This module factors
-//! those conventions into reusable primitives — an append-only
+//! The workspace's binary conventions are an 8-byte magic,
+//! little-endian fixed-width integers, and length-prefixed variable
+//! records. This module factors those conventions into reusable
+//! primitives — an append-only
 //! [`Encoder`], a bounds-checked [`Decoder`], and a *frame* wrapper
 //! (`magic | version | payload | fnv1a64 checksum`) — so durable state
 //! files (solver checkpoints, manifests) get corruption detection and

@@ -103,108 +103,8 @@ fn parse<T: std::str::FromStr>(s: &str, line: usize, what: &str) -> Result<T, Io
     })
 }
 
-/// Magic bytes and version of the binary graph format.
-const BINARY_MAGIC: &[u8; 8] = b"UBGRAPH1";
-
-/// Writes the compact binary format: magic, counts, then per-edge
-/// `(u: u32, v: u32, w: f64, p: f64)` little-endian records. Roughly 4×
-/// smaller and ~20× faster to parse than the text format — the difference
-/// between seconds and minutes for the 39.5 M-edge Protein graph.
-pub fn write_binary<W: Write>(g: &UncertainBipartiteGraph, mut w: W) -> std::io::Result<()> {
-    w.write_all(BINARY_MAGIC)?;
-    w.write_all(&(g.num_left() as u64).to_le_bytes())?;
-    w.write_all(&(g.num_right() as u64).to_le_bytes())?;
-    w.write_all(&(g.num_edges() as u64).to_le_bytes())?;
-    for e in g.edge_ids() {
-        let (u, v) = g.endpoints(e);
-        w.write_all(&u.0.to_le_bytes())?;
-        w.write_all(&v.0.to_le_bytes())?;
-        w.write_all(&g.weight(e).to_le_bytes())?;
-        w.write_all(&g.prob(e).to_le_bytes())?;
-    }
-    Ok(())
-}
-
-/// Reads the binary format written by [`write_binary`].
-///
-/// The length prefixes are treated as hostile until the payload backs
-/// them up: pre-allocation is capped, truncated files fail the
-/// per-record read with a clean [`IoError`], and declared vertex
-/// counts may exceed the ids the edge records actually reach by at
-/// most ~10⁶ per side (isolated trailing vertices are legitimate;
-/// multi-GiB phantom reservations are not).
-pub fn read_binary<R: std::io::Read>(mut r: R) -> Result<UncertainBipartiteGraph, IoError> {
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != BINARY_MAGIC {
-        return Err(IoError::Parse {
-            line: 0,
-            msg: "bad magic: not a UBGRAPH1 binary graph".into(),
-        });
-    }
-    let mut u64buf = [0u8; 8];
-    let mut read_u64 = |r: &mut R| -> std::io::Result<u64> {
-        r.read_exact(&mut u64buf)?;
-        Ok(u64::from_le_bytes(u64buf))
-    };
-    let nl = read_u64(&mut r)?;
-    let nr = read_u64(&mut r)?;
-    let m = read_u64(&mut r)?;
-    if nl > u32::MAX as u64 || nr > u32::MAX as u64 || m > u32::MAX as u64 {
-        return Err(IoError::Build(BuildError::TooLarge));
-    }
-    // The claimed edge count is untrusted: cap the pre-allocation the
-    // way `codec::Decoder::len_capped` does, so a bit-flipped or
-    // hostile length prefix costs at most ~24 MiB up front instead of
-    // aborting the process on a multi-GiB reservation. The builder
-    // grows normally as real records arrive; a short file then fails
-    // the per-record `read_exact` with a clean `IoError`.
-    const MAX_PREALLOC_EDGES: u64 = 1 << 20;
-    let mut b = GraphBuilder::with_capacity(m.min(MAX_PREALLOC_EDGES) as usize);
-    let mut rec = [0u8; 24];
-    let (mut max_u, mut max_v) = (0u64, 0u64);
-    for i in 0..m {
-        r.read_exact(&mut rec).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                IoError::Parse {
-                    line: i as usize + 1,
-                    msg: format!("truncated: {i} of {m} edge records present"),
-                }
-            } else {
-                IoError::Io(e)
-            }
-        })?;
-        let u = u32::from_le_bytes(rec[0..4].try_into().unwrap());
-        let v = u32::from_le_bytes(rec[4..8].try_into().unwrap());
-        let w = f64::from_le_bytes(rec[8..16].try_into().unwrap());
-        let p = f64::from_le_bytes(rec[16..24].try_into().unwrap());
-        max_u = max_u.max(u as u64 + 1);
-        max_v = max_v.max(v as u64 + 1);
-        b.add_edge(Left(u), Right(v), w, p)?;
-    }
-    // The declared vertex counts are as untrusted as the edge count,
-    // and `build()` materializes per-vertex CSR arrays sized by them —
-    // a bit-flipped count can demand gigabytes of isolated vertices
-    // the edge data never mentions. Honor the legitimate use (trailing
-    // isolated vertices written by `write_binary`, bounded slack) and
-    // refuse the bomb.
-    const ISOLATED_SLACK: u64 = 1 << 20;
-    if nl > max_u + ISOLATED_SLACK || nr > max_v + ISOLATED_SLACK {
-        return Err(IoError::Parse {
-            line: 0,
-            msg: format!(
-                "declared {nl}x{nr} vertices but the {m} edge records reach only \
-                 {max_u}x{max_v}: refusing an implausible isolated-vertex reservation"
-            ),
-        });
-    }
-    b.reserve_vertices(nl as u32, nr as u32);
-    Ok(b.build()?)
-}
-
 /// Reads a graph by path, dispatching on the leading magic so callers
-/// can pass text edge lists, `UBGRAPH1` binaries, or `UBGCONT1`
-/// containers interchangeably.
+/// can pass text edge lists or `UBGCONT1` containers interchangeably.
 pub fn read_auto(path: &std::path::Path) -> Result<UncertainBipartiteGraph, IoError> {
     let file = std::fs::File::open(path)?;
     let mut reader = std::io::BufReader::new(file);
@@ -212,8 +112,6 @@ pub fn read_auto(path: &std::path::Path) -> Result<UncertainBipartiteGraph, IoEr
     if peek.starts_with(crate::storage::CONTAINER_MAGIC) {
         drop(reader);
         Ok(crate::storage::read_container_path(path)?)
-    } else if peek.starts_with(BINARY_MAGIC) {
-        read_binary(reader)
     } else {
         read_edge_list(reader)
     }
@@ -309,119 +207,31 @@ mod tests {
     }
 
     #[test]
-    fn binary_roundtrip_is_exact() {
-        let text = "0 0 2.25 0.5\n0 1 2 0.6\n1 0 3 0.3\n1 1 3.125 0.4\n";
-        let g = read_edge_list(Cursor::new(text)).unwrap();
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
-        let g2 = read_binary(Cursor::new(&buf)).unwrap();
-        assert_eq!(g2.num_left(), g.num_left());
-        assert_eq!(g2.num_right(), g.num_right());
-        assert_eq!(g2.num_edges(), g.num_edges());
-        for e in g.edge_ids() {
-            assert_eq!(g.endpoints(e), g2.endpoints(e));
-            // Bit-exact floats, unlike the decimal text path.
-            assert_eq!(g.weight(e).to_bits(), g2.weight(e).to_bits());
-            assert_eq!(g.prob(e).to_bits(), g2.prob(e).to_bits());
-        }
-    }
-
-    #[test]
-    fn binary_preserves_isolated_trailing_vertices() {
-        let mut b = crate::GraphBuilder::new();
-        b.add_edge(Left(0), Right(0), 1.0, 0.5).unwrap();
-        b.reserve_vertices(7, 9);
-        let g = b.build().unwrap();
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
-        let g2 = read_binary(Cursor::new(&buf)).unwrap();
-        assert_eq!(g2.num_left(), 7);
-        assert_eq!(g2.num_right(), 9);
-    }
-
-    #[test]
-    fn binary_rejects_bad_magic_and_truncation() {
-        let err = read_binary(Cursor::new(b"NOTMAGIC".to_vec())).unwrap_err();
-        assert!(matches!(err, IoError::Parse { line: 0, .. }));
-
-        let g = read_edge_list(Cursor::new("0 0 1 0.5\n0 1 1 0.5\n")).unwrap();
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
-        buf.truncate(buf.len() - 5);
-        let err = read_binary(Cursor::new(&buf)).unwrap_err();
-        match err {
-            IoError::Parse { msg, .. } => assert!(msg.contains("truncated"), "{msg}"),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
     fn read_auto_dispatches_on_magic() {
         let g = read_edge_list(Cursor::new("0 0 1 0.5\n1 1 2 0.25\n")).unwrap();
         let dir = std::env::temp_dir();
-        let text_path = dir.join("mpmb_io_test.tsv");
-        let bin_path = dir.join("mpmb_io_test.ubg");
-        let cont_path = dir.join("mpmb_io_test.ubgc");
+        let pid = std::process::id();
+        let text_path = dir.join(format!("mpmb_io_test_{pid}.tsv"));
+        let cont_path = dir.join(format!("mpmb_io_test_{pid}.ubgc"));
+        let legacy_path = dir.join(format!("mpmb_io_test_{pid}.ubg"));
         write_edge_list(&g, std::fs::File::create(&text_path).unwrap()).unwrap();
-        write_binary(&g, std::fs::File::create(&bin_path).unwrap()).unwrap();
         crate::storage::write_container_path(&g, &cont_path).unwrap();
-        for path in [&text_path, &bin_path, &cont_path] {
+        for path in [&text_path, &cont_path] {
             let g2 = read_auto(path).unwrap();
             assert_eq!(g2.num_edges(), g.num_edges(), "{path:?}");
         }
-        let _ = std::fs::remove_file(text_path);
-        let _ = std::fs::remove_file(bin_path);
-        let _ = std::fs::remove_file(cont_path);
-    }
-
-    /// A valid two-edge binary file to mutate in hostility tests.
-    fn small_binary() -> Vec<u8> {
-        let g = read_edge_list(Cursor::new("0 0 1 0.5\n0 1 1 0.5\n")).unwrap();
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
-        buf
-    }
-
-    #[test]
-    fn binary_overlength_edge_count_errors_without_allocating() {
-        // Claim u32::MAX edges (the largest count the format admits)
-        // with only two records of payload: pre-hardening this
-        // reserved ~96 GiB in the builder and aborted; now it must
-        // return a clean truncation error.
-        let mut buf = small_binary();
-        buf[24..32].copy_from_slice(&(u32::MAX as u64).to_le_bytes());
-        let err = read_binary(Cursor::new(&buf)).unwrap_err();
-        match err {
-            IoError::Parse { msg, .. } => assert!(msg.contains("truncated"), "{msg}"),
-            other => panic!("unexpected {other:?}"),
+        // A file in the retired `UBGRAPH1` binary format (magic, three
+        // u64 counts, one 24-byte edge record) falls through to the
+        // text parser, which must reject it as an error, not panic.
+        let mut legacy = b"UBGRAPH1".to_vec();
+        for count in [1u64, 1, 1] {
+            legacy.extend_from_slice(&count.to_le_bytes());
         }
-    }
-
-    #[test]
-    fn binary_bitflipped_length_prefixes_error_not_abort() {
-        let good = small_binary();
-        // Flip every bit of the three length words (nl, nr, m). Each
-        // mutant must either parse (flips can make counts smaller or
-        // reserve a few isolated vertices) or fail with an IoError —
-        // never abort, panic, or materialize a phantom multi-GiB
-        // vertex set (the isolated-vertex slack check).
-        for byte in 8..32 {
-            for bit in 0..8 {
-                let mut bad = good.clone();
-                bad[byte] ^= 1 << bit;
-                let _ = read_binary(Cursor::new(&bad));
-            }
-        }
-    }
-
-    #[test]
-    fn binary_truncation_at_every_prefix_errors() {
-        let good = small_binary();
-        for cut in 0..good.len() {
-            assert!(
-                read_binary(Cursor::new(&good[..cut])).is_err(),
-                "prefix of {cut} bytes must not parse"
-            );
+        legacy.extend_from_slice(&[0u8; 24]);
+        std::fs::write(&legacy_path, &legacy).unwrap();
+        assert!(read_auto(&legacy_path).is_err());
+        for path in [text_path, cont_path, legacy_path] {
+            let _ = std::fs::remove_file(path);
         }
     }
 }

@@ -2,10 +2,10 @@
 //!
 //! `UBGCONT1` is a sectioned, versioned, checksummed extension of the
 //! [`codec`](crate::codec) conventions (8-byte magic, little-endian
-//! fixed-width integers, FNV-1a 64 checksums). Where the `UBGRAPH1`
-//! binary edge list still requires a full [`GraphBuilder`] rebuild on
-//! load (CSR counting sort, weight-descending sort, threshold
-//! precomputation), a container stores every derived array in the
+//! fixed-width integers, FNV-1a 64 checksums). Where the text edge
+//! list requires a full [`GraphBuilder`] rebuild on load (CSR
+//! counting sort, weight-descending sort, threshold precomputation),
+//! a container stores every derived array in the
 //! graph's exact in-memory byte layout: `left_offsets`, adjacency,
 //! edge endpoints, weights, probabilities, the fixed-point `accept`
 //! thresholds, the §V-B `edges_by_weight_desc` order with its gathered

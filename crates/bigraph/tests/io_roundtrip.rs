@@ -1,9 +1,9 @@
-//! Cross-format serialization tests for `bigraph::io`: the binary↔text
-//! round-trip property, and the error paths a server loading untrusted
-//! graph files has to survive (truncated binaries, malformed lines).
+//! Serialization tests for `bigraph::io`: the text round-trip property,
+//! and the error paths a server loading untrusted graph files has to
+//! survive (malformed lines).
 
 use bigraph::builder::BuildError;
-use bigraph::io::{read_binary, read_edge_list, write_binary, write_edge_list, IoError};
+use bigraph::io::{read_edge_list, write_edge_list, IoError};
 use bigraph::{GraphBuilder, Left, Right, UncertainBipartiteGraph};
 use proptest::prelude::*;
 use std::io::Cursor;
@@ -11,7 +11,7 @@ use std::io::Cursor;
 /// Strategy: a small random uncertain bipartite graph as an edge list with
 /// distinct endpoint pairs, quantized weights, and valid probabilities.
 /// (Same shape as `proptests.rs::arb_edges`; probabilities are quantized
-/// too so both formats carry them exactly.)
+/// too.)
 fn arb_edges(
     max_l: u32,
     max_r: u32,
@@ -55,74 +55,20 @@ fn assert_same_graph(a: &UncertainBipartiteGraph, b: &UncertainBipartiteGraph) {
 }
 
 proptest! {
-    /// Binary↔text cross-format round-trip: a graph written as text, read
-    /// back, re-written as binary, and read again is bit-identical —
-    /// and so is the reverse direction. Rust's `{}` float formatting is
-    /// shortest-roundtrip, so even the text leg is exact.
+    /// Text round-trip: a graph written as text, read back, and
+    /// re-written is bit-identical, and so are the bytes of the second
+    /// write. Rust's `{}` float formatting is shortest-roundtrip, so the
+    /// decimal text carries every weight and probability exactly.
     #[test]
-    fn binary_and_text_formats_roundtrip_each_other(edges in arb_edges(12, 12, 48)) {
+    fn text_format_roundtrips_bit_exactly(edges in arb_edges(12, 12, 48)) {
         let g = build(&edges);
-
-        // text → binary
         let mut text = Vec::new();
         write_edge_list(&g, &mut text).unwrap();
         let from_text = read_edge_list(Cursor::new(&text)).unwrap();
-        let mut bin = Vec::new();
-        write_binary(&from_text, &mut bin).unwrap();
-        let from_bin = read_binary(Cursor::new(&bin)).unwrap();
-        assert_same_graph(&g, &from_bin);
-
-        // binary → text
-        let mut bin2 = Vec::new();
-        write_binary(&g, &mut bin2).unwrap();
-        let from_bin2 = read_binary(Cursor::new(&bin2)).unwrap();
+        assert_same_graph(&g, &from_text);
         let mut text2 = Vec::new();
-        write_edge_list(&from_bin2, &mut text2).unwrap();
-        let from_text2 = read_edge_list(Cursor::new(&text2)).unwrap();
-        assert_same_graph(&g, &from_text2);
-    }
-
-    /// Truncating a binary graph file at ANY prefix length yields an
-    /// error, never a panic or a silently short graph.
-    #[test]
-    fn truncated_binary_always_errors(edges in arb_edges(6, 6, 12), frac in 0.0f64..1.0) {
-        let g = build(&edges);
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
-        let cut = (((buf.len() as f64) * frac) as usize).min(buf.len() - 1);
-        buf.truncate(cut);
-        prop_assert!(read_binary(Cursor::new(&buf)).is_err());
-    }
-}
-
-#[test]
-fn truncated_binary_mid_record_reports_progress() {
-    let g = build(&[(0, 0, 1.0, 0.5), (0, 1, 2.0, 0.5), (1, 0, 3.0, 0.5)]);
-    let mut buf = Vec::new();
-    write_binary(&g, &mut buf).unwrap();
-    // Keep the header and first record, cut into the middle of the second.
-    buf.truncate(8 + 3 * 8 + 24 + 10);
-    match read_binary(Cursor::new(&buf)).unwrap_err() {
-        IoError::Parse { line, msg } => {
-            assert_eq!(line, 2, "error should point at the second record");
-            assert!(msg.contains("1 of 3"), "{msg}");
-        }
-        other => panic!("unexpected {other:?}"),
-    }
-}
-
-#[test]
-fn truncated_binary_header_errors() {
-    let g = build(&[(0, 0, 1.0, 0.5)]);
-    let mut buf = Vec::new();
-    write_binary(&g, &mut buf).unwrap();
-    for cut in [0, 4, 8, 12, 20, 31] {
-        let mut short = buf.clone();
-        short.truncate(cut);
-        assert!(
-            read_binary(Cursor::new(&short)).is_err(),
-            "prefix of {cut} bytes should not parse"
-        );
+        write_edge_list(&from_text, &mut text2).unwrap();
+        prop_assert_eq!(text, text2);
     }
 }
 
@@ -150,20 +96,6 @@ fn malformed_line_negative_weight() {
         IoError::Build(BuildError::InvalidWeight { w, .. }) => assert_eq!(w, -3.5),
         other => panic!("unexpected {other:?}"),
     }
-    // The binary reader runs the same validation.
-    let mut buf = Vec::new();
-    buf.extend_from_slice(b"UBGRAPH1");
-    buf.extend_from_slice(&1u64.to_le_bytes());
-    buf.extend_from_slice(&1u64.to_le_bytes());
-    buf.extend_from_slice(&1u64.to_le_bytes());
-    buf.extend_from_slice(&0u32.to_le_bytes());
-    buf.extend_from_slice(&0u32.to_le_bytes());
-    buf.extend_from_slice(&(-3.5f64).to_le_bytes());
-    buf.extend_from_slice(&0.5f64.to_le_bytes());
-    assert!(matches!(
-        read_binary(Cursor::new(&buf)).unwrap_err(),
-        IoError::Build(BuildError::InvalidWeight { .. })
-    ));
 }
 
 #[test]

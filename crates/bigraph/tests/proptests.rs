@@ -188,22 +188,6 @@ proptest! {
         prop_assert!((closed - reference).abs() < 1e-9, "{} vs {}", closed, reference);
     }
 
-    /// Binary round-trip is bit-exact for any graph.
-    #[test]
-    fn binary_io_roundtrip(edges in arb_edges(10, 10, 40)) {
-        let g = build(&edges);
-        let mut buf = Vec::new();
-        bigraph::io::write_binary(&g, &mut buf).unwrap();
-        let g2 = bigraph::io::read_binary(std::io::Cursor::new(buf)).unwrap();
-        prop_assert_eq!(g.num_left(), g2.num_left());
-        prop_assert_eq!(g.num_right(), g2.num_right());
-        for e in g.edge_ids() {
-            prop_assert_eq!(g.endpoints(e), g2.endpoints(e));
-            prop_assert_eq!(g.weight(e).to_bits(), g2.weight(e).to_bits());
-            prop_assert_eq!(g.prob(e).to_bits(), g2.prob(e).to_bits());
-        }
-    }
-
     /// Cold-item reward never decreases weights, is monotone in the
     /// reward parameter, and leaves structure and probabilities alone.
     #[test]

@@ -14,7 +14,7 @@
 //! that never sends `Connection: keep-alive` gets its connection closed
 //! after the response instead of hanging until the idle timeout.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, Write};
 use std::net::TcpStream;
 
 /// Upper bound on request head (request line + headers) bytes. Also
@@ -104,7 +104,7 @@ fn bad(status: u16, msg: impl Into<String>) -> ReadError {
 /// the allowance, so an attacker streaming an endless request line
 /// costs at most [`MAX_HEAD_BYTES`] of memory.
 fn read_line_limited(
-    reader: &mut BufReader<TcpStream>,
+    reader: &mut impl BufRead,
     budget: &mut usize,
 ) -> Result<Option<String>, ReadError> {
     let mut raw: Vec<u8> = Vec::new();
@@ -139,8 +139,9 @@ fn read_line_limited(
     }
 }
 
-/// Reads one request from a buffered stream.
-pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, ReadError> {
+/// Reads one request from a buffered stream: the server's
+/// `BufReader<TcpStream>`, or any in-memory reader.
+pub fn read_request(reader: &mut impl BufRead) -> Result<Request, ReadError> {
     let mut budget = MAX_HEAD_BYTES;
 
     let line = match read_line_limited(reader, &mut budget)? {
@@ -366,6 +367,86 @@ mod tests {
         assert!(request("HTTP/1.0", &[("connection", "keep-alive")]).keep_alive());
         assert!(request("HTTP/1.0", &[("connection", "Keep-Alive")]).keep_alive());
         assert!(!request("HTTP/1.0", &[("connection", "close")]).keep_alive());
+    }
+
+    /// A valid keep-alive POST with a JSON body: the seed for every
+    /// hostility case below.
+    const POST: &[u8] = b"POST /v1/solve?x=1 HTTP/1.1\r\nHost: a\r\n\
+Content-Type: application/json\r\nContent-Length: 12\r\n\r\n{\"trials\":9}";
+
+    fn parse(bytes: &[u8]) -> Result<Request, ReadError> {
+        read_request(&mut std::io::Cursor::new(bytes))
+    }
+
+    fn status(bytes: &[u8]) -> Option<u16> {
+        match parse(bytes) {
+            Err(ReadError::Bad { status, .. }) => Some(status),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn reads_a_request_from_memory() {
+        let req = parse(POST).unwrap();
+        assert_eq!(req.method, "POST");
+        assert_eq!(req.path, "/v1/solve");
+        assert_eq!(req.query, "x=1");
+        assert_eq!(req.header("content-length"), Some("12"));
+        assert_eq!(req.body, b"{\"trials\":9}");
+    }
+
+    #[test]
+    fn every_truncated_prefix_is_a_read_error() {
+        assert!(matches!(parse(b""), Err(ReadError::Closed)));
+        for cut in 1..POST.len() {
+            assert!(
+                parse(&POST[..cut]).is_err(),
+                "prefix of {cut} bytes must not parse"
+            );
+        }
+    }
+
+    #[test]
+    fn head_bit_flips_never_panic() {
+        // A flip may leave a valid request (`POST` -> `PoST` is
+        // uppercased back; a header value may change), so the contract
+        // is a parsed request or a `ReadError`, never a panic.
+        let head_len = POST.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4;
+        for byte in 0..head_len {
+            for bit in 0..8 {
+                let mut bad = POST.to_vec();
+                bad[byte] ^= 1 << bit;
+                let _ = parse(&bad);
+            }
+        }
+    }
+
+    #[test]
+    fn oversized_request_line_is_431() {
+        let mut line = b"GET /".to_vec();
+        line.resize(17 * 1024, b'a');
+        line.extend_from_slice(b" HTTP/1.1\r\n\r\n");
+        assert_eq!(status(&line), Some(431));
+    }
+
+    #[test]
+    fn hostile_content_length_is_rejected() {
+        let with = |lengths: &str| format!("POST / HTTP/1.1\r\n{lengths}\r\n{{}}").into_bytes();
+        let conflicting = with("Content-Length: 2\r\nContent-Length: 3\r\n");
+        assert_eq!(status(&conflicting), Some(400));
+        let overflow = with("Content-Length: 99999999999999999999\r\n");
+        assert_eq!(status(&overflow), Some(400));
+        let too_big = with(&format!("Content-Length: {}\r\n", MAX_BODY_BYTES + 1));
+        assert_eq!(status(&too_big), Some(413));
+        // Agreeing duplicates are fine.
+        let agreeing = with("Content-Length: 2\r\nContent-Length: 2\r\n");
+        assert_eq!(parse(&agreeing).unwrap().body, b"{}");
+    }
+
+    #[test]
+    fn invalid_utf8_header_is_400() {
+        let bytes = b"GET / HTTP/1.1\r\nX-Name: \xff\xfe\r\n\r\n";
+        assert_eq!(status(bytes), Some(400));
     }
 
     #[test]

@@ -5,9 +5,8 @@
 //! * `UBGCONT1` container files ([`bigraph::storage`]) — attached
 //!   lazily: registration verifies only the header, and the CSR
 //!   sections materialize on first use,
-//! * other files, via [`bigraph::io::read_auto`] (text edge lists or
-//!   the `UBGRAPH1` binary format) — parsed eagerly and resident for
-//!   the registry's lifetime, and
+//! * text edge-list files, via [`bigraph::io::read_auto`] — parsed
+//!   eagerly and resident for the registry's lifetime, and
 //! * the synthetic Table III stand-ins in [`datasets`], via a
 //!   `dataset:NAME[:scale[:seed]]` spec.
 //!

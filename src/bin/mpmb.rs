@@ -78,8 +78,8 @@ subcommands:
   generate  synthetic Table III stand-in datasets
             --dataset abide|movielens|jester|protein  [--scale F] [--seed N]
             [--output FILE]
-            (an `.ubg` output writes the compact binary format; `.ubgc`
-            writes the mmap-ready container, see docs/STORAGE.md)
+            (a `.ubgc` output writes the mmap-ready container, see
+            docs/STORAGE.md)
   convert   re-encode a graph into the on-disk container format
             --input FILE  --output FILE.ubgc
             (the container attaches without a parse step: `mpmb serve`
@@ -243,7 +243,7 @@ fn load(flags: &Flags) -> UncertainBipartiteGraph {
     let path = flags
         .get("input")
         .unwrap_or_else(|| fail("--input is required"));
-    // Dispatches on the binary magic, so both .tsv and .ubg files work.
+    // Dispatches on the container magic, so both .tsv and .ubgc files work.
     bigraph::io::read_auto(std::path::Path::new(path))
         .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")))
 }
@@ -597,8 +597,8 @@ fn cmd_generate(flags: &Flags) {
     let seed: u64 = flags.get_parsed("seed", 42);
     let g = dataset.generate(scale, seed);
     match flags.get("output") {
-        // `.ubg` selects the compact binary format, `.ubgc` the
-        // mmap-ready container; anything else is the text edge list.
+        // `.ubgc` selects the mmap-ready container; anything else is
+        // the text edge list.
         Some(path) if path.ends_with(".ubgc") => {
             bigraph::write_container_path(&g, std::path::Path::new(path))
                 .unwrap_or_else(|e| fail(&format!("write failed: {e}")));
@@ -607,13 +607,8 @@ fn cmd_generate(flags: &Flags) {
         Some(path) => {
             let file = std::fs::File::create(path)
                 .unwrap_or_else(|e| fail(&format!("cannot create {path}: {e}")));
-            let out = std::io::BufWriter::new(file);
-            let res = if path.ends_with(".ubg") {
-                bigraph::io::write_binary(&g, out)
-            } else {
-                bigraph::io::write_edge_list(&g, out)
-            };
-            res.unwrap_or_else(|e| fail(&format!("write failed: {e}")));
+            bigraph::io::write_edge_list(&g, std::io::BufWriter::new(file))
+                .unwrap_or_else(|e| fail(&format!("write failed: {e}")));
             eprintln!("wrote {} ({})", path, GraphStats::compute(&g));
         }
         None => {
@@ -624,8 +619,8 @@ fn cmd_generate(flags: &Flags) {
     }
 }
 
-/// `mpmb convert`: re-encodes any readable graph (text, `.ubg` binary,
-/// or an existing container) into the on-disk container format.
+/// `mpmb convert`: re-encodes any readable graph (text or an existing
+/// container) into the on-disk container format.
 fn cmd_convert(flags: &Flags) {
     flags.expect(&["input", "output"]);
     let g = load(flags);
