@@ -9,8 +9,8 @@ use crate::experiments::ExpOptions;
 use crate::report::Table;
 use crate::BenchDataset;
 use mpmb_core::{
-    estimate_karp_luby, estimate_optimized, estimate_optimized_with_observer, Butterfly,
-    ConvergenceTracker, KlTrialPolicy, OlsConfig, OrderingListingSampling, OsConfig,
+    convergence_trace, estimate_karp_luby, estimate_optimized, Butterfly, Executor, KlTrialPolicy,
+    OlsConfig, OptimizedTrials, OrderingListingSampling, OsConfig, OsTrials,
 };
 
 /// Trial fractions of the sampling budget on the x-axis (up to 200%).
@@ -87,15 +87,16 @@ pub fn run(datasets: &[BenchDataset], opts: &ExpOptions) -> Table {
         };
 
         // OS trace.
-        let mut os_tracker = ConvergenceTracker::new(target, every);
-        mpmb_core::OrderingSampling::new(OsConfig {
-            trials: total,
-            seed: opts.seed,
-            ..Default::default()
-        })
-        .run_with_observer(g, &mut os_tracker);
+        let os = OsTrials::new(
+            g,
+            &OsConfig {
+                seed: opts.seed,
+                ..Default::default()
+            },
+        );
+        let points = convergence_trace(&Executor::new(1), &os, total, every, &target);
         let mut row = vec![d.dataset.name().to_string(), "OS".into()];
-        row.extend(trace_cells(os_tracker.points()));
+        row.extend(trace_cells(&points));
         row.push(band.clone());
         t.row(&row);
 
@@ -106,10 +107,10 @@ pub fn run(datasets: &[BenchDataset], opts: &ExpOptions) -> Table {
             ..Default::default()
         })
         .prepare(g);
-        let mut ols_tracker = ConvergenceTracker::new(target, every);
-        estimate_optimized_with_observer(g, &candidates, total, opts.seed, &mut ols_tracker);
+        let ols = OptimizedTrials::new(g, &candidates, opts.seed);
+        let points = convergence_trace(&Executor::new(1), &ols, total, every, &target);
         let mut row = vec![d.dataset.name().to_string(), "OLS".into()];
-        row.extend(trace_cells(ols_tracker.points()));
+        row.extend(trace_cells(&points));
         row.push(band.clone());
         t.row(&row);
 

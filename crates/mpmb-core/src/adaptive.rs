@@ -13,7 +13,6 @@ use crate::bounds::mc_trial_lower_bound;
 use crate::butterfly::Butterfly;
 use crate::distribution::{Distribution, Tally};
 use crate::engine::{Cancel, Executor, TrialEngine};
-use crate::observer::NoopObserver;
 use crate::os::{OsConfig, OsTrials};
 use bigraph::UncertainBipartiteGraph;
 
@@ -98,8 +97,7 @@ pub fn run_os_adaptive(g: &UncertainBipartiteGraph, cfg: &AdaptiveConfig) -> Ada
         // Parallel batches return one accumulator per chunk, in range
         // order; tally merges are integer additions, so the fold is
         // bit-identical to the sequential single-chunk run.
-        for (acc, done) in executor.run_range(&os, t..stop_at, &Cancel::never(), &mut NoopObserver)
-        {
+        for (acc, done) in executor.run_range(&os, t..stop_at, &Cancel::never()) {
             debug_assert!(done.start >= t && done.end <= stop_at);
             os.merge(&mut tally, acc);
         }

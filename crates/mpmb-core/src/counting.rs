@@ -9,7 +9,6 @@
 //! [`bigraph::expected`].
 
 use crate::engine::{Cancel, Executor, TrialEngine};
-use crate::observer::TrialObserver;
 use bigraph::fx::FxHashMap;
 use bigraph::{trial_rng, LazyEdgeSampler, Right, UncertainBipartiteGraph};
 use rand::Rng;
@@ -145,13 +144,7 @@ impl TrialEngine for CountTrials<'_> {
         LazyEdgeSampler::new(self.g.num_edges())
     }
 
-    fn trial(
-        &self,
-        t: u64,
-        sampler: &mut LazyEdgeSampler,
-        histogram: &mut Self::Acc,
-        _observer: &mut dyn TrialObserver,
-    ) {
+    fn trial(&self, t: u64, sampler: &mut LazyEdgeSampler, histogram: &mut Self::Acc) {
         let mut rng = trial_rng(self.seed, t);
         sampler.begin_trial();
         let count = count_in_trial(self.g, sampler, &mut rng);

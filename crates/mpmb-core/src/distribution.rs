@@ -205,8 +205,8 @@ impl Tally {
         self.counts.iter()
     }
 
-    /// Running estimate for one butterfly (`count / trials`), used by the
-    /// convergence observers.
+    /// Running estimate for one butterfly (`count / trials`), read by
+    /// [`crate::engine::convergence_trace`].
     pub fn running_estimate(&self, b: &Butterfly) -> f64 {
         if self.trials == 0 {
             0.0

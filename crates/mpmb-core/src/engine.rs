@@ -8,16 +8,19 @@
 //!
 //! * [`TrialEngine`] is the per-method plug-in: how to run trial `t`
 //!   into an accumulator, and how to merge two accumulators.
-//! * [`Executor`] owns the loop: sequential or chunked-parallel
-//!   (via [`chunk_ranges`]), observer
-//!   hooks (forkable observers are aggregated deterministically across
-//!   chunks; others see only sequential runs), and a cooperative
-//!   [`Cancel`] check every [`CHECK_EVERY`] trials.
+//! * [`Executor`] owns the loop: sequential or chunked-parallel (via
+//!   [`chunk_ranges`], per-chunk accumulators merged in chunk order),
+//!   with a cooperative [`Cancel`] check every [`CHECK_EVERY`] trials.
 //! * [`Partial`] is the resumable outcome: the accumulator plus the
 //!   exact trial ranges that ran. A cancelled run can be
 //!   [resumed](Executor::resume) — even across processes holding the
 //!   same inputs — to a final result **bit-identical** to an
 //!   uninterrupted run.
+//!
+//! Slicing a run and resuming it is also the one way to watch it
+//! progress: `solve --progress`, deadlines, checkpoints and cluster
+//! ranges all resume one [`Partial`], and [`convergence_trace`] reads
+//! a [`Tally`]'s running estimate between slices (Fig. 11).
 //!
 //! # Determinism contract
 //!
@@ -29,7 +32,8 @@
 //! cancellation point, and any resume schedule, completing all `N`
 //! trials yields the same bytes as one sequential pass.
 
-use crate::observer::{NoopObserver, TrialObserver};
+use crate::butterfly::Butterfly;
+use crate::distribution::Tally;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
@@ -161,17 +165,8 @@ pub trait TrialEngine: Sync {
     /// Fresh per-worker scratch.
     fn new_scratch(&self) -> Self::Scratch;
 
-    /// Runs trial `trial_idx`, folding its outcome into `acc`. The
-    /// observer receives the trial's `S_MB` where the engine has one
-    /// (solvers); engines without a per-trial butterfly set may skip
-    /// the call.
-    fn trial(
-        &self,
-        trial_idx: u64,
-        scratch: &mut Self::Scratch,
-        acc: &mut Self::Acc,
-        observer: &mut dyn TrialObserver,
-    );
+    /// Runs trial `trial_idx`, folding its outcome into `acc`.
+    fn trial(&self, trial_idx: u64, scratch: &mut Self::Scratch, acc: &mut Self::Acc);
 
     /// Folds `from` (a disjoint trial range's accumulator) into `into`.
     fn merge(&self, into: &mut Self::Acc, from: Self::Acc);
@@ -377,24 +372,8 @@ impl Executor {
 
     /// Runs trials `0..trials`, stopping early if `cancel` fires.
     pub fn run<E: TrialEngine>(&self, engine: &E, trials: u64, cancel: &Cancel) -> Partial<E::Acc> {
-        self.run_with_observer(engine, trials, cancel, &mut NoopObserver)
-    }
-
-    /// [`Executor::run`] with a per-trial observer. On the parallel
-    /// path, observers whose [`TrialObserver::fork`] returns a child
-    /// get per-chunk local aggregates merged deterministically (in
-    /// chunk order); observers that keep the default `fork` are fed
-    /// only on the sequential path (`threads <= 1`), matching the
-    /// historical solver semantics.
-    pub fn run_with_observer<E: TrialEngine>(
-        &self,
-        engine: &E,
-        trials: u64,
-        cancel: &Cancel,
-        observer: &mut dyn TrialObserver,
-    ) -> Partial<E::Acc> {
         let mut partial = Partial::empty(engine.new_acc(), trials);
-        self.advance(engine, &mut partial, 0..trials, cancel, observer);
+        self.advance(engine, &mut partial, 0..trials, cancel);
         partial
     }
 
@@ -409,7 +388,7 @@ impl Executor {
         cancel: &Cancel,
     ) {
         let all = 0..partial.trials_requested();
-        self.advance(engine, partial, all, cancel, &mut NoopObserver);
+        self.advance(engine, partial, all, cancel);
     }
 
     /// [`Executor::resume`] restricted to the missing trials inside
@@ -427,7 +406,7 @@ impl Executor {
         within: Range<u64>,
         cancel: &Cancel,
     ) {
-        self.advance(engine, partial, within, cancel, &mut NoopObserver);
+        self.advance(engine, partial, within, cancel);
     }
 
     /// The one instrumented trial loop: runs the partial's missing
@@ -438,7 +417,6 @@ impl Executor {
         partial: &mut Partial<E::Acc>,
         within: Range<u64>,
         cancel: &Cancel,
-        observer: &mut dyn TrialObserver,
     ) {
         // Observability preamble: when nothing observes, `span` is
         // inert and `started` stays `None`, so the cost is one
@@ -457,7 +435,7 @@ impl Executor {
             if cancel.expired() {
                 break;
             }
-            for (acc, done) in self.run_range(engine, gap, cancel, observer) {
+            for (acc, done) in self.run_range(engine, gap, cancel) {
                 engine.merge(&mut partial.acc, acc);
                 partial.mark_done(done);
             }
@@ -489,85 +467,50 @@ impl Executor {
         engine: &E,
         range: Range<u64>,
         cancel: &Cancel,
-        observer: &mut dyn TrialObserver,
     ) -> Vec<(E::Acc, Range<u64>)> {
         if range.is_empty() {
             return Vec::new();
         }
         if self.threads == 1 {
-            let mut acc = engine.new_acc();
-            let mut scratch = engine.new_scratch();
-            let end = self.run_chunk(
-                engine,
-                range.clone(),
-                cancel,
-                &mut scratch,
-                &mut acc,
-                observer,
-            );
-            return vec![(acc, range.start..end)];
+            return vec![self.run_chunk(engine, range, cancel)];
         }
         let chunks: Vec<Range<u64>> = chunk_ranges(range.end - range.start, self.threads)
             .into_iter()
             .map(|r| (range.start + r.start)..(range.start + r.end))
             .collect();
         // Workers inherit the spawning thread's observability context so
-        // their spans join the same trace and profile, and forkable
-        // observers get a chunk-local child each.
+        // their spans join the same trace and profile.
         let ctx = obs::current();
         std::thread::scope(|scope| {
             let handles: Vec<_> = chunks
                 .into_iter()
                 .map(|chunk| {
-                    let mut fork = observer.fork();
                     let ctx = ctx.clone();
                     scope.spawn(move || {
                         let _obs_guard = obs::install(ctx);
-                        let mut noop = NoopObserver;
-                        let chunk_observer: &mut dyn TrialObserver = match fork.as_mut() {
-                            Some(f) => &mut **f,
-                            None => &mut noop,
-                        };
-                        let mut acc = engine.new_acc();
-                        let mut scratch = engine.new_scratch();
-                        let end = self.run_chunk(
-                            engine,
-                            chunk.clone(),
-                            cancel,
-                            &mut scratch,
-                            &mut acc,
-                            chunk_observer,
-                        );
-                        (acc, chunk.start..end, fork)
+                        self.run_chunk(engine, chunk, cancel)
                     })
                 })
                 .collect();
-            // Join (and absorb forks) in chunk order: merged observer
-            // statistics are deterministic for any thread schedule.
-            let mut out = Vec::with_capacity(handles.len());
-            for h in handles {
-                let (acc, done, fork) = h.join().expect("trial worker panicked");
-                if let Some(f) = fork {
-                    observer.absorb(f);
-                }
-                out.push((acc, done));
-            }
-            out
+            // Join in chunk order, so the caller merges in trial order.
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("trial worker panicked"))
+                .collect()
         })
     }
 
     /// One worker's loop over one contiguous chunk, checking `cancel`
-    /// every `check_every` trials. Returns the end of the completed
-    /// prefix (`chunk.start..end` ran).
+    /// every `check_every` trials. Returns the chunk's accumulator and
+    /// the completed prefix (`chunk.start..end` ran).
     fn run_chunk<E: TrialEngine>(
         &self,
         engine: &E,
         chunk: Range<u64>,
         cancel: &Cancel,
-        scratch: &mut E::Scratch,
-        acc: &mut E::Acc,
-        observer: &mut dyn TrialObserver,
-    ) -> u64 {
+    ) -> (E::Acc, Range<u64>) {
+        let mut acc = engine.new_acc();
+        let mut scratch = engine.new_scratch();
         let mut t = chunk.start;
         while t < chunk.end {
             if cancel.expired() {
@@ -576,13 +519,38 @@ impl Executor {
             let block_start = t;
             let block_end = (t + self.check_every).min(chunk.end);
             while t < block_end {
-                engine.trial(t, scratch, acc, observer);
+                engine.trial(t, &mut scratch, &mut acc);
                 t += 1;
             }
             cancel.note_progress(block_end - block_start);
         }
-        t
+        (acc, chunk.start..t)
     }
+}
+
+/// The Fig. 11 convergence trace: `target`'s running estimate
+/// `P̂(B) = hits / trials` after each prefix `0..k·every` of a
+/// `trials`-trial run, for `k = 1..=⌊trials / every⌋`. One [`Partial`]
+/// is resumed prefix by prefix with [`Executor::resume_within`], so the
+/// trace costs one run and its points do not depend on the thread count.
+///
+/// # Panics
+/// Panics if `every == 0`.
+pub fn convergence_trace<E: TrialEngine<Acc = Tally>>(
+    exec: &Executor,
+    engine: &E,
+    trials: u64,
+    every: u64,
+    target: &Butterfly,
+) -> Vec<(u64, f64)> {
+    assert!(every > 0, "snapshot interval must be positive");
+    let mut partial = Partial::empty(engine.new_acc(), trials);
+    (1..=trials / every)
+        .map(|k| {
+            exec.resume_within(engine, &mut partial, 0..k * every, &Cancel::never());
+            (k * every, partial.acc.running_estimate(target))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -604,7 +572,7 @@ mod tests {
 
         fn new_scratch(&self) {}
 
-        fn trial(&self, t: u64, _s: &mut (), acc: &mut u64, _obs: &mut dyn TrialObserver) {
+        fn trial(&self, t: u64, _s: &mut (), acc: &mut u64) {
             *acc += t + 1;
         }
 
@@ -784,40 +752,60 @@ mod tests {
         );
     }
 
+    /// The paper's Fig. 1 graph and its heaviest butterfly: OS over it
+    /// is a real `Tally` engine to trace.
+    fn fig1() -> (bigraph::UncertainBipartiteGraph, Butterfly) {
+        use bigraph::{GraphBuilder, Left, Right};
+        let mut b = GraphBuilder::new();
+        b.add_edge(Left(0), Right(0), 2.0, 0.5).unwrap();
+        b.add_edge(Left(0), Right(1), 2.0, 0.6).unwrap();
+        b.add_edge(Left(0), Right(2), 1.0, 0.8).unwrap();
+        b.add_edge(Left(1), Right(0), 3.0, 0.3).unwrap();
+        b.add_edge(Left(1), Right(1), 3.0, 0.4).unwrap();
+        b.add_edge(Left(1), Right(2), 1.0, 0.7).unwrap();
+        let heaviest = Butterfly::new(Left(0), Left(1), Right(0), Right(1));
+        (b.build().unwrap(), heaviest)
+    }
+
+    fn os_cfg() -> crate::os::OsConfig {
+        crate::os::OsConfig {
+            seed: 17,
+            ..Default::default()
+        }
+    }
+
     #[test]
-    fn observer_fed_only_sequentially() {
-        use crate::butterfly::Butterfly;
-        struct Count(u64);
-        impl TrialObserver for Count {
-            fn observe(&mut self, _t: u64, _s: &[Butterfly]) {
-                self.0 += 1;
-            }
+    fn convergence_trace_matches_prefix_runs_at_any_thread_count() {
+        let (g, target) = fig1();
+        let os = crate::os::OsTrials::new(&g, &os_cfg());
+        let every = 100;
+        let sequential = convergence_trace(&Executor::new(1), &os, 1_000, every, &target);
+        let parallel = convergence_trace(&Executor::new(4), &os, 1_000, every, &target);
+        assert_eq!(sequential.len(), 10);
+        assert_eq!(sequential, parallel);
+        for (k, &(trials, estimate)) in (1u64..).zip(&sequential) {
+            assert_eq!(trials, k * every);
+            let prefix = Executor::new(1).run(&os, k * every, &Cancel::never());
+            assert_eq!(estimate, prefix.acc.running_estimate(&target), "k={k}");
         }
-        /// Engine that reports every trial to the observer.
-        struct Observing;
-        impl TrialEngine for Observing {
-            type Acc = u64;
-            type Scratch = ();
-            fn new_acc(&self) -> u64 {
-                0
-            }
-            fn new_scratch(&self) {}
-            fn trial(&self, t: u64, _s: &mut (), acc: &mut u64, obs: &mut dyn TrialObserver) {
-                *acc += 1;
-                obs.observe(t, &[]);
-            }
-            fn merge(&self, into: &mut u64, from: u64) {
-                *into += from;
-            }
-        }
-        let mut c = Count(0);
-        Executor::new(1).run_with_observer(&Observing, 50, &Cancel::never(), &mut c);
-        assert_eq!(c.0, 50);
-        let mut c = Count(0);
-        Executor::new(4).run_with_observer(&Observing, 50, &Cancel::never(), &mut c);
-        assert_eq!(
-            c.0, 0,
-            "parallel runs must not feed observers without a fork impl"
-        );
+        assert!(sequential.iter().all(|&(_, p)| p > 0.0));
+    }
+
+    #[test]
+    fn convergence_trace_drops_the_incomplete_last_interval() {
+        let (g, target) = fig1();
+        let os = crate::os::OsTrials::new(&g, &os_cfg());
+        let points = convergence_trace(&Executor::new(2), &os, 1_050, 100, &target);
+        assert_eq!(points.len(), 10);
+        assert_eq!(points.last().map(|&(t, _)| t), Some(1_000));
+        assert!(convergence_trace(&Executor::new(1), &os, 99, 100, &target).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "positive")]
+    fn convergence_trace_rejects_zero_interval() {
+        let (g, target) = fig1();
+        let os = crate::os::OsTrials::new(&g, &os_cfg());
+        convergence_trace(&Executor::new(1), &os, 100, 0, &target);
     }
 }

@@ -15,7 +15,6 @@ use crate::bounds::kl_over_op_ratio;
 use crate::candidates::CandidateSet;
 use crate::distribution::Distribution;
 use crate::engine::{Cancel, Executor, TrialEngine};
-use crate::observer::TrialObserver;
 use bigraph::fx::FxHashMap;
 use bigraph::{trial_rng, EdgeId, LazyEdgeSampler, UncertainBipartiteGraph};
 use rand::Rng;
@@ -263,13 +262,7 @@ impl TrialEngine for KarpLubyTrials<'_> {
 
     fn new_scratch(&self) {}
 
-    fn trial(
-        &self,
-        t: u64,
-        _scratch: &mut (),
-        acc: &mut Self::Acc,
-        _observer: &mut dyn TrialObserver,
-    ) {
+    fn trial(&self, t: u64, _scratch: &mut (), acc: &mut Self::Acc) {
         let i = t as usize;
         acc.push((
             t as u32,

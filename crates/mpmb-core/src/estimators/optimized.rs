@@ -11,7 +11,6 @@ use crate::butterfly::Butterfly;
 use crate::candidates::CandidateSet;
 use crate::distribution::{Distribution, Tally};
 use crate::engine::{Cancel, Executor, TrialEngine};
-use crate::observer::{NoopObserver, TrialObserver};
 use bigraph::{trial_rng, LazyEdgeSampler, UncertainBipartiteGraph};
 
 /// Runs Algorithm 5: `trials` shared trials over the candidate set.
@@ -21,24 +20,12 @@ pub fn estimate_optimized(
     trials: u64,
     seed: u64,
 ) -> Distribution {
-    estimate_optimized_with_observer(g, candidates, trials, seed, &mut NoopObserver)
-}
-
-/// [`estimate_optimized`] with a per-trial observer (Fig. 11 convergence).
-pub fn estimate_optimized_with_observer(
-    g: &UncertainBipartiteGraph,
-    candidates: &CandidateSet,
-    trials: u64,
-    seed: u64,
-    observer: &mut dyn TrialObserver,
-) -> Distribution {
     assert!(trials > 0, "trials must be positive");
     Executor::new(1)
-        .run_with_observer(
+        .run(
             &OptimizedTrials::new(g, candidates, seed),
             trials,
             &Cancel::never(),
-            observer,
         )
         .acc
         .into_distribution()
@@ -76,13 +63,7 @@ impl TrialEngine for OptimizedTrials<'_> {
         (LazyEdgeSampler::new(self.g.num_edges()), Vec::new())
     }
 
-    fn trial(
-        &self,
-        t: u64,
-        (sampler, smb): &mut Self::Scratch,
-        tally: &mut Tally,
-        observer: &mut dyn TrialObserver,
-    ) {
+    fn trial(&self, t: u64, (sampler, smb): &mut Self::Scratch, tally: &mut Tally) {
         let mut rng = trial_rng(self.seed, t);
         sampler.begin_trial();
         smb.clear();
@@ -103,7 +84,6 @@ impl TrialEngine for OptimizedTrials<'_> {
                 w_max = cand.weight;
             }
         }
-        observer.observe(t, smb);
         tally.record_trial(smb.iter());
     }
 
@@ -208,20 +188,5 @@ mod tests {
         let cs = CandidateSet::from_butterflies(&g, []);
         let d = estimate_optimized(&g, &cs, 10, 0);
         assert!(d.is_empty());
-    }
-
-    #[test]
-    fn observer_receives_trials() {
-        let g = fig1();
-        let cs = CandidateSet::from_butterflies(&g, enumerate_backbone_butterflies(&g));
-        struct Count(u64);
-        impl TrialObserver for Count {
-            fn observe(&mut self, _t: u64, _s: &[Butterfly]) {
-                self.0 += 1;
-            }
-        }
-        let mut c = Count(0);
-        estimate_optimized_with_observer(&g, &cs, 77, 0, &mut c);
-        assert_eq!(c.0, 77);
     }
 }

@@ -45,7 +45,6 @@
 
 use crate::bounds::chebyshev_half_width;
 use crate::engine::{Cancel, Executor, TrialEngine};
-use crate::observer::TrialObserver;
 use bigraph::{trial_rng, Left, Right, UncertainBipartiteGraph};
 use rand::Rng;
 
@@ -254,13 +253,7 @@ impl TrialEngine for SublinearTrials<'_> {
 
     fn new_scratch(&self) {}
 
-    fn trial(
-        &self,
-        t: u64,
-        _scratch: &mut (),
-        acc: &mut Self::Acc,
-        _observer: &mut dyn TrialObserver,
-    ) {
+    fn trial(&self, t: u64, _scratch: &mut (), acc: &mut Self::Acc) {
         acc.push((t, self.sample_value(t).to_bits()));
     }
 

@@ -30,19 +30,15 @@ pub mod checkpoint;
 pub mod counting;
 pub mod distribution;
 pub mod engine;
-pub mod ensemble;
 pub mod estimators;
 pub mod exact;
 pub mod hardness;
 pub mod listing;
 pub mod mcvp;
-pub mod observer;
 pub mod ols;
 pub mod os;
 pub mod query;
-pub mod threshold;
 pub mod topk;
-pub mod validation;
 
 pub use adaptive::{fast_escalation_needed, run_os_adaptive, AdaptiveConfig, AdaptiveResult};
 pub use angle::TopTwoAngles;
@@ -58,15 +54,15 @@ pub use counting::{
     sample_count_distribution_parallel, CountDistribution, TooManyButterflies,
 };
 pub use distribution::{Distribution, Tally};
-pub use engine::{chunk_ranges, AbsorbError, Cancel, Executor, Partial, TrialEngine, CHECK_EVERY};
-pub use ensemble::{aggregate, run_os_ensemble, EnsembleEntry, EnsembleReport};
+pub use engine::{
+    chunk_ranges, convergence_trace, AbsorbError, Cancel, Executor, Partial, TrialEngine,
+    CHECK_EVERY,
+};
 pub use estimators::exact_prefix::estimate_exact_prefix;
 pub use estimators::karp_luby::{
     estimate_karp_luby, KarpLubyTrials, KlCandidate, KlReport, KlTrialPolicy,
 };
-pub use estimators::optimized::{
-    estimate_optimized, estimate_optimized_with_observer, OptimizedTrials,
-};
+pub use estimators::optimized::{estimate_optimized, OptimizedTrials};
 pub use estimators::sublinear::{
     estimate_fast, finalize_rows, FastEstimate, FastSample, SublinearConfig, SublinearTrials,
 };
@@ -77,13 +73,10 @@ pub use listing::{
     enumerate_backbone_butterflies_parallel, listing_shards,
 };
 pub use mcvp::{McVp, McVpConfig, McVpTrials};
-pub use observer::{ConvergenceTracker, NoopObserver, TrialObserver};
 pub use ols::{EstimatorKind, OlsConfig, OlsResult, OrderingListingSampling, PrepareTrials};
 pub use os::{
     os_smb_of_world, EdgeOracle, OrderingSampling, OsConfig, OsEngine, OsTrials, SamplingOracle,
     StreamingOracle, WorldOracle,
 };
 pub use query::{estimate_prob_of, QueryResult, QueryTrials};
-pub use threshold::{max_weight_distribution, MaxWeightDistribution};
 pub use topk::{shared_vertices, top_k_diverse};
-pub use validation::{validate_accuracy, AccuracyReport, Reference};

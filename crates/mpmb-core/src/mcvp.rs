@@ -9,7 +9,6 @@
 use crate::butterfly::Butterfly;
 use crate::distribution::{Distribution, Tally};
 use crate::engine::{Cancel, Executor, TrialEngine};
-use crate::observer::{NoopObserver, TrialObserver};
 use bigraph::fx::FxHashMap;
 use bigraph::{
     trial_rng, Left, PossibleWorld, Right, UncertainBipartiteGraph, Vertex, VertexPriority, Weight,
@@ -53,22 +52,12 @@ impl McVp {
 
     /// Runs `N_mc` trials and returns the estimated distribution.
     pub fn run(&self, g: &UncertainBipartiteGraph) -> Distribution {
-        self.run_with_observer(g, &mut NoopObserver)
-    }
-
-    /// Runs with a per-trial observer (see [`TrialObserver`]).
-    pub fn run_with_observer(
-        &self,
-        g: &UncertainBipartiteGraph,
-        observer: &mut dyn TrialObserver,
-    ) -> Distribution {
         assert!(self.cfg.trials > 0, "trials must be positive");
         Executor::new(1)
-            .run_with_observer(
+            .run(
                 &McVpTrials::new(g, &self.cfg),
                 self.cfg.trials,
                 &Cancel::never(),
-                observer,
             )
             .acc
             .into_distribution()
@@ -106,17 +95,10 @@ impl TrialEngine for McVpTrials<'_> {
         (PossibleWorld::empty(self.g.num_edges()), Vec::new())
     }
 
-    fn trial(
-        &self,
-        t: u64,
-        (world, smb): &mut Self::Scratch,
-        tally: &mut Tally,
-        observer: &mut dyn TrialObserver,
-    ) {
+    fn trial(&self, t: u64, (world, smb): &mut Self::Scratch, tally: &mut Tally) {
         let mut rng = trial_rng(self.seed, t);
         WorldSampler::sample_into(self.g, world, &mut rng);
         smb_of_world(self.g, &self.priority, world, smb);
-        observer.observe(t, smb);
         tally.record_trial(smb.iter());
     }
 
@@ -330,24 +312,6 @@ mod tests {
         let d1 = McVp::new(cfg).run(&g);
         let d2 = McVp::new(cfg).run(&g);
         assert_eq!(d1.max_abs_diff(&d2), 0.0);
-    }
-
-    #[test]
-    fn observer_sees_every_trial() {
-        let g = fig1();
-        struct Counter(u64);
-        impl TrialObserver for Counter {
-            fn observe(&mut self, _t: u64, _s: &[Butterfly]) {
-                self.0 += 1;
-            }
-        }
-        let mut c = Counter(0);
-        McVp::new(McVpConfig {
-            trials: 123,
-            seed: 2,
-        })
-        .run_with_observer(&g, &mut c);
-        assert_eq!(c.0, 123);
     }
 
     #[test]

@@ -18,7 +18,6 @@ use crate::distribution::Distribution;
 use crate::engine::{Cancel, Executor, TrialEngine};
 use crate::estimators::karp_luby::{KarpLubyTrials, KlReport, KlTrialPolicy};
 use crate::estimators::optimized::OptimizedTrials;
-use crate::observer::{NoopObserver, TrialObserver};
 use crate::os::{OsConfig, OsEngine, StreamingOracle};
 use bigraph::{trial_rng, Side, UncertainBipartiteGraph};
 
@@ -147,18 +146,7 @@ impl OrderingListingSampling {
     /// Runs both phases.
     pub fn run(&self, g: &UncertainBipartiteGraph) -> OlsResult {
         let candidates = self.prepare(g);
-        self.estimate(g, candidates, &mut NoopObserver)
-    }
-
-    /// Runs both phases with a sampling-phase observer (only the
-    /// optimized estimator reports per-trial `S_MB`s).
-    pub fn run_with_observer(
-        &self,
-        g: &UncertainBipartiteGraph,
-        observer: &mut dyn TrialObserver,
-    ) -> OlsResult {
-        let candidates = self.prepare(g);
-        self.estimate(g, candidates, observer)
+        self.estimate(g, candidates)
     }
 
     /// Phase 1 alone: the candidate set after `prep_trials` OS trials
@@ -181,15 +169,8 @@ impl OrderingListingSampling {
     /// set (Algorithm 3 line 5, dispatching to Algorithm 4 or 5).
     ///
     /// With `threads > 1` the estimators run on the deterministic
-    /// [`Executor`](crate::engine::Executor) (identical output);
-    /// per-trial observers are only fed on the sequential path, so pass
-    /// `threads: 1` when attaching one.
-    pub fn estimate(
-        &self,
-        g: &UncertainBipartiteGraph,
-        candidates: CandidateSet,
-        observer: &mut dyn TrialObserver,
-    ) -> OlsResult {
+    /// [`Executor`](crate::engine::Executor) (identical output).
+    pub fn estimate(&self, g: &UncertainBipartiteGraph, candidates: CandidateSet) -> OlsResult {
         if candidates.is_empty() {
             return OlsResult {
                 distribution: Distribution::new(),
@@ -198,22 +179,20 @@ impl OrderingListingSampling {
             };
         }
         let threads = self.cfg.threads.max(1);
-        let optimized =
-            |candidates: &CandidateSet, trials: u64, observer: &mut dyn TrialObserver| {
-                assert!(trials > 0, "trials must be positive");
-                Executor::new(threads)
-                    .run_with_observer(
-                        &OptimizedTrials::new(g, candidates, sample_seed(self.cfg.seed)),
-                        trials,
-                        &Cancel::never(),
-                        observer,
-                    )
-                    .acc
-                    .into_distribution()
-            };
+        let optimized = |candidates: &CandidateSet, trials: u64| {
+            assert!(trials > 0, "trials must be positive");
+            Executor::new(threads)
+                .run(
+                    &OptimizedTrials::new(g, candidates, sample_seed(self.cfg.seed)),
+                    trials,
+                    &Cancel::never(),
+                )
+                .acc
+                .into_distribution()
+        };
         match self.cfg.estimator {
             EstimatorKind::Optimized { trials } => {
-                let distribution = optimized(&candidates, trials, observer);
+                let distribution = optimized(&candidates, trials);
                 OlsResult {
                     distribution,
                     candidates,
@@ -243,7 +222,7 @@ impl OrderingListingSampling {
                     max_union_edges,
                 ) {
                     Ok(d) => d,
-                    Err(_) => optimized(&candidates, fallback_trials, observer),
+                    Err(_) => optimized(&candidates, fallback_trials),
                 };
                 OlsResult {
                     distribution,
@@ -300,19 +279,12 @@ impl<'g> TrialEngine for PrepareTrials<'g> {
         (OsEngine::new(self.g, &self.os_cfg), Vec::new())
     }
 
-    fn trial(
-        &self,
-        t: u64,
-        (engine, smb): &mut Self::Scratch,
-        union: &mut Vec<Butterfly>,
-        observer: &mut dyn TrialObserver,
-    ) {
+    fn trial(&self, t: u64, (engine, smb): &mut Self::Scratch, union: &mut Vec<Butterfly>) {
         let mut rng = trial_rng(self.os_cfg.seed, t);
         // Single-scan engine: the non-memoizing streaming oracle draws
         // the same stream the lazy sampler did, without the memo writes.
         let mut oracle = StreamingOracle::new(self.g, &mut rng);
         engine.trial(&mut oracle, smb);
-        observer.observe(t, smb);
         union.extend_from_slice(smb);
     }
 

@@ -15,7 +15,6 @@ use crate::angle::SlotTable;
 use crate::butterfly::Butterfly;
 use crate::distribution::{Distribution, Tally};
 use crate::engine::{Cancel, Executor, TrialEngine};
-use crate::observer::{NoopObserver, TrialObserver};
 use bigraph::{
     trial_rng, EdgeId, LazyEdgeSampler, Left, PossibleWorld, Right, Side, UncertainBipartiteGraph,
     Weight,
@@ -165,22 +164,12 @@ impl OrderingSampling {
 
     /// Runs `N_os` trials and returns the estimated distribution.
     pub fn run(&self, g: &UncertainBipartiteGraph) -> Distribution {
-        self.run_with_observer(g, &mut NoopObserver)
-    }
-
-    /// Runs with a per-trial observer.
-    pub fn run_with_observer(
-        &self,
-        g: &UncertainBipartiteGraph,
-        observer: &mut dyn TrialObserver,
-    ) -> Distribution {
         assert!(self.cfg.trials > 0, "trials must be positive");
         Executor::new(1)
-            .run_with_observer(
+            .run(
                 &OsTrials::new(g, &self.cfg),
                 self.cfg.trials,
                 &Cancel::never(),
-                observer,
             )
             .acc
             .into_distribution()
@@ -214,20 +203,13 @@ impl<'g> TrialEngine for OsTrials<'g> {
         (OsEngine::new(self.g, &self.cfg), Vec::new())
     }
 
-    fn trial(
-        &self,
-        t: u64,
-        (engine, smb): &mut Self::Scratch,
-        tally: &mut Tally,
-        observer: &mut dyn TrialObserver,
-    ) {
+    fn trial(&self, t: u64, (engine, smb): &mut Self::Scratch, tally: &mut Tally) {
         let mut rng = trial_rng(self.cfg.seed, t);
         // The engine queries each edge at most once (single §V-B scan),
         // so the non-memoizing streaming oracle draws the exact same
         // stream the historical lazy sampler did.
         let mut oracle = StreamingOracle::new(self.g, &mut rng);
         engine.trial(&mut oracle, smb);
-        observer.observe(t, smb);
         tally.record_trial(smb.iter());
     }
 

@@ -15,7 +15,6 @@
 
 use crate::butterfly::Butterfly;
 use crate::engine::{Cancel, Executor, TrialEngine};
-use crate::observer::TrialObserver;
 use crate::os::{OsConfig, OsEngine, SamplingOracle};
 use bigraph::{trial_rng, EdgeId, LazyEdgeSampler, UncertainBipartiteGraph, Weight};
 
@@ -100,13 +99,7 @@ impl<'g> TrialEngine for QueryTrials<'g> {
         )
     }
 
-    fn trial(
-        &self,
-        t: u64,
-        (engine, sampler, smb): &mut Self::Scratch,
-        hits: &mut u64,
-        observer: &mut dyn TrialObserver,
-    ) {
+    fn trial(&self, t: u64, (engine, sampler, smb): &mut Self::Scratch, hits: &mut u64) {
         let mut rng = trial_rng(self.seed, t);
         sampler.begin_trial();
         for &e in &self.edges {
@@ -114,7 +107,6 @@ impl<'g> TrialEngine for QueryTrials<'g> {
         }
         let mut oracle = SamplingOracle::new(self.g, sampler, &mut rng);
         let w_max = engine.trial(&mut oracle, smb);
-        observer.observe(t, smb);
         // B is maximum iff nothing strictly heavier exists. B itself is
         // present (forced), so w_max ≥ w(B) always; equality means B ties
         // for the maximum, which Equation 3 counts as "maximum".

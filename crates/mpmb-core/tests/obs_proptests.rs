@@ -1,6 +1,6 @@
 //! Observability must be *free of observable effects* on solver output:
-//! with a trace sink enabled, a profile + solver-metrics context
-//! installed, and a forkable observer attached, every engine must
+//! with a trace sink enabled and a profile + solver-metrics context
+//! installed, every engine must
 //! produce accumulators bit-identical to an uninstrumented run — at
 //! thread counts 1 and 4 (the ISSUE-4 acceptance matrix).
 //!
@@ -11,9 +11,9 @@
 
 use bigraph::{GraphBuilder, Left, Right, UncertainBipartiteGraph};
 use mpmb_core::{
-    backbone_candidate_set, Butterfly, Cancel, CandidateSet, ConvergenceTracker, Executor,
-    KarpLubyTrials, KlCandidate, KlTrialPolicy, McVpConfig, McVpTrials, OlsConfig, OptimizedTrials,
-    OsConfig, OsTrials, PrepareTrials, QueryTrials, Tally,
+    backbone_candidate_set, Butterfly, Cancel, CandidateSet, Executor, KarpLubyTrials, KlCandidate,
+    KlTrialPolicy, McVpConfig, McVpTrials, OlsConfig, OptimizedTrials, OsConfig, OsTrials,
+    PrepareTrials, QueryTrials, Tally,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -95,7 +95,7 @@ fn with_full_observability<T>(f: impl FnOnce() -> T) -> (T, Arc<obs::Profile>) {
 /// Runs `f` with no context on the current thread. The sink may already
 /// be on globally (it must not matter — that is the point of the test),
 /// so "uninstrumented" here means: no trace id, no profile, no solver
-/// metrics, no observer.
+/// metrics.
 fn without_ctx<T>(f: impl FnOnce() -> T) -> T {
     let guard = obs::install(obs::ObsCtx::default());
     let out = f();
@@ -105,8 +105,7 @@ fn without_ctx<T>(f: impl FnOnce() -> T) -> T {
 
 proptest! {
     /// OS and MC-VP tallies: instrumented (trace + profile + solver
-    /// metrics + forkable observer) equals uninstrumented, bitwise, at
-    /// threads 1 and 4.
+    /// metrics) equals uninstrumented, bitwise, at threads 1 and 4.
     #[test]
     fn tally_engines_unchanged_by_observability(
         edges in arb_graph(),
@@ -121,18 +120,10 @@ proptest! {
         let mc_base = without_ctx(|| Executor::new(1).run(&mcvp, trials, &Cancel::never()));
 
         for threads in OBS_THREADS {
-            let ((os_obs, mc_obs, tracker_trials), profile) = with_full_observability(|| {
-                // A forkable observer rides along so the parallel
-                // fork/absorb path is exercised too.
-                let target = os_base.acc.counts().next().map(|(b, _)| *b);
-                let mut tracker = target.map(|t| ConvergenceTracker::new(t, 16));
-                let os_obs = match tracker.as_mut() {
-                    Some(tr) => Executor::new(threads)
-                        .run_with_observer(&os, trials, &Cancel::never(), tr),
-                    None => Executor::new(threads).run(&os, trials, &Cancel::never()),
-                };
+            let ((os_obs, mc_obs), profile) = with_full_observability(|| {
+                let os_obs = Executor::new(threads).run(&os, trials, &Cancel::never());
                 let mc_obs = Executor::new(threads).run(&mcvp, trials, &Cancel::never());
-                (os_obs, mc_obs, tracker.map(|t| t.trials()))
+                (os_obs, mc_obs)
             });
             prop_assert_eq!(
                 tally_bytes(&os_obs.acc),
@@ -144,10 +135,6 @@ proptest! {
                 tally_bytes(&mc_base.acc),
                 "mcvp threads={}", threads
             );
-            // The observer saw every trial, even on the parallel path.
-            if let Some(seen) = tracker_trials {
-                prop_assert_eq!(seen, trials);
-            }
             // And the profile actually captured the phases.
             let phases: Vec<String> =
                 profile.snapshot().into_iter().map(|p| p.name).collect();

@@ -15,6 +15,7 @@
 //! branch on [`ClientError::status`] instead of string-matching error
 //! messages.
 
+use crate::http::{read_line_limited, ReadError, MAX_HEAD_BYTES};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -140,7 +141,7 @@ pub fn call_raw(
     stream.write_all(head.as_bytes())?;
     stream.write_all(body)?;
     stream.flush()?;
-    read_response_raw(stream)
+    read_response_raw(&mut BufReader::new(stream))
 }
 
 /// Bounded-retry policy: exponential backoff with deterministic
@@ -348,26 +349,23 @@ fn call_retry_raw(
     })))
 }
 
-/// Reads one response from a stream, body as raw bytes.
-pub fn read_response_raw(stream: TcpStream) -> std::io::Result<RawResponse> {
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
+/// Reads one response, body as raw bytes. The status line and headers
+/// share the server's [`MAX_HEAD_BYTES`] budget, and the body grows
+/// only with bytes that actually arrive, so a hostile peer can neither
+/// stream an endless head nor make a `Content-Length` allocate memory
+/// it never sends. A truncated head or body is an error.
+pub fn read_response_raw(reader: &mut impl BufRead) -> std::io::Result<RawResponse> {
+    let mut budget = MAX_HEAD_BYTES;
+    let line = read_head_line(reader, &mut budget)?;
     let status: u16 = line
         .split(' ')
         .nth(1)
         .and_then(|s| s.parse().ok())
-        .ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("bad status line `{}`", line.trim_end()),
-            )
-        })?;
+        .ok_or_else(|| invalid(format!("bad status line `{}`", line.trim_end())))?;
     let mut headers = Vec::new();
-    let mut content_length = 0usize;
+    let mut content_length = 0u64;
     loop {
-        line.clear();
-        reader.read_line(&mut line)?;
+        let line = read_head_line(reader, &mut budget)?;
         let trimmed = line.trim_end_matches(['\r', '\n']);
         if trimmed.is_empty() {
             break;
@@ -376,16 +374,39 @@ pub fn read_response_raw(stream: TcpStream) -> std::io::Result<RawResponse> {
             let name = name.trim().to_ascii_lowercase();
             let value = value.trim().to_string();
             if name == "content-length" {
-                content_length = value.parse().map_err(|_| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidData, "bad Content-Length")
-                })?;
+                content_length = value
+                    .parse()
+                    .map_err(|_| invalid("bad Content-Length".into()))?;
             }
             headers.push((name, value));
         }
     }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
+    let mut body = Vec::new();
+    reader.take(content_length).read_to_end(&mut body)?;
+    if (body.len() as u64) < content_length {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            format!("body ended after {} of {content_length} bytes", body.len()),
+        ));
+    }
     Ok((status, headers, body))
+}
+
+/// One line of a response head; EOF before it is an error.
+fn read_head_line(reader: &mut impl BufRead, budget: &mut usize) -> std::io::Result<String> {
+    match read_line_limited(reader, budget) {
+        Ok(Some(line)) => Ok(line),
+        Ok(None) | Err(ReadError::Closed) => Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "connection closed inside the response head",
+        )),
+        Err(ReadError::Io(e)) => Err(e),
+        Err(ReadError::Bad { msg, .. }) => Err(invalid(format!("response: {msg}"))),
+    }
+}
+
+fn invalid(msg: String) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
 }
 
 #[cfg(test)]
@@ -543,5 +564,58 @@ mod tests {
             other => panic!("expected Status, got {other:?}"),
         }
         server.join().unwrap();
+    }
+
+    /// A valid worker reply: the seed for the hostility cases below.
+    const REPLY: &[u8] = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+Content-Length: 11\r\nConnection: close\r\n\r\n{\"ok\":true}";
+
+    fn read(bytes: &[u8]) -> std::io::Result<RawResponse> {
+        read_response_raw(&mut std::io::Cursor::new(bytes))
+    }
+
+    #[test]
+    fn valid_reply_parses() {
+        let (status, headers, body) = read(REPLY).unwrap();
+        assert_eq!(status, 200);
+        assert!(headers.contains(&("content-length".into(), "11".into())));
+        assert_eq!(body, b"{\"ok\":true}");
+    }
+
+    #[test]
+    fn hostile_content_length_is_an_error_not_an_allocation() {
+        // 2^62 bytes promised, 11 sent: the reader must not allocate the
+        // promise (that aborts the process) but fail on the short body.
+        for len in ["4611686018427387904", "18446744073709551615"] {
+            let reply =
+                String::from_utf8_lossy(REPLY).replace("Length: 11", &format!("Length: {len}"));
+            let err = read(reply.as_bytes()).expect_err(len);
+            assert_eq!(
+                err.kind(),
+                std::io::ErrorKind::UnexpectedEof,
+                "{len}: {err}"
+            );
+        }
+        let overflow =
+            String::from_utf8_lossy(REPLY).replace("Length: 11", "Length: 18446744073709551616");
+        assert!(read(overflow.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn every_truncated_prefix_of_a_reply_is_an_error() {
+        for cut in 0..REPLY.len() {
+            assert!(read(&REPLY[..cut]).is_err(), "prefix of {cut} bytes parsed");
+        }
+    }
+
+    #[test]
+    fn oversized_status_or_header_line_is_an_error() {
+        let long = "x".repeat(17 * 1024);
+        let status_line = format!("HTTP/1.1 200 {long}\r\nContent-Length: 0\r\n\r\n");
+        let header_line = format!("HTTP/1.1 200 OK\r\nX-Pad: {long}\r\nContent-Length: 0\r\n\r\n");
+        for reply in [status_line, header_line] {
+            let err = read(reply.as_bytes()).expect_err("17 KiB head line");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        }
     }
 }

@@ -12,8 +12,7 @@
 //! tests and operators must be able to watch a deliberately-faulty
 //! server without the watching itself being faulted.
 //!
-//! Plans come from `--fault-plan` or the `MPMB_FAULT_PLAN` environment
-//! variable, as a comma-separated spec:
+//! Plans come from `--fault-plan`, as a comma-separated spec:
 //!
 //! ```text
 //! seed=7,reset=0.1,slow=0.05,partial=0.05,panic=0.01,panic_at=3

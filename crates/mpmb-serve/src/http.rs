@@ -102,8 +102,9 @@ fn bad(status: u16, msg: impl Into<String>) -> ReadError {
 /// byte of this line. A line that exhausts the budget without a
 /// newline is a 431 — crucially, *before* buffering anything beyond
 /// the allowance, so an attacker streaming an endless request line
-/// costs at most [`MAX_HEAD_BYTES`] of memory.
-fn read_line_limited(
+/// costs at most [`MAX_HEAD_BYTES`] of memory. The client reads
+/// response heads through it too.
+pub(crate) fn read_line_limited(
     reader: &mut impl BufRead,
     budget: &mut usize,
 ) -> Result<Option<String>, ReadError> {

@@ -7,7 +7,7 @@
 
 use datasets::Dataset;
 use mpmb::prelude::*;
-use mpmb_core::ConvergenceTracker;
+use mpmb_core::{convergence_trace, Executor, OsTrials};
 
 fn main() {
     let g = Dataset::MovieLens.generate(0.1, 99);
@@ -44,21 +44,21 @@ fn main() {
     println!("\ntracking {target} (P≈{p_ref:.4}); Theorem IV.1 bound for ε=δ=0.1: N ≥ {bound:.0}");
 
     let trials = (bound as u64).clamp(2_000, 200_000);
-    let mut tracker = ConvergenceTracker::new(target, trials / 10);
-    OrderingSampling::new(OsConfig {
-        trials,
-        seed: 17,
-        ..Default::default()
-    })
-    .run_with_observer(&g, &mut tracker);
-    for &(n, est) in tracker.points() {
+    let os = OsTrials::new(
+        &g,
+        &OsConfig {
+            seed: 17,
+            ..Default::default()
+        },
+    );
+    let points = convergence_trace(&Executor::new(1), &os, trials, trials / 10, &target);
+    for &(n, est) in &points {
         let bar_len = (est / p_ref.max(1e-9) * 30.0).min(60.0) as usize;
         println!("  N={n:>7}  P̂={est:.4}  {}", "#".repeat(bar_len));
     }
-    let final_est = tracker.estimate();
+    let (n, final_est) = points.last().copied().unwrap_or((0, 0.0));
     println!(
-        "final relative error at N={} : {:.1}% (ε target was {:.0}%)",
-        tracker.trials(),
+        "final relative error at N={n} : {:.1}% (ε target was {:.0}%)",
         (final_est - p_ref).abs() / p_ref.max(1e-9) * 100.0,
         eps * 100.0
     );

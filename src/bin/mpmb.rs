@@ -112,8 +112,7 @@ subcommands:
             results durable: a restarted server restores them and
             re-issued requests resume instead of recomputing.
             --fault-plan injects deterministic faults for resilience
-            testing, e.g. `seed=7,reset=0.1,slow=0.05,panic_at=3`; the
-            MPMB_FAULT_PLAN environment variable is the fallback.
+            testing, e.g. `seed=7,reset=0.1,slow=0.05,panic_at=3`.
             --role coordinator scatters each solve across --workers
             (repeatable or comma-separated) and returns byte-identical
             answers at any worker count; see docs/CLUSTER.md)
@@ -693,11 +692,7 @@ fn cmd_serve(flags: &Flags) {
         max_solver_threads: flags.get_parsed("max-solver-threads", 0),
         checkpoint_dir: flags.get("checkpoint-dir").map(Into::into),
         checkpoint_every_ms: flags.get_parsed("checkpoint-every-ms", 5_000),
-        fault_plan: flags.get("fault-plan").map(str::to_string).or_else(|| {
-            std::env::var("MPMB_FAULT_PLAN")
-                .ok()
-                .filter(|s| !s.is_empty())
-        }),
+        fault_plan: flags.get("fault-plan").map(str::to_string),
         role: flags
             .get("role")
             .map(|r| mpmb_serve::Role::parse(r).unwrap_or_else(|e| fail(&e)))

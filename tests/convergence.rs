@@ -2,7 +2,7 @@
 //! approximation guarantees on graphs where exact answers are computable.
 
 use mpmb::prelude::*;
-use mpmb_core::{bounds, ConvergenceTracker};
+use mpmb_core::{bounds, convergence_trace, Executor, OsTrials};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -113,17 +113,18 @@ fn convergence_tracker_stabilizes_within_band() {
     let exact = mpmb_core::exact_distribution(&g, ExactConfig::default()).unwrap();
     let (target, p_exact) = exact.mpmb().unwrap();
     let trials = 40_000;
-    let mut tracker = ConvergenceTracker::new(target, trials / 8);
-    OrderingSampling::new(OsConfig {
-        trials,
-        seed: 8,
-        ..Default::default()
-    })
-    .run_with_observer(&g, &mut tracker);
+    let os = OsTrials::new(
+        &g,
+        &OsConfig {
+            seed: 8,
+            ..Default::default()
+        },
+    );
+    let points = convergence_trace(&Executor::new(1), &os, trials, trials / 8, &target);
     // The paper's Fig. 11 criterion: the trace enters and stays in the 2ε
     // band over the second half of the budget.
     let eps = 0.1;
-    for &(n, est) in tracker.points().iter().filter(|(n, _)| *n >= trials / 2) {
+    for &(n, est) in points.iter().filter(|(n, _)| *n >= trials / 2) {
         assert!(
             (est - p_exact).abs() <= 2.0 * eps * p_exact + 0.01,
             "N={n}: {est} outside the 2ε band around {p_exact}"
