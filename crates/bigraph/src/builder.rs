@@ -200,6 +200,7 @@ impl GraphBuilder {
             desc_accept,
             left_rank,
             left_by_rank,
+            middle_side: Default::default(),
         })
     }
 }

@@ -6,6 +6,7 @@
 //! representation is optimized for repeated read-only scans.
 
 use crate::types::{EdgeId, Left, Right, Side, Weight};
+use std::sync::OnceLock;
 
 /// One adjacency entry: the neighbor's raw id and the connecting edge.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -54,6 +55,10 @@ pub struct UncertainBipartiteGraph {
     pub(crate) left_rank: Vec<u32>,
     /// Inverse permutation of `left_rank`: original id per rank.
     pub(crate) left_by_rank: Vec<u32>,
+    /// [`cheaper_middle_side`](Self::cheaper_middle_side), computed on
+    /// first use: it costs two passes over every edge, and every OS
+    /// engine (one per chunk of every request) asks for it.
+    pub(crate) middle_side: OnceLock<Side>,
 }
 
 impl UncertainBipartiteGraph {
@@ -243,13 +248,16 @@ impl UncertainBipartiteGraph {
     }
 
     /// The side whose vertices should act as angle *middles* in Ordering
-    /// Sampling: the one minimizing the Lemma V.1 cost proxy.
+    /// Sampling: the one minimizing the Lemma V.1 cost proxy. Computed
+    /// once per graph (two `O(|E|)` passes) and cached.
     pub fn cheaper_middle_side(&self) -> Side {
-        if self.sum_sq_expected_degree(Side::Right) <= self.sum_sq_expected_degree(Side::Left) {
-            Side::Right
-        } else {
-            Side::Left
-        }
+        *self.middle_side.get_or_init(|| {
+            if self.sum_sq_expected_degree(Side::Right) <= self.sum_sq_expected_degree(Side::Left) {
+                Side::Right
+            } else {
+                Side::Left
+            }
+        })
     }
 
     /// `w̄ = w(e₁)+w(e₂)+w(e₃)`: the sum of the three largest edge weights

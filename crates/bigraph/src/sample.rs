@@ -151,7 +151,8 @@ pub struct LazyEdgeSampler {
 }
 
 impl LazyEdgeSampler {
-    /// Creates a sampler for a graph with `num_edges` edges.
+    /// Creates a sampler for a graph with `num_edges` edges (or for
+    /// `num_edges` slots of [`is_present_slot`](Self::is_present_slot)).
     pub fn new(num_edges: usize) -> Self {
         LazyEdgeSampler {
             // Start at 1 so the zero-initialized stamps are all invalid.
@@ -186,6 +187,23 @@ impl LazyEdgeSampler {
             return self.outcomes[i];
         }
         let out = bernoulli_edge(g, e, rng);
+        self.stamps[i] = self.epoch;
+        self.outcomes[i] = out;
+        out
+    }
+
+    /// [`is_present`](Self::is_present) over a caller-chosen dense index
+    /// space instead of edge ids: slot `i`'s outcome is drawn against
+    /// `threshold` (one `next_u64`, as [`bernoulli_edge`] draws) on first
+    /// access and memoized for the rest of the trial. A sampler sized to
+    /// the few edges a solver can touch stays cache-resident where one
+    /// sized to the whole graph does not.
+    #[inline]
+    pub fn is_present_slot(&mut self, i: usize, threshold: u64, rng: &mut impl Rng) -> bool {
+        if self.stamps[i] == self.epoch {
+            return self.outcomes[i];
+        }
+        let out = accept_word(rng.next_u64(), threshold);
         self.stamps[i] = self.epoch;
         self.outcomes[i] = out;
         out

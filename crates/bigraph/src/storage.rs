@@ -728,6 +728,7 @@ impl ContainerReader {
             desc_accept,
             left_rank,
             left_by_rank,
+            middle_side: Default::default(),
         };
         validate_graph(&g)?;
         Ok(g)

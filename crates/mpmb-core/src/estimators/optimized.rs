@@ -11,6 +11,7 @@ use crate::butterfly::Butterfly;
 use crate::candidates::CandidateSet;
 use crate::distribution::{Distribution, Tally};
 use crate::engine::{Cancel, Executor, TrialEngine};
+use bigraph::fx::FxHashMap;
 use bigraph::{trial_rng, LazyEdgeSampler, UncertainBipartiteGraph};
 
 /// Runs Algorithm 5: `trials` shared trials over the candidate set.
@@ -34,19 +35,44 @@ pub fn estimate_optimized(
 /// Algorithm 5's shared trial as a [`TrialEngine`]: scan candidates in
 /// weight order, sample their edges lazily (memoized within the trial),
 /// stop below the first existing weight class, tally the survivors.
+///
+/// The memo covers only the candidates' edges: construction numbers
+/// their distinct edges densely (in first-touch order) and keeps each
+/// one's acceptance threshold, so a trial's memo is a few thousand
+/// cache-resident slots rather than a stamp per graph edge. Outcomes are
+/// drawn from the same stream position as a whole-graph
+/// [`LazyEdgeSampler`] would draw them — the first touch of an edge
+/// consumes the next word either way — so answers are bit-identical.
 pub struct OptimizedTrials<'a> {
-    g: &'a UncertainBipartiteGraph,
     candidates: &'a CandidateSet,
     seed: u64,
+    /// Each candidate's four edges as memo slots, in candidate order.
+    slots: Vec<[u32; 4]>,
+    /// Acceptance threshold of each slot's edge.
+    accept: Vec<u64>,
 }
 
 impl<'a> OptimizedTrials<'a> {
     /// Builds the engine over a prepared candidate set.
-    pub fn new(g: &'a UncertainBipartiteGraph, candidates: &'a CandidateSet, seed: u64) -> Self {
+    pub fn new(g: &UncertainBipartiteGraph, candidates: &'a CandidateSet, seed: u64) -> Self {
+        let mut slot_of = FxHashMap::default();
+        let mut accept = Vec::new();
+        let slots = candidates
+            .iter()
+            .map(|cand| {
+                cand.edges.map(|e| {
+                    *slot_of.entry(e).or_insert_with(|| {
+                        accept.push(g.accept_threshold(e));
+                        accept.len() as u32 - 1
+                    })
+                })
+            })
+            .collect();
         OptimizedTrials {
-            g,
             candidates,
             seed,
+            slots,
+            accept,
         }
     }
 }
@@ -60,25 +86,25 @@ impl TrialEngine for OptimizedTrials<'_> {
     }
 
     fn new_scratch(&self) -> Self::Scratch {
-        (LazyEdgeSampler::new(self.g.num_edges()), Vec::new())
+        (LazyEdgeSampler::new(self.accept.len()), Vec::new())
     }
 
-    fn trial(&self, t: u64, (sampler, smb): &mut Self::Scratch, tally: &mut Tally) {
+    fn trial(&self, t: u64, (memo, smb): &mut Self::Scratch, tally: &mut Tally) {
         let mut rng = trial_rng(self.seed, t);
-        sampler.begin_trial();
+        memo.begin_trial();
         smb.clear();
         let mut w_max = f64::NEG_INFINITY;
-        for cand in self.candidates.iter() {
+        for (cand, slots) in self.candidates.iter().zip(&self.slots) {
             // Algorithm 5 lines 5–6: strictly lighter candidates cannot be
             // maximum once some butterfly exists.
             if cand.weight < w_max {
                 break;
             }
             // Lines 7–10: sample unseen edges, memoized within the trial.
-            let exists = cand
-                .edges
-                .iter()
-                .all(|&e| sampler.is_present(self.g, e, &mut rng));
+            let exists = slots.iter().all(|&s| {
+                let s = s as usize;
+                memo.is_present_slot(s, self.accept[s], &mut rng)
+            });
             if exists {
                 smb.push(cand.butterfly);
                 w_max = cand.weight;

@@ -22,7 +22,8 @@
 //!
 //! where `v'` ranges over common neighbors of the left pair. A trial
 //! samples one wedge uniformly (probability `1/W`), computes the inner
-//! sum by a sorted-adjacency intersection, and reports the
+//! sum by intersecting the two left vertices' adjacency lists (mark the
+//! shorter, walk the longer in id order), and reports the
 //! Horvitz–Thompson reweighted value `X_t = W · f(wedge)`. `E[X_t] =
 //! E[X]` exactly — the estimator is unbiased at any trial count.
 //!
@@ -152,8 +153,10 @@ impl<'g> SublinearTrials<'g> {
         self.total_wedges
     }
 
-    /// One trial's reweighted sample `X_t = W · f(wedge_t)`.
-    fn sample_value(&self, t: u64) -> f64 {
+    /// One trial's reweighted sample `X_t = W · f(wedge_t)`. `mark` is
+    /// an all-zero vector of length `|V_R|`, and is all-zero again on
+    /// return.
+    fn sample_value(&self, t: u64, mark: &mut [u32]) -> f64 {
         if self.total_wedges == 0 {
             return 0.0;
         }
@@ -168,27 +171,31 @@ impl<'g> SublinearTrials<'g> {
         let (ai, bi) = unrank_pair(local, adj.len());
         let (u1, e1) = (adj[ai].nbr, adj[ai].edge);
         let (u2, e2) = (adj[bi].nbr, adj[bi].edge);
-        // Inner sum over common neighbors v' ≠ v of (u1, u2), walked in
-        // ascending-id order (both adjacency slices are sorted), so the
-        // float fold has one canonical order.
-        let (mut a, mut b) = (
-            self.g.left_adj(Left(u1)).iter(),
-            self.g.left_adj(Left(u2)).iter(),
-        );
-        let (mut x1, mut x2) = (a.next(), b.next());
+        // Inner sum over common neighbors v' ≠ v of (u1, u2). The shorter
+        // list is marked in `mark` (entry index + 1), the longer one walked
+        // in ascending-id order: hits arrive in exactly the order a sorted
+        // merge of the two lists would produce them, and each term is the
+        // same product (`×` is commutative bit for bit), so the float fold
+        // has one canonical order — without the merge's unpredictable
+        // three-way branch.
+        let (l1, l2) = (self.g.left_adj(Left(u1)), self.g.left_adj(Left(u2)));
+        let (marked, walked) = if l1.len() <= l2.len() {
+            (l1, l2)
+        } else {
+            (l2, l1)
+        };
+        for (i, a) in marked.iter().enumerate() {
+            mark[a.nbr as usize] = i as u32 + 1;
+        }
         let mut inner = 0.0f64;
-        while let (Some(p), Some(q)) = (x1, x2) {
-            match p.nbr.cmp(&q.nbr) {
-                std::cmp::Ordering::Less => x1 = a.next(),
-                std::cmp::Ordering::Greater => x2 = b.next(),
-                std::cmp::Ordering::Equal => {
-                    if p.nbr != v {
-                        inner += self.g.prob(p.edge) * self.g.prob(q.edge);
-                    }
-                    x1 = a.next();
-                    x2 = b.next();
-                }
+        for q in walked {
+            let m = mark[q.nbr as usize];
+            if m != 0 && q.nbr != v {
+                inner += self.g.prob(marked[m as usize - 1].edge) * self.g.prob(q.edge);
             }
+        }
+        for a in marked {
+            mark[a.nbr as usize] = 0;
         }
         0.5 * self.total_wedges as f64 * self.g.prob(e1) * self.g.prob(e2) * inner
     }
@@ -245,16 +252,19 @@ pub fn finalize_rows(rows: &mut [FastSample], delta: f64) -> FastEstimate {
 
 impl TrialEngine for SublinearTrials<'_> {
     type Acc = Vec<FastSample>;
-    type Scratch = ();
+    /// The intersection's neighbour marks, one slot per right vertex.
+    type Scratch = Vec<u32>;
 
     fn new_acc(&self) -> Self::Acc {
         Vec::new()
     }
 
-    fn new_scratch(&self) {}
+    fn new_scratch(&self) -> Vec<u32> {
+        vec![0; self.g.num_right()]
+    }
 
-    fn trial(&self, t: u64, _scratch: &mut (), acc: &mut Self::Acc) {
-        acc.push((t, self.sample_value(t).to_bits()));
+    fn trial(&self, t: u64, mark: &mut Vec<u32>, acc: &mut Self::Acc) {
+        acc.push((t, self.sample_value(t, mark).to_bits()));
     }
 
     fn merge(&self, into: &mut Self::Acc, from: Self::Acc) {
@@ -503,5 +513,65 @@ mod tests {
         let e = SublinearTrials::new(&g, 0);
         assert_eq!(e.order.len(), 1, "only the hub holds wedges");
         assert_eq!(e.total_wedges(), 15);
+    }
+
+    /// Test-only reference: the inner sum by a three-way sorted merge of
+    /// the two left adjacency lists (the kernel the marked walk replaced).
+    fn merge_sample_value(e: &SublinearTrials, t: u64) -> f64 {
+        if e.total_wedges == 0 {
+            return 0.0;
+        }
+        let mut rng = trial_rng(e.seed, t);
+        let x = rng.random_range(0..e.total_wedges);
+        let i = e.prefix.partition_point(|&p| p <= x);
+        let v = e.order[i];
+        let local = x - if i > 0 { e.prefix[i - 1] } else { 0 };
+        let adj = e.g.right_adj(Right(v));
+        let (ai, bi) = unrank_pair(local, adj.len());
+        let (u1, e1) = (adj[ai].nbr, adj[ai].edge);
+        let (u2, e2) = (adj[bi].nbr, adj[bi].edge);
+        let (mut a, mut b) = (e.g.left_adj(Left(u1)).iter(), e.g.left_adj(Left(u2)).iter());
+        let (mut x1, mut x2) = (a.next(), b.next());
+        let mut inner = 0.0f64;
+        while let (Some(p), Some(q)) = (x1, x2) {
+            match p.nbr.cmp(&q.nbr) {
+                std::cmp::Ordering::Less => x1 = a.next(),
+                std::cmp::Ordering::Greater => x2 = b.next(),
+                std::cmp::Ordering::Equal => {
+                    if p.nbr != v {
+                        inner += e.g.prob(p.edge) * e.g.prob(q.edge);
+                    }
+                    x1 = a.next();
+                    x2 = b.next();
+                }
+            }
+        }
+        0.5 * e.total_wedges as f64 * e.g.prob(e1) * e.g.prob(e2) * inner
+    }
+
+    proptest::proptest! {
+        /// The marked walk reproduces the sorted merge bit for bit on
+        /// random graphs — every trial's wedge centre `v` is a common
+        /// neighbour the sum must skip — and leaves `mark` all-zero.
+        #[test]
+        fn marked_walk_equals_sorted_merge_and_clears_its_marks(
+            pairs in proptest::collection::btree_set((0u32..10, 0u32..14), 0..=90),
+            probs in proptest::collection::vec(1u32..=16, 90..=90),
+            seed in 0u64..1_000,
+        ) {
+            let mut b = GraphBuilder::new();
+            for (&(u, v), &p) in pairs.iter().zip(&probs) {
+                b.add_edge(Left(u), Right(v), 1.0, p as f64 / 16.0).unwrap();
+            }
+            let g = b.build().unwrap();
+            let e = SublinearTrials::new(&g, seed);
+            let mut mark = e.new_scratch();
+            for t in 0..200 {
+                let got = e.sample_value(t, &mut mark);
+                let want = merge_sample_value(&e, t);
+                proptest::prop_assert_eq!(got.to_bits(), want.to_bits(), "trial {}", t);
+                proptest::prop_assert!(mark.iter().all(|&m| m == 0), "marks left after trial {}", t);
+            }
+        }
     }
 }

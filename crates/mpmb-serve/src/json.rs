@@ -26,7 +26,10 @@ pub enum Json {
 }
 
 impl Json {
-    /// Object field lookup (first match).
+    /// Object field lookup. With duplicate keys the **first** occurrence
+    /// wins (RFC 8259 leaves duplicates to the implementation). The
+    /// parser keeps every occurrence in order and field reads go through
+    /// here, so every consumer sees the same value.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
@@ -42,10 +45,11 @@ impl Json {
         }
     }
 
-    /// The value as a non-negative integer (rejects fractional parts).
+    /// The value as a non-negative integer (rejects fractional parts and
+    /// values past `u64::MAX`; `2⁶⁴` must not saturate to `u64::MAX`).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < u64::MAX as f64 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -364,24 +368,45 @@ impl Parser<'_> {
             .bytes
             .get(self.pos..self.pos + 4)
             .ok_or_else(|| self.err("truncated \\u escape"))?;
-        let text = std::str::from_utf8(s).map_err(|_| self.err("bad \\u escape"))?;
-        let v = u32::from_str_radix(text, 16).map_err(|_| self.err("bad \\u escape"))?;
+        // Exactly four hex digits: no sign (`\u+041`), no whitespace.
+        let v = s
+            .iter()
+            .try_fold(0u32, |acc, &b| Some(acc << 4 | (b as char).to_digit(16)?))
+            .ok_or_else(|| self.err("bad \\u escape"))?;
         self.pos += 4;
         Ok(v)
     }
 
+    /// Consumes a run of ASCII digits, returning how many there were.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    /// RFC 8259 §6: `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
+    /// The value is the nearest `f64` (so integers past `2⁵³` round, as
+    /// the RFC's interoperability note allows); a number that overflows
+    /// `f64` (`1e999999`) is an error, not `inf`.
     fn number(&mut self) -> Result<Json, ParseError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
+        let int_start = self.pos;
+        let int_digits = self.digits();
+        if int_digits == 0 {
+            return Err(self.err("expected a digit"));
+        }
+        if int_digits > 1 && self.bytes[int_start] == b'0' {
+            return Err(self.err("leading zero in a number"));
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
+            if self.digits() == 0 {
+                return Err(self.err("expected a digit after `.`"));
             }
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
@@ -389,14 +414,20 @@ impl Parser<'_> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
+            if self.digits() == 0 {
+                return Err(self.err("expected a digit in the exponent"));
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err(format!("bad number `{text}`")))
+        let bad = |msg: &str| ParseError {
+            pos: start,
+            msg: format!("{msg} `{text}`"),
+        };
+        let n: f64 = text.parse().map_err(|_| bad("bad number"))?;
+        if !n.is_finite() {
+            return Err(bad("number out of range"));
+        }
+        Ok(Json::Num(n))
     }
 }
 
