@@ -1,14 +1,12 @@
 //! `solver_bench` — trial-engine throughput benchmark: every sampler
 //! (os, mcvp, ols, ols-kl, fast) through the unified `Executor`, and
 //! the OLS listing phase's sharded backbone enumeration (listing), at
-//! several thread counts, as machine-readable JSON
-//! (`BENCH_solvers.json` in CI).
+//! several thread counts, as machine-readable JSON.
 //!
 //! ```text
 //! solver_bench [--dataset NAME] [--scale F] [--seed N]
 //!              [--threads LIST] [--trials N] [--prep N] [--repeats N]
-//!              [--methods LIST] [--baseline FILE] [--max-regression F]
-//!              [--container] [--min-load-speedup F]
+//!              [--methods LIST] [--container] [--min-load-speedup F]
 //!              [--min-fast-speedup F]
 //!
 //! --dataset   abide | movielens | jester | protein (default: movielens)
@@ -21,9 +19,6 @@
 //! --repeats   timing repeats per configuration; min is reported (default 3)
 //! --methods   comma-separated subset of os,mcvp,ols,ols-kl,fast,listing
 //!             (default all); listing's "trials" are butterflies listed
-//! --baseline  committed solver_bench JSON to gate against (optional)
-//! --max-regression  allowed fractional drop in sequential trials/sec
-//!             below the baseline before exiting non-zero (default 0.30)
 //! --container round-trip the graph through a `UBGCONT1` container,
 //!             bench against the attached copy, and report container
 //!             attach vs text re-parse load timings
@@ -42,7 +37,7 @@
 //! (`identical` in the output) — the contract is that thread count
 //! never changes a byte of the answer, so a "speedup" that fails
 //! the check would be a correctness bug, not a win. Any mismatch makes
-//! the process exit non-zero, as does a baseline regression.
+//! the process exit non-zero.
 
 use bench::default_scale;
 use datasets::Dataset;
@@ -63,8 +58,6 @@ struct Args {
     prep: u64,
     repeats: u32,
     methods: Vec<&'static str>,
-    baseline: Option<String>,
-    max_regression: f64,
     container: bool,
     min_load_speedup: f64,
     min_fast_speedup: f64,
@@ -73,8 +66,7 @@ struct Args {
 const HELP: &str =
     "solver_bench [--dataset abide|movielens|jester|protein] [--scale F] [--seed N] \
 [--threads LIST] [--trials N] [--prep N] [--repeats N] [--methods LIST] \
-[--baseline FILE] [--max-regression F] [--container] [--min-load-speedup F] \
-[--min-fast-speedup F]";
+[--container] [--min-load-speedup F] [--min-fast-speedup F]";
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
@@ -86,8 +78,6 @@ fn parse_args() -> Result<Args, String> {
         prep: 200,
         repeats: 3,
         methods: METHODS.to_vec(),
-        baseline: None,
-        max_regression: 0.30,
         container: false,
         min_load_speedup: 0.0,
         min_fast_speedup: 0.0,
@@ -161,15 +151,6 @@ fn parse_args() -> Result<Args, String> {
                     .collect::<Result<_, _>>()?;
                 if args.methods.is_empty() {
                     return Err("--methods needs at least one method".into());
-                }
-            }
-            "--baseline" => args.baseline = Some(value("--baseline")?),
-            "--max-regression" => {
-                args.max_regression = value("--max-regression")?
-                    .parse()
-                    .map_err(|e| format!("--max-regression: {e}"))?;
-                if !(0.0..1.0).contains(&args.max_regression) {
-                    return Err("--max-regression must be in [0, 1)".into());
                 }
             }
             "--container" => args.container = true,
@@ -387,12 +368,10 @@ fn main() {
 
     let mut methods_json = Vec::new();
     let mut mismatches: Vec<String> = Vec::new();
-    let mut current_tps: Vec<(&str, f64)> = Vec::new();
     let mut seq_secs_of: Vec<(&str, f64)> = Vec::new();
     for &method in &args.methods {
         let (seq_secs, seq_dist, seq_trials) =
             time_min(args.repeats, || run_method(&g, method, &args, 1));
-        current_tps.push((method, seq_trials as f64 / seq_secs));
         seq_secs_of.push((method, seq_secs));
         let mut runs = Vec::new();
         for &threads in &args.threads {
@@ -483,44 +462,6 @@ fn main() {
             eprintln!(
                 "error: fast tier only {speedup:.1}x faster than sequential os (need {:.1}x)",
                 args.min_fast_speedup
-            );
-            std::process::exit(1);
-        }
-    }
-
-    // Optional perf gate against a committed baseline: fail only when a
-    // method's sequential throughput drops more than --max-regression
-    // below the recorded figure (faster is always fine).
-    if let Some(path) = &args.baseline {
-        let doc = match std::fs::read_to_string(path) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("error: --baseline {path}: {e}");
-                std::process::exit(2);
-            }
-        };
-        let mut regressions = Vec::new();
-        for (method, tps) in &current_tps {
-            match bench::baseline::sequential_trials_per_sec(&doc, method) {
-                Some(base) => {
-                    let ok = !bench::baseline::regressed(*tps, base, args.max_regression);
-                    eprintln!(
-                        "baseline {method}: {tps:.1} trials/s vs {base:.1} committed ({:+.1}%) {}",
-                        (tps / base - 1.0) * 100.0,
-                        if ok { "ok" } else { "REGRESSED" }
-                    );
-                    if !ok {
-                        regressions.push(method.to_string());
-                    }
-                }
-                None => eprintln!("baseline {method}: no committed figure, skipping"),
-            }
-        }
-        if !regressions.is_empty() {
-            eprintln!(
-                "error: throughput regressed more than {:.0}% below baseline for: {}",
-                args.max_regression * 100.0,
-                regressions.join(", ")
             );
             std::process::exit(1);
         }

@@ -2,7 +2,6 @@
 //! dataset preparation at laptop or paper scale, budgeted timing (the
 //! stand-in for the paper's 4-hour timeout), and table formatting.
 
-pub mod baseline;
 pub mod experiments;
 pub mod loadpath;
 pub mod report;

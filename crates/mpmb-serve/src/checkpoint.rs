@@ -24,17 +24,17 @@ use std::sync::Mutex;
 /// Snapshot file name inside `--checkpoint-dir`.
 pub const SNAPSHOT_FILE: &str = "state.ckpt";
 const MAGIC: &[u8; 8] = b"MPMBCKP1";
+/// The snapshot layout this build writes, and the only one it reads.
 const VERSION: u32 = 2;
 
 /// One registry manifest row: enough to re-attach the graph on restart
 /// without re-parsing it.
 ///
-/// Version 2 snapshots record, for container-backed graphs, the
-/// container's content checksum at attach time. On restore the registry
-/// re-attaches the container file (a header read, not a parse) and
-/// refuses it if the checksum changed — a swapped file cannot silently
-/// change answers across a crash. Version 1 snapshots decode with
-/// `container_checksum: None`, which restores without the extra pin.
+/// For container-backed graphs the snapshot records the container's
+/// content checksum at attach time. On restore the registry re-attaches
+/// the container file (a header read, not a parse) and refuses it if
+/// the checksum changed — a swapped file cannot silently change answers
+/// across a crash.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ManifestEntry {
     /// Registered graph name.
@@ -92,29 +92,27 @@ impl Snapshot {
         seal_frame(MAGIC, VERSION, &enc.into_bytes())
     }
 
-    /// Parses a sealed frame back into a snapshot. Accepts both the
-    /// current version-2 layout and legacy version-1 files (which carry
-    /// no per-graph backing tag).
+    /// Parses a sealed frame back into a snapshot. A frame of any
+    /// version but [`VERSION`] is `BadVersion`.
     pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, CodecError> {
-        let (version, payload) = open_frame(MAGIC, VERSION, bytes)?;
+        let payload = match open_frame(MAGIC, VERSION, bytes)? {
+            (VERSION, payload) => payload,
+            (other, _) => return Err(CodecError::BadVersion(other)),
+        };
         let mut dec = Decoder::new(payload);
         let graph_count = dec.len_capped(8)?;
         let mut graphs = Vec::with_capacity(graph_count);
         for _ in 0..graph_count {
             let name = dec.str()?;
             let spec = dec.str()?;
-            let container_checksum = if version >= 2 {
-                match dec.u8()? {
-                    0 => None,
-                    1 => Some(dec.u64()?),
-                    other => {
-                        return Err(CodecError::Invalid(format!(
-                            "unknown manifest backing tag {other}"
-                        )))
-                    }
+            let container_checksum = match dec.u8()? {
+                0 => None,
+                1 => Some(dec.u64()?),
+                other => {
+                    return Err(CodecError::Invalid(format!(
+                        "unknown manifest backing tag {other}"
+                    )))
                 }
-            } else {
-                None
             };
             graphs.push(ManifestEntry {
                 name,
@@ -405,27 +403,21 @@ mod tests {
         assert_eq!(back.graphs, snap.graphs);
     }
 
-    /// A hand-encoded version-1 snapshot (no backing tags) still loads;
-    /// its graphs come back with `container_checksum: None`.
+    /// A well-formed, correctly checksummed version-1 snapshot (the
+    /// old layout without backing tags) is `BadVersion`, so a server
+    /// restoring it counts it as corrupt and starts fresh.
     #[test]
-    fn version1_snapshot_still_decodes() {
+    fn version1_snapshot_is_rejected() {
         let mut enc = Encoder::new();
-        enc.u64(2); // graph count
+        enc.u64(1); // graph count
         enc.str("g1");
         enc.str("dataset:abide:0.01:3");
-        enc.str("g2");
-        enc.str("/tmp/g2.txt");
         enc.u64(0); // partial count
         let bytes = seal_frame(MAGIC, 1, &enc.into_bytes());
-        let back = Snapshot::from_bytes(&bytes).unwrap();
         assert_eq!(
-            back.graphs,
-            vec![
-                ManifestEntry::memory("g1", "dataset:abide:0.01:3"),
-                ManifestEntry::memory("g2", "/tmp/g2.txt"),
-            ]
+            Snapshot::from_bytes(&bytes).err(),
+            Some(CodecError::BadVersion(1))
         );
-        assert!(back.partials.is_empty());
     }
 
     /// An unknown backing tag in a v2 manifest is an error, not a panic.

@@ -1,6 +1,6 @@
-//! A minimal blocking HTTP/1.1 client — enough for the load generator,
-//! the cluster coordinator, and the integration tests to talk to the
-//! daemon without external dependencies. One request per connection
+//! A minimal blocking HTTP/1.1 client — enough for the cluster
+//! coordinator and the integration tests to talk to the daemon without
+//! external dependencies. One request per connection
 //! (`Connection: close`).
 //!
 //! [`call_retry`] adds bounded resilience on top: transport errors
@@ -196,7 +196,7 @@ impl RetryPolicy {
     ///
     /// The honored wait is **clamped to `cap_ms`**: a buggy or hostile
     /// upstream answering `Retry-After: 86400` must not stall the
-    /// coordinator's redispatch loop or a loadgen worker for a day —
+    /// coordinator's redispatch loop for a day —
     /// the server's hint can shorten or zero the wait (`Retry-After: 0`
     /// means "retry immediately") but never extend it past the
     /// policy's own cap.
@@ -243,27 +243,12 @@ pub fn call_retry(
     body: &str,
     policy: &RetryPolicy,
 ) -> Result<Retried, ClientError> {
-    call_retry_ext(addr, method, path, body, &[], policy)
-}
-
-/// [`call_retry`] with extra request headers — e.g. a client-supplied
-/// `X-Request-Id` the server echoes back and traces under. The same
-/// headers are re-sent on every retry attempt.
-pub fn call_retry_ext(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: &str,
-    extra_headers: &[(&str, &str)],
-    policy: &RetryPolicy,
-) -> Result<Retried, ClientError> {
     let (status, headers, raw, retries) = call_retry_raw(
         addr,
         method,
         path,
         body.as_bytes(),
         "application/json",
-        extra_headers,
         policy,
     )?;
     let body = String::from_utf8(raw).map_err(|_| {
@@ -296,7 +281,7 @@ pub fn call_retry_expect(
     policy: &RetryPolicy,
 ) -> Result<(Headers, Vec<u8>, u32), ClientError> {
     let (status, headers, raw, retries) =
-        call_retry_raw(addr, method, path, body, content_type, &[], policy)?;
+        call_retry_raw(addr, method, path, body, content_type, policy)?;
     if !(200..300).contains(&status) {
         return Err(ClientError::Status {
             status,
@@ -313,14 +298,13 @@ fn call_retry_raw(
     path: &str,
     body: &[u8],
     content_type: &str,
-    extra_headers: &[(&str, &str)],
     policy: &RetryPolicy,
 ) -> Result<(u16, Headers, Vec<u8>, u32), ClientError> {
     let salt = bigraph::fnv1a64(path.as_bytes()) ^ bigraph::fnv1a64(body);
     let attempts = policy.attempts.max(1);
     let mut last_err = None;
     for attempt in 0..attempts {
-        let wait_ms = match call_raw(addr, method, path, body, content_type, extra_headers) {
+        let wait_ms = match call_raw(addr, method, path, body, content_type, &[]) {
             Ok((status, headers, raw)) => {
                 if !retryable(status) || attempt + 1 == attempts {
                     return Ok((status, headers, raw, attempt));

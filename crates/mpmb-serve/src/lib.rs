@@ -39,7 +39,6 @@ pub mod cluster;
 pub mod fault;
 pub mod http;
 pub mod json;
-pub mod loadgen;
 pub mod metrics;
 pub mod registry;
 pub mod server;
@@ -52,7 +51,6 @@ pub use checkpoint::{CheckpointStore, LoadOutcome, Snapshot};
 pub use client::{call_retry, call_retry_expect, ClientError, Retried, RetryPolicy};
 pub use cluster::{Cluster, ClusterError, Role};
 pub use fault::{FaultAction, FaultPlan};
-pub use loadgen::{LoadReport, LoadgenConfig};
 pub use metrics::Metrics;
 pub use registry::{GraphHandle, Registry, RegistryError};
 pub use server::{AppState, Server, ServerConfig, SolveTrace};

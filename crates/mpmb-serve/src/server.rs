@@ -1160,23 +1160,24 @@ fn drive(
 }
 
 /// Parses a solve-like body, checking fields in the order each endpoint
-/// always has. Thread counts never enter a cache key: parallel runs are
-/// bit-identical.
+/// always has. An absent field takes its default; a present one that is
+/// not a valid value is a 400 naming it. Thread counts never enter a
+/// cache key: parallel runs are bit-identical.
 fn plan<'a>(
     state: &AppState,
     endpoint: Endpoint,
     name: &str,
     body: &'a Json,
 ) -> Result<Plan<'a>, Response> {
-    let num = |field| body.get(field).and_then(Json::as_u64);
+    let num = |field| int_field(body, field);
     let butterfly = match endpoint {
         Endpoint::Query => Some(butterfly_field(body)?),
         _ => None,
     };
     let count = endpoint == Endpoint::Count;
-    let trials = num("trials").unwrap_or(if count { 2_000 } else { 20_000 });
-    let prep = num("prep").unwrap_or(100);
-    let seed = num("seed").unwrap_or(0x5EED);
+    let trials = num("trials")?.unwrap_or(if count { 2_000 } else { 20_000 });
+    let prep = num("prep")?.unwrap_or(100);
+    let seed = num("seed")?.unwrap_or(0x5EED);
     // `/v1/query` runs single-threaded and takes no `threads` field.
     let threads = match endpoint {
         Endpoint::Query => 1,
@@ -1184,7 +1185,13 @@ fn plan<'a>(
     };
     let method = match endpoint {
         Endpoint::Query => Some("query"),
-        _ => body.get("method").and_then(Json::as_str),
+        _ => body
+            .get("method")
+            .map(|m| {
+                m.as_str()
+                    .ok_or_else(|| Response::error(400, "`method` must be a string"))
+            })
+            .transpose()?,
     }
     .unwrap_or(if count { "exact" } else { "os" });
     let mut plan = Plan {
@@ -1195,9 +1202,9 @@ fn plan<'a>(
             ..Job::new(method, trials, prep, seed)
         },
         threads,
-        k: num("k").unwrap_or(if endpoint == Endpoint::TopK { 5 } else { 0 }) as usize,
-        max_shared: num("max_shared"),
-        epsilon: body.get("epsilon").and_then(Json::as_f64).unwrap_or(0.05),
+        k: num("k")?.unwrap_or(if endpoint == Endpoint::TopK { 5 } else { 0 }) as usize,
+        max_shared: num("max_shared")?,
+        epsilon: float_field(body, "epsilon")?.unwrap_or(0.05),
     };
     let ranking = matches!(endpoint, Endpoint::Solve | Endpoint::TopK);
     if trials == 0 || (ranking && matches!(method, "ols" | "ols-kl") && prep == 0) {
@@ -1215,7 +1222,7 @@ fn plan<'a>(
                 "method `fast` estimates the expected count, not a butterfly ranking",
             ));
         }
-        plan.job.delta = body.get("delta").and_then(Json::as_f64).unwrap_or(0.05);
+        plan.job.delta = float_field(body, "delta")?.unwrap_or(0.05);
         let delta = plan.job.delta;
         if !(delta > 0.0 && delta < 1.0) {
             return Err(Response::error(400, "delta must be in (0, 1)"));
@@ -1486,12 +1493,45 @@ fn deadline_response(
 
 // --- small shared helpers -------------------------------------------------
 
+/// The largest integer a request field may hold. `json.rs` keeps
+/// numbers as `f64`, which holds every integer up to here exactly but
+/// reads `2⁵³ + 1` as `2⁵³`, so larger seeds would merge with their
+/// neighbours.
+const MAX_EXACT_INT: u64 = (1 << 53) - 1;
+
+/// An optional non-negative integer field: `None` when absent, a 400
+/// naming the field when present but not an integer in
+/// `0..=MAX_EXACT_INT`.
+fn int_field(body: &Json, field: &str) -> Result<Option<u64>, Response> {
+    body.get(field)
+        .map(|v| {
+            v.as_u64().filter(|&n| n <= MAX_EXACT_INT).ok_or_else(|| {
+                Response::error(
+                    400,
+                    &format!("`{field}` must be an integer from 0 to {MAX_EXACT_INT}"),
+                )
+            })
+        })
+        .transpose()
+}
+
+/// An optional number field: `None` when absent, a 400 naming the
+/// field when present but not a number.
+fn float_field(body: &Json, field: &str) -> Result<Option<f64>, Response> {
+    body.get(field)
+        .map(|v| {
+            v.as_f64()
+                .ok_or_else(|| Response::error(400, &format!("`{field}` must be a number")))
+        })
+        .transpose()
+}
+
 /// Validates the request-body `threads` field against the server's cap.
 /// Absent means 1; zero or above-cap values are 400s, with the cap
 /// reported in the error body so clients can self-correct.
 fn solver_threads(state: &AppState, body: &Json) -> Result<usize, Response> {
     let cap = state.solver_thread_cap;
-    match body.get("threads").and_then(Json::as_u64) {
+    match int_field(body, "threads")? {
         None => Ok(1),
         Some(0) => Err(Response::json(
             400,

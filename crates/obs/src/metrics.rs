@@ -163,38 +163,6 @@ impl Histogram {
             .map(|c| c.load(Ordering::Relaxed))
             .collect()
     }
-
-    /// Estimates the `q`-quantile (`0.0..=1.0`) by linear interpolation
-    /// inside the bucket holding the target rank — the same estimate
-    /// Prometheus' `histogram_quantile` computes. Observations landing
-    /// in the overflow bucket clamp to the largest finite bound.
-    /// Returns 0.0 when empty.
-    pub fn quantile(&self, q: f64) -> f64 {
-        let total = self.count();
-        if total == 0 {
-            return 0.0;
-        }
-        let rank = (q.clamp(0.0, 1.0) * total as f64).clamp(1.0, total as f64);
-        let mut cum = 0u64;
-        for (i, c) in self.counts.iter().enumerate() {
-            let n = c.load(Ordering::Relaxed);
-            if n == 0 {
-                continue;
-            }
-            let next = cum + n;
-            if (next as f64) >= rank {
-                let hi = match self.bounds.get(i) {
-                    Some(&b) => b,
-                    // Overflow bucket: clamp to the largest finite bound.
-                    None => return self.bounds[self.bounds.len() - 1],
-                };
-                let lo = if i == 0 { 0.0 } else { self.bounds[i - 1] };
-                return lo + (hi - lo) * ((rank - cum as f64) / n as f64);
-            }
-            cum = next;
-        }
-        self.bounds[self.bounds.len() - 1]
-    }
 }
 
 /// One registered series: a label set plus its instrument.
@@ -592,26 +560,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_quantiles_interpolate() {
-        let h = Histogram::new(&[1.0, 2.0, 4.0]);
-        for _ in 0..50 {
-            h.observe(0.5);
-        }
-        for _ in 0..50 {
-            h.observe(3.0);
-        }
-        // Median rank 50 lands exactly at the top of the first bucket.
-        assert!((h.quantile(0.5) - 1.0).abs() < 1e-9);
-        // Rank 95 is 45/50 of the way through the (2,4] bucket.
-        assert!((h.quantile(0.95) - (2.0 + 2.0 * 0.9)).abs() < 1e-9);
-        // Overflow observations clamp to the largest finite bound.
-        h.observe(1e9);
-        assert_eq!(h.quantile(1.0), 4.0);
-        // Empty histogram.
-        assert_eq!(Histogram::new(&[1.0]).quantile(0.5), 0.0);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one bucket")]
     fn histogram_rejects_empty_bounds() {
         let _ = Histogram::new(&[]);
@@ -621,47 +569,6 @@ mod tests {
     #[should_panic(expected = "strictly increasing")]
     fn histogram_rejects_non_increasing_bounds() {
         let _ = Histogram::new(&[1.0, 1.0, 2.0]);
-    }
-
-    #[test]
-    fn quantile_with_everything_in_overflow_clamps() {
-        // Every observation beyond the largest bound: any quantile can
-        // only honestly report that bound.
-        let h = Histogram::new(&[1.0, 10.0]);
-        for _ in 0..5 {
-            h.observe(1e6);
-        }
-        for q in [0.0, 0.5, 0.99, 1.0] {
-            assert_eq!(h.quantile(q), 10.0, "q={q}");
-        }
-    }
-
-    #[test]
-    fn quantile_clamps_q_outside_unit_interval() {
-        let h = Histogram::new(&[1.0, 2.0]);
-        for _ in 0..10 {
-            h.observe(0.5);
-        }
-        // Out-of-range q behaves like its clamped endpoint, and q=0
-        // still targets rank 1 (the smallest observation), not rank 0.
-        assert_eq!(h.quantile(-3.0), h.quantile(0.0));
-        assert_eq!(h.quantile(7.0), h.quantile(1.0));
-        assert!(h.quantile(0.0) > 0.0);
-        assert!(h.quantile(0.0) <= h.quantile(1.0));
-    }
-
-    #[test]
-    fn quantile_skips_empty_buckets() {
-        // First and middle buckets empty: interpolation must land in
-        // the only populated bucket for every q.
-        let h = Histogram::new(&[1.0, 2.0, 4.0]);
-        for _ in 0..8 {
-            h.observe(3.0);
-        }
-        for q in [0.0, 0.25, 1.0] {
-            let v = h.quantile(q);
-            assert!((2.0..=4.0).contains(&v), "q={q} gave {v}");
-        }
     }
 
     #[test]

@@ -22,9 +22,6 @@
 //!               [--fault-plan SPEC]
 //!               [--role single|coordinator|worker] [--workers ADDR,...]
 //!               [--probe-interval-ms N] [--fast-escalate]
-//! mpmb loadgen  [--target ADDR]... [--requests N] [--concurrency N]
-//!               [--graph NAME[,NAME]...] [--method M] [--trials N] [--seed N]
-//!               [--vary-seed [true|false]] [--retries N]
 //! ```
 //!
 //! Edge-list format: `LEFT RIGHT WEIGHT PROB` per line (tabs or spaces),
@@ -116,16 +113,6 @@ subcommands:
             --role coordinator scatters each solve across --workers
             (repeatable or comma-separated) and returns byte-identical
             answers at any worker count; see docs/CLUSTER.md)
-  loadgen   closed-loop load generator against a running daemon
-            [--target ADDR]... [--requests N] [--concurrency N]
-            [--graph NAME[,NAME]...] [--method M] [--trials N] [--seed N]
-            [--vary-seed [true|false]] [--retries N]
-            (--target and --graph repeat or comma-split; requests
-            round-robin over both lists. --retries N retries transport
-            errors/429/503 up to N times per request with backoff,
-            honoring Retry-After. Every request carries a deterministic
-            X-Request-Id derived from --seed and the request ordinal;
-            the report names the p99-worst ids for trace lookup)
 
 Edge-list format: `LEFT RIGHT WEIGHT PROB` per line, `#` comments allowed.
 `--help` anywhere prints this text.";
@@ -137,14 +124,8 @@ fn fail(msg: &str) -> ! {
 }
 
 /// Flags that are on/off switches: the value may be omitted
-/// (`--vary-seed` reads as `--vary-seed true`).
-const BOOL_FLAGS: &[&str] = &[
-    "vary-seed",
-    "profile",
-    "mem-stats",
-    "budget-header",
-    "fast-escalate",
-];
+/// (`--profile` reads as `--profile true`).
+const BOOL_FLAGS: &[&str] = &["profile", "mem-stats", "budget-header", "fast-escalate"];
 
 /// Minimal flag parser: `--name value` pairs after the subcommand.
 struct Flags(Vec<(String, String)>);
@@ -743,60 +724,6 @@ fn cmd_serve(flags: &Flags) {
     eprintln!("mpmb-serve drained, exiting");
 }
 
-fn cmd_loadgen(flags: &Flags) {
-    flags.expect(&[
-        "target",
-        "requests",
-        "concurrency",
-        "graph",
-        "method",
-        "trials",
-        "seed",
-        "vary-seed",
-        "retries",
-    ]);
-    // `--target` repeats and comma-splits; requests round-robin over
-    // the resulting list (one coordinator or several replicas).
-    let mut targets: Vec<String> = flags
-        .get_all("target")
-        .iter()
-        .flat_map(|v| v.split(','))
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(str::to_string)
-        .collect();
-    if targets.is_empty() {
-        targets.push("127.0.0.1:7700".to_string());
-    }
-    let cfg = mpmb_serve::LoadgenConfig {
-        targets,
-        requests: flags.get_parsed("requests", 100),
-        concurrency: flags.get_parsed("concurrency", 4),
-        graphs: {
-            // Like `--target`: repeatable and comma-splittable.
-            let mut graphs: Vec<String> = flags
-                .get_all("graph")
-                .iter()
-                .flat_map(|v| v.split(','))
-                .map(str::trim)
-                .filter(|s| !s.is_empty())
-                .map(str::to_string)
-                .collect();
-            if graphs.is_empty() {
-                graphs.push("default".to_string());
-            }
-            graphs
-        },
-        method: flags.get("method").unwrap_or("os").to_string(),
-        trials: flags.get_parsed("trials", 2_000),
-        seed: flags.get_parsed("seed", 0x5EED),
-        vary_seed: flags.get_parsed("vary-seed", true),
-        retries: flags.get_parsed("retries", 0),
-    };
-    let report = mpmb_serve::loadgen::run(&cfg);
-    println!("{}", report.render());
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // `--help` anywhere wins, before any flag parsing can trip on it.
@@ -820,7 +747,6 @@ fn main() {
         "generate" => cmd_generate(&flags),
         "convert" => cmd_convert(&flags),
         "serve" => cmd_serve(&flags),
-        "loadgen" => cmd_loadgen(&flags),
         other => fail(&format!("unknown subcommand `{other}`")),
     }
 }

@@ -43,20 +43,18 @@ fn rel(path: &Path) -> String {
 }
 
 /// `thread::scope` — the data-parallel fan-out — is allowed in exactly
-/// five places: the executor itself, the (separately verified) listing
-/// kernel, the load generator's request workers, the cluster
-/// coordinator's scatter threads (which block on worker HTTP calls —
-/// the trials themselves still run through remote `Executor`s), and
-/// the container reader's section decode/validate fan-out (pure
-/// functions of on-disk bytes, no trials and no RNG — bit-identical to
-/// its serial path by construction). A new use anywhere else means a
-/// trial loop grew outside the engine.
+/// four places: the executor itself, the (separately verified) listing
+/// kernel, the cluster coordinator's scatter threads (which block on
+/// worker HTTP calls — the trials themselves still run through remote
+/// `Executor`s), and the container reader's section decode/validate
+/// fan-out (pure functions of on-disk bytes, no trials and no RNG —
+/// bit-identical to its serial path by construction). A new use
+/// anywhere else means a trial loop grew outside the engine.
 #[test]
 fn thread_scope_is_owned_by_the_executor() {
     let allowed = [
         "crates/mpmb-core/src/engine.rs",
         "crates/mpmb-core/src/listing.rs",
-        "crates/mpmb-serve/src/loadgen.rs",
         "crates/mpmb-serve/src/cluster/coordinator.rs",
         "crates/bigraph/src/storage.rs",
     ];
@@ -69,7 +67,7 @@ fn thread_scope_is_owned_by_the_executor() {
     }
     assert!(
         offenders.is_empty(),
-        "`thread::scope` outside the engine/listing/loadgen: {offenders:?}\n\
+        "`thread::scope` outside the engine/listing/coordinator/storage: {offenders:?}\n\
          route trial fan-out through `mpmb_core::Executor` instead"
     );
 }

@@ -9,7 +9,7 @@
 
 use mpmb_serve::client::{call, call_ext};
 use mpmb_serve::json::Json;
-use mpmb_serve::{signal, LoadgenConfig, RetryPolicy, Server, ServerConfig};
+use mpmb_serve::{signal, RetryPolicy, Server, ServerConfig};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::{Barrier, Mutex, OnceLock};
@@ -538,6 +538,63 @@ fn count_fast_covers_the_closed_form_and_replays_from_cache() {
     )
     .unwrap();
     assert_eq!(status, 400, "{resp}");
+
+    server.begin_shutdown();
+    server.join();
+}
+
+/// A present request field that is not a valid value is a 400 naming
+/// the field, never silently read as absent (which would answer with
+/// the default seed, trial count or method).
+#[test]
+fn invalid_request_fields_are_rejected_not_defaulted() {
+    let _guard = lock();
+    let (server, addr) = start(default_cfg());
+    register_graph(&addr);
+
+    // (endpoint, the field at fault, the body's fields after `graph`).
+    let cases: &[(&str, &str, &str)] = &[
+        ("/v1/solve", "seed", r#""seed":-1"#),
+        ("/v1/solve", "seed", r#""seed":1.5"#),
+        ("/v1/solve", "seed", r#""seed":"42""#),
+        ("/v1/solve", "seed", r#""seed":null"#),
+        // f64 reads 2^53 + 1 as 2^53: neither may be accepted.
+        ("/v1/solve", "seed", r#""seed":9007199254740992"#),
+        ("/v1/solve", "seed", r#""seed":9007199254740993"#),
+        ("/v1/solve", "trials", r#""trials":"100""#),
+        ("/v1/solve", "prep", r#""method":"ols","prep":-5"#),
+        ("/v1/solve", "method", r#""method":7"#),
+        ("/v1/solve", "threads", r#""threads":"2""#),
+        ("/v1/solve", "max_shared", r#""max_shared":true"#),
+        (
+            "/v1/solve",
+            "epsilon",
+            r#""method":"fast","epsilon":"tight""#,
+        ),
+        ("/v1/topk", "k", r#""k":2.5"#),
+        ("/v1/count", "trials", r#""trials":[100]"#),
+        ("/v1/count", "delta", r#""method":"fast","delta":"0.1""#),
+        ("/v1/query", "seed", r#""butterfly":[0,1,0,1],"seed":{}"#),
+    ];
+    for (path, field, fields) in cases {
+        let body = format!(r#"{{"graph":"g",{fields}}}"#);
+        let (status, resp) = call(addr.as_str(), "POST", path, &body).unwrap();
+        assert_eq!(status, 400, "{path} {body}: {resp}");
+        assert!(
+            resp.contains(&format!("`{field}`")),
+            "{path} {body}: error does not name the field: {resp}"
+        );
+    }
+
+    // The largest seed f64 keeps apart from its neighbours still works.
+    let body = "{\"graph\":\"g\",\"trials\":100,\"seed\":9007199254740991}";
+    let (status, resp) = call(addr.as_str(), "POST", "/v1/solve", body).unwrap();
+    assert_eq!(status, 200, "{resp}");
+    let echoed = Json::parse(&resp)
+        .unwrap()
+        .get("seed")
+        .and_then(Json::as_u64);
+    assert_eq!(echoed, Some(9_007_199_254_740_991));
 
     server.begin_shutdown();
     server.join();
@@ -1151,7 +1208,7 @@ fn shed_and_deadline_responses_carry_retry_after() {
 }
 
 #[test]
-fn loadgen_with_retries_survives_fault_injection() {
+fn retrying_client_survives_fault_injection() {
     let _guard = lock();
     let cfg = ServerConfig {
         fault_plan: Some("seed=7,reset=0.15,slow=0.03,partial=0.1,panic_at=3".to_string()),
@@ -1183,21 +1240,51 @@ fn loadgen_with_retries_survives_fault_injection() {
     );
 
     // Resets, garbled bodies, slow writes, and one forced worker panic
-    // — the retrying load generator must still land every request.
-    let report = mpmb_serve::loadgen::run(&LoadgenConfig {
-        targets: vec![addr.clone()],
-        requests: 40,
-        concurrency: 4,
-        graphs: vec!["g".to_string()],
-        method: "os".to_string(),
-        trials: 200,
+    // — four retrying callers must still land all 40 solves.
+    const REQUESTS: u64 = 40;
+    const CALLERS: u64 = 4;
+    let policy = RetryPolicy {
+        attempts: 9,
         seed: 77,
-        vary_seed: true,
-        retries: 8,
+        ..Default::default()
+    };
+    let outcomes: Vec<(u64, u16, u32)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..CALLERS)
+            .map(|caller| {
+                let (addr, policy) = (&addr, &policy);
+                scope.spawn(move || {
+                    (caller..REQUESTS)
+                        .step_by(CALLERS as usize)
+                        .map(|i| {
+                            let body = format!(
+                                "{{\"graph\":\"g\",\"method\":\"os\",\"trials\":200,\"seed\":{}}}",
+                                77 + i
+                            );
+                            let r =
+                                mpmb_serve::call_retry(addr, "POST", "/v1/solve", &body, policy)
+                                    .unwrap_or_else(|e| panic!("request {i}: {e}"));
+                            (i, r.status, r.retries)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect()
     });
-    assert_eq!(report.failed, 0, "{}", report.render());
-    assert_eq!(report.ok, report.sent, "{}", report.render());
-    assert!(report.retried >= 1, "{}", report.render());
+    assert_eq!(outcomes.len(), REQUESTS as usize);
+    let failed: Vec<_> = outcomes
+        .iter()
+        .filter(|(_, status, _)| *status != 200)
+        .collect();
+    assert!(failed.is_empty(), "non-200 final statuses: {failed:?}");
+    let retries: u32 = outcomes.iter().map(|(_, _, r)| r).sum();
+    assert!(
+        retries >= 1,
+        "the fault plan never forced a retry: {outcomes:?}"
+    );
 
     let (_, metrics) = call(addr.as_str(), "GET", "/metrics", "").unwrap();
     assert!(metric_value(&metrics, "mpmb_faults_injected_total") >= 1);
