@@ -201,6 +201,7 @@ impl GraphBuilder {
             left_rank,
             left_by_rank,
             middle_side: Default::default(),
+            desc_endpoints: Default::default(),
         })
     }
 }

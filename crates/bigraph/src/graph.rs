@@ -59,6 +59,10 @@ pub struct UncertainBipartiteGraph {
     /// first use: it costs two passes over every edge, and every OS
     /// engine (one per chunk of every request) asks for it.
     pub(crate) middle_side: OnceLock<Side>,
+    /// [`desc_endpoints`](Self::desc_endpoints), built on first use:
+    /// only the Ordering Sampling scan reads it, and every OS engine
+    /// (one per chunk of every request) shares the one copy.
+    pub(crate) desc_endpoints: OnceLock<Vec<(u32, u32)>>,
 }
 
 impl UncertainBipartiteGraph {
@@ -144,6 +148,21 @@ impl UncertainBipartiteGraph {
     #[inline]
     pub fn desc_accepts(&self) -> &[u64] {
         &self.desc_accept
+    }
+
+    /// Raw `(left, right)` endpoints aligned with [`Self::desc_edge_ids`]:
+    /// `desc_endpoints()[i]` are the endpoints of `desc_edge_ids()[i]`.
+    /// Lets the §V-B scan read each present edge's endpoints
+    /// sequentially instead of gathering them through the edge-id
+    /// permutation. Built on first call (one `O(|E|)` pass, `8·|E|`
+    /// bytes) and cached for the graph's lifetime.
+    pub fn desc_endpoints(&self) -> &[(u32, u32)] {
+        self.desc_endpoints.get_or_init(|| {
+            self.edges_by_weight_desc
+                .iter()
+                .map(|&e| (self.edge_left[e as usize], self.edge_right[e as usize]))
+                .collect()
+        })
     }
 
     /// Degree-descending ranks of the left vertices (ties by id): the
@@ -296,7 +315,9 @@ impl UncertainBipartiteGraph {
     /// A pure function of the graph's dimensions (element counts ×
     /// element sizes, ignoring allocator slack), so the serving
     /// registry's memory-budget accounting is deterministic across
-    /// runs and platforms.
+    /// runs and platforms. The lazily built
+    /// [`desc_endpoints`](Self::desc_endpoints) pairs count from the
+    /// start: any OS or OLS solve builds them.
     pub fn resident_bytes(&self) -> u64 {
         use std::mem::size_of;
         let u32s = self.left_offsets.len()
@@ -304,6 +325,7 @@ impl UncertainBipartiteGraph {
             + self.edge_left.len()
             + self.edge_right.len()
             + self.edges_by_weight_desc.len()
+            + 2 * self.edges_by_weight_desc.len() // desc_endpoints
             + self.left_rank.len()
             + self.left_by_rank.len();
         let u64s = self.weights.len()
@@ -402,6 +424,16 @@ mod tests {
         }
         let g = b.build().unwrap();
         assert_eq!(g.cheaper_middle_side(), Side::Right);
+    }
+
+    #[test]
+    fn desc_endpoints_align_with_the_scan_order() {
+        let g = fig1_graph();
+        let ends = g.desc_endpoints();
+        assert_eq!(ends.len(), g.num_edges());
+        for (&e, &(u, v)) in g.desc_edge_ids().iter().zip(ends) {
+            assert_eq!(g.endpoints(EdgeId(e)), (Left(u), Right(v)));
+        }
     }
 
     #[test]

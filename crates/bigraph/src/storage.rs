@@ -729,6 +729,7 @@ impl ContainerReader {
             left_rank,
             left_by_rank,
             middle_side: Default::default(),
+            desc_endpoints: Default::default(),
         };
         validate_graph(&g)?;
         Ok(g)

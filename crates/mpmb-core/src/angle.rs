@@ -20,6 +20,13 @@
 //! across trials. Semantics are exactly `FxHashMap<(x, y), TopTwoAngles>`
 //! (property-tested below); enumeration order is first-insertion order,
 //! which is deterministic because the trial scan is.
+//!
+//! When the endpoint side is small enough that every unordered pair fits
+//! in a few thousand buckets (`n(n−1)/2 ≤` [`DIRECT_MAX_PAIRS`]), the
+//! table skips hashing altogether: each pair owns the bucket at its
+//! triangular index, so a probe is one multiply-add and never walks a
+//! chain, and the table never grows. Larger sides stay hashed. Both
+//! index paths share the one insert path (DESIGN.md §6.5).
 
 use bigraph::Weight;
 
@@ -123,6 +130,25 @@ impl TopTwoAngles {
 /// Sentinel for "no spill slot".
 const NO_SPILL: u32 = u32::MAX;
 
+/// Largest endpoint-pair count `n(n−1)/2` that [`SlotTable`] indexes
+/// directly (one bucket per pair, 40 bytes each) instead of hashing:
+/// endpoint sides of up to 91 vertices.
+pub const DIRECT_MAX_PAIRS: usize = 4096;
+
+/// Initial bucket count of a hashed table.
+const HASHED_BUCKETS: usize = 1024;
+
+/// A bucket no trial owns yet.
+const EMPTY_BUCKET: Bucket = Bucket {
+    key: 0,
+    gen: 0,
+    spill: NO_SPILL,
+    w1: f64::NEG_INFINITY,
+    w2: f64::NEG_INFINITY,
+    m1: 0,
+    m2: 0,
+};
+
 /// One open-addressed bucket: probe metadata and the inline slot state
 /// live side by side so a lookup touches a single cache line.
 #[derive(Clone, Copy)]
@@ -146,9 +172,17 @@ struct Bucket {
 
 /// Flat slot container for one trial's endpoint-pair angle slots — see
 /// the module docs for why this beats a hash map of [`TopTwoAngles`].
+///
+/// Keys are unordered endpoint pairs. A table built for an endpoint side
+/// of at most 91 vertices ([`DIRECT_MAX_PAIRS`]) gives every pair its own
+/// bucket at the triangular index `y(y−1)/2 + x` (`x < y`); a larger
+/// side hashes into an open-addressed array that doubles past 3/4 load.
+/// Only `probe` and the grow check tell the two apart.
 pub struct SlotTable {
     buckets: Vec<Bucket>,
-    mask: usize,
+    /// Hash mask (`buckets.len() − 1`) of a hashed table; `None` for a
+    /// directly indexed one, which holds every pair and never grows.
+    mask: Option<usize>,
     /// Bucket indices in first-insertion order (the live set).
     live: Vec<u32>,
     /// Pooled storage for tied (multi-mid) classes, reused across trials.
@@ -157,30 +191,21 @@ pub struct SlotTable {
     gen: u32,
 }
 
-impl Default for SlotTable {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl SlotTable {
-    /// An empty table; buckets grow on demand and then persist.
-    pub fn new() -> Self {
-        let cap = 1024;
+    /// An empty table for endpoint ids below `endpoints`: directly
+    /// indexed when all `endpoints·(endpoints−1)/2` pairs fit in
+    /// [`DIRECT_MAX_PAIRS`] buckets, else hashed with buckets that grow
+    /// on demand and then persist.
+    pub fn new(endpoints: usize) -> Self {
+        let pairs = endpoints.saturating_mul(endpoints.saturating_sub(1)) / 2;
+        let (cap, mask) = if pairs <= DIRECT_MAX_PAIRS {
+            (pairs, None)
+        } else {
+            (HASHED_BUCKETS, Some(HASHED_BUCKETS - 1))
+        };
         SlotTable {
-            buckets: vec![
-                Bucket {
-                    key: 0,
-                    gen: 0,
-                    spill: NO_SPILL,
-                    w1: f64::NEG_INFINITY,
-                    w2: f64::NEG_INFINITY,
-                    m1: 0,
-                    m2: 0,
-                };
-                cap
-            ],
-            mask: cap - 1,
+            buckets: vec![EMPTY_BUCKET; cap],
+            mask,
             live: Vec::new(),
             spill: Vec::new(),
             spill_used: 0,
@@ -214,42 +239,38 @@ impl SlotTable {
         self.live.is_empty()
     }
 
+    /// The bucket that holds `key` this trial, or the empty bucket
+    /// where it goes.
     #[inline]
     fn probe(&self, key: u64) -> usize {
+        let Some(mask) = self.mask else {
+            // Direct: the pair's triangular index (keys have `x < y`).
+            let (x, y) = ((key >> 32) as usize, key as u32 as usize);
+            return y * (y - 1) / 2 + x;
+        };
         // SplitMix64-style finalizer: full-width mixing so the low bits
         // used by the mask depend on every key bit.
         let mut h = key ^ (key >> 33);
         h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
         h ^= h >> 33;
-        let mut i = h as usize & self.mask;
+        let mut i = h as usize & mask;
         loop {
             let b = &self.buckets[i];
             if b.gen != self.gen || b.key == key {
                 return i;
             }
-            i = (i + 1) & self.mask;
+            i = (i + 1) & mask;
         }
     }
 
-    /// Doubles the bucket array, re-inserting live buckets. `live` keeps
-    /// its insertion order; only the bucket *indices* change.
+    /// Doubles a hashed bucket array, re-inserting live buckets. `live`
+    /// keeps its insertion order; only the bucket *indices* change.
     #[cold]
-    fn grow(&mut self) {
+    fn grow(&mut self, mask: usize) {
         let old = std::mem::take(&mut self.buckets);
-        let cap = (self.mask + 1) * 2;
-        self.buckets = vec![
-            Bucket {
-                key: 0,
-                gen: 0,
-                spill: NO_SPILL,
-                w1: f64::NEG_INFINITY,
-                w2: f64::NEG_INFINITY,
-                m1: 0,
-                m2: 0,
-            };
-            cap
-        ];
-        self.mask = cap - 1;
+        let cap = (mask + 1) * 2;
+        self.buckets = vec![EMPTY_BUCKET; cap];
+        self.mask = Some(cap - 1);
         let live = std::mem::take(&mut self.live);
         for &i in &live {
             let b = old[i as usize];
@@ -282,17 +303,23 @@ impl SlotTable {
         s
     }
 
-    /// Inserts the angle `∠(x, mid, y)` of weight `w` and returns the
+    /// Inserts the angle `∠(a, mid, b)` of weight `w` and returns the
     /// slot's best butterfly weight (`None` until it has two angles with
     /// distinct middles) — exactly `TopTwoAngles::insert` followed by
-    /// `best_butterfly_weight`, on the slot keyed `(x, y)`.
+    /// `best_butterfly_weight`, on the slot keyed by the unordered pair
+    /// `{a, b}` (`a ≠ b`, both below the table's `endpoints`).
     #[inline]
-    pub fn insert(&mut self, x: u32, y: u32, mid: u32, w: Weight) -> Option<Weight> {
+    pub fn insert(&mut self, a: u32, b: u32, mid: u32, w: Weight) -> Option<Weight> {
         // Beyond 3/4 load the probe chains (and miss rate) degrade;
-        // grow before inserting so `probe` always terminates.
-        if (self.live.len() + 1) * 4 > (self.mask + 1) * 3 {
-            self.grow();
+        // grow before inserting so `probe` always terminates. A direct
+        // table already holds a bucket for every pair.
+        if let Some(mask) = self.mask {
+            if (self.live.len() + 1) * 4 > (mask + 1) * 3 {
+                self.grow(mask);
+            }
         }
+        debug_assert_ne!(a, b, "an angle's endpoints are distinct");
+        let (x, y) = (a.min(b), a.max(b));
         let key = (u64::from(x) << 32) | u64::from(y);
         let i = self.probe(key);
         let b = &mut self.buckets[i];
@@ -339,9 +366,9 @@ impl SlotTable {
     }
 
     /// Visits every live slot in first-insertion order (deterministic:
-    /// the trial scan order decides it, not hashing) as
-    /// `f(x, y, w1, mids1, w2, mids2)`; `mids2` is empty when the `A₂`
-    /// class is, and `w2` is then `NEG_INFINITY`.
+    /// the trial scan order decides it, not hashing or the index path)
+    /// as `f(x, y, w1, mids1, w2, mids2)` with `x < y`; `mids2` is empty
+    /// when the `A₂` class is, and `w2` is then `NEG_INFINITY`.
     pub fn for_each_live(&self, mut f: impl FnMut(u32, u32, Weight, &[u32], Weight, &[u32])) {
         for &i in &self.live {
             let b = &self.buckets[i as usize];
@@ -485,50 +512,80 @@ mod tests {
     fn slot_table_matches_hashmap_of_top_two_angles() {
         // The table must behave exactly like a map of TopTwoAngles:
         // same per-insert best-weight answers, same final class content,
-        // across growth (many keys) and ties (spill path).
-        let mut table = SlotTable::new();
-        // Deterministic LCG so the exercise covers collisions and ties.
-        let mut state = 0x2545_f491_4f6c_dd1du64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 33
-        };
-        for _trial in 0..3 {
-            table.begin_trial();
-            let mut reference: Vec<((u32, u32), TopTwoAngles)> = Vec::new();
-            for _ in 0..4000 {
-                let x = (next() % 50) as u32;
-                let y = x + 1 + (next() % 50) as u32;
-                let mid = (next() % 30) as u32;
-                let w = (next() % 8) as f64;
-                let got = table.insert(x, y, mid, w);
-                let slot = match reference.iter_mut().find(|(k, _)| *k == (x, y)) {
-                    Some((_, s)) => s,
-                    None => {
-                        reference.push(((x, y), TopTwoAngles::new()));
-                        &mut reference.last_mut().unwrap().1
-                    }
-                };
-                slot.insert(mid, w);
-                assert_eq!(got, slot.best_butterfly_weight());
-            }
-            assert_eq!(table.len(), reference.len());
-            let mut seen = 0;
-            table.for_each_live(|x, y, w1, m1, w2, m2| {
-                let (_, want) = &reference[seen];
-                assert_eq!(reference[seen].0, (x, y), "insertion order");
-                assert_eq!(Some(w1), want.w1());
-                assert_eq!(m1, want.mids1());
-                assert_eq!(m2, want.mids2());
-                if !m2.is_empty() {
-                    assert_eq!(Some(w2), want.w2());
+        // on both index paths (64 endpoints: 2,016 pairs, direct; 10⁶:
+        // hashed, across growth), with ties (spill path) and with the
+        // pair given in either order.
+        for (endpoints, direct) in [(64, true), (1 << 20, false)] {
+            let mut table = SlotTable::new(endpoints);
+            assert_eq!(table.mask.is_none(), direct);
+            // Deterministic LCG so the exercise covers collisions and ties.
+            let mut state = 0x2545_f491_4f6c_dd1du64;
+            let mut next = move || {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                state >> 33
+            };
+            for _trial in 0..3 {
+                table.begin_trial();
+                let mut reference: Vec<((u32, u32), TopTwoAngles)> = Vec::new();
+                for _ in 0..4000 {
+                    let x = (next() % 40) as u32;
+                    let y = x + 1 + (next() % 24) as u32;
+                    let mid = (next() % 30) as u32;
+                    let w = (next() % 8) as f64;
+                    let got = if next() % 2 == 0 {
+                        table.insert(x, y, mid, w)
+                    } else {
+                        table.insert(y, x, mid, w)
+                    };
+                    let slot = match reference.iter_mut().find(|(k, _)| *k == (x, y)) {
+                        Some((_, s)) => s,
+                        None => {
+                            reference.push(((x, y), TopTwoAngles::new()));
+                            &mut reference.last_mut().unwrap().1
+                        }
+                    };
+                    slot.insert(mid, w);
+                    assert_eq!(got, slot.best_butterfly_weight());
                 }
-                seen += 1;
-            });
-            assert_eq!(seen, reference.len());
+                assert_eq!(table.len(), reference.len());
+                let mut seen = 0;
+                table.for_each_live(|x, y, w1, m1, w2, m2| {
+                    let (_, want) = &reference[seen];
+                    assert_eq!(reference[seen].0, (x, y), "insertion order");
+                    assert_eq!(Some(w1), want.w1());
+                    assert_eq!(m1, want.mids1());
+                    assert_eq!(m2, want.mids2());
+                    if !m2.is_empty() {
+                        assert_eq!(Some(w2), want.w2());
+                    }
+                    seen += 1;
+                });
+                assert_eq!(seen, reference.len());
+            }
         }
+    }
+
+    #[test]
+    fn direct_index_covers_every_pair_of_the_largest_direct_side() {
+        // 91 endpoints is the largest side indexed directly; every
+        // pair gets its own bucket, none shared, none out of range.
+        let n = 91u32;
+        assert!((n as usize) * (n as usize - 1) / 2 <= DIRECT_MAX_PAIRS);
+        assert!(SlotTable::new(92).mask.is_some());
+        let mut table = SlotTable::new(n as usize);
+        assert!(table.mask.is_none());
+        table.begin_trial();
+        for y in 1..n {
+            for x in 0..y {
+                assert_eq!(table.insert(y, x, 0, 1.0), None);
+            }
+        }
+        assert_eq!(table.len(), 91 * 90 / 2);
+        assert_eq!(table.buckets.len(), table.len());
+        table.begin_trial();
+        assert!(table.is_empty());
     }
 
     #[test]

@@ -228,6 +228,8 @@ impl<'g> TrialEngine for OsTrials<'g> {
 /// touched-middle list, and the slot map keep their capacity across trials.
 pub struct OsEngine<'g> {
     g: &'g UncertainBipartiteGraph,
+    /// `(left, right)` per scan position ([`UncertainBipartiteGraph::desc_endpoints`]).
+    ends: &'g [(u32, u32)],
     middle_side: Side,
     /// `w̄`, the top-3 edge weight sum (Algorithm 2 line 2).
     w_bar: Weight,
@@ -239,8 +241,9 @@ pub struct OsEngine<'g> {
     touched: Vec<u32>,
     /// `A₁/A₂` slots per endpoint pair (non-middle side). A flat
     /// generation-stamped table, not a map of `TopTwoAngles`: dense
-    /// trials create tens of thousands of slots, almost all single-angle
-    /// (see [`SlotTable`]).
+    /// trials create tens of thousands of slots, almost all single-angle.
+    /// Directly indexed when the endpoint side is small (see
+    /// [`SlotTable`]).
     slots: SlotTable,
 }
 
@@ -248,19 +251,20 @@ impl<'g> OsEngine<'g> {
     /// Prepares an engine for `g` under `cfg`.
     pub fn new(g: &'g UncertainBipartiteGraph, cfg: &OsConfig) -> Self {
         let middle_side = cfg.middle_side.unwrap_or_else(|| g.cheaper_middle_side());
-        let mids = match middle_side {
-            Side::Left => g.num_left(),
-            Side::Right => g.num_right(),
+        let (mids, endpoints) = match middle_side {
+            Side::Left => (g.num_left(), g.num_right()),
+            Side::Right => (g.num_right(), g.num_left()),
         };
         OsEngine {
             g,
+            ends: g.desc_endpoints(),
             middle_side,
             w_bar: g.top3_weight_sum(),
             edge_ordering: cfg.edge_ordering,
             dynamic_wbar: cfg.dynamic_wbar,
             added: vec![Vec::new(); mids],
             touched: Vec::new(),
-            slots: SlotTable::new(),
+            slots: SlotTable::new(endpoints),
         }
     }
 
@@ -271,6 +275,15 @@ impl<'g> OsEngine<'g> {
 
     /// Runs one trial against `oracle`, writing the maximum butterfly set
     /// into `smb` (cleared first). Returns `w_max` (0 when `smb` is empty).
+    ///
+    /// Generic over the oracle so the production [`StreamingOracle`]'s
+    /// draw inlines into the scan. The oracle is asked about every edge
+    /// the scan reaches, in scan order, exactly once, before the partner
+    /// prunes below decide whether the edge is worth combining: the
+    /// words a sampling oracle consumes depend only on where the §V-B
+    /// break ends the scan. Each present edge's endpoints come from the
+    /// scan-aligned [`UncertainBipartiteGraph::desc_endpoints`]
+    /// (DESIGN.md §6.5).
     ///
     /// # Dynamic `w̄` (extension beyond the paper)
     ///
@@ -288,20 +301,32 @@ impl<'g> OsEngine<'g> {
     /// long-range connections are improbable). Pruning earlier never
     /// changes `S_MB` — only butterflies strictly below `w_max` are
     /// skipped.
-    pub fn trial(&mut self, oracle: &mut dyn EdgeOracle, smb: &mut Vec<Butterfly>) -> Weight {
+    ///
+    /// # Partner-head prune
+    ///
+    /// Every angle a present edge `e` joins has its partner either in
+    /// `added[mid]` already (weight `≤` the list's head) or still ahead
+    /// in the scan (`≤ w(e)`), and the butterfly's other angle weighs at
+    /// most the companion bound. When `w(e) + max(head, w(e)) +
+    /// companion < w_max`, no butterfly through `e` can reach `w_max` —
+    /// now or later, since the companion bound only shrinks and `w_max`
+    /// only grows — so `e` neither walks its partners nor joins
+    /// `added[mid]`. Every angle this skips the per-partner break below
+    /// would also have skipped, so the slots, and `S_MB`, are unchanged.
+    pub fn trial<O: EdgeOracle>(&mut self, oracle: &mut O, smb: &mut Vec<Butterfly>) -> Weight {
         smb.clear();
         self.clear_scratch();
 
         let mut w_max = f64::NEG_INFINITY;
         // Top-3 present edge weights seen so far (descending).
         let mut present_top = [f64::NEG_INFINITY; 3];
-        // Scan-aligned arrays: weights (and, inside sampling oracles,
-        // acceptance thresholds) are read sequentially instead of
-        // gathered through the edge-id permutation.
+        // Scan-aligned arrays: weights, endpoints (and, inside sampling
+        // oracles, acceptance thresholds) are read sequentially instead
+        // of gathered through the edge-id permutation.
         let desc_ids = self.g.desc_edge_ids();
-        let desc_weights = self.g.desc_weights();
+        let desc_weights = &self.g.desc_weights()[..desc_ids.len()];
+        let ends = &self.ends[..desc_ids.len()];
         for pos in 0..desc_ids.len() {
-            let e = EdgeId(desc_ids[pos]);
             let w_e = desc_weights[pos];
             // §V-B: every butterfly through e weighs ≤ w(e) + w̄.
             if self.edge_ordering {
@@ -314,7 +339,7 @@ impl<'g> OsEngine<'g> {
                     break;
                 }
             }
-            if !oracle.present_at(pos, e) {
+            if !oracle.present_at(pos, EdgeId(desc_ids[pos])) {
                 continue;
             }
             // Insert w_e into the sorted top-3 (edges arrive in
@@ -328,10 +353,10 @@ impl<'g> OsEngine<'g> {
             } else if w_e > present_top[2] {
                 present_top[2] = w_e;
             }
-            let (u, v) = self.g.endpoints(e);
+            let (u, v) = ends[pos];
             let (mid, other) = match self.middle_side {
-                Side::Right => (v.0, u.0),
-                Side::Left => (u.0, v.0),
+                Side::Right => (v, u),
+                Side::Left => (u, v),
             };
             // Any butterfly is two angles on the same endpoint pair; each
             // angle is a sum of two *present* edges. Every present edge —
@@ -340,6 +365,13 @@ impl<'g> OsEngine<'g> {
             // can ever exceed this bound. It is fixed for the rest of the
             // trial once two present edges have been seen.
             let companion = present_top[0].max(w_e) + present_top[1].max(w_e);
+            let partners = &mut self.added[mid as usize];
+            // Partner-head prune (see above): `partners` is weight-
+            // descending, so its head bounds every seen partner.
+            let head = partners.first().map_or(w_e, |&(_, w2)| w2.max(w_e));
+            if w_e + head + companion < w_max {
+                continue;
+            }
             // Combine with every earlier present edge sharing this middle
             // (Algorithm 2 lines 10–13). `added` holds partners in scan
             // order, i.e. weight-descending: as soon as one angle cannot
@@ -347,21 +379,20 @@ impl<'g> OsEngine<'g> {
             // any later partner — break, don't wade through the slot map.
             // `w_max` only grows, so skipped angles can never re-qualify;
             // ties (`==`) are kept, so `S_MB` is untouched.
-            let (added, slots) = (&self.added, &mut self.slots);
-            for &(o2, w2) in &added[mid as usize] {
+            for &(o2, w2) in partners.iter() {
                 if w_e + w2 + companion < w_max {
                     break;
                 }
-                if let Some(bw) = slots.insert(other.min(o2), other.max(o2), mid, w_e + w2) {
+                if let Some(bw) = self.slots.insert(other, o2, mid, w_e + w2) {
                     if bw > w_max {
                         w_max = bw;
                     }
                 }
             }
-            if self.added[mid as usize].is_empty() {
+            if partners.is_empty() {
                 self.touched.push(mid);
             }
-            self.added[mid as usize].push((other, w_e));
+            partners.push((other, w_e));
         }
 
         // §V-D fast butterfly creating (Algorithm 2 lines 15–20).

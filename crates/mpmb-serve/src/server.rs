@@ -1017,8 +1017,14 @@ fn handle_register_graph(state: &AppState, req: &Request) -> Response {
     } else if let Some(p) = body.get("path").and_then(Json::as_str) {
         p.to_string()
     } else if let Some(d) = body.get("dataset").and_then(Json::as_str) {
-        let scale = body.get("scale").and_then(Json::as_f64).unwrap_or(0.01);
-        let seed = body.get("seed").and_then(Json::as_u64).unwrap_or(0);
+        let scale = match float_field(&body, "scale") {
+            Ok(s) => s.unwrap_or(0.01),
+            Err(resp) => return resp,
+        };
+        let seed = match int_field(&body, "seed") {
+            Ok(s) => s.unwrap_or(0),
+            Err(resp) => return resp,
+        };
         format!("dataset:{d}:{scale}:{seed}")
     } else {
         return Response::error(400, "provide `spec`, `path`, or `dataset`");
@@ -1027,12 +1033,22 @@ fn handle_register_graph(state: &AppState, req: &Request) -> Response {
     // checksum: a worker (or this node, on eviction reload) refuses to
     // serve different bytes than the ones registered. The checksum
     // travels as a hex string — JSON numbers here are f64-backed and
-    // would corrupt the high bits.
-    let expected = body
-        .get("container_checksum")
-        .and_then(Json::as_str)
-        .and_then(|s| u64::from_str_radix(s, 16).ok())
-        .or_else(|| bigraph::storage::peek_container_checksum(std::path::Path::new(&spec)));
+    // would corrupt the high bits. A malformed pin is a 400, not a
+    // silent fall back to the file's own checksum.
+    let pinned = match body.get("container_checksum") {
+        None => None,
+        Some(v) => match v.as_str().and_then(|s| u64::from_str_radix(s, 16).ok()) {
+            Some(sum) => Some(sum),
+            None => {
+                return Response::error(
+                    400,
+                    "`container_checksum` must be a hex string of at most 16 digits",
+                )
+            }
+        },
+    };
+    let expected =
+        pinned.or_else(|| bigraph::storage::peek_container_checksum(std::path::Path::new(&spec)));
     // Coordinator: every worker must hold the graph before ranges can
     // scatter, so registration reaches the workers first. A worker
     // that already has it answers 409, which counts as success; a

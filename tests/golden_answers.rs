@@ -13,6 +13,10 @@
 //! fast-tier intersection, the whole-graph `LazyEdgeSampler` memo in the
 //! OLS estimator and the per-engine middle-side scan — before any of
 //! those kernels was rewritten. The rewrites must reproduce them exactly.
+//! The `protein-0.002/*` and `movielens-0.10/os` rows were captured
+//! from commit `d2defba`, before the Ordering Sampling scan gained its
+//! scan-aligned endpoints, partner-head prune and direct-indexed angle
+//! slots (DESIGN.md §6.5).
 //!
 //! If a change is *meant* to alter answers (a new RNG stream, a new fold
 //! order), re-capture the table with
@@ -62,6 +66,7 @@ fn trials(method: &str, graph: &str) -> u64 {
     match (method, graph) {
         ("mcvp", "movielens-0.02") => 60,
         ("mcvp", _) => 400,
+        ("os", "protein-0.002") => 300,
         ("fast", _) => 5_000,
         _ => 1_500,
     }
@@ -182,6 +187,21 @@ fn render_all(threads: usize) -> Vec<(String, String)> {
             render_query(&g, trials("query", name)),
         ));
     }
+    // Both `SlotTable` index paths on the fixtures the serving
+    // benchmark runs: Protein 0.002 (374 × 374, 78,944 edges) keys its
+    // endpoint pairs through the hash; MovieLens 0.10 (61-vertex
+    // endpoint side) through the direct triangular index, at the
+    // `os-open` request shape of 1,000 os trials.
+    let protein = Dataset::Protein.generate(0.002, 7);
+    for method in ["os", "ols"] {
+        let r = render_solve(&protein, method, trials(method, "protein-0.002"), threads);
+        out.push((format!("protein-0.002/{method}"), r));
+    }
+    let movielens = Dataset::MovieLens.generate(0.10, 7);
+    out.push((
+        "movielens-0.10/os".to_string(),
+        render_solve(&movielens, "os", 1_000, threads),
+    ));
     out
 }
 
@@ -200,6 +220,9 @@ const GOLDEN: &[(&str, &str)] = &[
     ("movielens-0.02/fast", "est=41194f5fa0540649 var=41f0bab8d420941a ci=[41190d267f1e948d,41199198c1897805] rel=3f84ee8b5260fb29 n=5000"),
     ("movielens-0.02/count", "rows=1481 fnv=b1a7e5f2f7cb0185 first=[mean=41195766e81b4e82 var=41a8313ddb276dd0 n=1500]"),
     ("movielens-0.02/query", "B(u6,u7,v34,v95) exist=3fd74c91ad76c828 cond=3f99f0fb38a94d24 p=3f82e346fdf1b353 n=1500"),
+    ("protein-0.002/os", "rows=1240 fnv=ba45749c400df382 first=[B(u55,u121,v102,v200) 3fdc962fc962fc96]"),
+    ("protein-0.002/ols", "rows=769 fnv=51ca752bcebb21ed first=[B(u55,u121,v102,v200) 3fdb596de8ca11c0]"),
+    ("movielens-0.10/os", "rows=43 fnv=a0ba99eb8fce337d first=[B(u16,u32,v64,v137) 3fd010624dd2f1aa]"),
 ];
 
 fn check_against_golden(threads: usize) {

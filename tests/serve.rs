@@ -600,6 +600,58 @@ fn invalid_request_fields_are_rejected_not_defaulted() {
     server.join();
 }
 
+/// Graph registration follows the same rule: a present but invalid
+/// `seed` or `scale` is a 400 naming the field (not the default graph
+/// with a 200), and a malformed `container_checksum` is a 400 instead
+/// of being replaced by the file's own checksum, which defeats the pin.
+#[test]
+fn invalid_registration_fields_are_rejected_not_defaulted() {
+    let _guard = lock();
+    let (server, addr) = start(default_cfg());
+    let dir = scratch_dir("bad-registration");
+    let container = dir.join("g.ubgc");
+    bigraph::storage::write_container_path(&reference_graph(), &container).unwrap();
+
+    let dataset = r#""dataset":"abide""#;
+    let path = format!(r#""path":"{}""#, container.display());
+    // (the field at fault, the body's fields after `name`).
+    let cases: Vec<(&str, String)> = vec![
+        ("seed", format!(r#"{dataset},"seed":"7""#)),
+        ("seed", format!(r#"{dataset},"seed":-1"#)),
+        ("seed", format!(r#"{dataset},"seed":1.5"#)),
+        ("scale", format!(r#"{dataset},"scale":"big""#)),
+        (
+            "container_checksum",
+            format!(r#"{path},"container_checksum":"zz""#),
+        ),
+        (
+            "container_checksum",
+            format!(r#"{path},"container_checksum":7"#),
+        ),
+    ];
+    for (i, (field, fields)) in cases.iter().enumerate() {
+        let body = format!(r#"{{"name":"bad{i}",{fields}}}"#);
+        let (status, resp) = call(addr.as_str(), "POST", "/v1/graphs", &body).unwrap();
+        assert_eq!(status, 400, "{body}: {resp}");
+        assert!(
+            resp.contains(&format!("`{field}`")),
+            "{body}: error does not name the field: {resp}"
+        );
+    }
+    // Nothing was registered along the way.
+    let (_, list) = call(addr.as_str(), "GET", "/v1/graphs", "").unwrap();
+    assert!(!list.contains("bad"), "{list}");
+
+    // The valid forms of the same fields still register.
+    let body = r#"{"name":"ok","dataset":"abide","scale":0.01,"seed":3}"#;
+    let (status, resp) = call(addr.as_str(), "POST", "/v1/graphs", body).unwrap();
+    assert_eq!(status, 200, "{resp}");
+
+    server.begin_shutdown();
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn sigterm_drains_in_flight_request_then_exits() {
     let _guard = lock();
