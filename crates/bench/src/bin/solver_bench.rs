@@ -1,7 +1,8 @@
 //! `solver_bench` — trial-engine throughput benchmark: every sampler
-//! (os, mcvp, ols, ols-kl, fast) through the unified `Executor`, and
-//! the OLS listing phase's sharded backbone enumeration (listing), at
-//! several thread counts, as machine-readable JSON.
+//! (os, mcvp, ols, ols-kl, fast) through the serving method table's
+//! local entry point — the rows `mpmb serve` runs — and the OLS listing
+//! phase's sharded backbone enumeration (listing), at several thread
+//! counts, as machine-readable JSON.
 //!
 //! ```text
 //! solver_bench [--dataset NAME] [--scale F] [--seed N]
@@ -41,11 +42,8 @@
 
 use bench::default_scale;
 use datasets::Dataset;
-use mpmb_core::{
-    backbone_candidate_set, estimate_fast, Cancel, CandidateSet, Distribution, EstimatorKind,
-    Executor, FastEstimate, KlTrialPolicy, McVpConfig, McVpTrials, OlsConfig,
-    OrderingListingSampling, OsConfig, OsTrials, SublinearConfig,
-};
+use mpmb_core::{backbone_candidate_set, CandidateSet, Distribution, FastEstimate};
+use mpmb_serve::{advance_local, Answer, Cancel, Job, Method, Outcome};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -57,7 +55,7 @@ struct Args {
     trials: u64,
     prep: u64,
     repeats: u32,
-    methods: Vec<&'static str>,
+    methods: Vec<Bench>,
     container: bool,
     min_load_speedup: f64,
     min_fast_speedup: f64,
@@ -143,9 +141,8 @@ fn parse_args() -> Result<Args, String> {
                     .split(',')
                     .map(|m| {
                         METHODS
-                            .iter()
-                            .copied()
-                            .find(|k| *k == m.trim())
+                            .into_iter()
+                            .find(|k| k.name() == m.trim())
                             .ok_or_else(|| format!("--methods: unknown method `{m}`"))
                     })
                     .collect::<Result<_, _>>()?;
@@ -181,14 +178,39 @@ fn parse_args() -> Result<Args, String> {
         return Err("--min-load-speedup requires --container".into());
     }
     if args.min_fast_speedup > 0.0
-        && !(args.methods.contains(&"os") && args.methods.contains(&"fast"))
+        && !(args.methods.contains(&Bench::Table(Method::Os))
+            && args.methods.contains(&Bench::Table(Method::Fast)))
     {
         return Err("--min-fast-speedup requires both os and fast in --methods".into());
     }
     Ok(args)
 }
 
-const METHODS: [&str; 6] = ["os", "mcvp", "ols", "ols-kl", "fast", "listing"];
+/// One benchmarked row: a method of the serving table, or the OLS
+/// listing kernel on its own.
+#[derive(Clone, Copy, PartialEq)]
+enum Bench {
+    Table(Method),
+    Listing,
+}
+
+impl Bench {
+    fn name(self) -> &'static str {
+        match self {
+            Bench::Table(m) => m.name(),
+            Bench::Listing => "listing",
+        }
+    }
+}
+
+const METHODS: [Bench; 6] = [
+    Bench::Table(Method::Os),
+    Bench::Table(Method::McVp),
+    Bench::Table(Method::Ols),
+    Bench::Table(Method::OlsKl),
+    Bench::Table(Method::Fast),
+    Bench::Listing,
+];
 
 /// What a pass produced: the full sampling distribution for the exact
 /// tiers, the certified estimate for the sublinear fast tier, or the
@@ -201,80 +223,32 @@ enum BenchResult {
 }
 
 /// One pass on `threads` workers; returns the result and the work it
-/// did for the trials/sec figure: total executor trials for a solver,
-/// butterflies listed for listing.
+/// did for the trials/sec figure: the trials the table reports for a
+/// solver (OLS counts preparing too), butterflies listed for listing.
 fn run_method(
     g: &bigraph::UncertainBipartiteGraph,
-    method: &str,
+    method: Bench,
     args: &Args,
     threads: usize,
 ) -> (BenchResult, u64) {
-    let (trials, prep, seed) = (args.trials, args.prep, args.seed);
-    match method {
-        "fast" => {
-            let cfg = SublinearConfig {
-                trials,
-                seed,
-                delta: 0.05,
-            };
-            (BenchResult::Fast(estimate_fast(g, &cfg, threads)), trials)
-        }
-        "os" => {
-            let cfg = OsConfig {
-                trials,
-                seed,
-                ..Default::default()
-            };
-            let dist = Executor::new(threads)
-                .run(&OsTrials::new(g, &cfg), trials, &Cancel::never())
-                .acc
-                .into_distribution();
-            (BenchResult::Dist(dist), trials)
-        }
-        "mcvp" => {
-            let cfg = McVpConfig { trials, seed };
-            let dist = Executor::new(threads)
-                .run(&McVpTrials::new(g, &cfg), trials, &Cancel::never())
-                .acc
-                .into_distribution();
-            (BenchResult::Dist(dist), trials)
-        }
-        "ols" => {
-            let res = OrderingListingSampling::new(OlsConfig {
-                prep_trials: prep,
-                seed,
-                estimator: EstimatorKind::Optimized { trials },
-                threads,
-                ..Default::default()
-            })
-            .run(g);
-            (BenchResult::Dist(res.distribution), prep + trials)
-        }
-        "ols-kl" => {
-            let res = OrderingListingSampling::new(OlsConfig {
-                prep_trials: prep,
-                seed,
-                estimator: EstimatorKind::KarpLuby {
-                    policy: KlTrialPolicy::Fixed(trials),
-                },
-                threads,
-                ..Default::default()
-            })
-            .run(g);
-            let consumed: u64 = res
-                .kl_report
-                .as_ref()
-                .map(|r| r.trials_per_candidate.iter().sum())
-                .unwrap_or(0);
-            (BenchResult::Dist(res.distribution), prep + consumed)
-        }
-        "listing" => {
+    let method = match method {
+        Bench::Table(m) => m,
+        Bench::Listing => {
             let set = backbone_candidate_set(g, threads);
             let listed = set.len() as u64;
-            (BenchResult::Listing(set), listed)
+            return (BenchResult::Listing(set), listed);
         }
-        other => unreachable!("unknown method {other}"),
-    }
+    };
+    let job = Job::new(method, args.trials, args.prep, args.seed);
+    let progress = advance_local(g, &job, None, threads, &Cancel::never())
+        .unwrap_or_else(|e| panic!("{method}: {e}"));
+    let result = match progress.outcome {
+        Outcome::Done(Answer::Distribution(d)) => BenchResult::Dist(d),
+        Outcome::Done(Answer::Fast(est)) => BenchResult::Fast(est),
+        Outcome::Done(other) => unreachable!("{method} answered {other:?}"),
+        Outcome::Incomplete(_) => unreachable!("an uncancelled run completes"),
+    };
+    (result, progress.trials_done)
 }
 
 /// Minimum wall-clock seconds over `repeats` runs, plus the last result.
@@ -324,7 +298,7 @@ fn identical(a: &BenchResult, b: &BenchResult) -> bool {
 /// phase breakdown as a JSON object string. Kept out of the timed loops
 /// so observability never skews the reported throughput (it would not
 /// change the results — instrumented runs are bit-identical).
-fn profile_phases(g: &bigraph::UncertainBipartiteGraph, method: &str, args: &Args) -> String {
+fn profile_phases(g: &bigraph::UncertainBipartiteGraph, method: Bench, args: &Args) -> String {
     let profile = Arc::new(obs::Profile::new());
     {
         let _guard = obs::install(obs::ObsCtx {
@@ -368,7 +342,7 @@ fn main() {
 
     let mut methods_json = Vec::new();
     let mut mismatches: Vec<String> = Vec::new();
-    let mut seq_secs_of: Vec<(&str, f64)> = Vec::new();
+    let mut seq_secs_of: Vec<(Bench, f64)> = Vec::new();
     for &method in &args.methods {
         let (seq_secs, seq_dist, seq_trials) =
             time_min(args.repeats, || run_method(&g, method, &args, 1));
@@ -379,7 +353,7 @@ fn main() {
                 time_min(args.repeats, || run_method(&g, method, &args, threads));
             let same = identical(&seq_dist, &dist);
             if !same {
-                mismatches.push(format!("{method} @ {threads} threads"));
+                mismatches.push(format!("{} @ {threads} threads", method.name()));
             }
             runs.push(format!(
                 "      {{\"threads\": {}, \"secs\": {:.6}, \"trials_per_sec\": {:.1}, \
@@ -397,7 +371,7 @@ fn main() {
              \"sequential\": {{\"secs\": {:.6}, \"trials_per_sec\": {:.1}}},\n      \
              \"phases\": {},\n      \
              \"runs\": [\n{}\n      ]\n    }}",
-            method,
+            method.name(),
             seq_trials,
             seq_secs,
             seq_trials as f64 / seq_secs,
@@ -451,8 +425,13 @@ fn main() {
     // fast must beat sequential os by the gated factor, or serving it
     // as a deadline tier would be pointless.
     if args.min_fast_speedup > 0.0 {
-        let secs = |m: &str| seq_secs_of.iter().find(|(k, _)| *k == m).map(|(_, s)| *s);
-        let (os, fast) = (secs("os").unwrap(), secs("fast").unwrap());
+        let secs = |m| {
+            seq_secs_of
+                .iter()
+                .find(|(k, _)| *k == Bench::Table(m))
+                .map(|(_, s)| *s)
+        };
+        let (os, fast) = (secs(Method::Os).unwrap(), secs(Method::Fast).unwrap());
         let speedup = os / fast;
         eprintln!(
             "fast tier: {fast:.6}s vs sequential os {os:.6}s ({speedup:.1}x, need {:.1}x)",

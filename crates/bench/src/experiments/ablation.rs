@@ -12,10 +12,10 @@
 
 use crate::experiments::ExpOptions;
 use crate::report::Table;
-use crate::timing::run_budgeted;
+use crate::timing::budgeted;
 use crate::BenchDataset;
-use bigraph::{trial_rng, LazyEdgeSampler, Side};
-use mpmb_core::{OsConfig, OsEngine, SamplingOracle, Tally};
+use bigraph::Side;
+use mpmb_core::{OsConfig, OsTrials};
 
 /// The ablation variants, in presentation order.
 pub fn variants() -> Vec<(&'static str, OsConfig)> {
@@ -62,28 +62,6 @@ pub fn variants() -> Vec<(&'static str, OsConfig)> {
     ]
 }
 
-/// Times one OS variant on one graph under the budget.
-fn time_variant(
-    g: &bigraph::UncertainBipartiteGraph,
-    cfg: &OsConfig,
-    trials: u64,
-    seed: u64,
-    budget: std::time::Duration,
-) -> (f64, bool) {
-    let mut engine = OsEngine::new(g, cfg);
-    let mut sampler = LazyEdgeSampler::new(g.num_edges());
-    let mut smb = Vec::new();
-    let mut tally = Tally::new();
-    let bt = run_budgeted(trials, budget, |t| {
-        let mut rng = trial_rng(seed, t);
-        sampler.begin_trial();
-        let mut oracle = SamplingOracle::new(g, &mut sampler, &mut rng);
-        engine.trial(&mut oracle, &mut smb);
-        tally.record_trial(smb.iter());
-    });
-    (bt.estimated_total.as_secs_f64(), !bt.finished())
-}
-
 /// Renders the ablation table.
 pub fn run(datasets: &[BenchDataset], opts: &ExpOptions) -> Table {
     let mut t = Table::new(
@@ -99,15 +77,16 @@ pub fn run(datasets: &[BenchDataset], opts: &ExpOptions) -> Table {
     );
     for d in datasets {
         let mut row = vec![d.dataset.name().to_string()];
+        let trials = opts.plan.direct_trials;
         for (_, cfg) in variants() {
-            let (secs, truncated) = time_variant(
-                &d.graph,
-                &cfg,
-                opts.plan.direct_trials,
-                opts.seed,
-                opts.budget,
-            );
-            row.push(format!("{secs:.3}{}", if truncated { "*" } else { "" }));
+            let cfg = OsConfig {
+                trials,
+                seed: opts.seed,
+                ..cfg
+            };
+            let (bt, _) = budgeted(&OsTrials::new(&d.graph, &cfg), trials, opts.budget);
+            let secs = bt.estimated_total.as_secs_f64();
+            row.push(format!("{secs:.3}{}", if bt.finished() { "" } else { "*" }));
         }
         t.row(&row);
     }

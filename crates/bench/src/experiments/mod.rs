@@ -17,13 +17,10 @@ pub mod fig9;
 pub mod table3;
 pub mod table4;
 
-use crate::timing::{run_budgeted, BudgetedTime};
+use crate::timing::{budgeted, BudgetedTime};
 use crate::TrialPlan;
-use bigraph::{
-    trial_rng, LazyEdgeSampler, PossibleWorld, UncertainBipartiteGraph, VertexPriority,
-    WorldSampler,
-};
-use mpmb_core::{mcvp::smb_of_world, Distribution, OsConfig, OsEngine, SamplingOracle, Tally};
+use bigraph::UncertainBipartiteGraph;
+use mpmb_core::{Distribution, McVpConfig, McVpTrials, OsConfig, OsTrials};
 use std::time::Duration;
 
 /// Shared experiment options.
@@ -48,28 +45,21 @@ impl Default for ExpOptions {
     }
 }
 
-/// Runs MC-VP under a wall-clock budget; returns timing and the
-/// distribution over completed trials.
+/// Runs MC-VP under a wall-clock budget, on the engine `mcvp` requests
+/// run; returns timing and the distribution over completed trials.
 pub fn mcvp_budgeted(
     g: &UncertainBipartiteGraph,
     trials: u64,
     seed: u64,
     budget: Duration,
 ) -> (BudgetedTime, Distribution) {
-    let priority = VertexPriority::from_degrees(g);
-    let mut world = PossibleWorld::empty(g.num_edges());
-    let mut smb = Vec::new();
-    let mut tally = Tally::new();
-    let timing = run_budgeted(trials, budget, |t| {
-        let mut rng = trial_rng(seed, t);
-        WorldSampler::sample_into(g, &mut world, &mut rng);
-        smb_of_world(g, &priority, &world, &mut smb);
-        tally.record_trial(smb.iter());
-    });
-    (timing, tally.into_distribution())
+    let engine = McVpTrials::new(g, &McVpConfig { trials, seed });
+    let (timing, partial) = budgeted(&engine, trials, budget);
+    (timing, partial.acc.into_distribution())
 }
 
-/// Runs Ordering Sampling under a wall-clock budget.
+/// Runs Ordering Sampling under a wall-clock budget, on the engine `os`
+/// requests run.
 pub fn os_budgeted(
     g: &UncertainBipartiteGraph,
     trials: u64,
@@ -81,18 +71,8 @@ pub fn os_budgeted(
         seed,
         ..Default::default()
     };
-    let mut engine = OsEngine::new(g, &cfg);
-    let mut sampler = LazyEdgeSampler::new(g.num_edges());
-    let mut smb = Vec::new();
-    let mut tally = Tally::new();
-    let timing = run_budgeted(trials, budget, |t| {
-        let mut rng = trial_rng(seed, t);
-        sampler.begin_trial();
-        let mut oracle = SamplingOracle::new(g, &mut sampler, &mut rng);
-        engine.trial(&mut oracle, &mut smb);
-        tally.record_trial(smb.iter());
-    });
-    (timing, tally.into_distribution())
+    let (timing, partial) = budgeted(&OsTrials::new(g, &cfg), trials, budget);
+    (timing, partial.acc.into_distribution())
 }
 
 #[cfg(test)]

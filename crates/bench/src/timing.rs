@@ -7,6 +7,7 @@
 //! time and — when truncated — the per-trial extrapolation to the full
 //! count.
 
+use mpmb_core::{Cancel, Executor, Partial, TrialEngine};
 use std::time::{Duration, Instant};
 
 /// Outcome of a budgeted run.
@@ -44,37 +45,33 @@ impl BudgetedTime {
     }
 }
 
-/// Runs `trial(t)` for `t` in `0..trials`, stopping early once `budget`
-/// is exceeded (checked between trials). Returns timing with
-/// extrapolation.
-///
-/// # Panics
-/// Panics if `trials == 0`.
-pub fn run_budgeted(trials: u64, budget: Duration, mut trial: impl FnMut(u64)) -> BudgetedTime {
-    assert!(trials > 0, "need at least one trial");
+/// Runs `engine`'s trials `0..trials` on one thread of the production
+/// [`Executor`] until they finish or `budget` is spent — checked before
+/// every trial: a clock read is nanoseconds, while a trial on the large
+/// datasets can take seconds. Returns the timing, extrapolated from the
+/// completed trials when truncated, and their partial.
+pub fn budgeted<E: TrialEngine>(
+    engine: &E,
+    trials: u64,
+    budget: Duration,
+) -> (BudgetedTime, Partial<E::Acc>) {
     let start = Instant::now();
-    let mut completed = 0;
-    for t in 0..trials {
-        trial(t);
-        completed += 1;
-        // Checked every trial: a clock read is nanoseconds, while a trial
-        // on the large datasets can take seconds.
-        if start.elapsed() >= budget {
-            break;
-        }
-    }
+    let cancel = Cancel::at(Some(start + budget));
+    let partial = Executor::new(1).check_every(1).run(engine, trials, &cancel);
     let elapsed = start.elapsed();
+    let completed = partial.trials_done();
     let estimated_total = if completed == trials {
         elapsed
     } else {
-        Duration::from_secs_f64(elapsed.as_secs_f64() / completed as f64 * trials as f64)
+        Duration::from_secs_f64(elapsed.as_secs_f64() / completed.max(1) as f64 * trials as f64)
     };
-    BudgetedTime {
+    let timing = BudgetedTime {
         completed_trials: completed,
         requested_trials: trials,
         elapsed,
         estimated_total,
-    }
+    };
+    (timing, partial)
 }
 
 /// Times a closure, returning `(result, seconds)`.
@@ -88,23 +85,52 @@ pub fn time_it<T>(f: impl FnOnce() -> T) -> (T, f64) {
 mod tests {
     use super::*;
 
+    /// Counts its trials; each one sleeps `nap`.
+    struct Napping {
+        nap: Duration,
+    }
+
+    impl TrialEngine for Napping {
+        type Acc = u64;
+        type Scratch = ();
+
+        fn new_acc(&self) -> u64 {
+            0
+        }
+
+        fn new_scratch(&self) {}
+
+        fn trial(&self, _t: u64, _scratch: &mut (), acc: &mut u64) {
+            std::thread::sleep(self.nap);
+            *acc += 1;
+        }
+
+        fn merge(&self, into: &mut u64, from: u64) {
+            *into += from;
+        }
+    }
+
     #[test]
     fn completes_within_budget() {
-        let mut seen = Vec::new();
-        let t = run_budgeted(10, Duration::from_secs(60), |i| seen.push(i));
+        let engine = Napping {
+            nap: Duration::ZERO,
+        };
+        let (t, partial) = budgeted(&engine, 10, Duration::from_secs(60));
         assert!(t.finished());
-        assert_eq!(seen, (0..10).collect::<Vec<_>>());
+        assert_eq!(partial.acc, 10);
         assert_eq!(t.estimated_total, t.elapsed);
         assert!(t.display().ends_with('s'));
     }
 
     #[test]
     fn truncates_and_extrapolates() {
-        let t = run_budgeted(1_000_000, Duration::from_millis(30), |_| {
-            std::thread::sleep(Duration::from_millis(1));
-        });
+        let engine = Napping {
+            nap: Duration::from_millis(1),
+        };
+        let (t, partial) = budgeted(&engine, 1_000_000, Duration::from_millis(30));
         assert!(!t.finished());
         assert!(t.completed_trials < 1_000_000);
+        assert_eq!(partial.acc, t.completed_trials);
         assert!(t.estimated_total > t.elapsed);
         assert!(t.display().contains("timeout"));
         // Extrapolation ≈ requested/completed × elapsed.
@@ -121,11 +147,5 @@ mod tests {
         let (v, secs) = time_it(|| 7 * 6);
         assert_eq!(v, 42);
         assert!(secs >= 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one trial")]
-    fn rejects_zero_trials() {
-        let _ = run_budgeted(0, Duration::from_secs(1), |_| {});
     }
 }

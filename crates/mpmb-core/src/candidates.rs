@@ -134,6 +134,27 @@ impl CandidateSet {
     pub fn position(&self, b: &Butterfly) -> Option<usize> {
         self.candidates.iter().position(|c| c.butterfly == *b)
     }
+
+    /// Checks a set built elsewhere (a decoded range request) against
+    /// `g`: every candidate must be a backbone butterfly of `g` carrying
+    /// exactly the edge ids `g` gives it. The estimators index `g`'s
+    /// edge arrays with those ids, so a set listed from another graph
+    /// must be refused before any engine is built over it.
+    pub fn check_against(&self, g: &UncertainBipartiteGraph) -> Result<(), String> {
+        match self
+            .candidates
+            .iter()
+            .find(|c| c.butterfly.edges(g) != Some(c.edges))
+        {
+            None => Ok(()),
+            Some(c) => Err(format!(
+                "candidate {} with edges {:?} is not a butterfly of this graph ({} edges)",
+                c.butterfly,
+                c.edges,
+                g.num_edges()
+            )),
+        }
+    }
 }
 
 #[cfg(test)]

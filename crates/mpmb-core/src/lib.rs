@@ -58,7 +58,6 @@ pub use engine::{
     chunk_ranges, convergence_trace, AbsorbError, Cancel, Executor, Partial, TrialEngine,
     CHECK_EVERY,
 };
-pub use estimators::exact_prefix::estimate_exact_prefix;
 pub use estimators::karp_luby::{
     estimate_karp_luby, KarpLubyTrials, KlCandidate, KlReport, KlTrialPolicy,
 };

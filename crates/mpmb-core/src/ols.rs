@@ -34,17 +34,6 @@ pub enum EstimatorKind {
         /// Trial policy (fixed or Eq. 8 dynamic).
         policy: KlTrialPolicy,
     },
-    /// Exact candidate-conditional probabilities (extension, see
-    /// [`crate::estimators::exact_prefix`]): zero sampling error, viable
-    /// while each candidate's heavier-residual edge union stays below
-    /// `max_union_edges`. Falls back to `Optimized` with
-    /// `fallback_trials` shared trials when the union is too large.
-    ExactPrefix {
-        /// Enumeration cap per candidate (`2^n` worlds).
-        max_union_edges: u32,
-        /// Algorithm 5 trials used if enumeration is infeasible.
-        fallback_trials: u64,
-    },
 }
 
 impl Default for EstimatorKind {
@@ -210,24 +199,6 @@ impl OrderingListingSampling {
                     distribution: report.distribution.clone(),
                     candidates,
                     kl_report: Some(report),
-                }
-            }
-            EstimatorKind::ExactPrefix {
-                max_union_edges,
-                fallback_trials,
-            } => {
-                let distribution = match crate::estimators::exact_prefix::estimate_exact_prefix(
-                    g,
-                    &candidates,
-                    max_union_edges,
-                ) {
-                    Ok(d) => d,
-                    Err(_) => optimized(&candidates, fallback_trials),
-                };
-                OlsResult {
-                    distribution,
-                    candidates,
-                    kl_report: None,
                 }
             }
         }
@@ -408,56 +379,6 @@ mod tests {
             opt.distribution.max_abs_diff(&kl.distribution) < 0.015,
             "diff = {}",
             opt.distribution.max_abs_diff(&kl.distribution)
-        );
-    }
-
-    #[test]
-    fn ols_exact_prefix_matches_exact_distribution() {
-        let g = fig1();
-        let result = OrderingListingSampling::new(OlsConfig {
-            prep_trials: 200,
-            seed: 21,
-            estimator: EstimatorKind::ExactPrefix {
-                max_union_edges: 16,
-                fallback_trials: 1_000,
-            },
-            ..Default::default()
-        })
-        .run(&g);
-        let exact = exact_distribution(&g, ExactConfig::default()).unwrap();
-        // All three Fig. 1 butterflies are in the candidate set (checked
-        // by `preparing_phase_catches_high_probability_butterflies`), so
-        // the candidate-conditional probabilities are the true ones —
-        // with zero sampling error.
-        for (b, &p) in exact.iter() {
-            assert!(
-                (result.distribution.prob(b) - p).abs() < 1e-12,
-                "{b}: {} vs {}",
-                result.distribution.prob(b),
-                p
-            );
-        }
-    }
-
-    #[test]
-    fn exact_prefix_falls_back_when_union_too_large() {
-        let g = fig1();
-        let result = OrderingListingSampling::new(OlsConfig {
-            prep_trials: 200,
-            seed: 22,
-            estimator: EstimatorKind::ExactPrefix {
-                max_union_edges: 1, // force the fallback
-                fallback_trials: 40_000,
-            },
-            ..Default::default()
-        })
-        .run(&g);
-        let exact = exact_distribution(&g, ExactConfig::default()).unwrap();
-        let (b, p) = exact.mpmb().unwrap();
-        assert!(
-            (result.distribution.prob(&b) - p).abs() < 0.01,
-            "fallback estimate off: {} vs {p}",
-            result.distribution.prob(&b)
         );
     }
 

@@ -1,11 +1,10 @@
 //! Property-based tests for the extension modules: targeted queries,
-//! diverse top-k, adaptive sampling, count distributions, and the
-//! exact-prefix estimator.
+//! diverse top-k, adaptive sampling, and count distributions.
 
 use bigraph::{GraphBuilder, Left, Right};
 use mpmb_core::{
-    enumerate_backbone_butterflies, estimate_exact_prefix, estimate_prob_of, exact_distribution,
-    sample_count_distribution, shared_vertices, top_k_diverse, CandidateSet, ExactConfig,
+    enumerate_backbone_butterflies, estimate_prob_of, exact_distribution,
+    sample_count_distribution, shared_vertices, top_k_diverse, ExactConfig,
 };
 use proptest::prelude::*;
 
@@ -51,25 +50,6 @@ proptest! {
             // The decomposition is consistent.
             prop_assert!((q.prob - q.existence_prob * q.conditional_max_prob).abs() < 1e-12);
             prop_assert!(q.existence_prob <= 1.0 && q.conditional_max_prob <= 1.0);
-        }
-    }
-
-    /// The exact-prefix estimator over the full butterfly set equals the
-    /// global exact distribution, for any graph.
-    #[test]
-    fn exact_prefix_equals_global_exact(edges in arb_graph()) {
-        let g = build(&edges);
-        let all = enumerate_backbone_butterflies(&g);
-        if all.is_empty() {
-            return Ok(());
-        }
-        let cs = CandidateSet::from_butterflies(&g, all);
-        let Ok(local) = estimate_exact_prefix(&g, &cs, 24) else {
-            return Ok(()); // oversized union: out of scope here
-        };
-        let global = exact_distribution(&g, ExactConfig { max_uncertain_edges: 10 }).unwrap();
-        for (b, &p) in global.iter() {
-            prop_assert!((local.prob(b) - p).abs() < 1e-9, "{}: {} vs {}", b, local.prob(b), p);
         }
     }
 

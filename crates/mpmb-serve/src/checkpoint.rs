@@ -208,7 +208,7 @@ pub fn load_file(path: &Path) -> LoadOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solve::{advance_solve, Cancel, Outcome};
+    use crate::solve::{advance_local, Answer, Cancel, Job, Method, Outcome};
     use bigraph::{GraphBuilder, Left, Right, UncertainBipartiteGraph};
 
     fn fig1() -> UncertainBipartiteGraph {
@@ -222,20 +222,20 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// Runs `job` to completion on `threads` workers, from `state`.
+    fn complete(job: &Job, state: Option<PartialState>, threads: usize) -> Answer {
+        let progress = advance_local(&fig1(), job, state, threads, &Cancel::never()).unwrap();
+        match progress.outcome {
+            Outcome::Done(answer) => answer,
+            Outcome::Incomplete(s) => panic!("{}: stopped at `{}`", job.method, s.kind()),
+        }
+    }
+
     /// Runs `method` under a trial budget until it yields a partial.
-    fn make_partial(method: &str, trials: u64, prep: u64, budget: u64) -> PartialState {
-        let g = fig1();
-        let progress = advance_solve(
-            &g,
-            method,
-            trials,
-            prep,
-            31,
-            1,
-            None,
-            &Cancel::after_trials(budget),
-        )
-        .unwrap();
+    fn make_partial(method: Method, trials: u64, prep: u64, budget: u64) -> PartialState {
+        let job = Job::new(method, trials, prep, 31);
+        let progress =
+            advance_local(&fig1(), &job, None, 1, &Cancel::after_trials(budget)).unwrap();
         match progress.outcome {
             Outcome::Incomplete(s) => s,
             Outcome::Done(_) => panic!("budget {budget} should have interrupted {method}"),
@@ -246,12 +246,11 @@ mod tests {
     /// then *completes* to the same result as the uninterrupted run.
     #[test]
     fn every_variant_round_trips_and_resumes_identically() {
-        let g = fig1();
-        let cases: [(&str, u64, u64, u64); 4] = [
-            ("os", 2_000, 1, 300),
-            ("mcvp", 1_000, 1, 170),
-            ("ols", 5_000, 200, 450),  // mid-sampling
-            ("ols-kl", 300, 200, 202), // past prep, mid-KL (fig1 has 3 candidates)
+        let cases = [
+            (Method::Os, 2_000, 1, 300),
+            (Method::McVp, 1_000, 1, 170),
+            (Method::Ols, 5_000, 200, 450), // mid-sampling
+            (Method::OlsKl, 300, 200, 202), // past prep, mid-KL (fig1 has 3 candidates)
         ];
         for (method, trials, prep, budget) in cases {
             let state = make_partial(method, trials, prep, budget);
@@ -266,23 +265,12 @@ mod tests {
 
             let restored = back.partials.into_iter().next().unwrap().1;
             assert_eq!(restored.kind(), snap.partials[0].1.kind());
-            let full =
-                advance_solve(&g, method, trials, prep, 31, 1, None, &Cancel::never()).unwrap();
-            let resumed = advance_solve(
-                &g,
-                method,
-                trials,
-                prep,
-                31,
-                2,
-                Some(restored),
-                &Cancel::never(),
-            )
-            .unwrap();
-            let (full_d, resumed_d) = match (full.outcome, resumed.outcome) {
-                (Outcome::Done(a), Outcome::Done(b)) => (a, b),
-                _ => panic!("{method}: both runs must complete"),
-            };
+            let job = Job::new(method, trials, prep, 31);
+            let (full_d, resumed_d) =
+                match (complete(&job, None, 1), complete(&job, Some(restored), 2)) {
+                    (Answer::Distribution(a), Answer::Distribution(b)) => (a, b),
+                    other => panic!("{method}: expected distributions, got {other:?}"),
+                };
             assert_eq!(
                 full_d.max_abs_diff(&resumed_d),
                 0.0,
@@ -295,14 +283,11 @@ mod tests {
     /// partial completes bit-identically to the uninterrupted estimate.
     #[test]
     fn fast_partial_round_trips_and_resumes_identically() {
-        use crate::solve::advance_fast;
-        let g = fig1();
-        let progress =
-            advance_fast(&g, 2_000, 31, 0.1, 1, None, &Cancel::after_trials(300)).unwrap();
-        let state = match progress.outcome {
-            Outcome::Incomplete(s) => s,
-            Outcome::Done(_) => panic!("budget should have interrupted the fast run"),
+        let job = Job {
+            delta: 0.1,
+            ..Job::new(Method::Fast, 2_000, 0, 31)
         };
+        let state = make_partial(Method::Fast, 2_000, 0, 300);
         assert_eq!(state.kind(), "fast");
         let snap = Snapshot {
             graphs: vec![],
@@ -312,11 +297,8 @@ mod tests {
         let restored = back.partials.into_iter().next().unwrap().1;
         assert_eq!(restored.kind(), "fast");
 
-        let full = advance_fast(&g, 2_000, 31, 0.1, 1, None, &Cancel::never()).unwrap();
-        let resumed =
-            advance_fast(&g, 2_000, 31, 0.1, 2, Some(restored), &Cancel::never()).unwrap();
-        match (full.outcome, resumed.outcome) {
-            (Outcome::Done(a), Outcome::Done(b)) => {
+        match (complete(&job, None, 1), complete(&job, Some(restored), 2)) {
+            (Answer::Fast(a), Answer::Fast(b)) => {
                 assert_eq!(a.estimate.to_bits(), b.estimate.to_bits());
                 assert_eq!(a.variance.to_bits(), b.variance.to_bits());
                 assert_eq!(a.ci_low.to_bits(), b.ci_low.to_bits());
@@ -328,7 +310,7 @@ mod tests {
 
     #[test]
     fn prepare_phase_partial_round_trips() {
-        let state = make_partial("ols", 5_000, 200, 64);
+        let state = make_partial(Method::Ols, 5_000, 200, 64);
         assert_eq!(state.kind(), "ols-prepare");
         let snap = Snapshot {
             graphs: vec![],
@@ -349,7 +331,7 @@ mod tests {
             graphs: vec![ManifestEntry::memory("g", "dataset:abide:0.01:3")],
             partials: vec![(
                 "count|g|100|7".to_string(),
-                make_partial("os", 2_000, 1, 64),
+                make_partial(Method::Os, 2_000, 1, 64),
             )],
         };
         store.write(&snap).unwrap();

@@ -171,7 +171,7 @@ impl Scatter<'_> {
                         let hop = ctx.span.as_ref().map(|sc| sc.child());
                         let request = RangeRequest {
                             graph: self.graph.to_string(),
-                            method: job.method.to_string(),
+                            method: job.method,
                             trials: job.trials,
                             prep: job.prep,
                             seed: job.seed,

@@ -23,7 +23,7 @@
 //! carry the worker's per-phase profile for the range. Frames of any
 //! other version are rejected with `BadVersion`.
 
-use crate::solve::PartialState;
+use crate::solve::{Method, PartialState};
 use bigraph::codec::{open_frame, seal_frame, CodecError, Decoder, Encoder};
 use mpmb_core::{CandidateSet, Checkpoint};
 
@@ -53,8 +53,8 @@ pub(crate) struct TraceContext {
 pub(crate) struct RangeRequest {
     /// Registered graph name (must exist on the worker).
     pub graph: String,
-    /// `os` | `mcvp` | `ols` | `ols-kl` | `count` | `fast`.
-    pub method: String,
+    /// The method whose trials run; on the wire, its name.
+    pub method: Method,
     /// The full request's trial budget (KL per-candidate fixed count
     /// for `ols-kl`) — part of engine seeding, NOT this range's size.
     pub trials: u64,
@@ -87,7 +87,7 @@ impl RangeRequest {
     pub fn encode(&self) -> Vec<u8> {
         let mut enc = Encoder::new();
         enc.str(&self.graph);
-        enc.str(&self.method);
+        enc.str(self.method.name());
         enc.u64(self.trials);
         enc.u64(self.prep);
         enc.u64(self.seed);
@@ -118,7 +118,11 @@ impl RangeRequest {
         let mut dec = Decoder::new(payload);
         let req = RangeRequest {
             graph: dec.str()?,
-            method: dec.str()?,
+            method: {
+                let name = dec.str()?;
+                Method::parse(&name)
+                    .ok_or_else(|| CodecError::Invalid(format!("unknown method `{name}`")))?
+            },
             trials: dec.u64()?,
             prep: dec.u64()?,
             seed: dec.u64()?,
@@ -226,14 +230,17 @@ pub(crate) fn decode_response(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bigraph::codec::Encoder;
     use bigraph::{GraphBuilder, Left, Right, UncertainBipartiteGraph};
     use mpmb_core::engine::{Cancel, Partial};
     use mpmb_core::{Executor, OlsConfig, OsConfig, OsTrials, PrepareTrials, Tally};
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn request() -> RangeRequest {
         RangeRequest {
             graph: "g".to_string(),
-            method: "os".to_string(),
+            method: Method::Os,
             trials: 10_000,
             prep: 100,
             seed: 0x5EED,
@@ -307,7 +314,7 @@ mod tests {
 
         let g = graph();
         let with = RangeRequest {
-            method: "ols".to_string(),
+            method: Method::Ols,
             candidates: Some(candidates(&g)),
             ..request()
         };
@@ -408,5 +415,198 @@ mod tests {
             RangeRequest::decode(&empty.encode()),
             Err(CodecError::Invalid(_))
         ));
+    }
+
+    /// Largest single allocation the test binary has asked for, so the
+    /// hostility suite can check that no hostile count drove a big one.
+    static LARGEST_ALLOC: AtomicUsize = AtomicUsize::new(0);
+
+    struct TrackLargest;
+
+    // SAFETY: every call forwards to `System` unchanged; the wrapper
+    // only records the requested size.
+    unsafe impl GlobalAlloc for TrackLargest {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            LARGEST_ALLOC.fetch_max(layout.size(), Ordering::Relaxed);
+            System.alloc(layout)
+        }
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            LARGEST_ALLOC.fetch_max(new_size, Ordering::Relaxed);
+            System.realloc(ptr, layout, new_size)
+        }
+    }
+
+    #[global_allocator]
+    static ALLOC: TrackLargest = TrackLargest;
+
+    /// Far below what any hostile `u32::MAX` count would ask for.
+    const LARGE_ALLOC: usize = 256 << 20;
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// A request using every optional field: candidates and trace.
+    fn full_request() -> RangeRequest {
+        RangeRequest {
+            method: Method::OlsKl,
+            candidates: Some(candidates(&graph())),
+            trace: Some(TraceContext {
+                trace_id: "req-42".to_string(),
+                parent_span: 0xABCD_1234,
+            }),
+            ..request()
+        }
+    }
+
+    /// A request payload laid out like [`RangeRequest::encode`], with a
+    /// raw method and raw flag bytes; `tail` follows the candidates
+    /// flag.
+    fn raw_request(method: &[u8], start: u64, end: u64, flag: u8, tail: &[u8]) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        enc.str("g");
+        enc.bytes(method);
+        for v in [10_000, 100, 0x5EED, 2, start, end] {
+            enc.u64(v);
+        }
+        enc.u8(flag);
+        let mut bytes = enc.into_bytes();
+        bytes.extend_from_slice(tail);
+        bytes
+    }
+
+    fn decode_request(payload: &[u8]) -> Result<RangeRequest, CodecError> {
+        RangeRequest::decode(&seal_frame(REQ_MAGIC, VERSION, payload))
+    }
+
+    fn decode_reply(payload: &[u8]) -> Result<(PartialState, Vec<obs::PhaseStat>), CodecError> {
+        decode_response(&seal_frame(RESP_MAGIC, VERSION, payload))
+    }
+
+    /// Typing `method` left the wire unchanged: these digests were taken
+    /// at commit `1b67351`, when the field was the name string itself.
+    #[test]
+    fn request_frames_are_pinned() {
+        let full = full_request().encode();
+        assert_eq!((full.len(), fnv1a(&full)), (167, 0x32fe_9ffe_1fe6_06dc));
+        let plain = request().encode();
+        assert_eq!((plain.len(), fnv1a(&plain)), (89, 0x5222_7ffb_abf4_23ff));
+        let raw = raw_request(b"os", 2_500, 5_000, 0, &[0]);
+        assert_eq!(seal_frame(REQ_MAGIC, VERSION, &raw), plain);
+    }
+
+    /// Frames re-sealed around hostile payloads — any sender can compute
+    /// the checksum — decode to errors: never a panic, never a large
+    /// allocation.
+    #[test]
+    fn resealed_hostile_payloads_are_errors() {
+        LARGEST_ALLOC.store(0, Ordering::Relaxed);
+        let full = full_request().encode();
+        let request_payload = open(REQ_MAGIC, &full).unwrap().to_vec();
+        let phases = [obs::PhaseStat {
+            name: "os.sample".to_string(),
+            secs: 0.5,
+            items: 10,
+            calls: 1,
+        }];
+        let reply = encode_response(&PartialState::Os(os_piece(&graph(), 0..10)), Some(&phases));
+        let reply_payload = open(RESP_MAGIC, &reply).unwrap().to_vec();
+
+        // Every strict prefix.
+        for cut in 0..request_payload.len() {
+            assert!(
+                decode_request(&request_payload[..cut]).is_err(),
+                "cut {cut}"
+            );
+        }
+        for cut in 0..reply_payload.len() {
+            assert!(decode_reply(&reply_payload[..cut]).is_err(), "cut {cut}");
+        }
+        // Trailing bytes.
+        for (payload, reply) in [(&request_payload, false), (&reply_payload, true)] {
+            let mut long = payload.clone();
+            long.push(0);
+            if reply {
+                assert!(decode_reply(&long).is_err());
+            } else {
+                assert!(decode_request(&long).is_err());
+            }
+        }
+        // Every single-bit flip. A flip inside a plain field (a seed, a
+        // weight) is a different valid request, so the property is
+        // weaker than `Err`: no panic, and anything accepted without a
+        // candidate set (which decoding re-sorts) re-encodes to exactly
+        // the frame that was read.
+        for payload in [
+            &request_payload,
+            &open(REQ_MAGIC, &request().encode()).unwrap().to_vec(),
+        ] {
+            for bit in 0..payload.len() * 8 {
+                let mut flipped = payload.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                if let Ok(req) = decode_request(&flipped) {
+                    if req.candidates.is_none() {
+                        assert_eq!(req.encode(), seal_frame(REQ_MAGIC, VERSION, &flipped));
+                    }
+                }
+            }
+        }
+        for bit in 0..reply_payload.len() * 8 {
+            let mut flipped = reply_payload.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let _ = decode_reply(&flipped);
+        }
+        // Methods outside the table, and names that are not UTF-8.
+        for method in [&b"nope"[..], b"exact", b"OS", b"", &[0xff, 0xfe]] {
+            assert!(matches!(
+                decode_request(&raw_request(method, 0, 10, 0, &[0])),
+                Err(CodecError::Invalid(_))
+            ));
+        }
+        // Flag bytes other than 0 and 1, for candidates and for trace.
+        for flag in 2..=u8::MAX {
+            assert!(decode_request(&raw_request(b"os", 0, 10, flag, &[0])).is_err());
+            assert!(decode_request(&raw_request(b"os", 0, 10, 0, &[flag])).is_err());
+            let mut bad_profile = reply_payload.clone();
+            let flag_at = bad_profile.len() - 1 - (4 + 4 + 9 + 24);
+            assert_eq!(bad_profile[flag_at], 1, "profile flag position");
+            bad_profile[flag_at] = flag;
+            assert!(decode_reply(&bad_profile).is_err());
+        }
+        // Empty and inverted ranges.
+        for (start, end) in [(5, 5), (6, 5), (u64::MAX, 0)] {
+            assert!(decode_request(&raw_request(b"os", start, end, 0, &[0])).is_err());
+        }
+        // Counts with nothing behind them: candidates (a `u64` count),
+        // done ranges and tally entries (`u64`), phases (`u32`).
+        for count in [u32::MAX as u64, u64::MAX] {
+            let tail = count.to_le_bytes();
+            assert!(decode_request(&raw_request(b"ols", 0, 10, 1, &tail)).is_err());
+            // An `os` partial's done ranges, then its tally's entries.
+            for (ranges, entries) in [(count, 0), (0, count)] {
+                let mut enc = Encoder::new();
+                enc.u8(0);
+                enc.u64(100);
+                enc.u64(ranges);
+                enc.u64(entries);
+                assert!(decode_reply(&enc.into_bytes()).is_err());
+            }
+        }
+        let mut enc = Encoder::new();
+        PartialState::Os(os_piece(&graph(), 0..10)).encode(&mut enc);
+        enc.u8(1);
+        enc.u32(u32::MAX);
+        assert!(decode_reply(&enc.into_bytes()).is_err());
+
+        let largest = LARGEST_ALLOC.load(Ordering::Relaxed);
+        assert!(
+            largest < LARGE_ALLOC,
+            "a hostile frame allocated {largest} bytes"
+        );
     }
 }

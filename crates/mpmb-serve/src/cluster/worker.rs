@@ -84,7 +84,7 @@ pub(crate) fn handle_solve_range(state: &AppState, req: &Request) -> Response {
                 "cluster.range.served",
                 &[
                     ("graph", rr.graph.as_str().into()),
-                    ("method", rr.method.as_str().into()),
+                    ("method", rr.method.name().into()),
                     ("start", rr.start.into()),
                     ("end", rr.end.into()),
                     ("done", executed.into()),
@@ -108,14 +108,8 @@ fn solve_range(
     threads: usize,
     cancel: &Cancel,
 ) -> Result<(PartialState, u64), ClusterError> {
-    let job = Job::new(&rr.method, rr.trials, rr.prep, rr.seed);
-    if matches!(job.method, "ols" | "ols-kl") && rr.candidates.is_none() {
-        return Err(ClusterError::BadRequest(format!(
-            "{} range requires a candidate set",
-            job.method
-        )));
-    }
-    let start = solve::start(&job, rr.candidates.clone())?;
+    let job = Job::new(rr.method, rr.trials, rr.prep, rr.seed);
+    let start = solve::start_range(g, &job, rr.candidates.clone())?;
     let runner = Runner::Range(Executor::new(threads), rr.start..rr.end);
     let progress = solve::advance(g, &job, Some(start), &runner, cancel)?;
     match progress.outcome {
@@ -127,6 +121,7 @@ fn solve_range(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solve::Method;
     use bigraph::{GraphBuilder, Left, Right};
     use mpmb_core::engine::Partial;
     use mpmb_core::{OsConfig, OsTrials, SublinearTrials, TrialEngine};
@@ -142,10 +137,10 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn rr(method: &str, trials: u64, start: u64, end: u64) -> RangeRequest {
+    fn rr(method: Method, trials: u64, start: u64, end: u64) -> RangeRequest {
         RangeRequest {
             graph: "g".to_string(),
-            method: method.to_string(),
+            method,
             trials,
             prep: 60,
             seed: 17,
@@ -161,7 +156,7 @@ mod tests {
     /// them into one partial with `engine`'s merge.
     fn reassemble<E: TrialEngine>(
         engine: &E,
-        method: &str,
+        method: Method,
         unwrap: impl Fn(PartialState) -> Partial<E::Acc>,
     ) -> Partial<E::Acc> {
         let run = |s, e, threads| {
@@ -194,7 +189,7 @@ mod tests {
         );
         let full = Executor::new(2).run(&engine, 900, &Cancel::never());
         let reference: Vec<_> = full.acc.counts().map(|(b, c)| (*b, *c)).collect();
-        let master = reassemble(&engine, "os", |s| match s {
+        let master = reassemble(&engine, Method::Os, |s| match s {
             PartialState::Os(p) => p,
             other => panic!("wrong variant: {}", other.kind()),
         });
@@ -208,7 +203,7 @@ mod tests {
         let engine = SublinearTrials::new(&g, 17);
         let full = Executor::new(2).run(&engine, 900, &Cancel::never());
         let reference = engine.finalize(full.acc, 0.1);
-        let master = reassemble(&engine, "fast", |s| match s {
+        let master = reassemble(&engine, Method::Fast, |s| match s {
             PartialState::Fast(p) => p,
             other => panic!("wrong variant: {}", other.kind()),
         });
@@ -220,15 +215,52 @@ mod tests {
     #[test]
     fn ols_ranges_require_candidates() {
         let g = graph();
-        assert!(solve_range(&g, &rr("ols", 500, 0, 100), 1, &Cancel::never()).is_err());
-        assert!(solve_range(&g, &rr("ols-kl", 50, 0, 1), 1, &Cancel::never()).is_err());
+        for method in [Method::Ols, Method::OlsKl] {
+            let err = solve_range(&g, &rr(method, 50, 0, 1), 1, &Cancel::never()).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("{method} range requires a candidate set")
+            );
+        }
+    }
+
+    #[test]
+    fn foreign_candidate_sets_are_rejected_before_any_engine_runs() {
+        // A 3×3 graph lists butterflies whose edge ids run past the
+        // worker graph's six edges: a coordinator holding a different
+        // graph under the same name.
+        let mut b = GraphBuilder::new();
+        for u in 0..3u32 {
+            for v in 0..3u32 {
+                b.add_edge(Left(u), Right(v), (1 + u * 3 + v) as f64, 0.9)
+                    .unwrap();
+            }
+        }
+        let foreign = mpmb_core::backbone_candidate_set(&b.build().unwrap(), 1);
+        for method in [Method::Ols, Method::OlsKl] {
+            let request = RangeRequest {
+                candidates: Some(foreign.clone()),
+                ..rr(method, 50, 0, 1)
+            };
+            let err = solve_range(&graph(), &request, 1, &Cancel::never()).unwrap_err();
+            assert!(
+                matches!(&err, ClusterError::BadRequest(msg) if msg.contains("is not a butterfly of this graph")),
+                "{method}: {err}"
+            );
+        }
+        // The worker's own listing passes the same check.
+        let own = mpmb_core::backbone_candidate_set(&graph(), 1);
+        let request = RangeRequest {
+            candidates: Some(own),
+            ..rr(Method::Ols, 50, 0, 50)
+        };
+        assert!(solve_range(&graph(), &request, 1, &Cancel::never()).is_ok());
     }
 
     #[test]
     fn out_of_space_ranges_are_rejected() {
         let g = graph();
-        assert!(solve_range(&g, &rr("os", 100, 50, 150), 1, &Cancel::never()).is_err());
-        assert!(solve_range(&g, &rr("nope", 100, 0, 10), 1, &Cancel::never()).is_err());
+        assert!(solve_range(&g, &rr(Method::Os, 100, 50, 150), 1, &Cancel::never()).is_err());
     }
 
     #[test]
@@ -236,7 +268,7 @@ mod tests {
         let g = graph();
         let (partial, done) = solve_range(
             &g,
-            &rr("os", 1_000_000, 0, 1_000_000),
+            &rr(Method::Os, 1_000_000, 0, 1_000_000),
             1,
             &Cancel::after_trials(200),
         )

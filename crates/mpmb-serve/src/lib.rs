@@ -55,5 +55,6 @@ pub use metrics::Metrics;
 pub use registry::{GraphHandle, Registry, RegistryError};
 pub use server::{AppState, Server, ServerConfig, SolveTrace};
 pub use solve::{
-    advance_solve, Cancel, Outcome, Partial, PartialState, Progress, SolveProgress, CHECK_EVERY,
+    advance_local, Answer, Cancel, Job, Method, Outcome, Partial, PartialState, Progress,
+    CHECK_EVERY,
 };

@@ -27,7 +27,7 @@ use crate::json::Json;
 use crate::metrics::{endpoint_index, Metrics};
 use crate::registry::{Registry, RegistryError};
 use crate::signal;
-use crate::solve::{self, Answer, Cancel, Job, Outcome, PartialState, Runner};
+use crate::solve::{self, Answer, Cancel, Job, Method, Outcome, PartialState, Runner};
 use mpmb_core::{Butterfly, Distribution, Executor};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -1095,10 +1095,10 @@ enum Endpoint {
 
 /// One parsed solve-like request: what the method table runs, under
 /// which cache key, and the request fields its response echoes.
-struct Plan<'a> {
+struct Plan {
     endpoint: Endpoint,
     key: String,
-    job: Job<'a>,
+    job: Job,
     threads: usize,
     k: usize,
     max_shared: Option<u64>,
@@ -1179,12 +1179,7 @@ fn drive(
 /// always has. An absent field takes its default; a present one that is
 /// not a valid value is a 400 naming it. Thread counts never enter a
 /// cache key: parallel runs are bit-identical.
-fn plan<'a>(
-    state: &AppState,
-    endpoint: Endpoint,
-    name: &str,
-    body: &'a Json,
-) -> Result<Plan<'a>, Response> {
+fn plan(state: &AppState, endpoint: Endpoint, name: &str, body: &Json) -> Result<Plan, Response> {
     let num = |field| int_field(body, field);
     let butterfly = match endpoint {
         Endpoint::Query => Some(butterfly_field(body)?),
@@ -1199,17 +1194,35 @@ fn plan<'a>(
         Endpoint::Query => 1,
         _ => solver_threads(state, body)?,
     };
-    let method = match endpoint {
-        Endpoint::Query => Some("query"),
-        _ => body
-            .get("method")
-            .map(|m| {
-                m.as_str()
-                    .ok_or_else(|| Response::error(400, "`method` must be a string"))
-            })
-            .transpose()?,
+    // Parsed here; an unknown name is reported after the trial checks.
+    let method = match (endpoint, body.get("method")) {
+        (Endpoint::Query, _) => Ok(Method::Query),
+        (_, None) => Ok(if count { Method::Count } else { Method::Os }),
+        (_, Some(m)) => {
+            let m = m
+                .as_str()
+                .ok_or_else(|| Response::error(400, "`method` must be a string"))?;
+            if count {
+                Method::parse_count(m)
+            } else {
+                Method::parse_solve(m)
+            }
+        }
+    };
+    let k = num("k")?.unwrap_or(if endpoint == Endpoint::TopK { 5 } else { 0 }) as usize;
+    let max_shared = num("max_shared")?;
+    let epsilon = float_field(body, "epsilon")?.unwrap_or(0.05);
+    let ranking = matches!(endpoint, Endpoint::Solve | Endpoint::TopK);
+    let ols = matches!(method, Ok(Method::Ols | Method::OlsKl));
+    if trials == 0 || (ranking && ols && prep == 0) {
+        let msg = if ranking {
+            "trials and prep must be positive"
+        } else {
+            "trials must be positive"
+        };
+        return Err(Response::error(400, msg));
     }
-    .unwrap_or(if count { "exact" } else { "os" });
+    let method = method.map_err(|msg| Response::error(400, &msg))?;
     let mut plan = Plan {
         endpoint,
         key: String::new(),
@@ -1218,65 +1231,52 @@ fn plan<'a>(
             ..Job::new(method, trials, prep, seed)
         },
         threads,
-        k: num("k")?.unwrap_or(if endpoint == Endpoint::TopK { 5 } else { 0 }) as usize,
-        max_shared: num("max_shared")?,
-        epsilon: float_field(body, "epsilon")?.unwrap_or(0.05),
+        k,
+        max_shared,
+        epsilon,
     };
-    let ranking = matches!(endpoint, Endpoint::Solve | Endpoint::TopK);
-    if trials == 0 || (ranking && matches!(method, "ols" | "ols-kl") && prep == 0) {
-        let msg = if ranking {
-            "trials and prep must be positive"
-        } else {
-            "trials must be positive"
-        };
-        return Err(Response::error(400, msg));
-    }
-    if method == "fast" && endpoint != Endpoint::Query {
-        if endpoint == Endpoint::TopK {
+    plan.key = match (method, endpoint) {
+        (Method::Fast, Endpoint::TopK) => {
             return Err(Response::error(
                 400,
-                "method `fast` estimates the expected count, not a butterfly ranking",
-            ));
-        }
-        plan.job.delta = float_field(body, "delta")?.unwrap_or(0.05);
-        let delta = plan.job.delta;
-        if !(delta > 0.0 && delta < 1.0) {
-            return Err(Response::error(400, "delta must be in (0, 1)"));
-        }
-        if !count && (plan.epsilon <= 0.0 || plan.epsilon.is_nan()) {
-            return Err(Response::error(400, "epsilon must be positive"));
-        }
-        let kind = if count { "count-fast" } else { "fast" };
-        plan.key = format!("{kind}|{name}|{trials}|{seed}|{delta}");
-        return Ok(plan);
-    }
-    plan.key = match endpoint {
-        Endpoint::Query => {
-            let b = butterfly.expect("query bodies were parsed for their butterfly");
-            format!("query|{name}|{b}|{trials}|{seed}")
-        }
-        Endpoint::Count if method == "exact" => {
-            plan.job.method = "count";
-            format!("count|{name}|{trials}|{seed}")
-        }
-        Endpoint::Count => {
-            return Err(Response::error(
-                400,
-                &format!("unknown method `{method}` (expected exact|fast)"),
+                &format!("method `{method}` estimates the expected count, not a butterfly ranking"),
             ))
         }
-        Endpoint::Solve | Endpoint::TopK => {
-            solve::check_solve_method(method).map_err(|msg| Response::error(400, &msg))?;
-            let kind = if endpoint == Endpoint::TopK {
-                "topk"
-            } else {
-                "solve"
-            };
-            let (k, max_shared) = (plan.k, plan.max_shared);
-            format!("{kind}|{name}|{method}|{trials}|{prep}|{seed}|{k}|{max_shared:?}")
+        (Method::Fast, _) => {
+            plan.job.delta = float_field(body, "delta")?.unwrap_or(0.05);
+            let delta = plan.job.delta;
+            if !(delta > 0.0 && delta < 1.0) {
+                return Err(Response::error(400, "delta must be in (0, 1)"));
+            }
+            if !count && (epsilon <= 0.0 || epsilon.is_nan()) {
+                return Err(Response::error(400, "epsilon must be positive"));
+            }
+            let kind = if count { "count-fast" } else { method.name() };
+            format!("{kind}|{name}|{trials}|{seed}|{delta}")
         }
+        (_, Endpoint::Query) => {
+            let b = butterfly.expect("query bodies were parsed for their butterfly");
+            format!("{method}|{name}|{b}|{trials}|{seed}")
+        }
+        (_, Endpoint::Count) => format!("{method}|{name}|{trials}|{seed}"),
+        (_, Endpoint::Solve | Endpoint::TopK) => plan.ranking_key(name),
     };
     Ok(plan)
+}
+
+impl Plan {
+    /// The cache key of a `/v1/solve` or `/v1/topk` plan: every field
+    /// its response depends on.
+    fn ranking_key(&self, name: &str) -> String {
+        let kind = if self.endpoint == Endpoint::TopK {
+            "topk"
+        } else {
+            "solve"
+        };
+        let (job, k, max_shared) = (&self.job, self.k, self.max_shared);
+        let (method, trials, prep, seed) = (job.method, job.trials, job.prep, job.seed);
+        format!("{kind}|{name}|{method}|{trials}|{prep}|{seed}|{k}|{max_shared:?}")
+    }
 }
 
 /// Shapes a finished answer into its response body. A fast answer on
@@ -1317,7 +1317,7 @@ fn render(
             }
             let mut fields = vec![
                 graph_field,
-                ("method", Json::Str("fast".to_string())),
+                ("method", Json::Str(job.method.name().to_string())),
                 ("seed", Json::Num(job.seed as f64)),
                 ("delta", Json::Num(job.delta)),
             ];
@@ -1372,7 +1372,7 @@ fn solve_body(
 ) -> String {
     let mut fields = vec![
         ("graph", Json::Str(name.to_string())),
-        ("method", Json::Str(plan.job.method.to_string())),
+        ("method", Json::Str(plan.job.method.name().to_string())),
         ("seed", Json::Num(plan.job.seed as f64)),
         ("trials_requested", Json::Num(trials_requested as f64)),
         ("trials_done", Json::Num(trials_done as f64)),
@@ -1405,13 +1405,12 @@ fn escalate_to_exact(
     fast: &Plan,
     deadline: Option<Instant>,
 ) {
-    let (trials, prep, seed) = (fast.job.trials, fast.job.prep, fast.job.seed);
-    let (k, max_shared) = (fast.k, fast.max_shared);
-    let os = Plan {
-        key: format!("solve|{name}|os|{trials}|{prep}|{seed}|{k}|{max_shared:?}"),
-        job: Job::new("os", trials, prep, seed),
+    let mut os = Plan {
+        key: String::new(),
+        job: Job::new(Method::Os, fast.job.trials, fast.job.prep, fast.job.seed),
         ..*fast
     };
+    os.key = os.ranking_key(name);
     let prior = match state.cache.get(&os.key) {
         Some(CacheEntry::Complete(_)) => return, // exact answer already cached
         Some(CacheEntry::Partial(p)) => Some(p),

@@ -5,7 +5,8 @@
 //! [`mpmb_core::TrialEngine`] followed by a finalize step: OS (Alg. 2),
 //! MC-VP (Alg. 1), OLS preparing (Alg. 3) and its Karp-Luby (Alg. 4)
 //! and shared-trial (Alg. 5) estimators, `/v1/query`, `/v1/count`, and
-//! the sublinear `method=fast` tier. The method table has two parts:
+//! the sublinear `method=fast` tier, each a [`Method`]. The method
+//! table has two parts:
 //! `start` gives each method's fresh state and trial space, and
 //! `step` has one arm per phase — the engine a single-node library
 //! call would build, the phase's `Phase` columns (check granularity,
@@ -15,8 +16,9 @@
 //!
 //! One driver, `advance`, runs any phase on any `Runner`:
 //!
-//! * `Runner::Local` — this node's [`Executor`] (single-node serving
-//!   and the CLI);
+//! * `Runner::Local` — this node's [`Executor`] (single-node serving,
+//!   and [`advance_local`], the entry point of the CLI, the benches and
+//!   the tests);
 //! * `Runner::Range` — one worker range call: only the assigned slice
 //!   of the trial space runs, and the partial goes back unfinalized;
 //! * `Runner::Cluster` — a coordinator: the missing ranges scatter to
@@ -90,14 +92,14 @@ impl PartialState {
     /// --progress` prints).
     pub fn kind(&self) -> &'static str {
         match self {
-            PartialState::Os(_) => "os",
-            PartialState::McVp(_) => "mcvp",
+            PartialState::Os(_) => Method::Os.name(),
+            PartialState::McVp(_) => Method::McVp.name(),
             PartialState::OlsPrepare(_) => "ols-prepare",
             PartialState::OlsSample { .. } => "ols-sample",
-            PartialState::Kl { .. } => "ols-kl",
-            PartialState::Query(_) => "query",
-            PartialState::Count(_) => "count",
-            PartialState::Fast(_) => "fast",
+            PartialState::Kl { .. } => Method::OlsKl.name(),
+            PartialState::Query(_) => Method::Query.name(),
+            PartialState::Count(_) => Method::Count.name(),
+            PartialState::Fast(_) => Method::Fast.name(),
         }
     }
 
@@ -205,19 +207,26 @@ impl PartialState {
 
     /// Whether this state is a phase of `method` (OLS preparing is a
     /// phase of both OLS estimators).
-    fn is_phase_of(&self, method: &str) -> bool {
-        match self.kind() {
-            "ols-prepare" => matches!(method, "ols" | "ols-kl"),
-            "ols-sample" => method == "ols",
-            kind => kind == method,
-        }
+    fn is_phase_of(&self, method: Method) -> bool {
+        use Method::*;
+        matches!(
+            (self, method),
+            (PartialState::Os(_), Os)
+                | (PartialState::McVp(_), McVp)
+                | (PartialState::OlsPrepare(_), Ols | OlsKl)
+                | (PartialState::OlsSample { .. }, Ols)
+                | (PartialState::Kl { .. }, OlsKl)
+                | (PartialState::Query(_), Query)
+                | (PartialState::Count(_), Count)
+                | (PartialState::Fast(_), Fast)
+        )
     }
 }
 
 /// A finished request's result, one variant per result type the
 /// method table produces.
 #[derive(Clone, Debug)]
-pub(crate) enum Answer {
+pub enum Answer {
     /// An MPMB distribution (`os`, `mcvp`, `ols`, `ols-kl`).
     Distribution(Distribution),
     /// A conditioned `/v1/query` estimate.
@@ -257,32 +266,98 @@ impl<T> Progress<T> {
     pub fn completed(&self) -> bool {
         matches!(self.outcome, Outcome::Done(_))
     }
+}
 
-    fn map<U>(self, f: impl FnOnce(T) -> U) -> Progress<U> {
-        Progress {
-            outcome: match self.outcome {
-                Outcome::Done(v) => Outcome::Done(f(v)),
-                Outcome::Incomplete(s) => Outcome::Incomplete(s),
-            },
-            trials_done: self.trials_done,
-            trials_requested: self.trials_requested,
-            executed: self.executed,
+/// A method of the table: the paper's samplers and the serving tiers.
+/// Each edge parses it once — the HTTP body, the CLI's and the bench's
+/// `--method(s)`, a range frame — and [`Method::name`] is the only
+/// spelling that goes on the wire and into cache keys.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Method {
+    /// Ordering Sampling (Alg. 2).
+    Os,
+    /// The MC-VP baseline (Alg. 1).
+    McVp,
+    /// OLS (Alg. 3) with the shared-trial estimator (Alg. 5).
+    Ols,
+    /// OLS (Alg. 3) with the Karp-Luby estimator (Alg. 4).
+    OlsKl,
+    /// Conditioned `P(B)` of one butterfly (`/v1/query`).
+    Query,
+    /// The sampled butterfly-count distribution (`/v1/count`).
+    Count,
+    /// The sublinear expected-count tier.
+    Fast,
+}
+
+impl Method {
+    /// Every method, in table order.
+    pub const ALL: [Method; 7] = [
+        Method::Os,
+        Method::McVp,
+        Method::Ols,
+        Method::OlsKl,
+        Method::Query,
+        Method::Count,
+        Method::Fast,
+    ];
+
+    /// The method's name on the wire, in cache keys and in responses.
+    pub fn name(self) -> &'static str {
+        match self {
+            Method::Os => "os",
+            Method::McVp => "mcvp",
+            Method::Ols => "ols",
+            Method::OlsKl => "ols-kl",
+            Method::Query => "query",
+            Method::Count => "count",
+            Method::Fast => "fast",
+        }
+    }
+
+    /// The method named `name`, if any.
+    pub fn parse(name: &str) -> Option<Method> {
+        Method::ALL.into_iter().find(|m| m.name() == name)
+    }
+
+    /// A `/v1/solve` (and `mpmb solve`) method: one that ranks
+    /// butterflies, or `fast`. The error is the 400 text.
+    pub fn parse_solve(name: &str) -> Result<Method, String> {
+        match Method::parse(name) {
+            Some(m @ (Method::Os | Method::McVp | Method::Ols | Method::OlsKl | Method::Fast)) => {
+                Ok(m)
+            }
+            _ => Err(format!(
+                "unknown method `{name}` (expected os|mcvp|ols|ols-kl)"
+            )),
+        }
+    }
+
+    /// A `/v1/count` (and `mpmb count`) method: `exact`, which names
+    /// the sampled [`Method::Count`] distribution, or `fast`. The error
+    /// is the 400 text.
+    pub fn parse_count(name: &str) -> Result<Method, String> {
+        match (name, Method::parse(name)) {
+            ("exact", _) => Ok(Method::Count),
+            (_, Some(Method::Fast)) => Ok(Method::Fast),
+            _ => Err(format!("unknown method `{name}` (expected exact|fast)")),
         }
     }
 }
 
-/// A solve/topk request's progress.
-pub type SolveProgress = Progress<Distribution>;
-/// A `method=fast` request's progress.
-pub type FastProgress = Progress<FastEstimate>;
+impl std::fmt::Display for Method {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
 
 /// What one request asks the method table for: the method plus every
 /// parameter that seeds its engines. Thread counts are not among them
 /// — they never change an answer.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct Job<'a> {
-    /// `os` | `mcvp` | `ols` | `ols-kl` | `query` | `count` | `fast`.
-    pub method: &'a str,
+pub struct Job {
+    /// The method whose table rows run.
+    pub method: Method,
     /// Trial budget (the per-candidate fixed count for `ols-kl`).
     pub trials: u64,
     /// OLS preparing budget.
@@ -296,9 +371,9 @@ pub(crate) struct Job<'a> {
     pub butterfly: Option<Butterfly>,
 }
 
-impl<'a> Job<'a> {
+impl Job {
     /// A job with no `fast` or `query` extras.
-    pub fn new(method: &'a str, trials: u64, prep: u64, seed: u64) -> Self {
+    pub fn new(method: Method, trials: u64, prep: u64, seed: u64) -> Self {
         Job {
             method,
             trials,
@@ -369,7 +444,7 @@ impl<A> Phase<A> {
 
 /// One [`advance`] call's context and trial accounting.
 struct Cx<'a> {
-    job: &'a Job<'a>,
+    job: &'a Job,
     runner: &'a Runner<'a>,
     cancel: &'a Cancel,
     /// Trials executed across every phase this call ran.
@@ -434,31 +509,50 @@ fn distribution(d: Distribution) -> Next {
 }
 
 /// The method table, part one: the state each method starts in, with
-/// its trial space. A worker passes the candidate set its range
-/// request shipped, which starts an OLS method at its estimation
-/// phase.
-pub(crate) fn start(
-    job: &Job,
-    candidates: Option<CandidateSet>,
-) -> Result<PartialState, ClusterError> {
+/// its trial space. With a candidate set (OLS preparing's output), an
+/// OLS method starts at its estimation phase; without one, at
+/// preparing.
+fn start(job: &Job, candidates: Option<CandidateSet>) -> PartialState {
     let trials = job.trials;
-    Ok(match (job.method, candidates) {
-        ("os", _) => PartialState::Os(Partial::empty(Tally::new(), trials)),
-        ("mcvp", _) => PartialState::McVp(Partial::empty(Tally::new(), trials)),
-        ("ols" | "ols-kl", None) => PartialState::OlsPrepare(Partial::empty(Vec::new(), job.prep)),
-        ("ols", Some(candidates)) => PartialState::OlsSample {
+    match (job.method, candidates) {
+        (Method::Os, _) => PartialState::Os(Partial::empty(Tally::new(), trials)),
+        (Method::McVp, _) => PartialState::McVp(Partial::empty(Tally::new(), trials)),
+        (Method::Ols | Method::OlsKl, None) => {
+            PartialState::OlsPrepare(Partial::empty(Vec::new(), job.prep))
+        }
+        (Method::Ols, Some(candidates)) => PartialState::OlsSample {
             candidates,
             partial: Partial::empty(Tally::new(), trials),
         },
-        ("ols-kl", Some(candidates)) => PartialState::Kl {
+        (Method::OlsKl, Some(candidates)) => PartialState::Kl {
             partial: Partial::empty(Vec::new(), candidates.len() as u64),
             candidates,
         },
-        ("query", _) => PartialState::Query(Partial::empty(0, trials)),
-        ("count", _) => PartialState::Count(Partial::empty(FxHashMap::default(), trials)),
-        ("fast", _) => PartialState::Fast(Partial::empty(Vec::new(), trials)),
-        (other, _) => return Err(ClusterError::BadRequest(unknown_method(other))),
-    })
+        (Method::Query, _) => PartialState::Query(Partial::empty(0, trials)),
+        (Method::Count, _) => PartialState::Count(Partial::empty(FxHashMap::default(), trials)),
+        (Method::Fast, _) => PartialState::Fast(Partial::empty(Vec::new(), trials)),
+    }
+}
+
+/// A worker range's starting state. Preparing runs on the coordinator
+/// only, so an OLS range starts at its estimation phase over the
+/// candidate set the request shipped — checked against `g` before any
+/// engine indexes `g` with its edge ids.
+pub(crate) fn start_range(
+    g: &UncertainBipartiteGraph,
+    job: &Job,
+    candidates: Option<CandidateSet>,
+) -> Result<PartialState, ClusterError> {
+    if let Some(set) = &candidates {
+        set.check_against(g).map_err(ClusterError::BadRequest)?;
+    }
+    match start(job, candidates) {
+        PartialState::OlsPrepare(_) => Err(ClusterError::BadRequest(format!(
+            "{} range requires a candidate set",
+            job.method
+        ))),
+        state => Ok(state),
+    }
 }
 
 /// The method table, part two: one arm per phase. Each builds the
@@ -512,7 +606,7 @@ fn step(
                 ..Phase::local()
             };
             let acc = cx.covered(&engine, p, None, phase)?;
-            acc.map(|acc| Next::Phase(start(job, Some(engine.finalize(acc))).expect("an OLS job")))
+            acc.map(|acc| Next::Phase(start(job, Some(engine.finalize(acc)))))
         }
         // OLS phase 2 with the shared-trial estimator (Alg. 5); reported
         // trials count preparing too.
@@ -609,7 +703,7 @@ pub(crate) fn advance(
     cancel: &Cancel,
 ) -> Result<Progress<Answer>, ClusterError> {
     let mut state = match prior {
-        None => start(job, None)?,
+        None => start(job, None),
         Some(s) if s.is_phase_of(job.method) => s,
         Some(other) => {
             return Err(ClusterError::BadRequest(format!(
@@ -645,76 +739,28 @@ pub(crate) fn advance(
     }
 }
 
-/// The 400 body for a method outside the table's solve methods.
-fn unknown_method(method: &str) -> String {
-    format!("unknown method `{method}` (expected os|mcvp|ols|ols-kl)")
-}
-
-/// Rejects the table's methods that do not answer with an MPMB
-/// distribution (names outside the table fail when the driver starts).
-pub(crate) fn check_solve_method(method: &str) -> Result<(), String> {
-    match method {
-        "query" | "count" | "fast" => Err(unknown_method(method)),
-        _ => Ok(()),
-    }
-}
-
-/// Starts or resumes a solve for `method` on this node, running until
-/// completion or until `cancel` fires. `state` is a prior call's
-/// [`Outcome::Incomplete`] payload (or `None` to start fresh); the
-/// caller must pass it back under the same `(graph, method, trials,
-/// prep, seed)`.
+/// Starts or resumes `job` on this node's executor with `threads`
+/// workers, running until it completes or `cancel` fires: the one
+/// local entry point, behind the CLI, the benches and the tests.
+/// `state` is a prior call's [`Outcome::Incomplete`] payload for the
+/// same job (or `None` to start fresh).
 ///
-/// Completed results are bit-identical to the corresponding direct
+/// A completed answer is bit-identical to the corresponding direct
 /// `mpmb_core` call, regardless of `threads` and of how many calls the
 /// work was spread across.
-#[allow(clippy::too_many_arguments)]
-pub fn advance_solve(
+///
+/// # Panics
+/// Panics if `job.trials == 0`, as the `mpmb_core` calls do.
+pub fn advance_local(
     g: &UncertainBipartiteGraph,
-    method: &str,
-    trials: u64,
-    prep: u64,
-    seed: u64,
-    threads: usize,
+    job: &Job,
     state: Option<PartialState>,
-    cancel: &Cancel,
-) -> Result<SolveProgress, String> {
-    assert!(trials > 0, "trials must be positive");
-    check_solve_method(method)?;
-    let job = Job::new(method, trials, prep, seed);
-    let runner = Runner::Local(Executor::new(threads));
-    let progress = advance(g, &job, state, &runner, cancel).map_err(|e| e.to_string())?;
-    Ok(progress.map(|answer| match answer {
-        Answer::Distribution(d) => d,
-        _ => unreachable!("solve methods answer with a distribution"),
-    }))
-}
-
-/// Starts or resumes a sublinear `method=fast` estimate on this node:
-/// the cheap counting tier that answers inside deadlines the per-world
-/// methods cannot. Same resume contract as [`advance_solve`]; `delta`
-/// only shapes the final confidence interval and may differ between
-/// calls without affecting the sampled rows.
-pub fn advance_fast(
-    g: &UncertainBipartiteGraph,
-    trials: u64,
-    seed: u64,
-    delta: f64,
     threads: usize,
-    state: Option<PartialState>,
     cancel: &Cancel,
-) -> Result<FastProgress, String> {
-    assert!(trials > 0, "trials must be positive");
-    let job = Job {
-        delta,
-        ..Job::new("fast", trials, 0, seed)
-    };
+) -> Result<Progress<Answer>, String> {
+    assert!(job.trials > 0, "trials must be positive");
     let runner = Runner::Local(Executor::new(threads));
-    let progress = advance(g, &job, state, &runner, cancel).map_err(|e| e.to_string())?;
-    Ok(progress.map(|answer| match answer {
-        Answer::Fast(est) => est,
-        _ => unreachable!("the fast tier answers with an estimate"),
-    }))
+    advance(g, job, state, &runner, cancel).map_err(|e| e.to_string())
 }
 
 #[cfg(test)]
@@ -759,32 +805,29 @@ mod tests {
         }
     }
 
-    /// Drives `advance_solve` to completion in budget-limited slices,
-    /// returning the result, total trials, and how many calls it took.
+    fn unwrap_dist(p: Progress<Answer>) -> Distribution {
+        match unwrap_done(p) {
+            Answer::Distribution(d) => d,
+            other => panic!("expected a distribution, got {other:?}"),
+        }
+    }
+
+    /// Drives `job` to completion in budget-limited slices through
+    /// [`advance_local`], returning the answer, total trials, and how
+    /// many calls it took.
     fn refine_to_completion(
         g: &UncertainBipartiteGraph,
-        method: &str,
-        trials: u64,
-        prep: u64,
-        seed: u64,
+        job: &Job,
         threads: usize,
         budget: u64,
-    ) -> (Distribution, u64, usize) {
+    ) -> (Answer, u64, usize) {
         let mut state = None;
         for calls in 1..10_000 {
-            let progress = advance_solve(
-                g,
-                method,
-                trials,
-                prep,
-                seed,
-                threads,
-                state.take(),
-                &Cancel::after_trials(budget),
-            )
-            .unwrap();
+            let progress =
+                advance_local(g, job, state.take(), threads, &Cancel::after_trials(budget))
+                    .unwrap();
             match progress.outcome {
-                Outcome::Done(d) => return (d, progress.trials_done, calls),
+                Outcome::Done(answer) => return (answer, progress.trials_done, calls),
                 Outcome::Incomplete(s) => {
                     assert!(progress.trials_done < progress.trials_requested);
                     state = Some(s);
@@ -792,6 +835,23 @@ mod tests {
             }
         }
         panic!("refinement did not converge");
+    }
+
+    #[test]
+    fn method_names_round_trip() {
+        for m in Method::ALL {
+            assert_eq!(Method::parse(m.name()), Some(m));
+            assert_eq!(m.to_string(), m.name());
+        }
+        assert_eq!(Method::parse("exact"), None);
+        assert_eq!(Method::parse_count("exact"), Ok(Method::Count));
+        assert_eq!(Method::parse_count("fast"), Ok(Method::Fast));
+        assert!(Method::parse_count("count").is_err());
+        assert_eq!(Method::parse_solve("fast"), Ok(Method::Fast));
+        assert_eq!(
+            Method::parse_solve("query"),
+            Err("unknown method `query` (expected os|mcvp|ols|ols-kl)".to_string())
+        );
     }
 
     #[test]
@@ -803,10 +863,11 @@ mod tests {
             ..Default::default()
         };
         let core = OrderingSampling::new(cfg).run(&g);
-        let run = advance_solve(&g, "os", 1_500, 100, 11, 3, None, &Cancel::never()).unwrap();
+        let job = Job::new(Method::Os, 1_500, 100, 11);
+        let run = advance_local(&g, &job, None, 3, &Cancel::never()).unwrap();
         assert_eq!(run.trials_done, 1_500);
         assert_eq!(run.executed, 1_500);
-        assert_eq!(core.max_abs_diff(&unwrap_done(run)), 0.0);
+        assert_eq!(core.max_abs_diff(&unwrap_dist(run)), 0.0);
     }
 
     #[test]
@@ -817,9 +878,10 @@ mod tests {
             seed: 5,
         })
         .run(&g);
-        let run = advance_solve(&g, "mcvp", 800, 100, 5, 2, None, &Cancel::never()).unwrap();
+        let job = Job::new(Method::McVp, 800, 100, 5);
+        let run = advance_local(&g, &job, None, 2, &Cancel::never()).unwrap();
         assert!(run.completed());
-        assert_eq!(core.max_abs_diff(&unwrap_done(run)), 0.0);
+        assert_eq!(core.max_abs_diff(&unwrap_dist(run)), 0.0);
     }
 
     #[test]
@@ -832,9 +894,10 @@ mod tests {
             ..Default::default()
         };
         let core = OrderingListingSampling::new(cfg).run(&g);
-        let run = advance_solve(&g, "ols", 20_000, 150, 21, 2, None, &Cancel::never()).unwrap();
+        let job = Job::new(Method::Ols, 20_000, 150, 21);
+        let run = advance_local(&g, &job, None, 2, &Cancel::never()).unwrap();
         assert_eq!(run.trials_done, 150 + 20_000);
-        assert_eq!(core.distribution.max_abs_diff(&unwrap_done(run)), 0.0);
+        assert_eq!(core.distribution.max_abs_diff(&unwrap_dist(run)), 0.0);
     }
 
     #[test]
@@ -849,28 +912,31 @@ mod tests {
             ..Default::default()
         };
         let core = OrderingListingSampling::new(cfg).run(&g);
-        let run = advance_solve(&g, "ols-kl", 400, 150, 23, 2, None, &Cancel::never()).unwrap();
+        let job = Job::new(Method::OlsKl, 400, 150, 23);
+        let run = advance_local(&g, &job, None, 2, &Cancel::never()).unwrap();
         assert!(run.completed());
-        assert_eq!(core.distribution.max_abs_diff(&unwrap_done(run)), 0.0);
+        assert_eq!(core.distribution.max_abs_diff(&unwrap_dist(run)), 0.0);
     }
 
     #[test]
     fn refinement_is_bitwise_identical_for_every_method() {
         let g = fig1();
         for (method, trials, prep, budget) in [
-            ("os", 2_000u64, 1u64, 300u64),
-            ("mcvp", 1_000, 1, 170),
-            ("ols", 5_000, 200, 450),
-            ("ols-kl", 300, 200, 100),
+            (Method::Os, 2_000u64, 1u64, 300u64),
+            (Method::McVp, 1_000, 1, 170),
+            (Method::Ols, 5_000, 200, 450),
+            (Method::OlsKl, 300, 200, 100),
         ] {
-            let full =
-                advance_solve(&g, method, trials, prep, 31, 1, None, &Cancel::never()).unwrap();
-            let (refined, done, calls) =
-                refine_to_completion(&g, method, trials, prep, 31, 2, budget);
+            let job = Job::new(method, trials, prep, 31);
+            let full = advance_local(&g, &job, None, 1, &Cancel::never()).unwrap();
+            let (refined, done, calls) = refine_to_completion(&g, &job, 2, budget);
             assert!(calls > 1, "{method}: budget {budget} should force slicing");
             assert_eq!(done, full.trials_done, "{method}");
+            let Answer::Distribution(refined) = refined else {
+                panic!("{method} answered {refined:?}")
+            };
             assert_eq!(
-                unwrap_done(full).max_abs_diff(&refined),
+                unwrap_dist(full).max_abs_diff(&refined),
                 0.0,
                 "{method}: refined result must be bit-identical"
             );
@@ -880,9 +946,9 @@ mod tests {
     #[test]
     fn ols_resume_does_not_rerun_preparing() {
         let g = fig1();
+        let job = Job::new(Method::Ols, 5_000, 200, 7);
         // Budget smaller than prep: first call ends mid-preparing.
-        let p1 =
-            advance_solve(&g, "ols", 5_000, 200, 7, 1, None, &Cancel::after_trials(64)).unwrap();
+        let p1 = advance_local(&g, &job, None, 1, &Cancel::after_trials(64)).unwrap();
         let state = match p1.outcome {
             Outcome::Incomplete(s @ PartialState::OlsPrepare(_)) => s,
             ref other => panic!("expected mid-preparing state, got {other:?}"),
@@ -890,7 +956,7 @@ mod tests {
         assert!(p1.trials_done < 200);
         // Resume with no budget: finishes prep + sampling in one call,
         // executing only what the first call did not.
-        let p2 = advance_solve(&g, "ols", 5_000, 200, 7, 1, Some(state), &Cancel::never()).unwrap();
+        let p2 = advance_local(&g, &job, Some(state), 1, &Cancel::never()).unwrap();
         assert!(p2.completed());
         assert_eq!(p1.executed + p2.executed, 200 + 5_000);
     }
@@ -902,16 +968,11 @@ mod tests {
         let core = mpmb_core::estimate_prob_of(&g, &b, 2_000, 9).unwrap();
         let job = Job {
             butterfly: Some(b),
-            ..Job::new("query", 2_000, 0, 9)
+            ..Job::new(Method::Query, 2_000, 0, 9)
         };
-        let mut state = None;
-        let q = loop {
-            let progress = local(&g, &job, state.take(), 1, &Cancel::after_trials(256)).unwrap();
-            match progress.outcome {
-                Outcome::Done(Answer::Query(q)) => break q,
-                Outcome::Done(other) => panic!("query answered {other:?}"),
-                Outcome::Incomplete(s) => state = Some(s),
-            }
+        let q = match refine_to_completion(&g, &job, 1, 256).0 {
+            Answer::Query(q) => q,
+            other => panic!("query answered {other:?}"),
         };
         assert_eq!(q.prob, core.prob);
         assert_eq!(q.conditional_max_prob, core.conditional_max_prob);
@@ -923,7 +984,7 @@ mod tests {
         let bogus = Butterfly::new(Left(0), Left(5), Right(0), Right(1));
         let job = Job {
             butterfly: Some(bogus),
-            ..Job::new("query", 10, 0, 0)
+            ..Job::new(Method::Query, 10, 0, 0)
         };
         assert!(matches!(
             local(&g, &job, None, 1, &Cancel::never()),
@@ -935,18 +996,14 @@ mod tests {
     fn count_refines_to_core_result() {
         let g = fig1();
         let core = mpmb_core::sample_count_distribution_parallel(&g, 2_000, 13, 2);
-        let job = Job::new("count", 2_000, 0, 13);
-        let mut state = None;
-        let dist = loop {
-            let progress = local(&g, &job, state.take(), 2, &Cancel::after_trials(300)).unwrap();
-            match progress.outcome {
-                Outcome::Done(Answer::Count(d)) => break d,
-                Outcome::Done(other) => panic!("count answered {other:?}"),
-                Outcome::Incomplete(s) => state = Some(s),
-            }
+        let job = Job::new(Method::Count, 2_000, 0, 13);
+        let dist = match refine_to_completion(&g, &job, 2, 300).0 {
+            Answer::Count(d) => d,
+            other => panic!("count answered {other:?}"),
         };
         assert_eq!(dist.mean, core.mean);
         assert_eq!(dist.variance, core.variance);
+        assert_eq!(dist.histogram, core.histogram);
     }
 
     #[test]
@@ -961,20 +1018,17 @@ mod tests {
             },
             2,
         );
+        let job = Job {
+            delta: 0.1,
+            ..Job::new(Method::Fast, 3_000, 0, 19)
+        };
         let mut state = None;
         let fe = loop {
-            let progress = advance_fast(
-                &g,
-                3_000,
-                19,
-                0.1,
-                2,
-                state.take(),
-                &Cancel::after_trials(400),
-            )
-            .unwrap();
+            let progress =
+                advance_local(&g, &job, state.take(), 2, &Cancel::after_trials(400)).unwrap();
             match progress.outcome {
-                Outcome::Done(fe) => break fe,
+                Outcome::Done(Answer::Fast(fe)) => break fe,
+                Outcome::Done(other) => panic!("fast answered {other:?}"),
                 Outcome::Incomplete(s) => {
                     assert_eq!(s.kind(), "fast");
                     assert!(s.leader().is_none());
@@ -989,22 +1043,11 @@ mod tests {
     }
 
     #[test]
-    fn fast_rejects_mismatched_state() {
-        let g = fig1();
-        let run =
-            advance_solve(&g, "os", 1_000, 100, 1, 1, None, &Cancel::after_trials(64)).unwrap();
-        let state = match run.outcome {
-            Outcome::Incomplete(s) => s,
-            Outcome::Done(_) => panic!("budget should have cancelled"),
-        };
-        assert!(advance_fast(&g, 1_000, 1, 0.1, 1, Some(state), &Cancel::never()).is_err());
-    }
-
-    #[test]
     fn expired_deadline_yields_resumable_partial() {
         let g = fig1();
+        let job = Job::new(Method::Os, 1_000_000, 100, 1);
         let cancel = Cancel::at(Some(Instant::now()));
-        let run = advance_solve(&g, "os", 1_000_000, 100, 1, 2, None, &cancel).unwrap();
+        let run = advance_local(&g, &job, None, 2, &cancel).unwrap();
         assert!(!run.completed());
         assert!(run.trials_done < 1_000_000);
         assert_eq!(run.trials_requested, 1_000_000);
@@ -1018,46 +1061,37 @@ mod tests {
             seed: 1,
             ..Default::default()
         };
-        let resumed = advance_solve(
-            &g,
-            "os",
-            1_000_000,
-            100,
-            1,
-            4,
-            Some(state),
-            &Cancel::never(),
-        )
-        .unwrap();
+        let resumed = advance_local(&g, &job, Some(state), 4, &Cancel::never()).unwrap();
         assert!(resumed.completed());
         let core = OrderingSampling::new(cfg).run(&g);
-        assert_eq!(core.max_abs_diff(&unwrap_done(resumed)), 0.0);
+        assert_eq!(core.max_abs_diff(&unwrap_dist(resumed)), 0.0);
     }
 
     #[test]
     fn mismatched_state_is_rejected() {
         let g = fig1();
-        let run =
-            advance_solve(&g, "os", 1_000, 100, 1, 1, None, &Cancel::after_trials(64)).unwrap();
+        let os = Job::new(Method::Os, 1_000, 100, 1);
+        let run = advance_local(&g, &os, None, 1, &Cancel::after_trials(64)).unwrap();
         let state = match run.outcome {
             Outcome::Incomplete(s) => s,
             Outcome::Done(_) => panic!("budget should have cancelled"),
         };
-        assert!(
-            advance_solve(&g, "mcvp", 1_000, 100, 1, 1, Some(state), &Cancel::never()).is_err()
-        );
-    }
-
-    #[test]
-    fn unknown_method_is_an_error() {
-        let g = fig1();
-        assert!(advance_solve(&g, "nope", 10, 10, 0, 1, None, &Cancel::never()).is_err());
+        for method in [Method::McVp, Method::Fast] {
+            let other = Job { method, ..os };
+            let err = advance_local(&g, &other, Some(state.clone()), 1, &Cancel::never());
+            assert_eq!(
+                err.err(),
+                Some(format!(
+                    "cached partial state `os` does not match method `{method}`"
+                ))
+            );
+        }
     }
 
     #[test]
     fn range_runs_return_their_partial_unfinalized() {
         let g = fig1();
-        let job = Job::new("os", 500, 0, 3);
+        let job = Job::new(Method::Os, 500, 0, 3);
         let full = Runner::Range(Executor::new(2), 0..500);
         let progress = advance(&g, &job, None, &full, &Cancel::never()).unwrap();
         assert_eq!(progress.executed, 500);

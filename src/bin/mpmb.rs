@@ -32,8 +32,7 @@
 use datasets::Dataset;
 use mpmb::prelude::*;
 use mpmb_core::{top_k_diverse, Distribution};
-use mpmb_serve::solve::{advance_fast, advance_solve, Outcome};
-use mpmb_serve::Cancel;
+use mpmb_serve::{advance_local, Answer, Cancel, Job, Method, Outcome};
 use std::process::exit;
 use std::sync::Arc;
 
@@ -254,6 +253,66 @@ fn print_ranking(
     }
 }
 
+/// Runs `job` on this node through the method table's one local entry
+/// point, the same driver the server runs. With `progress`, the run is
+/// sliced every EVERY trials and a progress line (with the running
+/// leader, for methods that rank butterflies) goes to stderr between
+/// slices; the answer is bit-identical to an unsliced run at any thread
+/// count. With `mem_stats`, the run's peak allocation goes to stderr.
+fn run_job(
+    g: &UncertainBipartiteGraph,
+    job: &Job,
+    threads: usize,
+    progress: Option<u64>,
+    mem_stats: bool,
+) -> Result<Answer, String> {
+    memtrack::reset_peak();
+    let started = std::time::Instant::now();
+    let mut state = None;
+    let answer = loop {
+        let cancel = match progress {
+            Some(every) => Cancel::after_trials(every),
+            None => Cancel::never(),
+        };
+        let p = advance_local(g, job, state.take(), threads, &cancel)?;
+        match p.outcome {
+            Outcome::Done(answer) => break answer,
+            Outcome::Incomplete(s) => {
+                let rate = p.trials_done as f64 / started.elapsed().as_secs_f64().max(1e-9);
+                let leader = match s.leader() {
+                    Some((b, est)) => format!(", leader {b} p~{est:.6}"),
+                    None if job.method == Method::Fast => String::new(),
+                    None => ", no leader yet".to_string(),
+                };
+                eprintln!(
+                    "progress: {}/{} trials ({}), {rate:.0} trials/sec{leader}",
+                    p.trials_done,
+                    p.trials_requested,
+                    s.kind()
+                );
+                state = Some(s);
+            }
+        }
+    };
+    if mem_stats {
+        let peak = memtrack::peak_bytes();
+        eprintln!(
+            "peak allocation: {peak} bytes ({:.1} MiB)",
+            peak as f64 / (1024.0 * 1024.0)
+        );
+    }
+    Ok(answer)
+}
+
+/// `--delta`: the fast tier's certified-interval miss probability.
+fn delta_flag(flags: &Flags) -> f64 {
+    let delta: f64 = flags.get_parsed("delta", 0.05);
+    if !(delta > 0.0 && delta < 1.0) {
+        fail("--delta must be in (0, 1)");
+    }
+    delta
+}
+
 fn cmd_solve(flags: &Flags) {
     flags.expect(&[
         "input",
@@ -271,7 +330,10 @@ fn cmd_solve(flags: &Flags) {
         "mem-stats",
     ]);
     let g = load(flags);
-    let method = flags.get("method").unwrap_or("ols");
+    let method = flags
+        .get("method")
+        .map_or(Ok(Method::Ols), Method::parse_solve)
+        .unwrap_or_else(|e| fail(&e));
     let trials: u64 = flags.get_parsed("trials", 20_000);
     let prep: u64 = flags.get_parsed("prep", 100);
     let seed: u64 = flags.get_parsed("seed", 42);
@@ -309,119 +371,32 @@ fn cmd_solve(flags: &Flags) {
         })
     });
 
-    // The fast tier estimates the expected count instead of a ranking;
-    // it shares the resumable driver (and --progress slicing) but
-    // prints an estimate with its certified confidence interval.
-    if method == "fast" {
-        let delta: f64 = flags.get_parsed("delta", 0.05);
-        if !(delta > 0.0 && delta < 1.0) {
-            fail("--delta must be in (0, 1)");
-        }
-        memtrack::reset_peak();
-        let started = std::time::Instant::now();
-        let mut state = None;
-        let est = loop {
-            let cancel = match progress {
-                Some(every) => Cancel::after_trials(every),
-                None => Cancel::never(),
-            };
-            let p = advance_fast(&g, trials, seed, delta, threads, state.take(), &cancel)
-                .unwrap_or_else(|e| fail(&e));
-            match p.outcome {
-                Outcome::Done(est) => break est,
-                Outcome::Incomplete(s) => {
-                    let rate = p.trials_done as f64 / started.elapsed().as_secs_f64().max(1e-9);
-                    eprintln!(
-                        "progress: {}/{} trials ({}), {rate:.0} trials/sec",
-                        p.trials_done,
-                        p.trials_requested,
-                        s.kind()
-                    );
-                    state = Some(s);
-                }
-            }
-        };
-        let wall = started.elapsed().as_secs_f64();
-        println!("expected butterflies ~ {:.6}", est.estimate);
-        println!(
-            "{:.0}% CI [{:.6}, {:.6}]  relative error {:.4}  ({} trials)",
-            100.0 * (1.0 - est.delta),
-            est.ci_low,
-            est.ci_high,
-            est.relative_error,
-            est.trials
-        );
-        if profile_on {
-            eprintln!("phase profile ({wall:.3}s wall):");
-            eprint!("{}", obs::render_table(&profile.snapshot(), wall));
-        }
-        if mem_stats {
-            let peak = memtrack::peak_bytes();
-            eprintln!(
-                "peak allocation: {peak} bytes ({:.1} MiB)",
-                peak as f64 / (1024.0 * 1024.0)
+    // `--delta` shapes the fast tier's certified interval only.
+    let mut job = Job::new(method, trials, prep, seed);
+    if method == Method::Fast {
+        job.delta = delta_flag(flags);
+    }
+    let started = std::time::Instant::now();
+    let answer = run_job(&g, &job, threads, progress, mem_stats).unwrap_or_else(|e| fail(&e));
+    let wall = started.elapsed().as_secs_f64();
+    match answer {
+        Answer::Distribution(dist) => print_ranking(&g, &dist, k, diverse),
+        Answer::Fast(est) => {
+            println!("expected butterflies ~ {:.6}", est.estimate);
+            println!(
+                "{:.0}% CI [{:.6}, {:.6}]  relative error {:.4}  ({} trials)",
+                100.0 * (1.0 - est.delta),
+                est.ci_low,
+                est.ci_high,
+                est.relative_error,
+                est.trials
             );
         }
-        return;
+        other => unreachable!("solve methods rank or estimate, got {other:?}"),
     }
-
-    // Every method runs through the server's resumable driver: with
-    // --progress the run is sliced every EVERY trials and the running
-    // leader printed between slices; results are bit-identical to an
-    // unsliced run at any thread count.
-    memtrack::reset_peak();
-    let started = std::time::Instant::now();
-    let mut state = None;
-    let dist = loop {
-        let cancel = match progress {
-            Some(every) => Cancel::after_trials(every),
-            None => Cancel::never(),
-        };
-        let p = advance_solve(
-            &g,
-            method,
-            trials,
-            prep,
-            seed,
-            threads,
-            state.take(),
-            &cancel,
-        )
-        .unwrap_or_else(|e| fail(&e));
-        match p.outcome {
-            Outcome::Done(d) => break d,
-            Outcome::Incomplete(s) => {
-                let rate = p.trials_done as f64 / started.elapsed().as_secs_f64().max(1e-9);
-                match s.leader() {
-                    Some((b, est)) => eprintln!(
-                        "progress: {}/{} trials ({}), {rate:.0} trials/sec, leader {b} p~{est:.6}",
-                        p.trials_done,
-                        p.trials_requested,
-                        s.kind()
-                    ),
-                    None => eprintln!(
-                        "progress: {}/{} trials ({}), {rate:.0} trials/sec, no leader yet",
-                        p.trials_done,
-                        p.trials_requested,
-                        s.kind()
-                    ),
-                }
-                state = Some(s);
-            }
-        }
-    };
-    let wall = started.elapsed().as_secs_f64();
-    print_ranking(&g, &dist, k, diverse);
     if profile_on {
         eprintln!("phase profile ({wall:.3}s wall):");
         eprint!("{}", obs::render_table(&profile.snapshot(), wall));
-    }
-    if mem_stats {
-        let peak = memtrack::peak_bytes();
-        eprintln!(
-            "peak allocation: {peak} bytes ({:.1} MiB)",
-            peak as f64 / (1024.0 * 1024.0)
-        );
     }
 }
 
@@ -459,18 +434,22 @@ fn cmd_query(flags: &Flags) {
     );
     let trials: u64 = flags.get_parsed("trials", 20_000);
     let seed: u64 = flags.get_parsed("seed", 42);
-    match mpmb_core::estimate_prob_of(&g, &b, trials, seed) {
-        None => fail(&format!("{b} is not a butterfly of the backbone")),
-        Some(q) => {
-            println!("butterfly {b}: w = {}", b.weight(&g).unwrap());
-            println!("Pr[E(B)]              = {:.6} (exact)", q.existence_prob);
-            println!(
-                "Pr[B maximum | E(B)]  = {:.6} ({} conditioned trials)",
-                q.conditional_max_prob, q.trials
-            );
-            println!("P(B)                  = {:.6}", q.prob);
-        }
-    }
+    let job = Job {
+        butterfly: Some(b),
+        ..Job::new(Method::Query, trials, 0, seed)
+    };
+    let answer = run_job(&g, &job, 1, None, false)
+        .unwrap_or_else(|_| fail(&format!("{b} is not a butterfly of the backbone")));
+    let Answer::Query(q) = answer else {
+        unreachable!("a query answers with its estimate")
+    };
+    println!("butterfly {b}: w = {}", b.weight(&g).unwrap());
+    println!("Pr[E(B)]              = {:.6} (exact)", q.existence_prob);
+    println!(
+        "Pr[B maximum | E(B)]  = {:.6} ({} conditioned trials)",
+        q.conditional_max_prob, q.trials
+    );
+    println!("P(B)                  = {:.6}", q.prob);
 }
 
 fn cmd_count(flags: &Flags) {
@@ -489,63 +468,44 @@ fn cmd_count(flags: &Flags) {
     let threads: usize = flags.get_parsed("threads", 1);
     let mem_stats: bool = flags.get_parsed("mem-stats", false);
     let expect = bigraph::expected::expected_butterfly_count(&g);
-    match flags.get("method").unwrap_or("exact") {
-        "exact" => {}
-        "fast" => {
-            let delta: f64 = flags.get_parsed("delta", 0.05);
-            if !(delta > 0.0 && delta < 1.0) {
-                fail("--delta must be in (0, 1)");
-            }
-            memtrack::reset_peak();
-            let est = mpmb_core::estimate_fast(
-                &g,
-                &mpmb_core::SublinearConfig {
-                    trials,
-                    seed,
-                    delta,
-                },
-                threads,
-            );
-            if mem_stats {
-                let peak = memtrack::peak_bytes();
-                eprintln!(
-                    "peak allocation: {peak} bytes ({:.1} MiB)",
-                    peak as f64 / (1024.0 * 1024.0)
-                );
-            }
-            println!("expected butterflies (closed form) = {expect:.4}");
-            println!(
-                "fast estimate = {:.4}  ({:.0}% CI [{:.4}, {:.4}], relative error {:.4}, {} trials)",
-                est.estimate,
-                100.0 * (1.0 - est.delta),
-                est.ci_low,
-                est.ci_high,
-                est.relative_error,
-                est.trials
-            );
-            return;
-        }
-        other => fail(&format!("unknown --method `{other}` (expected exact|fast)")),
+    let method = flags
+        .get("method")
+        .map_or(Ok(Method::Count), |name| {
+            Method::parse_count(name)
+                .map_err(|_| format!("unknown --method `{name}` (expected exact|fast)"))
+        })
+        .unwrap_or_else(|e| fail(&e));
+    // `fast` skips the per-world exact counts and estimates the
+    // expected count with a certified confidence interval.
+    let mut job = Job::new(method, trials, 0, seed);
+    if method == Method::Fast {
+        job.delta = delta_flag(flags);
     }
-    memtrack::reset_peak();
-    let d = mpmb_core::sample_count_distribution_parallel(&g, trials, seed, threads);
-    if mem_stats {
-        let peak = memtrack::peak_bytes();
-        eprintln!(
-            "peak allocation: {peak} bytes ({:.1} MiB)",
-            peak as f64 / (1024.0 * 1024.0)
-        );
-    }
+    let answer = run_job(&g, &job, threads, None, mem_stats).unwrap_or_else(|e| fail(&e));
     println!("expected butterflies (closed form) = {expect:.4}");
-    println!(
-        "sampled mean = {:.4}  variance = {:.4}  ({} trials)",
-        d.mean, d.variance, d.trials
-    );
-    let mut counts: Vec<(u64, u64)> = d.histogram.iter().map(|(&c, &n)| (c, n)).collect();
-    counts.sort_unstable();
-    println!("count\tfreq");
-    for (c, n) in counts.into_iter().take(20) {
-        println!("{c}\t{:.4}", n as f64 / d.trials as f64);
+    match answer {
+        Answer::Fast(est) => println!(
+            "fast estimate = {:.4}  ({:.0}% CI [{:.4}, {:.4}], relative error {:.4}, {} trials)",
+            est.estimate,
+            100.0 * (1.0 - est.delta),
+            est.ci_low,
+            est.ci_high,
+            est.relative_error,
+            est.trials
+        ),
+        Answer::Count(d) => {
+            println!(
+                "sampled mean = {:.4}  variance = {:.4}  ({} trials)",
+                d.mean, d.variance, d.trials
+            );
+            let mut counts: Vec<(u64, u64)> = d.histogram.iter().map(|(&c, &n)| (c, n)).collect();
+            counts.sort_unstable();
+            println!("count\tfreq");
+            for (c, n) in counts.into_iter().take(20) {
+                println!("{c}\t{:.4}", n as f64 / d.trials as f64);
+            }
+        }
+        other => unreachable!("count methods answer with counts, got {other:?}"),
     }
 }
 

@@ -118,7 +118,8 @@ fn partial_state_variants_are_owned_by_the_method_table() {
 }
 
 /// The serving layer must never reach for per-trial RNG streams — it
-/// drives solvers exclusively through `advance_*` + `Executor::resume`.
+/// drives solvers exclusively through the method table in `solve.rs`,
+/// whose engines run on `mpmb_core`'s `Executor`.
 #[test]
 fn serve_layer_has_no_trial_rng() {
     for path in crate_lib_sources(&["mpmb-serve"]) {
@@ -129,4 +130,36 @@ fn serve_layer_has_no_trial_rng() {
             rel(&path)
         );
     }
+}
+
+/// Repro's figures time the engines production runs: the budgeted
+/// runners drive `OsTrials`/`McVpTrials` through the `Executor`, never a
+/// per-trial kernel of their own. A bench naming one of these has grown
+/// a trial loop that `mpmb serve` does not run (the memoizing OS loop
+/// once timed Figs. 7–9, 13 and the ablation table).
+#[test]
+fn bench_times_the_production_engines() {
+    let kernels = [
+        "OsEngine",
+        "SamplingOracle",
+        "LazyEdgeSampler",
+        "WorldSampler",
+        "smb_of_world",
+    ];
+    let mut offenders = Vec::new();
+    let mut sources = Vec::new();
+    rust_sources(
+        &Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/bench/src"),
+        &mut sources,
+    );
+    for path in sources {
+        let src = std::fs::read_to_string(&path).expect("read source");
+        for kernel in kernels.iter().filter(|k| src.contains(*k)) {
+            offenders.push(format!("{} names {kernel}", rel(&path)));
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "{offenders:?}\nrun the production engines through `bench::timing::budgeted` instead"
+    );
 }

@@ -26,7 +26,7 @@
 
 use datasets::Dataset;
 use mpmb::prelude::*;
-use mpmb_serve::solve::{advance_fast, advance_solve, Outcome};
+use mpmb_serve::{advance_local, Answer, Job, Method, Outcome};
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::fmt::Write as _;
@@ -75,20 +75,24 @@ fn trials(method: &str, graph: &str) -> u64 {
 const SEED: u64 = 7;
 const PREP: u64 = 20;
 
-fn render_solve(g: &UncertainBipartiteGraph, method: &str, trials: u64, threads: usize) -> String {
-    let p = advance_solve(
-        g,
-        method,
-        trials,
-        PREP,
-        SEED,
-        threads,
-        None,
-        &mpmb_core::Cancel::never(),
-    )
-    .unwrap();
-    let Outcome::Done(d) = p.outcome else {
-        panic!("{method} did not complete")
+/// Runs `job` to completion through the method table's local entry.
+fn answer(g: &UncertainBipartiteGraph, job: &Job, threads: usize) -> Answer {
+    let p = advance_local(g, job, None, threads, &mpmb_core::Cancel::never()).unwrap();
+    let Outcome::Done(answer) = p.outcome else {
+        panic!("{} did not complete", job.method)
+    };
+    answer
+}
+
+fn render_solve(
+    g: &UncertainBipartiteGraph,
+    method: Method,
+    trials: u64,
+    threads: usize,
+) -> String {
+    let job = Job::new(method, trials, PREP, SEED);
+    let Answer::Distribution(d) = answer(g, &job, threads) else {
+        panic!("{method} did not rank")
     };
     let rows: Vec<String> = d
         .sorted()
@@ -99,18 +103,12 @@ fn render_solve(g: &UncertainBipartiteGraph, method: &str, trials: u64, threads:
 }
 
 fn render_fast(g: &UncertainBipartiteGraph, trials: u64, threads: usize) -> String {
-    let p = advance_fast(
-        g,
-        trials,
-        SEED,
-        0.05,
-        threads,
-        None,
-        &mpmb_core::Cancel::never(),
-    )
-    .unwrap();
-    let Outcome::Done(e) = p.outcome else {
-        panic!("fast did not complete")
+    let job = Job {
+        delta: 0.05,
+        ..Job::new(Method::Fast, trials, 0, SEED)
+    };
+    let Answer::Fast(e) = answer(g, &job, threads) else {
+        panic!("fast did not estimate")
     };
     format!(
         "est={} var={} ci=[{},{}] rel={} n={}",
@@ -141,19 +139,9 @@ fn render_query(g: &UncertainBipartiteGraph, trials: u64) -> String {
     // The least likely of OLS-KL's ranked candidates: a fixed,
     // graph-determined target that heavier butterflies can beat, so the
     // conditioned trials draw real randomness.
-    let os = advance_solve(
-        g,
-        "ols-kl",
-        200,
-        PREP,
-        SEED,
-        1,
-        None,
-        &mpmb_core::Cancel::never(),
-    )
-    .unwrap();
-    let Outcome::Done(d) = os.outcome else {
-        panic!("ols-kl did not complete")
+    let job = Job::new(Method::OlsKl, 200, PREP, SEED);
+    let Answer::Distribution(d) = answer(g, &job, 1) else {
+        panic!("ols-kl did not rank")
     };
     let (b, _) = *d.sorted().last().expect("graph has butterflies");
     let q = mpmb_core::estimate_prob_of(g, &b, trials, SEED).expect("backbone butterfly");
@@ -170,8 +158,8 @@ fn render_query(g: &UncertainBipartiteGraph, trials: u64) -> String {
 fn render_all(threads: usize) -> Vec<(String, String)> {
     let mut out = Vec::new();
     for (name, g) in graphs() {
-        for method in ["os", "mcvp", "ols", "ols-kl"] {
-            let r = render_solve(&g, method, trials(method, name), threads);
+        for method in [Method::Os, Method::McVp, Method::Ols, Method::OlsKl] {
+            let r = render_solve(&g, method, trials(method.name(), name), threads);
             out.push((format!("{name}/{method}"), r));
         }
         out.push((
@@ -193,14 +181,19 @@ fn render_all(threads: usize) -> Vec<(String, String)> {
     // endpoint side) through the direct triangular index, at the
     // `os-open` request shape of 1,000 os trials.
     let protein = Dataset::Protein.generate(0.002, 7);
-    for method in ["os", "ols"] {
-        let r = render_solve(&protein, method, trials(method, "protein-0.002"), threads);
+    for method in [Method::Os, Method::Ols] {
+        let r = render_solve(
+            &protein,
+            method,
+            trials(method.name(), "protein-0.002"),
+            threads,
+        );
         out.push((format!("protein-0.002/{method}"), r));
     }
     let movielens = Dataset::MovieLens.generate(0.10, 7);
     out.push((
         "movielens-0.10/os".to_string(),
-        render_solve(&movielens, "os", 1_000, threads),
+        render_solve(&movielens, Method::Os, 1_000, threads),
     ));
     out
 }

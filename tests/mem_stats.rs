@@ -8,8 +8,7 @@
 //! would report.
 
 use mpmb_serve::client::call;
-use mpmb_serve::solve::advance_solve;
-use mpmb_serve::{Cancel, Server, ServerConfig};
+use mpmb_serve::{advance_local, Cancel, Job, Method, Server, ServerConfig};
 
 #[global_allocator]
 static ALLOC: memtrack::CountingAllocator = memtrack::CountingAllocator;
@@ -28,8 +27,8 @@ fn solve_registers_nonzero_peak_allocation() {
     let g = datasets::Dataset::Abide.generate(0.01, 3);
     memtrack::reset_peak();
     let before = memtrack::peak_bytes();
-    let progress =
-        advance_solve(&g, "os", 500, 0, 42, 1, None, &Cancel::never()).expect("solve succeeds");
+    let job = Job::new(Method::Os, 500, 0, 42);
+    let progress = advance_local(&g, &job, None, 1, &Cancel::never()).expect("solve succeeds");
     assert_eq!(progress.trials_done, 500);
     let after = memtrack::peak_bytes();
     assert!(
