@@ -80,7 +80,6 @@ pub fn run(datasets: &[BenchDataset], opts: &ExpOptions) -> Table {
         let trials = opts.plan.direct_trials;
         for (_, cfg) in variants() {
             let cfg = OsConfig {
-                trials,
                 seed: opts.seed,
                 ..cfg
             };
@@ -97,19 +96,18 @@ pub fn run(datasets: &[BenchDataset], opts: &ExpOptions) -> Table {
 mod tests {
     use super::*;
     use crate::experiments::test_support::{dense_dataset, fast_options};
-    use mpmb_core::OrderingSampling;
+    use mpmb_core::{Cancel, Executor};
 
     #[test]
     fn all_variants_produce_identical_distributions() {
         let d = dense_dataset();
         let mut reference = None;
         for (name, cfg) in variants() {
-            let dist = OrderingSampling::new(OsConfig {
-                trials: 500,
-                seed: 77,
-                ..cfg
-            })
-            .run(&d.graph);
+            let os = OsTrials::new(&d.graph, &OsConfig { seed: 77, ..cfg });
+            let dist = Executor::new(1)
+                .run(&os, 500, &Cancel::never())
+                .acc
+                .into_distribution();
             match &reference {
                 None => reference = Some(dist),
                 Some(r) => assert_eq!(r.max_abs_diff(&dist), 0.0, "variant `{name}` diverged"),

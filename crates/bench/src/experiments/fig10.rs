@@ -4,11 +4,12 @@
 //! Bars above the red line mean the optimized estimator needs *less* work
 //! than Karp-Luby for that candidate at equal accuracy.
 
+use crate::experiments::ols_candidates;
 use crate::experiments::ExpOptions;
 use crate::report::Table;
 use crate::BenchDataset;
 use mpmb_core::bounds::{balanced_ratio, kl_over_op_ratio};
-use mpmb_core::{CandidateSet, OlsConfig, OrderingListingSampling};
+use mpmb_core::CandidateSet;
 
 /// The `μ` the paper uses for this figure.
 pub const MU: f64 = 0.1;
@@ -27,12 +28,7 @@ pub fn compute(
     prep_trials: u64,
     seed: u64,
 ) -> Option<Fig10Data> {
-    let candidates = OrderingListingSampling::new(OlsConfig {
-        prep_trials,
-        seed,
-        ..Default::default()
-    })
-    .prepare(g);
+    let candidates = ols_candidates(g, prep_trials, seed);
     if candidates.is_empty() {
         return None;
     }

@@ -5,12 +5,11 @@
 //! The paper tracks a butterfly with `P(B) ≈ 0.05`; we pick the candidate
 //! whose high-trial estimate is closest to 0.05.
 
-use crate::experiments::ExpOptions;
+use crate::experiments::{karp_luby, ols_candidates, optimized, ExpOptions};
 use crate::report::Table;
 use crate::BenchDataset;
 use mpmb_core::{
-    convergence_trace, estimate_karp_luby, estimate_optimized, Butterfly, Executor, KlTrialPolicy,
-    OlsConfig, OptimizedTrials, OrderingListingSampling, OsConfig, OsTrials,
+    convergence_trace, Butterfly, Executor, KlTrialPolicy, OptimizedTrials, OsConfig, OsTrials,
 };
 
 /// Trial fractions of the sampling budget on the x-axis (up to 200%).
@@ -25,21 +24,12 @@ pub fn pick_target(
     g: &bigraph::UncertainBipartiteGraph,
     opts: &ExpOptions,
 ) -> Option<(Butterfly, f64)> {
-    let ols = OrderingListingSampling::new(OlsConfig {
-        prep_trials: opts.plan.prep_trials,
-        seed: opts.seed,
-        ..Default::default()
-    });
-    let candidates = ols.prepare(g);
+    let candidates = ols_candidates(g, opts.plan.prep_trials, opts.seed);
     if candidates.is_empty() {
         return None;
     }
-    let reference = estimate_optimized(
-        g,
-        &candidates,
-        opts.plan.sampling_trials.max(1_000),
-        opts.seed,
-    );
+    let trials = opts.plan.sampling_trials.max(1_000);
+    let reference = optimized(g, &candidates, trials, opts.seed);
     reference
         .iter()
         .filter(|(_, &p)| p > 0.0)
@@ -101,12 +91,7 @@ pub fn run(datasets: &[BenchDataset], opts: &ExpOptions) -> Table {
         t.row(&row);
 
         // OLS (optimized) trace over a shared candidate set.
-        let candidates = OrderingListingSampling::new(OlsConfig {
-            prep_trials: opts.plan.prep_trials,
-            seed: opts.seed,
-            ..Default::default()
-        })
-        .prepare(g);
+        let candidates = ols_candidates(g, opts.plan.prep_trials, opts.seed);
         let ols = OptimizedTrials::new(g, &candidates, opts.seed);
         let points = convergence_trace(&Executor::new(1), &ols, total, every, &target);
         let mut row = vec![d.dataset.name().to_string(), "OLS".into()];
@@ -119,8 +104,7 @@ pub fn run(datasets: &[BenchDataset], opts: &ExpOptions) -> Table {
         let mut row = vec![d.dataset.name().to_string(), "OLS-KL".into()];
         for f in FRACTIONS {
             let trials = ((n as f64 * f).round() as u64).max(1);
-            let report =
-                estimate_karp_luby(g, &candidates, KlTrialPolicy::Fixed(trials), opts.seed);
+            let report = karp_luby(g, &candidates, KlTrialPolicy::Fixed(trials), opts.seed);
             row.push(format!("{:.4}", report.distribution.prob(&target)));
         }
         row.push(band);

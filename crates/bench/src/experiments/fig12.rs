@@ -8,10 +8,10 @@
 //! rivals accounted); past ~50% the estimates settle into the `2ε` band.
 
 use crate::experiments::fig11::pick_target;
-use crate::experiments::ExpOptions;
+use crate::experiments::{solve_distribution, ExpOptions};
 use crate::report::Table;
 use crate::BenchDataset;
-use mpmb_core::{EstimatorKind, OlsConfig, OrderingListingSampling};
+use mpmb_serve::{Job, Method};
 
 /// Preparing-trial fractions of the default on the x-axis (up to 200%).
 pub const FRACTIONS: [f64; 8] = [0.1, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0];
@@ -34,17 +34,11 @@ pub fn run(datasets: &[BenchDataset], opts: &ExpOptions) -> Table {
         let mut row = vec![d.dataset.name().to_string()];
         for (k, f) in FRACTIONS.iter().enumerate() {
             let prep = ((opts.plan.prep_trials as f64 * f).round() as u64).max(1);
-            let result = OrderingListingSampling::new(OlsConfig {
-                prep_trials: prep,
-                // Independent runs: vary the seed per point.
-                seed: opts.seed.wrapping_add(1 + k as u64),
-                estimator: EstimatorKind::Optimized {
-                    trials: opts.plan.sampling_trials,
-                },
-                ..Default::default()
-            })
-            .run(g);
-            row.push(format!("{:.4}", result.distribution.prob(&target)));
+            // Independent runs: vary the seed per point.
+            let seed = opts.seed.wrapping_add(1 + k as u64);
+            let job = Job::new(Method::Ols, opts.plan.sampling_trials, prep, seed);
+            let d = solve_distribution(g, &job);
+            row.push(format!("{:.4}", d.prob(&target)));
         }
         row.push(format!("{reference:.4}"));
         t.row(&row);

@@ -4,10 +4,10 @@
 //! as the global allocator (the `repro` binary does); without it every
 //! peak reads 0 and the table says so.
 
-use crate::experiments::{mcvp_budgeted, os_budgeted, ExpOptions};
+use crate::experiments::{mcvp_budgeted, os_budgeted, solve, ExpOptions};
 use crate::report::{fmt_bytes, Table};
 use crate::BenchDataset;
-use mpmb_core::{EstimatorKind, KlTrialPolicy, OlsConfig, OrderingListingSampling};
+use mpmb_serve::{Job, Method};
 
 /// Peak bytes per method for one dataset.
 #[derive(Clone, Copy, Debug)]
@@ -32,29 +32,11 @@ pub fn measure(d: &BenchDataset, opts: &ExpOptions) -> Fig13Row {
     let trials = opts.plan.direct_trials.clamp(1, 64);
     let (_, mcvp) = memtrack::measure_peak(|| mcvp_budgeted(g, trials, opts.seed, opts.budget));
     let (_, os) = memtrack::measure_peak(|| os_budgeted(g, trials, opts.seed, opts.budget));
-    let base_cfg = OlsConfig {
-        prep_trials: opts.plan.prep_trials.clamp(1, 64),
-        seed: opts.seed,
-        ..Default::default()
-    };
-    let (_, ols_kl) = memtrack::measure_peak(|| {
-        OrderingListingSampling::new(OlsConfig {
-            estimator: EstimatorKind::KarpLuby {
-                policy: KlTrialPolicy::Fixed(opts.plan.sampling_trials.clamp(1, 256)),
-            },
-            ..base_cfg
-        })
-        .run(g)
-    });
-    let (_, ols) = memtrack::measure_peak(|| {
-        OrderingListingSampling::new(OlsConfig {
-            estimator: EstimatorKind::Optimized {
-                trials: opts.plan.sampling_trials.clamp(1, 256),
-            },
-            ..base_cfg
-        })
-        .run(g)
-    });
+    let prep = opts.plan.prep_trials.clamp(1, 64);
+    let sampling = opts.plan.sampling_trials.clamp(1, 256);
+    let job = |method| Job::new(method, sampling, prep, opts.seed);
+    let (_, ols_kl) = memtrack::measure_peak(|| solve(g, &job(Method::OlsKl)));
+    let (_, ols) = memtrack::measure_peak(|| solve(g, &job(Method::Ols)));
     // Rebuilding a clone approximates the graph's own footprint.
     let (clone, graph_bytes) = memtrack::measure_peak(|| g.clone());
     drop(clone);

@@ -5,11 +5,11 @@
 //! scaled); when truncated its total is extrapolated from per-trial cost,
 //! which is exactly how the paper reports "could not finish".
 
-use crate::experiments::{mcvp_budgeted, os_budgeted, ExpOptions};
+use crate::experiments::{mcvp_budgeted, ols_kl_dynamic, os_budgeted, solve, ExpOptions};
 use crate::report::{fmt_speedup, Table};
 use crate::timing::time_it;
 use crate::BenchDataset;
-use mpmb_core::{EstimatorKind, KlTrialPolicy, OlsConfig, OrderingListingSampling};
+use mpmb_serve::{Job, Method};
 
 /// Measured times for one dataset.
 #[derive(Clone, Copy, Debug)]
@@ -32,28 +32,15 @@ pub fn measure(d: &BenchDataset, opts: &ExpOptions) -> Fig7Row {
     let (mc_t, _) = mcvp_budgeted(g, opts.plan.direct_trials, opts.seed, opts.budget);
     let (os_t, _) = os_budgeted(g, opts.plan.direct_trials, opts.seed, opts.budget);
 
-    let kl_cfg = OlsConfig {
-        prep_trials: opts.plan.prep_trials,
-        seed: opts.seed,
-        estimator: EstimatorKind::KarpLuby {
-            policy: KlTrialPolicy::Dynamic {
-                mu: 0.05,
-                base: opts.plan.sampling_trials,
-                min: (opts.plan.sampling_trials / 20).max(1),
-                cap: opts.plan.sampling_trials * 10,
-            },
-        },
-        ..Default::default()
-    };
-    let (_, ols_kl_secs) = time_it(|| OrderingListingSampling::new(kl_cfg).run(g));
-
-    let opt_cfg = OlsConfig {
-        estimator: EstimatorKind::Optimized {
-            trials: opts.plan.sampling_trials,
-        },
-        ..kl_cfg
-    };
-    let (_, ols_secs) = time_it(|| OrderingListingSampling::new(opt_cfg).run(g));
+    let (_, ols_kl_secs) = time_it(|| ols_kl_dynamic(g, &opts.plan, opts.seed));
+    let plan = &opts.plan;
+    let ols = Job::new(
+        Method::Ols,
+        plan.sampling_trials,
+        plan.prep_trials,
+        opts.seed,
+    );
+    let (_, ols_secs) = time_it(|| solve(g, &ols));
 
     Fig7Row {
         mcvp_secs: mc_t.estimated_total.as_secs_f64(),

@@ -1,13 +1,11 @@
 //! Fig. 8: executing time split by phase, with the sampling-phase trial
 //! count varied over 0% (preparing only), 25%, 50%, 75%, 100%.
 
-use crate::experiments::{os_budgeted, ExpOptions};
+use crate::experiments::{karp_luby, ols_candidates, optimized, os_budgeted, ExpOptions};
 use crate::report::Table;
 use crate::timing::time_it;
 use crate::BenchDataset;
-use mpmb_core::{
-    estimate_karp_luby, estimate_optimized, KlTrialPolicy, OlsConfig, OrderingListingSampling,
-};
+use mpmb_core::KlTrialPolicy;
 
 /// The sampling-phase fractions on the x-axis.
 pub const FRACTIONS: [f64; 4] = [0.25, 0.5, 0.75, 1.0];
@@ -39,12 +37,8 @@ pub fn run(datasets: &[BenchDataset], opts: &ExpOptions) -> Table {
         t.row(&os_cells);
 
         // Shared preparing phase for both OLS variants.
-        let ols = OrderingListingSampling::new(OlsConfig {
-            prep_trials: opts.plan.prep_trials,
-            seed: opts.seed,
-            ..Default::default()
-        });
-        let (candidates, prep_secs) = time_it(|| ols.prepare(g));
+        let (candidates, prep_secs) =
+            time_it(|| ols_candidates(g, opts.plan.prep_trials, opts.seed));
 
         let mut kl_cells = vec![
             d.dataset.name().to_string(),
@@ -58,11 +52,10 @@ pub fn run(datasets: &[BenchDataset], opts: &ExpOptions) -> Table {
         ];
         for f in FRACTIONS {
             let trials = ((opts.plan.sampling_trials as f64 * f).round() as u64).max(1);
-            let (_, kl_secs) = time_it(|| {
-                estimate_karp_luby(g, &candidates, KlTrialPolicy::Fixed(trials), opts.seed)
-            });
+            let (_, kl_secs) =
+                time_it(|| karp_luby(g, &candidates, KlTrialPolicy::Fixed(trials), opts.seed));
             kl_cells.push(format!("{:.3}", prep_secs + kl_secs));
-            let (_, opt_secs) = time_it(|| estimate_optimized(g, &candidates, trials, opts.seed));
+            let (_, opt_secs) = time_it(|| optimized(g, &candidates, trials, opts.seed));
             opt_cells.push(format!("{:.3}", prep_secs + opt_secs));
         }
         t.row(&kl_cells);

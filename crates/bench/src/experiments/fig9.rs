@@ -1,12 +1,12 @@
 //! Fig. 9: scalability — executing time on vertex-induced subsamples of
 //! 25%, 50%, 75%, 100% of each dataset.
 
-use crate::experiments::{os_budgeted, ExpOptions};
+use crate::experiments::{ols_kl_dynamic, os_budgeted, solve, ExpOptions};
 use crate::report::Table;
 use crate::timing::time_it;
 use crate::BenchDataset;
 use datasets::scale::induced_vertex_sample;
-use mpmb_core::{EstimatorKind, KlTrialPolicy, OlsConfig, OrderingListingSampling};
+use mpmb_serve::{Job, Method};
 
 /// The vertex fractions on the x-axis.
 pub const FRACTIONS: [f64; 4] = [0.25, 0.5, 0.75, 1.0];
@@ -30,35 +30,16 @@ pub fn run(datasets: &[BenchDataset], opts: &ExpOptions) -> Table {
             let (bt, _) = os_budgeted(g, opts.plan.direct_trials, opts.seed, opts.budget);
             os_cells.push(format!("{:.3}", bt.estimated_total.as_secs_f64()));
 
-            let base_cfg = OlsConfig {
-                prep_trials: opts.plan.prep_trials,
-                seed: opts.seed,
-                ..Default::default()
-            };
-            let (_, kl_secs) = time_it(|| {
-                OrderingListingSampling::new(OlsConfig {
-                    estimator: EstimatorKind::KarpLuby {
-                        policy: KlTrialPolicy::Dynamic {
-                            mu: 0.05,
-                            base: opts.plan.sampling_trials,
-                            min: (opts.plan.sampling_trials / 20).max(1),
-                            cap: opts.plan.sampling_trials * 10,
-                        },
-                    },
-                    ..base_cfg
-                })
-                .run(g)
-            });
+            let (_, kl_secs) = time_it(|| ols_kl_dynamic(g, &opts.plan, opts.seed));
             kl_cells.push(format!("{kl_secs:.3}"));
-            let (_, opt_secs) = time_it(|| {
-                OrderingListingSampling::new(OlsConfig {
-                    estimator: EstimatorKind::Optimized {
-                        trials: opts.plan.sampling_trials,
-                    },
-                    ..base_cfg
-                })
-                .run(g)
-            });
+            let plan = &opts.plan;
+            let ols = Job::new(
+                Method::Ols,
+                plan.sampling_trials,
+                plan.prep_trials,
+                opts.seed,
+            );
+            let (_, opt_secs) = time_it(|| solve(g, &ols));
             opt_cells.push(format!("{opt_secs:.3}"));
         }
         t.row(&os_cells);

@@ -78,50 +78,6 @@ pub fn standard_normal(rng: &mut impl Rng) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
-/// Generates a uniform random bipartite graph: `m` distinct edges sampled
-/// uniformly from `L × R`.
-///
-/// # Panics
-/// Panics if `m > nl * nr`.
-pub fn uniform_random(
-    nl: u32,
-    nr: u32,
-    m: usize,
-    weights: &ValueDist,
-    probs: &ValueDist,
-    seed: u64,
-) -> UncertainBipartiteGraph {
-    let capacity = nl as u64 * nr as u64;
-    assert!(m as u64 <= capacity, "m={m} exceeds {nl}x{nr}");
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut b = GraphBuilder::with_capacity(m);
-    b.reserve_vertices(nl, nr);
-
-    if m as u64 * 3 > capacity {
-        // Dense regime: per-pair Bernoulli would skew the count; instead
-        // take a partial Fisher–Yates over all pairs.
-        let mut pairs: Vec<u64> = (0..capacity).collect();
-        for i in 0..m {
-            let j = rng.random_range(i as u64..capacity) as usize;
-            pairs.swap(i, j);
-            let (u, v) = ((pairs[i] / nr as u64) as u32, (pairs[i] % nr as u64) as u32);
-            add(&mut b, u, v, weights, probs, &mut rng);
-        }
-    } else {
-        // Sparse regime: rejection sampling with a hash set of used pairs.
-        let mut used: FxHashSet<u64> = FxHashSet::default();
-        used.reserve(m);
-        while used.len() < m {
-            let u = rng.random_range(0..nl);
-            let v = rng.random_range(0..nr);
-            if used.insert(u as u64 * nr as u64 + v as u64) {
-                add(&mut b, u, v, weights, probs, &mut rng);
-            }
-        }
-    }
-    b.build().expect("generator produced invalid graph")
-}
-
 /// Generates a bipartite graph with Zipf-distributed right-vertex
 /// popularity (exponent `s`): each of the `m` edges picks its right
 /// endpoint from a Zipf law over `R` and its left endpoint uniformly,
@@ -222,32 +178,15 @@ mod tests {
     }
 
     #[test]
-    fn uniform_random_has_exact_edge_count_and_no_dups() {
-        for m in [0usize, 1, 50, 200] {
-            let g = uniform_random(20, 30, m, &W, &P, 99);
-            assert_eq!(g.num_edges(), m);
-            assert_eq!(g.num_left(), 20);
-            assert_eq!(g.num_right(), 30);
-        }
-    }
-
-    #[test]
-    fn uniform_random_dense_regime() {
-        // m close to capacity exercises the Fisher–Yates path.
-        let g = uniform_random(8, 8, 60, &W, &P, 7);
-        assert_eq!(g.num_edges(), 60);
-    }
-
-    #[test]
     fn generators_are_deterministic() {
-        let a = uniform_random(10, 10, 40, &W, &P, 5);
-        let b = uniform_random(10, 10, 40, &W, &P, 5);
+        let a = zipf_bipartite(10, 10, 40, 1.2, &W, &P, 5);
+        let b = zipf_bipartite(10, 10, 40, 1.2, &W, &P, 5);
         for e in a.edge_ids() {
             assert_eq!(a.endpoints(e), b.endpoints(e));
             assert_eq!(a.weight(e), b.weight(e));
             assert_eq!(a.prob(e), b.prob(e));
         }
-        let c = uniform_random(10, 10, 40, &W, &P, 6);
+        let c = zipf_bipartite(10, 10, 40, 1.2, &W, &P, 6);
         let same = a
             .edge_ids()
             .all(|e| a.endpoints(e) == c.endpoints(e) && a.weight(e) == c.weight(e));

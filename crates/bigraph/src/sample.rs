@@ -223,16 +223,6 @@ impl LazyEdgeSampler {
     pub fn is_decided(&self, e: EdgeId) -> bool {
         self.stamps[e.index()] == self.epoch
     }
-
-    /// The memoized outcome, if decided this trial.
-    #[inline]
-    pub fn decided_outcome(&self, e: EdgeId) -> Option<bool> {
-        if self.is_decided(e) {
-            Some(self.outcomes[e.index()])
-        } else {
-            None
-        }
-    }
 }
 
 #[cfg(test)]
@@ -409,7 +399,7 @@ mod tests {
             .collect();
         assert_eq!(first, second);
         for e in g.edge_ids() {
-            assert_eq!(s.decided_outcome(e), Some(first[e.index()]));
+            assert!(s.is_decided(e));
         }
     }
 

@@ -33,15 +33,6 @@ impl PossibleWorld {
         w
     }
 
-    /// A world from an explicit edge list.
-    pub fn from_edges(num_edges: usize, edges: &[EdgeId]) -> Self {
-        let mut w = Self::empty(num_edges);
-        for &e in edges {
-            w.insert(e);
-        }
-        w
-    }
-
     /// Domain size (number of backbone edges, not present edges).
     #[inline]
     pub fn domain(&self) -> usize {
@@ -80,11 +71,6 @@ impl PossibleWorld {
     /// Number of edges present.
     pub fn num_present(&self) -> usize {
         self.present.count_ones()
-    }
-
-    /// Iterator over present edge ids, ascending.
-    pub fn present_edges(&self) -> impl Iterator<Item = EdgeId> + '_ {
-        self.present.iter_ones().map(|i| EdgeId(i as u32))
     }
 
     /// The probability of this world under `g` (Equation 1):
@@ -182,17 +168,6 @@ mod tests {
         assert_eq!(w.left_degree(&g, Left(1)), 0);
         assert_eq!(w.right_degree(&g, Right(0)), 1);
         assert_eq!(w.right_degree(&g, Right(2)), 0);
-    }
-
-    #[test]
-    fn from_edges_constructor() {
-        let g = fig1();
-        let es = [EdgeId(0), EdgeId(5)];
-        let w = PossibleWorld::from_edges(g.num_edges(), &es);
-        assert!(w.contains(EdgeId(0)) && w.contains(EdgeId(5)));
-        assert_eq!(w.num_present(), 2);
-        let got: Vec<EdgeId> = w.present_edges().collect();
-        assert_eq!(got, es);
     }
 
     #[test]

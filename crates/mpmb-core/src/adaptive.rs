@@ -12,7 +12,7 @@
 use crate::bounds::mc_trial_lower_bound;
 use crate::butterfly::Butterfly;
 use crate::distribution::{Distribution, Tally};
-use crate::engine::{Cancel, Executor, TrialEngine};
+use crate::engine::{Cancel, Executor, Partial, TrialEngine};
 use crate::os::{OsConfig, OsTrials};
 use bigraph::UncertainBipartiteGraph;
 
@@ -88,22 +88,18 @@ pub fn run_os_adaptive(g: &UncertainBipartiteGraph, cfg: &AdaptiveConfig) -> Ada
         },
     );
     let executor = Executor::new(cfg.threads);
-    let mut tally = Tally::new();
+    // One partial over the whole capped trial space, resumed batch by
+    // batch: the tally after each batch is the fold of trials `0..t`,
+    // bit-identical to one sequential run at any thread count.
+    let mut partial = Partial::empty(os.new_acc(), cfg.max_trials);
     let mut satisfied = false;
 
     let mut t = 0u64;
     while t < cfg.max_trials {
-        let stop_at = (t + cfg.batch).min(cfg.max_trials);
-        // Parallel batches return one accumulator per chunk, in range
-        // order; tally merges are integer additions, so the fold is
-        // bit-identical to the sequential single-chunk run.
-        for (acc, done) in executor.run_range(&os, t..stop_at, &Cancel::never()) {
-            debug_assert!(done.start >= t && done.end <= stop_at);
-            os.merge(&mut tally, acc);
-        }
-        t = stop_at;
+        t = (t + cfg.batch).min(cfg.max_trials);
+        executor.resume_within(&os, &mut partial, 0..t, &Cancel::never());
         // Stopping rule: enough trials for the running MPMB estimate?
-        if let Some((_, count)) = running_argmax(&tally) {
+        if let Some((_, count)) = running_argmax(&partial.acc) {
             let mu = count as f64 / t as f64;
             if mu > 0.0 && (t as f64) >= mc_trial_lower_bound(mu, cfg.epsilon, cfg.delta) {
                 satisfied = true;
@@ -112,6 +108,7 @@ pub fn run_os_adaptive(g: &UncertainBipartiteGraph, cfg: &AdaptiveConfig) -> Ada
         }
     }
 
+    let tally = partial.acc;
     let target = running_argmax(&tally).map(|(b, c)| (b, c as f64 / t as f64));
     AdaptiveResult {
         distribution: tally.into_distribution(),

@@ -263,31 +263,11 @@ impl<A: Checkpoint> Checkpoint for Partial<A> {
     }
 }
 
-/// Encodes one value into a fresh byte vector (convenience wrapper).
-pub fn encode_to_vec<T: Checkpoint>(value: &T) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    value.encode(&mut enc);
-    enc.into_bytes()
-}
-
-/// Decodes one value from a byte slice, requiring full consumption.
-pub fn decode_exact<T: Checkpoint>(bytes: &[u8]) -> Result<T, CodecError> {
-    let mut dec = Decoder::new(bytes);
-    let value = T::decode(&mut dec)?;
-    if dec.remaining() != 0 {
-        return Err(CodecError::Invalid(format!(
-            "{} trailing bytes after value",
-            dec.remaining()
-        )));
-    }
-    Ok(value)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{Cancel, Executor};
-    use crate::{McVpConfig, McVpTrials, OlsConfig, PrepareTrials};
+    use crate::{McVpTrials, OlsConfig, PrepareTrials};
     use bigraph::{GraphBuilder, UncertainBipartiteGraph};
 
     fn fig1() -> UncertainBipartiteGraph {
@@ -305,8 +285,22 @@ mod tests {
         Butterfly::new(Left(u1), Left(u2), Right(v1), Right(v2))
     }
 
+    fn encode_to_bytes<T: Checkpoint>(value: &T) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        value.encode(&mut enc);
+        enc.into_bytes()
+    }
+
+    fn decode_bytes<T: Checkpoint>(bytes: &[u8]) -> Result<T, CodecError> {
+        T::decode(&mut Decoder::new(bytes))
+    }
+
     fn round_trip<T: Checkpoint>(value: &T) -> T {
-        decode_exact(&encode_to_vec(value)).expect("round trip")
+        let bytes = encode_to_bytes(value);
+        let mut dec = Decoder::new(&bytes);
+        let back = T::decode(&mut dec).expect("round trip");
+        assert_eq!(dec.remaining(), 0, "round trip left bytes unread");
+        back
     }
 
     #[test]
@@ -324,7 +318,7 @@ mod tests {
         t2.record_trial([&bf(0, 1, 1, 2), &bf(0, 1, 0, 1)]);
         t2.record_trial([&bf(0, 1, 0, 1)]);
         t2.record_trial([]);
-        assert_eq!(encode_to_vec(&t), encode_to_vec(&t2));
+        assert_eq!(encode_to_bytes(&t), encode_to_bytes(&t2));
     }
 
     #[test]
@@ -335,7 +329,7 @@ mod tests {
         enc.u32(0);
         enc.u32(1);
         assert!(matches!(
-            decode_exact::<Butterfly>(&enc.into_bytes()),
+            decode_bytes::<Butterfly>(&enc.into_bytes()),
             Err(CodecError::Invalid(_))
         ));
     }
@@ -378,17 +372,7 @@ mod tests {
         enc.u64(150); // end > requested
         enc.u64(0); // acc
         assert!(matches!(
-            decode_exact::<Partial<u64>>(&enc.into_bytes()),
-            Err(CodecError::Invalid(_))
-        ));
-    }
-
-    #[test]
-    fn trailing_bytes_are_rejected() {
-        let mut bytes = encode_to_vec(&7u64);
-        bytes.push(0);
-        assert!(matches!(
-            decode_exact::<u64>(&bytes),
+            decode_bytes::<Partial<u64>>(&enc.into_bytes()),
             Err(CodecError::Invalid(_))
         ));
     }
@@ -399,13 +383,7 @@ mod tests {
     #[test]
     fn resumed_after_round_trip_is_bit_identical() {
         let g = fig1();
-        let engine = McVpTrials::new(
-            &g,
-            &McVpConfig {
-                trials: 2_000,
-                seed: 17,
-            },
-        );
+        let engine = McVpTrials::new(&g, 17);
         let exec = Executor::new(2);
         let full = exec.run(&engine, 2_000, &Cancel::never());
 
@@ -435,7 +413,6 @@ mod tests {
     fn prepare_partial_round_trips() {
         let g = fig1();
         let cfg = OlsConfig {
-            prep_trials: 200,
             seed: 5,
             ..Default::default()
         };
@@ -458,7 +435,7 @@ mod tests {
         for (k, v) in [(4u64, 1u64), (9, 2), (1, 5)] {
             h2.insert(k, v);
         }
-        assert_eq!(encode_to_vec(&h1), encode_to_vec(&h2));
+        assert_eq!(encode_to_bytes(&h1), encode_to_bytes(&h2));
         assert_eq!(round_trip(&h1), h1);
     }
 

@@ -8,7 +8,7 @@
 //! empirical PMF), cross-checkable against the closed-form expectation in
 //! [`bigraph::expected`].
 
-use crate::engine::{Cancel, Executor, TrialEngine};
+use crate::engine::TrialEngine;
 use bigraph::fx::FxHashMap;
 use bigraph::{trial_rng, LazyEdgeSampler, Right, UncertainBipartiteGraph};
 use rand::Rng;
@@ -24,55 +24,6 @@ pub struct CountDistribution {
     pub histogram: FxHashMap<u64, u64>,
     /// Trials performed.
     pub trials: u64,
-}
-
-impl CountDistribution {
-    /// Empirical `Pr[count ≥ k]`. An empty distribution (zero trials)
-    /// reports `0.0` for every `k` — never `NaN` from `0/0`, which
-    /// would serialize as `null` in JSON bodies.
-    pub fn tail_prob(&self, k: u64) -> f64 {
-        if self.trials == 0 {
-            return 0.0;
-        }
-        let hits: u64 = self
-            .histogram
-            .iter()
-            .filter(|(&c, _)| c >= k)
-            .map(|(_, &n)| n)
-            .sum();
-        hits as f64 / self.trials as f64
-    }
-}
-
-/// Samples the butterfly-count distribution over `trials` possible worlds.
-pub fn sample_count_distribution(
-    g: &UncertainBipartiteGraph,
-    trials: u64,
-    seed: u64,
-) -> CountDistribution {
-    sample_count_distribution_parallel(g, trials, seed, 1)
-}
-
-/// Multi-threaded [`sample_count_distribution`]: runs on the
-/// [`Executor`](crate::engine::Executor) with per-range histograms
-/// merged.
-///
-/// Bit-identical to the sequential run at every thread count: per-trial
-/// RNG streams make the merged histogram independent of scheduling, and
-/// the moments are computed from the histogram in sorted-count order —
-/// per-world counts are integers, so the moment sums are exact in `f64`
-/// and do not depend on trial accumulation order.
-pub fn sample_count_distribution_parallel(
-    g: &UncertainBipartiteGraph,
-    trials: u64,
-    seed: u64,
-    threads: usize,
-) -> CountDistribution {
-    assert!(trials > 0, "trials must be positive");
-    let histogram = Executor::new(threads)
-        .run(&CountTrials::new(g, seed), trials, &Cancel::never())
-        .acc;
-    count_distribution_from_histogram(histogram, trials)
 }
 
 /// Finalizes a (possibly resumed) count histogram into the moment
@@ -283,6 +234,7 @@ fn count_in_trial(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Cancel, Executor};
     use bigraph::expected::expected_butterfly_count;
     use bigraph::{GraphBuilder, Left};
 
@@ -297,10 +249,23 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// `trials` sampled worlds on `threads` workers, finalized.
+    fn sample(
+        g: &UncertainBipartiteGraph,
+        trials: u64,
+        seed: u64,
+        threads: usize,
+    ) -> CountDistribution {
+        let histogram = Executor::new(threads)
+            .run(&CountTrials::new(g, seed), trials, &Cancel::never())
+            .acc;
+        count_distribution_from_histogram(histogram, trials)
+    }
+
     #[test]
     fn sampled_mean_matches_closed_form_expectation() {
         let g = fig1();
-        let d = sample_count_distribution(&g, 40_000, 5);
+        let d = sample(&g, 40_000, 5, 1);
         let expect = expected_butterfly_count(&g); // 0.2544
         assert!(
             (d.mean - expect).abs() < 0.01,
@@ -318,7 +283,7 @@ mod tests {
             }
         }
         let g = b.build().unwrap();
-        let d = sample_count_distribution(&g, 100, 1);
+        let d = sample(&g, 100, 1, 1);
         assert_eq!(d.mean, 9.0);
         assert_eq!(d.variance, 0.0);
         assert_eq!(d.histogram.len(), 1);
@@ -326,24 +291,21 @@ mod tests {
     }
 
     #[test]
-    fn histogram_sums_to_trials_and_tail_is_monotone() {
+    fn histogram_sums_to_trials() {
         let g = fig1();
-        let d = sample_count_distribution(&g, 5_000, 2);
+        let d = sample(&g, 5_000, 2, 1);
         let total: u64 = d.histogram.values().sum();
         assert_eq!(total, 5_000);
-        assert_eq!(d.tail_prob(0), 1.0);
-        let mut prev = 1.0;
-        for k in 1..=4 {
-            let p = d.tail_prob(k);
-            assert!(p <= prev + 1e-12, "tail not monotone at {k}");
-            prev = p;
-        }
+        assert!(
+            d.histogram.keys().all(|&c| c <= 3),
+            "fig1 has 3 butterflies"
+        );
     }
 
     #[test]
     fn variance_positive_for_uncertain_graphs() {
         let g = fig1();
-        let d = sample_count_distribution(&g, 5_000, 3);
+        let d = sample(&g, 5_000, 3, 1);
         assert!(d.variance > 0.0);
     }
 
@@ -385,7 +347,7 @@ mod tests {
     fn exact_variance_matches_sampling() {
         let g = fig1();
         let closed = exact_count_variance(&g, 1_000).unwrap();
-        let d = sample_count_distribution(&g, 40_000, 8);
+        let d = sample(&g, 40_000, 8, 1);
         assert!(
             (d.variance - closed).abs() < 0.02,
             "sampled {} vs exact {closed}",
@@ -433,8 +395,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let g = fig1();
-        let a = sample_count_distribution(&g, 1_000, 9);
-        let b = sample_count_distribution(&g, 1_000, 9);
+        let a = sample(&g, 1_000, 9, 1);
+        let b = sample(&g, 1_000, 9, 1);
         assert_eq!(a.mean, b.mean);
         assert_eq!(a.histogram, b.histogram);
     }
@@ -447,19 +409,14 @@ mod tests {
         assert_eq!(d.mean, 0.0);
         assert_eq!(d.variance, 0.0);
         assert_eq!(d.trials, 0);
-        for k in [0, 1, 10] {
-            let p = d.tail_prob(k);
-            assert!(!p.is_nan(), "tail_prob({k}) = {p}");
-            assert_eq!(p, 0.0);
-        }
     }
 
     #[test]
     fn parallel_count_distribution_matches_sequential_bitwise() {
         let g = fig1();
-        let seq = sample_count_distribution(&g, 2_000, 11);
+        let seq = sample(&g, 2_000, 11, 1);
         for threads in [1, 2, 3, 8] {
-            let par = sample_count_distribution_parallel(&g, 2_000, 11, threads);
+            let par = sample(&g, 2_000, 11, threads);
             assert_eq!(seq.mean.to_bits(), par.mean.to_bits(), "threads={threads}");
             assert_eq!(seq.variance.to_bits(), par.variance.to_bits());
             assert_eq!(seq.histogram, par.histogram);

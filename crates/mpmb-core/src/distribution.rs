@@ -109,36 +109,6 @@ impl Distribution {
         self.probs.values().sum()
     }
 
-    /// Restricts the distribution to butterflies containing the given
-    /// left vertex — the per-region queries of the Fig. 3 brain analysis
-    /// ("which butterflies anchor at this ROI?"). Trial provenance is
-    /// preserved.
-    pub fn filter_containing_left(&self, u: bigraph::Left) -> Distribution {
-        Distribution {
-            probs: self
-                .probs
-                .iter()
-                .filter(|(b, _)| b.u1 == u || b.u2 == u)
-                .map(|(&b, &p)| (b, p))
-                .collect(),
-            trials: self.trials,
-        }
-    }
-
-    /// Restricts the distribution to butterflies containing the given
-    /// right vertex.
-    pub fn filter_containing_right(&self, v: bigraph::Right) -> Distribution {
-        Distribution {
-            probs: self
-                .probs
-                .iter()
-                .filter(|(b, _)| b.v1 == v || b.v2 == v)
-                .map(|(&b, &p)| (b, p))
-                .collect(),
-            trials: self.trials,
-        }
-    }
-
     /// Largest absolute difference in `P(B)` against another distribution
     /// (over the union of supports). The convergence metric of Fig. 11.
     pub fn max_abs_diff(&self, other: &Distribution) -> f64 {
@@ -307,26 +277,5 @@ mod tests {
     #[should_panic(expected = "zero-trial")]
     fn zero_trials_rejected() {
         let _ = Distribution::from_counts(FxHashMap::default(), 0);
-    }
-
-    #[test]
-    fn vertex_filters_restrict_support() {
-        let mut probs = FxHashMap::default();
-        probs.insert(bf(0, 1, 0, 1), 0.3);
-        probs.insert(bf(1, 2, 2, 3), 0.2);
-        probs.insert(bf(3, 4, 0, 2), 0.1);
-        let d = Distribution::from_exact(probs);
-        let with_u1 = d.filter_containing_left(Left(1));
-        assert_eq!(with_u1.len(), 2);
-        assert_eq!(with_u1.prob(&bf(0, 1, 0, 1)), 0.3);
-        assert_eq!(with_u1.prob(&bf(3, 4, 0, 2)), 0.0);
-        let with_v0 = d.filter_containing_right(Right(0));
-        assert_eq!(with_v0.len(), 2);
-        assert_eq!(with_v0.prob(&bf(1, 2, 2, 3)), 0.0);
-        // Chained filters compose.
-        let both = d
-            .filter_containing_left(Left(1))
-            .filter_containing_right(Right(0));
-        assert_eq!(both.len(), 1);
     }
 }

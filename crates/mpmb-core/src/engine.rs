@@ -459,10 +459,8 @@ impl Executor {
 
     /// Executes one contiguous trial range, split across the executor's
     /// workers. Returns per-chunk `(accumulator, completed sub-range)`
-    /// pairs in range order. `pub(crate)` so batched drivers (the
-    /// adaptive stopping rule) can run range-at-a-time without a
-    /// private trial loop of their own.
-    pub(crate) fn run_range<E: TrialEngine>(
+    /// pairs in range order.
+    fn run_range<E: TrialEngine>(
         &self,
         engine: &E,
         range: Range<u64>,

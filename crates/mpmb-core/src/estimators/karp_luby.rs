@@ -14,7 +14,7 @@
 use crate::bounds::kl_over_op_ratio;
 use crate::candidates::CandidateSet;
 use crate::distribution::Distribution;
-use crate::engine::{Cancel, Executor, TrialEngine};
+use crate::engine::TrialEngine;
 use bigraph::fx::FxHashMap;
 use bigraph::{trial_rng, EdgeId, LazyEdgeSampler, UncertainBipartiteGraph};
 use rand::Rng;
@@ -81,20 +81,6 @@ impl KlReport {
     pub fn total_trials(&self) -> u64 {
         self.trials_per_candidate.iter().sum()
     }
-}
-
-/// Runs Algorithm 4 over a candidate set.
-pub fn estimate_karp_luby(
-    g: &UncertainBipartiteGraph,
-    candidates: &CandidateSet,
-    policy: KlTrialPolicy,
-    seed: u64,
-) -> KlReport {
-    let kl = KarpLubyTrials::new(g, candidates, policy, seed);
-    let partial = Executor::new(1)
-        .check_every(1)
-        .run(&kl, kl.trials(), &Cancel::never());
-    kl.finalize(partial.acc)
 }
 
 /// Outcome of Algorithm 4 for one candidate: its estimated probability,
@@ -283,8 +269,22 @@ impl TrialEngine for KarpLubyTrials<'_> {
 mod tests {
     use super::*;
     use crate::butterfly::{enumerate_backbone_butterflies, Butterfly};
+    use crate::engine::{Cancel, Executor};
     use crate::exact::{exact_distribution, ExactConfig};
     use bigraph::{GraphBuilder, Left, Right};
+
+    /// Algorithm 4 over `cs`, sequentially, one candidate per executor
+    /// trial.
+    fn run(
+        g: &UncertainBipartiteGraph,
+        cs: &CandidateSet,
+        policy: KlTrialPolicy,
+        seed: u64,
+    ) -> KlReport {
+        let kl = KarpLubyTrials::new(g, cs, policy, seed);
+        let acc = Executor::new(1).run(&kl, kl.trials(), &Cancel::never()).acc;
+        kl.finalize(acc)
+    }
 
     fn fig1() -> UncertainBipartiteGraph {
         let mut b = GraphBuilder::new();
@@ -301,7 +301,7 @@ mod tests {
     fn full_candidate_set_converges_to_exact() {
         let g = fig1();
         let cs = CandidateSet::from_butterflies(&g, enumerate_backbone_butterflies(&g));
-        let report = estimate_karp_luby(&g, &cs, KlTrialPolicy::Fixed(60_000), 13);
+        let report = run(&g, &cs, KlTrialPolicy::Fixed(60_000), 13);
         let exact = exact_distribution(&g, ExactConfig::default()).unwrap();
         for (b, &p) in exact.iter() {
             let est = report.distribution.prob(b);
@@ -313,7 +313,7 @@ mod tests {
     fn heaviest_candidate_needs_no_trials() {
         let g = fig1();
         let cs = CandidateSet::from_butterflies(&g, enumerate_backbone_butterflies(&g));
-        let report = estimate_karp_luby(&g, &cs, KlTrialPolicy::Fixed(100), 1);
+        let report = run(&g, &cs, KlTrialPolicy::Fixed(100), 1);
         // The weight-10 butterfly has no heavier rival: S_0 = 0, 0 trials,
         // P = Pr[E(B)] exactly.
         assert_eq!(report.trials_per_candidate[0], 0);
@@ -328,7 +328,7 @@ mod tests {
         // lighter the candidate, the more (or equal) events accumulate.
         let g = fig1();
         let cs = CandidateSet::from_butterflies(&g, enumerate_backbone_butterflies(&g));
-        let report = estimate_karp_luby(&g, &cs, KlTrialPolicy::Fixed(10), 2);
+        let report = run(&g, &cs, KlTrialPolicy::Fixed(10), 2);
         // Same weight class ⇒ same L(i) ⇒ both tied candidates see the
         // single heavier butterfly.
         assert_eq!(report.s_values.len(), 3);
@@ -355,8 +355,8 @@ mod tests {
     fn deterministic_across_runs() {
         let g = fig1();
         let cs = CandidateSet::from_butterflies(&g, enumerate_backbone_butterflies(&g));
-        let r1 = estimate_karp_luby(&g, &cs, KlTrialPolicy::Fixed(500), 3);
-        let r2 = estimate_karp_luby(&g, &cs, KlTrialPolicy::Fixed(500), 3);
+        let r1 = run(&g, &cs, KlTrialPolicy::Fixed(500), 3);
+        let r2 = run(&g, &cs, KlTrialPolicy::Fixed(500), 3);
         assert_eq!(r1.distribution.max_abs_diff(&r2.distribution), 0.0);
         assert_eq!(r1.trials_per_candidate, r2.trials_per_candidate);
     }
@@ -373,7 +373,7 @@ mod tests {
         }
         let g = b.build().unwrap();
         let cs = CandidateSet::from_butterflies(&g, enumerate_backbone_butterflies(&g));
-        let report = estimate_karp_luby(&g, &cs, KlTrialPolicy::Fixed(200), 4);
+        let report = run(&g, &cs, KlTrialPolicy::Fixed(200), 4);
         let light = Butterfly::new(Left(2), Left(3), Right(2), Right(3));
         assert_eq!(report.distribution.prob(&light), 0.0);
         let heavy = Butterfly::new(Left(0), Left(1), Right(0), Right(1));
@@ -384,7 +384,7 @@ mod tests {
     fn report_totals() {
         let g = fig1();
         let cs = CandidateSet::from_butterflies(&g, enumerate_backbone_butterflies(&g));
-        let report = estimate_karp_luby(&g, &cs, KlTrialPolicy::Fixed(100), 5);
+        let report = run(&g, &cs, KlTrialPolicy::Fixed(100), 5);
         assert_eq!(report.total_trials(), 200, "2 non-top candidates x 100");
     }
 }

@@ -9,28 +9,10 @@
 
 use crate::butterfly::Butterfly;
 use crate::candidates::CandidateSet;
-use crate::distribution::{Distribution, Tally};
-use crate::engine::{Cancel, Executor, TrialEngine};
+use crate::distribution::Tally;
+use crate::engine::TrialEngine;
 use bigraph::fx::FxHashMap;
 use bigraph::{trial_rng, LazyEdgeSampler, UncertainBipartiteGraph};
-
-/// Runs Algorithm 5: `trials` shared trials over the candidate set.
-pub fn estimate_optimized(
-    g: &UncertainBipartiteGraph,
-    candidates: &CandidateSet,
-    trials: u64,
-    seed: u64,
-) -> Distribution {
-    assert!(trials > 0, "trials must be positive");
-    Executor::new(1)
-        .run(
-            &OptimizedTrials::new(g, candidates, seed),
-            trials,
-            &Cancel::never(),
-        )
-        .acc
-        .into_distribution()
-}
 
 /// Algorithm 5's shared trial as a [`TrialEngine`]: scan candidates in
 /// weight order, sample their edges lazily (memoized within the trial),
@@ -126,8 +108,18 @@ impl TrialEngine for OptimizedTrials<'_> {
 mod tests {
     use super::*;
     use crate::butterfly::enumerate_backbone_butterflies;
+    use crate::distribution::Distribution;
+    use crate::engine::{Cancel, Executor};
     use crate::exact::{exact_distribution, ExactConfig};
     use bigraph::{GraphBuilder, Left, Right};
+
+    /// Algorithm 5: `trials` shared trials over `cs`, sequentially.
+    fn run(g: &UncertainBipartiteGraph, cs: &CandidateSet, trials: u64, seed: u64) -> Distribution {
+        Executor::new(1)
+            .run(&OptimizedTrials::new(g, cs, seed), trials, &Cancel::never())
+            .acc
+            .into_distribution()
+    }
 
     fn fig1() -> UncertainBipartiteGraph {
         let mut b = GraphBuilder::new();
@@ -146,7 +138,7 @@ mod tests {
         // (Lemma VI.5 bound is 0), so estimates converge to exact P(B).
         let g = fig1();
         let cs = CandidateSet::from_butterflies(&g, enumerate_backbone_butterflies(&g));
-        let d = estimate_optimized(&g, &cs, 60_000, 21);
+        let d = run(&g, &cs, 60_000, 21);
         let exact = exact_distribution(&g, ExactConfig::default()).unwrap();
         for (b, &p) in exact.iter() {
             assert!(
@@ -171,7 +163,7 @@ mod tests {
         }
         let g = b.build().unwrap();
         let cs = CandidateSet::from_butterflies(&g, enumerate_backbone_butterflies(&g));
-        let d = estimate_optimized(&g, &cs, 100, 1);
+        let d = run(&g, &cs, 100, 1);
         // Both certain and tied: each is always a maximum butterfly.
         for c in cs.iter() {
             assert_eq!(d.prob(&c.butterfly), 1.0, "{}", c.butterfly);
@@ -193,7 +185,7 @@ mod tests {
         b.add_edge(Left(2), Right(1), 1.0, 0.0).unwrap();
         let g = b.build().unwrap();
         let cs = CandidateSet::from_butterflies(&g, enumerate_backbone_butterflies(&g));
-        let d = estimate_optimized(&g, &cs, 200, 2);
+        let d = run(&g, &cs, 200, 2);
         let certain = crate::butterfly::Butterfly::new(Left(0), Left(1), Right(0), Right(1));
         assert_eq!(d.prob(&certain), 1.0);
         assert_eq!(d.len(), 1, "impossible butterflies acquired mass");
@@ -203,8 +195,8 @@ mod tests {
     fn deterministic_across_runs() {
         let g = fig1();
         let cs = CandidateSet::from_butterflies(&g, enumerate_backbone_butterflies(&g));
-        let d1 = estimate_optimized(&g, &cs, 1_000, 5);
-        let d2 = estimate_optimized(&g, &cs, 1_000, 5);
+        let d1 = run(&g, &cs, 1_000, 5);
+        let d2 = run(&g, &cs, 1_000, 5);
         assert_eq!(d1.max_abs_diff(&d2), 0.0);
     }
 
@@ -212,7 +204,7 @@ mod tests {
     fn empty_candidate_set_yields_empty_distribution() {
         let g = fig1();
         let cs = CandidateSet::from_butterflies(&g, []);
-        let d = estimate_optimized(&g, &cs, 10, 0);
+        let d = run(&g, &cs, 10, 0);
         assert!(d.is_empty());
     }
 }

@@ -45,7 +45,7 @@
 //! true expectation, conservatively.
 
 use crate::bounds::chebyshev_half_width;
-use crate::engine::{Cancel, Executor, TrialEngine};
+use crate::engine::TrialEngine;
 use bigraph::{trial_rng, Left, Right, UncertainBipartiteGraph};
 use rand::Rng;
 
@@ -57,27 +57,6 @@ const FAST_SALT: u64 = 0xFA_57_B1_7E;
 /// reweighted sample)`. Kept index-tagged so finalization can impose a
 /// canonical accumulation order regardless of scheduling.
 pub type FastSample = (u64, u64);
-
-/// Parameters of a fast-tier estimate.
-#[derive(Clone, Copy, Debug)]
-pub struct SublinearConfig {
-    /// Sampling trials (one wedge probe each).
-    pub trials: u64,
-    /// Base RNG seed (caller-facing; the engine salts it).
-    pub seed: u64,
-    /// CI failure probability `δ` for the reported interval.
-    pub delta: f64,
-}
-
-impl Default for SublinearConfig {
-    fn default() -> Self {
-        SublinearConfig {
-            trials: 20_000,
-            seed: 0x5EED,
-            delta: 0.05,
-        }
-    }
-}
 
 /// Finalized fast-tier answer: point estimate, sample variance of the
 /// per-trial estimator, and a `1 − δ` confidence interval.
@@ -292,25 +271,25 @@ fn unrank_pair(rank: u64, len: usize) -> (usize, usize) {
     }
 }
 
-/// Runs the whole fast-tier estimate in one call: `cfg.trials` wedge
-/// probes on `threads` workers, finalized at `cfg.delta`. Bit-identical
-/// at every thread count.
-pub fn estimate_fast(
-    g: &UncertainBipartiteGraph,
-    cfg: &SublinearConfig,
-    threads: usize,
-) -> FastEstimate {
-    assert!(cfg.trials > 0, "trials must be positive");
-    let engine = SublinearTrials::new(g, cfg.seed);
-    let partial = Executor::new(threads).run(&engine, cfg.trials, &Cancel::never());
-    engine.finalize(partial.acc, cfg.delta)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Cancel, Executor};
     use bigraph::expected::expected_butterfly_count;
     use bigraph::GraphBuilder;
+
+    /// `trials` wedge probes on `threads` workers, finalized at `delta`.
+    fn run(
+        g: &UncertainBipartiteGraph,
+        trials: u64,
+        seed: u64,
+        delta: f64,
+        threads: usize,
+    ) -> FastEstimate {
+        let engine = SublinearTrials::new(g, seed);
+        let partial = Executor::new(threads).run(&engine, trials, &Cancel::never());
+        engine.finalize(partial.acc, delta)
+    }
 
     fn fig1() -> UncertainBipartiteGraph {
         let mut b = GraphBuilder::new();
@@ -362,15 +341,7 @@ mod tests {
     fn estimate_converges_to_closed_form_expectation() {
         let g = fig1();
         let expect = expected_butterfly_count(&g); // 0.2544
-        let fe = estimate_fast(
-            &g,
-            &SublinearConfig {
-                trials: 60_000,
-                seed: 7,
-                delta: 0.05,
-            },
-            2,
-        );
+        let fe = run(&g, 60_000, 7, 0.05, 2);
         assert!(
             (fe.estimate - expect).abs() < 0.02,
             "estimate {} vs {expect}",
@@ -383,15 +354,7 @@ mod tests {
     #[test]
     fn deterministic_graph_estimate_is_exact_with_zero_variance() {
         let g = dense(3, 1.0);
-        let fe = estimate_fast(
-            &g,
-            &SublinearConfig {
-                trials: 500,
-                seed: 3,
-                delta: 0.1,
-            },
-            1,
-        );
+        let fe = run(&g, 500, 3, 0.1, 1);
         // Every wedge probe sees the same fully-present neighborhood.
         assert_eq!(fe.estimate, 9.0);
         assert_eq!(fe.variance, 0.0);
@@ -405,15 +368,7 @@ mod tests {
         b.add_edge(Left(0), Right(0), 1.0, 0.9).unwrap();
         b.add_edge(Left(1), Right(1), 1.0, 0.9).unwrap();
         let g = b.build().unwrap();
-        let fe = estimate_fast(
-            &g,
-            &SublinearConfig {
-                trials: 100,
-                seed: 1,
-                delta: 0.1,
-            },
-            1,
-        );
+        let fe = run(&g, 100, 1, 0.1, 1);
         assert_eq!(fe.estimate, 0.0);
         assert_eq!(fe.variance, 0.0);
         assert_eq!((fe.ci_low, fe.ci_high), (0.0, 0.0));
@@ -423,25 +378,21 @@ mod tests {
     #[test]
     fn bit_identical_across_thread_counts_and_resume() {
         let g = fig1();
-        let cfg = SublinearConfig {
-            trials: 4_000,
-            seed: 11,
-            delta: 0.1,
-        };
-        let seq = estimate_fast(&g, &cfg, 1);
+        let (trials, seed, delta) = (4_000, 11, 0.1);
+        let seq = run(&g, trials, seed, delta, 1);
         for threads in [2, 3, 8] {
-            let par = estimate_fast(&g, &cfg, threads);
+            let par = run(&g, trials, seed, delta, threads);
             assert_eq!(seq.estimate.to_bits(), par.estimate.to_bits());
             assert_eq!(seq.variance.to_bits(), par.variance.to_bits());
             assert_eq!(seq.ci_low.to_bits(), par.ci_low.to_bits());
             assert_eq!(seq.ci_high.to_bits(), par.ci_high.to_bits());
         }
         // Cancel mid-run, resume on a different thread count: same bits.
-        let engine = SublinearTrials::new(&g, cfg.seed);
-        let mut p = Executor::new(2).run(&engine, cfg.trials, &Cancel::after_trials(700));
+        let engine = SublinearTrials::new(&g, seed);
+        let mut p = Executor::new(2).run(&engine, trials, &Cancel::after_trials(700));
         assert!(!p.completed());
         Executor::new(3).resume(&engine, &mut p, &Cancel::never());
-        let resumed = engine.finalize(p.acc, cfg.delta);
+        let resumed = engine.finalize(p.acc, delta);
         assert_eq!(seq.estimate.to_bits(), resumed.estimate.to_bits());
         assert_eq!(seq.ci_high.to_bits(), resumed.ci_high.to_bits());
     }
@@ -477,18 +428,7 @@ mod tests {
             let expect = expected_butterfly_count(&g);
             let seeds = 20u64;
             let covered = (0..seeds)
-                .filter(|&s| {
-                    estimate_fast(
-                        &g,
-                        &SublinearConfig {
-                            trials: 5_000,
-                            seed: 1000 + s,
-                            delta,
-                        },
-                        2,
-                    )
-                    .covers(expect)
-                })
+                .filter(|&s| run(&g, 5_000, 1000 + s, delta, 2).covers(expect))
                 .count();
             let floor = ((1.0 - delta) * seeds as f64).floor() as usize;
             assert!(

@@ -295,12 +295,15 @@ mod tests {
         let r = Reduction::build(f);
         assert!(r.is_exactly_sound());
         let claimed = r.claimed_prob(); // (3/4)² = 0.5625
-        let d = crate::os::OrderingSampling::new(crate::os::OsConfig {
-            trials: 40_000,
+        let cfg = crate::os::OsConfig {
             seed: 77,
             ..Default::default()
-        })
-        .run(&r.graph);
+        };
+        let os = crate::os::OsTrials::new(&r.graph, &cfg);
+        let d = crate::engine::Executor::new(1)
+            .run(&os, 40_000, &crate::engine::Cancel::never())
+            .acc
+            .into_distribution();
         let est = d.prob(&r.target);
         assert!(
             (est - claimed).abs() < 0.01,

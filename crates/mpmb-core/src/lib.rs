@@ -7,19 +7,23 @@
 //!
 //! | Paper | Here |
 //! |---|---|
-//! | Algorithm 1 (MC-VP baseline) | [`McVp`] |
-//! | Algorithm 2 (Ordering Sampling) | [`OrderingSampling`] |
-//! | Algorithm 3 (Ordering-Listing Sampling) | [`OrderingListingSampling`] |
-//! | Algorithm 4 (Karp-Luby estimator) | [`estimators::karp_luby`] |
-//! | Algorithm 5 (optimized estimator) | [`estimators::optimized`] |
+//! | Algorithm 1 (MC-VP baseline) | [`McVpTrials`] |
+//! | Algorithm 2 (Ordering Sampling) | [`OsTrials`] |
+//! | Algorithm 3 (Ordering-Listing Sampling), preparing | [`PrepareTrials`] |
+//! | Algorithm 4 (Karp-Luby estimator) | [`KarpLubyTrials`] |
+//! | Algorithm 5 (optimized estimator) | [`OptimizedTrials`] |
 //! | Theorem IV.1 / Lemma VI.4 / Eq. 8–9 | [`bounds`] |
 //! | Lemma III.1 reduction | [`hardness`] |
 //! | Exact `P(B)` ground truth | [`exact`] |
 //! | §VII top-k MPMB | [`Distribution::top_k`] |
 //!
-//! All solvers are deterministic given their seed, including under the
-//! multi-threaded [`engine::Executor`] (which splits trial budgets with
-//! the canonical [`chunk_ranges`] partition).
+//! Each algorithm is a per-trial body (a [`TrialEngine`]) plus a fold;
+//! the trial count is the caller's, passed to the one trial loop,
+//! [`engine::Executor`]. Every engine is deterministic given its seed at
+//! any thread count (the executor splits trial budgets with the
+//! canonical [`chunk_ranges`] partition). `mpmb_serve`'s method table
+//! composes these engines into whole methods (OLS = preparing, then an
+//! estimator).
 
 pub mod adaptive;
 pub mod angle;
@@ -47,35 +51,30 @@ pub use butterfly::{
     max_butterflies_in_world, Butterfly,
 };
 pub use candidates::{Candidate, CandidateSet};
-pub use checkpoint::{decode_exact, encode_to_vec, Checkpoint};
+pub use checkpoint::Checkpoint;
 pub use counting::CountTrials;
 pub use counting::{
-    count_distribution_from_histogram, exact_count_variance, sample_count_distribution,
-    sample_count_distribution_parallel, CountDistribution, TooManyButterflies,
+    count_distribution_from_histogram, exact_count_variance, CountDistribution, TooManyButterflies,
 };
 pub use distribution::{Distribution, Tally};
 pub use engine::{
     chunk_ranges, convergence_trace, AbsorbError, Cancel, Executor, Partial, TrialEngine,
     CHECK_EVERY,
 };
-pub use estimators::karp_luby::{
-    estimate_karp_luby, KarpLubyTrials, KlCandidate, KlReport, KlTrialPolicy,
-};
-pub use estimators::optimized::{estimate_optimized, OptimizedTrials};
-pub use estimators::sublinear::{
-    estimate_fast, finalize_rows, FastEstimate, FastSample, SublinearConfig, SublinearTrials,
-};
+pub use estimators::karp_luby::{KarpLubyTrials, KlCandidate, KlReport, KlTrialPolicy};
+pub use estimators::optimized::OptimizedTrials;
+pub use estimators::sublinear::{finalize_rows, FastEstimate, FastSample, SublinearTrials};
 pub use exact::{exact_distribution, exact_mpmb, exact_prob, ExactConfig, ExactError};
 pub use hardness::{Monotone2Sat, Reduction};
 pub use listing::{
     backbone_candidate_set, count_backbone_butterflies_parallel,
     enumerate_backbone_butterflies_parallel, listing_shards,
 };
-pub use mcvp::{McVp, McVpConfig, McVpTrials};
-pub use ols::{EstimatorKind, OlsConfig, OlsResult, OrderingListingSampling, PrepareTrials};
+pub use mcvp::McVpTrials;
+pub use ols::{OlsConfig, PrepareTrials};
 pub use os::{
-    os_smb_of_world, EdgeOracle, OrderingSampling, OsConfig, OsEngine, OsTrials, SamplingOracle,
-    StreamingOracle, WorldOracle,
+    os_smb_of_world, EdgeOracle, OsConfig, OsEngine, OsTrials, SamplingOracle, StreamingOracle,
+    WorldOracle,
 };
-pub use query::{estimate_prob_of, QueryResult, QueryTrials};
+pub use query::{QueryResult, QueryTrials};
 pub use topk::{shared_vertices, top_k_diverse};

@@ -7,62 +7,13 @@
 //! angles are materialized and all butterflies created (Lemma IV.1 costs).
 
 use crate::butterfly::Butterfly;
-use crate::distribution::{Distribution, Tally};
-use crate::engine::{Cancel, Executor, TrialEngine};
+use crate::distribution::Tally;
+use crate::engine::TrialEngine;
 use bigraph::fx::FxHashMap;
 use bigraph::{
     trial_rng, Left, PossibleWorld, Right, UncertainBipartiteGraph, Vertex, VertexPriority, Weight,
     WorldSampler,
 };
-
-/// Configuration for [`McVp`].
-#[derive(Clone, Copy, Debug)]
-pub struct McVpConfig {
-    /// Number of Monte-Carlo trials `N_mc` (paper default `2·10⁴`).
-    pub trials: u64,
-    /// Base RNG seed; trial `t` uses the derived stream `(seed, t)`.
-    pub seed: u64,
-}
-
-impl Default for McVpConfig {
-    fn default() -> Self {
-        McVpConfig {
-            trials: 20_000,
-            seed: 0x5EED,
-        }
-    }
-}
-
-/// Monte-Carlo with Vertex Priority solver.
-#[derive(Clone, Copy, Debug)]
-pub struct McVp {
-    cfg: McVpConfig,
-}
-
-impl McVp {
-    /// Creates a solver with the given configuration.
-    pub fn new(cfg: McVpConfig) -> Self {
-        McVp { cfg }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &McVpConfig {
-        &self.cfg
-    }
-
-    /// Runs `N_mc` trials and returns the estimated distribution.
-    pub fn run(&self, g: &UncertainBipartiteGraph) -> Distribution {
-        assert!(self.cfg.trials > 0, "trials must be positive");
-        Executor::new(1)
-            .run(
-                &McVpTrials::new(g, &self.cfg),
-                self.cfg.trials,
-                &Cancel::never(),
-            )
-            .acc
-            .into_distribution()
-    }
-}
 
 /// Algorithm 1's per-trial body as a [`TrialEngine`]: sample a world,
 /// list its `S_MB` with vertex-priority wedge generation, tally it.
@@ -73,12 +24,14 @@ pub struct McVpTrials<'g> {
 }
 
 impl<'g> McVpTrials<'g> {
-    /// Builds the engine (precomputes the vertex priority once).
-    pub fn new(g: &'g UncertainBipartiteGraph, cfg: &McVpConfig) -> Self {
+    /// Builds the engine (precomputes the vertex priority once); trial
+    /// `t` uses the derived stream `(seed, t)`. The trial count is the
+    /// caller's (paper default `N_mc = 2·10⁴`).
+    pub fn new(g: &'g UncertainBipartiteGraph, seed: u64) -> Self {
         McVpTrials {
             g,
             priority: VertexPriority::from_degrees(g),
-            seed: cfg.seed,
+            seed,
         }
     }
 }
@@ -219,7 +172,17 @@ fn update_smb(best: &mut Weight, smb: &mut Vec<Butterfly>, b: Butterfly, w: Weig
 mod tests {
     use super::*;
     use crate::butterfly::max_butterflies_in_world;
+    use crate::distribution::Distribution;
+    use crate::engine::{Cancel, Executor};
     use bigraph::GraphBuilder;
+
+    /// `trials` MC-VP trials on stream `seed`, sequentially.
+    fn run(g: &UncertainBipartiteGraph, trials: u64, seed: u64) -> Distribution {
+        Executor::new(1)
+            .run(&McVpTrials::new(g, seed), trials, &Cancel::never())
+            .acc
+            .into_distribution()
+    }
 
     fn fig1() -> UncertainBipartiteGraph {
         let mut b = GraphBuilder::new();
@@ -284,11 +247,7 @@ mod tests {
     #[test]
     fn estimates_converge_to_exact_on_fig1() {
         let g = fig1();
-        let d = McVp::new(McVpConfig {
-            trials: 40_000,
-            seed: 1,
-        })
-        .run(&g);
+        let d = run(&g, 40_000, 1);
         let exact = crate::exact::exact_distribution(&g, Default::default()).unwrap();
         for (b, &p) in exact.iter() {
             assert!(
@@ -305,12 +264,8 @@ mod tests {
     #[test]
     fn runs_are_reproducible() {
         let g = fig1();
-        let cfg = McVpConfig {
-            trials: 500,
-            seed: 9,
-        };
-        let d1 = McVp::new(cfg).run(&g);
-        let d2 = McVp::new(cfg).run(&g);
+        let d1 = run(&g, 500, 9);
+        let d2 = run(&g, 500, 9);
         assert_eq!(d1.max_abs_diff(&d2), 0.0);
     }
 
@@ -320,11 +275,7 @@ mod tests {
         b.add_edge(Left(0), Right(0), 1.0, 0.9).unwrap();
         b.add_edge(Left(1), Right(1), 1.0, 0.9).unwrap();
         let g = b.build().unwrap();
-        let d = McVp::new(McVpConfig {
-            trials: 50,
-            seed: 3,
-        })
-        .run(&g);
+        let d = run(&g, 50, 3);
         assert!(d.is_empty());
     }
 }

@@ -13,8 +13,8 @@
 
 use crate::angle::SlotTable;
 use crate::butterfly::Butterfly;
-use crate::distribution::{Distribution, Tally};
-use crate::engine::{Cancel, Executor, TrialEngine};
+use crate::distribution::Tally;
+use crate::engine::TrialEngine;
 use bigraph::{
     trial_rng, EdgeId, LazyEdgeSampler, Left, PossibleWorld, Right, Side, UncertainBipartiteGraph,
     Weight,
@@ -112,11 +112,12 @@ impl EdgeOracle for WorldOracle<'_> {
     }
 }
 
-/// Configuration for [`OrderingSampling`].
+/// Configuration of the Ordering Sampling trial body ([`OsTrials`],
+/// [`OsEngine`]). The trial count is the caller's: the one passed to
+/// [`Executor::run`](crate::engine::Executor::run) (paper default
+/// `N_os = 2·10⁴`).
 #[derive(Clone, Copy, Debug)]
 pub struct OsConfig {
-    /// Number of trials `N_os` (paper default `2·10⁴`).
-    pub trials: u64,
     /// Base RNG seed.
     pub seed: u64,
     /// Enables the §V-B edge-ordering pruning. Disabling it is only
@@ -136,43 +137,11 @@ pub struct OsConfig {
 impl Default for OsConfig {
     fn default() -> Self {
         OsConfig {
-            trials: 20_000,
             seed: 0x5EED,
             edge_ordering: true,
             dynamic_wbar: true,
             middle_side: None,
         }
-    }
-}
-
-/// The Ordering Sampling solver.
-#[derive(Clone, Copy, Debug)]
-pub struct OrderingSampling {
-    cfg: OsConfig,
-}
-
-impl OrderingSampling {
-    /// Creates a solver with the given configuration.
-    pub fn new(cfg: OsConfig) -> Self {
-        OrderingSampling { cfg }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &OsConfig {
-        &self.cfg
-    }
-
-    /// Runs `N_os` trials and returns the estimated distribution.
-    pub fn run(&self, g: &UncertainBipartiteGraph) -> Distribution {
-        assert!(self.cfg.trials > 0, "trials must be positive");
-        Executor::new(1)
-            .run(
-                &OsTrials::new(g, &self.cfg),
-                self.cfg.trials,
-                &Cancel::never(),
-            )
-            .acc
-            .into_distribution()
     }
 }
 
@@ -471,7 +440,17 @@ pub fn os_smb_of_world(
 mod tests {
     use super::*;
     use crate::butterfly::max_butterflies_in_world;
+    use crate::distribution::Distribution;
+    use crate::engine::{Cancel, Executor};
     use bigraph::GraphBuilder;
+
+    /// `trials` OS trials under `cfg`, sequentially.
+    fn run(g: &UncertainBipartiteGraph, cfg: OsConfig, trials: u64) -> Distribution {
+        Executor::new(1)
+            .run(&OsTrials::new(g, &cfg), trials, &Cancel::never())
+            .acc
+            .into_distribution()
+    }
 
     fn fig1() -> UncertainBipartiteGraph {
         let mut b = GraphBuilder::new();
@@ -549,7 +528,6 @@ mod tests {
     fn pruning_does_not_change_results() {
         let g = fig1();
         let cfg_on = OsConfig {
-            trials: 3_000,
             seed: 5,
             ..Default::default()
         };
@@ -557,8 +535,8 @@ mod tests {
             edge_ordering: false,
             ..cfg_on
         };
-        let d_on = OrderingSampling::new(cfg_on).run(&g);
-        let d_off = OrderingSampling::new(cfg_off).run(&g);
+        let d_on = run(&g, cfg_on, 3_000);
+        let d_off = run(&g, cfg_off, 3_000);
         // Identical trial RNG streams — but the pruned run draws fewer
         // edges per trial, so the *outcomes on scanned edges* coincide and
         // every per-trial S_MB is equal. Distributions match exactly.
@@ -569,20 +547,25 @@ mod tests {
     fn dynamic_wbar_does_not_change_results() {
         let g = fig1();
         let base = OsConfig {
-            trials: 3_000,
             seed: 6,
             ..Default::default()
         };
-        let d_dyn = OrderingSampling::new(OsConfig {
-            dynamic_wbar: true,
-            ..base
-        })
-        .run(&g);
-        let d_paper = OrderingSampling::new(OsConfig {
-            dynamic_wbar: false,
-            ..base
-        })
-        .run(&g);
+        let d_dyn = run(
+            &g,
+            OsConfig {
+                dynamic_wbar: true,
+                ..base
+            },
+            3_000,
+        );
+        let d_paper = run(
+            &g,
+            OsConfig {
+                dynamic_wbar: false,
+                ..base
+            },
+            3_000,
+        );
         // Same per-trial RNG streams; the dynamic bound may break earlier
         // but never drops a maximum butterfly, so the tallies coincide.
         assert_eq!(d_dyn.max_abs_diff(&d_paper), 0.0);
@@ -609,12 +592,11 @@ mod tests {
     #[test]
     fn estimates_converge_to_exact() {
         let g = fig1();
-        let d = OrderingSampling::new(OsConfig {
-            trials: 40_000,
+        let cfg = OsConfig {
             seed: 7,
             ..Default::default()
-        })
-        .run(&g);
+        };
+        let d = run(&g, cfg, 40_000);
         let exact = crate::exact::exact_distribution(&g, Default::default()).unwrap();
         for (b, &p) in exact.iter() {
             assert!(
@@ -630,20 +612,13 @@ mod tests {
     #[test]
     fn middle_side_choice_is_transparent() {
         let g = fig1();
-        let d_l = OrderingSampling::new(OsConfig {
-            trials: 2_000,
+        let side = |middle_side| OsConfig {
             seed: 3,
-            middle_side: Some(Side::Left),
+            middle_side,
             ..Default::default()
-        })
-        .run(&g);
-        let d_r = OrderingSampling::new(OsConfig {
-            trials: 2_000,
-            seed: 3,
-            middle_side: Some(Side::Right),
-            ..Default::default()
-        })
-        .run(&g);
+        };
+        let d_l = run(&g, side(Some(Side::Left)), 2_000);
+        let d_r = run(&g, side(Some(Side::Right)), 2_000);
         // Same trial RNG streams and the same scan order ⇒ same sampled
         // outcomes per edge ⇒ identical S_MB sets per trial.
         assert_eq!(d_l.max_abs_diff(&d_r), 0.0);
@@ -653,24 +628,18 @@ mod tests {
     fn runs_are_reproducible() {
         let g = fig1();
         let cfg = OsConfig {
-            trials: 800,
             seed: 11,
             ..Default::default()
         };
-        let a = OrderingSampling::new(cfg).run(&g);
-        let b = OrderingSampling::new(cfg).run(&g);
+        let a = run(&g, cfg, 800);
+        let b = run(&g, cfg, 800);
         assert_eq!(a.max_abs_diff(&b), 0.0);
     }
 
     #[test]
     fn empty_graph_is_fine() {
         let g = GraphBuilder::new().build().unwrap();
-        let d = OrderingSampling::new(OsConfig {
-            trials: 10,
-            seed: 0,
-            ..Default::default()
-        })
-        .run(&g);
+        let d = run(&g, OsConfig::default(), 10);
         assert!(d.is_empty());
     }
 

@@ -4,7 +4,7 @@
 //! the probability of one specific butterfly (e.g. "how likely is this
 //! recommendation pair to be the strongest signal?"). Two routes:
 //!
-//! * [`estimate_prob_of`] — conditioned sampling: since
+//! * [`QueryTrials`] — conditioned sampling: since
 //!   `P(B) = Pr[E(B)] · Pr[no heavier butterfly exists | E(B)]`, force
 //!   `B`'s edges present, sample the rest lazily in weight order, and
 //!   count trials where nothing heavier materializes. The conditioning
@@ -14,7 +14,7 @@
 //! * The exact engine ([`crate::exact`]) for small instances.
 
 use crate::butterfly::Butterfly;
-use crate::engine::{Cancel, Executor, TrialEngine};
+use crate::engine::TrialEngine;
 use crate::os::{OsConfig, OsEngine, SamplingOracle};
 use bigraph::{trial_rng, EdgeId, LazyEdgeSampler, UncertainBipartiteGraph, Weight};
 
@@ -29,20 +29,6 @@ pub struct QueryResult {
     pub prob: f64,
     /// Trials used.
     pub trials: u64,
-}
-
-/// Estimates `P(B)` for a specific backbone butterfly by conditioned
-/// sampling. Returns `None` if `B` is not a butterfly of `g`'s backbone.
-pub fn estimate_prob_of(
-    g: &UncertainBipartiteGraph,
-    b: &Butterfly,
-    trials: u64,
-    seed: u64,
-) -> Option<QueryResult> {
-    assert!(trials > 0, "trials must be positive");
-    let query = QueryTrials::new(g, b, seed)?;
-    let hits = Executor::new(1).run(&query, trials, &Cancel::never()).acc;
-    Some(query.finalize(hits, trials))
 }
 
 /// Conditioned sampling for one target butterfly as a [`TrialEngine`]:
@@ -127,8 +113,21 @@ impl<'g> TrialEngine for QueryTrials<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Cancel, Executor};
     use crate::exact::{exact_distribution, ExactConfig};
     use bigraph::{GraphBuilder, Left, Right};
+
+    /// `trials` conditioned trials for `b`; `None` off the backbone.
+    fn query(
+        g: &UncertainBipartiteGraph,
+        b: &Butterfly,
+        trials: u64,
+        seed: u64,
+    ) -> Option<QueryResult> {
+        let engine = QueryTrials::new(g, b, seed)?;
+        let hits = Executor::new(1).run(&engine, trials, &Cancel::never()).acc;
+        Some(engine.finalize(hits, trials))
+    }
 
     fn fig1() -> UncertainBipartiteGraph {
         let mut b = GraphBuilder::new();
@@ -146,7 +145,7 @@ mod tests {
         let g = fig1();
         let exact = exact_distribution(&g, ExactConfig::default()).unwrap();
         for b in crate::enumerate_backbone_butterflies(&g) {
-            let q = estimate_prob_of(&g, &b, 30_000, 7).unwrap();
+            let q = query(&g, &b, 30_000, 7).unwrap();
             let p = exact.prob(&b);
             assert!(
                 (q.prob - p).abs() < 0.01,
@@ -162,7 +161,7 @@ mod tests {
     fn heaviest_butterfly_is_always_conditionally_maximum() {
         let g = fig1();
         let heavy = Butterfly::new(Left(0), Left(1), Right(0), Right(1));
-        let q = estimate_prob_of(&g, &heavy, 500, 3).unwrap();
+        let q = query(&g, &heavy, 500, 3).unwrap();
         assert_eq!(q.conditional_max_prob, 1.0);
         assert!((q.prob - q.existence_prob).abs() < 1e-15);
     }
@@ -171,7 +170,7 @@ mod tests {
     fn non_backbone_butterfly_returns_none() {
         let g = fig1();
         let bogus = Butterfly::new(Left(0), Left(5), Right(0), Right(1));
-        assert!(estimate_prob_of(&g, &bogus, 10, 0).is_none());
+        assert!(query(&g, &bogus, 10, 0).is_none());
     }
 
     #[test]
@@ -185,7 +184,7 @@ mod tests {
         }
         let g = bld.build().unwrap();
         let b = Butterfly::new(Left(0), Left(1), Right(0), Right(1));
-        let q = estimate_prob_of(&g, &b, 50, 4).unwrap();
+        let q = query(&g, &b, 50, 4).unwrap();
         let expect = 0.05f64.powi(4);
         assert!((q.prob - expect).abs() < 1e-12, "q={} vs {expect}", q.prob);
     }
@@ -194,8 +193,8 @@ mod tests {
     fn deterministic_given_seed() {
         let g = fig1();
         let b = Butterfly::new(Left(0), Left(1), Right(1), Right(2));
-        let q1 = estimate_prob_of(&g, &b, 2_000, 9).unwrap();
-        let q2 = estimate_prob_of(&g, &b, 2_000, 9).unwrap();
+        let q1 = query(&g, &b, 2_000, 9).unwrap();
+        let q2 = query(&g, &b, 2_000, 9).unwrap();
         assert_eq!(q1.prob, q2.prob);
     }
 }

@@ -11,9 +11,9 @@
 use bigraph::{GraphBuilder, Left, Right, UncertainBipartiteGraph};
 use mpmb_core::{
     enumerate_backbone_butterflies, run_os_adaptive, AdaptiveConfig, Butterfly, Cancel,
-    CandidateSet, Executor, FastSample, KarpLubyTrials, KlCandidate, KlTrialPolicy, McVpConfig,
-    McVpTrials, OlsConfig, OptimizedTrials, OsConfig, OsTrials, Partial, PrepareTrials,
-    SublinearTrials, Tally, TrialEngine,
+    CandidateSet, Executor, FastSample, KarpLubyTrials, KlCandidate, KlTrialPolicy, McVpTrials,
+    OlsConfig, OptimizedTrials, OsConfig, OsTrials, Partial, PrepareTrials, SublinearTrials, Tally,
+    TrialEngine,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -107,9 +107,8 @@ proptest! {
     ) {
         let g = build(&edges);
         let trials = 160u64;
-        let os = OsTrials::new(&g, &OsConfig { trials, seed, ..Default::default() });
-        let mcvp_cfg = McVpConfig { trials, seed };
-        let mcvp = McVpTrials::new(&g, &mcvp_cfg);
+        let os = OsTrials::new(&g, &OsConfig { seed, ..Default::default() });
+        let mcvp = McVpTrials::new(&g, seed);
 
         let os_seq = Executor::new(1).run(&os, trials, &Cancel::never());
         let mc_seq = Executor::new(1).run(&mcvp, trials, &Cancel::never());
@@ -137,12 +136,11 @@ proptest! {
         let check_every = CHECK_GRAINS[grain_idx];
         let g = build(&edges);
         let trials = 160u64;
-        let os = OsTrials::new(&g, &OsConfig { trials, seed, ..Default::default() });
+        let os = OsTrials::new(&g, &OsConfig { seed, ..Default::default() });
         let (base, resumed) = run_interrupted(&os, trials, budget, threads, check_every);
         prop_assert_eq!(tally_bytes(&resumed.acc), tally_bytes(&base), "os");
 
-        let mcvp_cfg = McVpConfig { trials, seed };
-        let mcvp = McVpTrials::new(&g, &mcvp_cfg);
+        let mcvp = McVpTrials::new(&g, seed);
         let (base, resumed) = run_interrupted(&mcvp, trials, budget, threads, check_every);
         prop_assert_eq!(tally_bytes(&resumed.acc), tally_bytes(&base), "mcvp");
     }
@@ -160,10 +158,10 @@ proptest! {
     ) {
         let threads = THREAD_COUNTS[threads_idx];
         let g = build(&edges);
-        let cfg = OlsConfig { prep_trials: 48, seed, ..Default::default() };
+        let (cfg, prep_trials) = (OlsConfig { seed, ..Default::default() }, 48);
 
         let prep = PrepareTrials::new(&g, &cfg);
-        let (base_union, resumed) = run_interrupted(&prep, cfg.prep_trials, budget.min(47), threads, 16);
+        let (base_union, resumed) = run_interrupted(&prep, prep_trials, budget.min(47), threads, 16);
         let base_cands = prep.finalize(base_union);
         let cands = prep.finalize(resumed.acc);
         prop_assert_eq!(base_cands.len(), cands.len());

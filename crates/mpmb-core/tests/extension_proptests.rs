@@ -3,8 +3,8 @@
 
 use bigraph::{GraphBuilder, Left, Right};
 use mpmb_core::{
-    enumerate_backbone_butterflies, estimate_prob_of, exact_distribution,
-    sample_count_distribution, shared_vertices, top_k_diverse, ExactConfig,
+    count_distribution_from_histogram, enumerate_backbone_butterflies, exact_distribution,
+    shared_vertices, top_k_diverse, Cancel, CountTrials, ExactConfig, Executor, QueryTrials,
 };
 use proptest::prelude::*;
 
@@ -44,7 +44,8 @@ proptest! {
         let g = build(&edges);
         let exact = exact_distribution(&g, ExactConfig { max_uncertain_edges: 10 }).unwrap();
         for b in enumerate_backbone_butterflies(&g) {
-            let q = estimate_prob_of(&g, &b, 4_000, seed).unwrap();
+            let query = QueryTrials::new(&g, &b, seed).unwrap();
+            let q = query.finalize(Executor::new(1).run(&query, 4_000, &Cancel::never()).acc, 4_000);
             let p = exact.prob(&b);
             prop_assert!((q.prob - p).abs() < 0.06, "{}: {} vs {}", b, q.prob, p);
             // The decomposition is consistent.
@@ -87,7 +88,8 @@ proptest! {
     fn count_mean_matches_expectation(edges in arb_graph(), seed in 0u64..10) {
         let g = build(&edges);
         let expect = bigraph::expected::expected_butterfly_count(&g);
-        let d = sample_count_distribution(&g, 4_000, seed);
+        let histogram = Executor::new(1).run(&CountTrials::new(&g, seed), 4_000, &Cancel::never()).acc;
+        let d = count_distribution_from_histogram(histogram, 4_000);
         // Counts are small integers here; 3σ-ish tolerance.
         let tol = 0.08 + 0.08 * expect.sqrt();
         prop_assert!((d.mean - expect).abs() < tol, "mean {} vs {}", d.mean, expect);

@@ -15,7 +15,7 @@ use bigraph::{GraphBuilder, Left, Right};
 use mpmb_core::{
     backbone_candidate_set, count_backbone_butterflies, count_backbone_butterflies_parallel,
     enumerate_backbone_butterflies, enumerate_backbone_butterflies_parallel, listing_shards,
-    CandidateSet, OlsConfig, OrderingListingSampling,
+    Cancel, CandidateSet, Executor, OlsConfig, PrepareTrials,
 };
 use proptest::prelude::*;
 
@@ -113,11 +113,11 @@ proptest! {
     #[test]
     fn ols_prepare_is_thread_count_independent(edges in arb_graph(), seed in 0u64..1_000) {
         let g = build(&edges);
-        let base = OlsConfig { prep_trials: 60, seed, ..Default::default() };
-        let seq = OrderingListingSampling::new(base).prepare(&g);
+        let prep = PrepareTrials::new(&g, &OlsConfig { seed, ..Default::default() });
+        let prepare = |threads| prep.finalize(Executor::new(threads).run(&prep, 60, &Cancel::never()).acc);
+        let seq = prepare(1);
         for threads in THREAD_COUNTS {
-            let par = OrderingListingSampling::new(OlsConfig { threads, ..base }).prepare(&g);
-            assert_candidate_sets_identical(&seq, &par)?;
+            assert_candidate_sets_identical(&seq, &prepare(threads))?;
         }
     }
 

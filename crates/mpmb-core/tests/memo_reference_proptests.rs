@@ -117,9 +117,9 @@ proptest! {
         // Either every backbone butterfly (many overlapping candidates)
         // or a preparing phase's union (the production candidate set).
         let cands = if from_prep {
-            let cfg = OlsConfig { prep_trials: 32, seed, ..Default::default() };
+            let (cfg, prep_trials) = (OlsConfig { seed, ..Default::default() }, 32);
             let prep = PrepareTrials::new(&g, &cfg);
-            prep.finalize(Executor::new(1).run(&prep, cfg.prep_trials, &Cancel::never()).acc)
+            prep.finalize(Executor::new(1).run(&prep, prep_trials, &Cancel::never()).acc)
         } else {
             CandidateSet::from_butterflies(&g, enumerate_backbone_butterflies(&g))
         };

@@ -12,8 +12,8 @@
 use bigraph::{GraphBuilder, Left, Right, UncertainBipartiteGraph};
 use mpmb_core::{
     backbone_candidate_set, Butterfly, Cancel, CandidateSet, Executor, KarpLubyTrials, KlCandidate,
-    KlTrialPolicy, McVpConfig, McVpTrials, OlsConfig, OptimizedTrials, OsConfig, OsTrials,
-    PrepareTrials, QueryTrials, Tally,
+    KlTrialPolicy, McVpTrials, OlsConfig, OptimizedTrials, OsConfig, OsTrials, PrepareTrials,
+    QueryTrials, Tally,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -113,8 +113,8 @@ proptest! {
     ) {
         let g = build(&edges);
         let trials = 160u64;
-        let os = OsTrials::new(&g, &OsConfig { trials, seed, ..Default::default() });
-        let mcvp = McVpTrials::new(&g, &McVpConfig { trials, seed });
+        let os = OsTrials::new(&g, &OsConfig { seed, ..Default::default() });
+        let mcvp = McVpTrials::new(&g, seed);
 
         let os_base = without_ctx(|| Executor::new(1).run(&os, trials, &Cancel::never()));
         let mc_base = without_ctx(|| Executor::new(1).run(&mcvp, trials, &Cancel::never()));
@@ -152,10 +152,10 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let g = build(&edges);
-        let cfg = OlsConfig { prep_trials: 48, seed, ..Default::default() };
+        let (cfg, prep_trials) = (OlsConfig { seed, ..Default::default() }, 48);
         let prep = PrepareTrials::new(&g, &cfg);
         let (base_cands, kl_base) = without_ctx(|| {
-            let union = Executor::new(1).run(&prep, cfg.prep_trials, &Cancel::never()).acc;
+            let union = Executor::new(1).run(&prep, prep_trials, &Cancel::never()).acc;
             let cands = prep.finalize(union);
             let kl_base = (!cands.is_empty()).then(|| {
                 let kl = KarpLubyTrials::new(&g, &cands, KlTrialPolicy::Fixed(64), seed);
@@ -171,7 +171,7 @@ proptest! {
         for threads in OBS_THREADS {
             let (cands, _) = with_full_observability(|| {
                 let union = Executor::new(threads)
-                    .run(&prep, cfg.prep_trials, &Cancel::never())
+                    .run(&prep, prep_trials, &Cancel::never())
                     .acc;
                 prep.finalize(union)
             });
@@ -260,16 +260,18 @@ fn profile_phase_items_match_trials() {
         }
         b.build().unwrap()
     };
-    let cfg = OlsConfig {
-        prep_trials: 32,
-        seed: 7,
-        ..Default::default()
-    };
+    let (cfg, prep_trials) = (
+        OlsConfig {
+            seed: 7,
+            ..Default::default()
+        },
+        32,
+    );
     let prep = PrepareTrials::new(&g, &cfg);
     let started = std::time::Instant::now();
     let ((), profile) = with_full_observability(|| {
         let union = Executor::new(2)
-            .run(&prep, cfg.prep_trials, &Cancel::never())
+            .run(&prep, prep_trials, &Cancel::never())
             .acc;
         let cands = prep.finalize(union);
         assert!(!cands.is_empty());

@@ -180,7 +180,7 @@ proptest! {
         let trials = 150u64;
         let reference = FullScanReference { g: &g, seed };
         let want = tally_bytes(&Executor::new(1).run(&reference, trials, &Cancel::never()).acc);
-        let cfg = OsConfig { trials, seed, middle_side: MIDDLES[middle], ..Default::default() };
+        let cfg = OsConfig { seed, middle_side: MIDDLES[middle], ..Default::default() };
         let engine = OsTrials::new(&g, &cfg);
         for threads in [1usize, 2, 3] {
             let got = Executor::new(threads).run(&engine, trials, &Cancel::never());

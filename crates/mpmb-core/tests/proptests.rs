@@ -7,9 +7,9 @@
 
 use bigraph::{EdgeId, GraphBuilder, Left, PossibleWorld, Right, Side, VertexPriority};
 use mpmb_core::{
-    enumerate_backbone_butterflies, estimate_karp_luby, estimate_optimized, exact_distribution,
-    max_butterflies_in_world, os_smb_of_world, Butterfly, CandidateSet, ExactConfig, KlTrialPolicy,
-    OsConfig,
+    enumerate_backbone_butterflies, exact_distribution, max_butterflies_in_world, os_smb_of_world,
+    Butterfly, Cancel, CandidateSet, ExactConfig, Executor, KarpLubyTrials, KlTrialPolicy,
+    OptimizedTrials, OsConfig, OsTrials,
 };
 use proptest::prelude::*;
 
@@ -130,8 +130,12 @@ proptest! {
         let cs = CandidateSet::from_butterflies(&g, all);
         let exact = exact_distribution(&g, ExactConfig { max_uncertain_edges: 12 }).unwrap();
         let trials = 8_000;
-        let opt = estimate_optimized(&g, &cs, trials, seed);
-        let kl = estimate_karp_luby(&g, &cs, KlTrialPolicy::Fixed(trials), seed);
+        let opt = Executor::new(1)
+            .run(&OptimizedTrials::new(&g, &cs, seed), trials, &Cancel::never())
+            .acc
+            .into_distribution();
+        let kl_engine = KarpLubyTrials::new(&g, &cs, KlTrialPolicy::Fixed(trials), seed);
+        let kl = kl_engine.finalize(Executor::new(1).run(&kl_engine, kl_engine.trials(), &Cancel::never()).acc);
         for (b, &p) in exact.iter() {
             // 4/sqrt(N) ≈ 0.045 tolerance: generous enough to avoid
             // flakes, tight enough to catch systematic bias.
@@ -167,7 +171,8 @@ proptest! {
     #[test]
     fn sampling_never_reports_impossible_butterflies(edges in arb_graph(), seed in 0u64..50) {
         let g = build(&edges);
-        let d = mpmb_core::OrderingSampling::new(OsConfig { trials: 300, seed, ..Default::default() }).run(&g);
+        let os = OsTrials::new(&g, &OsConfig { seed, ..Default::default() });
+        let d = Executor::new(1).run(&os, 300, &Cancel::never()).acc.into_distribution();
         let exact = exact_distribution(&g, ExactConfig { max_uncertain_edges: 12 }).unwrap();
         for (b, &p) in d.iter() {
             prop_assert!(p >= 0.0);

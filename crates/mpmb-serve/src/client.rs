@@ -52,11 +52,6 @@ impl ClientError {
             ClientError::Status { status, .. } => Some(*status),
         }
     }
-
-    /// Whether this is a transport-level failure (no HTTP response).
-    pub fn is_transport(&self) -> bool {
-        matches!(self, ClientError::Transport(_))
-    }
 }
 
 impl std::fmt::Display for ClientError {
@@ -510,7 +505,7 @@ mod tests {
             seed: 0,
         };
         let err = call_retry(&addr, "GET", "/healthz", "", &p).unwrap_err();
-        assert!(err.is_transport());
+        assert!(matches!(err, ClientError::Transport(_)), "{err}");
         assert_eq!(err.status(), None, "no HTTP response was ever received");
     }
 
@@ -539,7 +534,6 @@ mod tests {
         let err = call_retry_expect(&addr, "POST", "/x", b"{}", "application/json", &p)
             .expect_err("404 must be an error");
         assert_eq!(err.status(), Some(404));
-        assert!(!err.is_transport());
         match err {
             ClientError::Status { status, body } => {
                 assert_eq!(status, 404);

@@ -263,7 +263,6 @@ mod tests {
 
     fn candidates(g: &UncertainBipartiteGraph) -> CandidateSet {
         let cfg = OlsConfig {
-            prep_trials: 50,
             seed: 7,
             ..Default::default()
         };
@@ -277,7 +276,6 @@ mod tests {
         let engine = OsTrials::new(
             g,
             &OsConfig {
-                trials: 100,
                 seed: 3,
                 ..Default::default()
             },

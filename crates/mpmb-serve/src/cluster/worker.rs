@@ -182,7 +182,6 @@ mod tests {
         let engine = OsTrials::new(
             &g,
             &OsConfig {
-                trials: 900,
                 seed: 17,
                 ..Default::default()
             },

@@ -8,8 +8,8 @@
 //! the sublinear `method=fast` tier, each a [`Method`]. The method
 //! table has two parts:
 //! `start` gives each method's fresh state and trial space, and
-//! `step` has one arm per phase — the engine a single-node library
-//! call would build, the phase's `Phase` columns (check granularity,
+//! `step` has one arm per phase — the phase's engine and seed, the
+//! phase's `Phase` columns (check granularity,
 //! locality, trial accounting, worker-reply unwrap), and its finalize
 //! step: into an `Answer`, or, for OLS preparing, into the estimation
 //! phase.
@@ -28,8 +28,9 @@
 //!
 //! A trial's result depends on its index alone and merging is
 //! order-insensitive, so a run that finishes is **bit-identical** to
-//! the corresponding direct `mpmb_core` call — at any thread count, any
-//! worker count, however the work was sliced. A run whose [`Cancel`]
+//! one sequential [`Executor`] run of the same engines — at any thread
+//! count, any worker count, however the work was sliced. This table is
+//! the only code that composes `mpmb_core`'s engines into methods. A run whose [`Cancel`]
 //! deadline fires first returns its [`PartialState`]; feeding that back
 //! continues where it stopped (OLS at sub-phase granularity, so
 //! preparing never reruns). That is what lets the result cache refine
@@ -46,8 +47,8 @@ use mpmb_core::Checkpoint;
 use mpmb_core::{
     count_distribution_from_histogram, Butterfly, CandidateSet, CountDistribution, CountTrials,
     Distribution, Executor, FastEstimate, FastSample, KarpLubyTrials, KlCandidate, KlTrialPolicy,
-    McVpConfig, McVpTrials, OlsConfig, OptimizedTrials, OsConfig, OsTrials, PrepareTrials,
-    QueryResult, QueryTrials, SublinearTrials, Tally, TrialEngine,
+    McVpTrials, OlsConfig, OptimizedTrials, OsConfig, OsTrials, PrepareTrials, QueryResult,
+    QueryTrials, SublinearTrials, Tally, TrialEngine,
 };
 use std::ops::Range;
 
@@ -388,7 +389,6 @@ impl Job {
     /// `sample_seed()`) must match exactly.
     fn ols(&self) -> OlsConfig {
         OlsConfig {
-            prep_trials: self.prep,
             seed: self.seed,
             ..Default::default()
         }
@@ -556,7 +556,7 @@ pub(crate) fn start_range(
 }
 
 /// The method table, part two: one arm per phase. Each builds the
-/// engine a single-node library call would build, runs the phase's
+/// phase's engine from the job's seed, runs the phase's
 /// missing trials, and — once all are in — finalizes into the answer,
 /// or (OLS preparing) into the estimation phase. `None`: the phase
 /// stopped short; `state` holds where.
@@ -570,7 +570,6 @@ fn step(
         // Ordering Sampling (Alg. 2).
         PartialState::Os(p) => {
             let cfg = OsConfig {
-                trials: job.trials,
                 seed: job.seed,
                 ..Default::default()
             };
@@ -584,11 +583,7 @@ fn step(
         }
         // The MC-VP baseline (Alg. 1).
         PartialState::McVp(p) => {
-            let cfg = McVpConfig {
-                trials: job.trials,
-                seed: job.seed,
-            };
-            let engine = McVpTrials::new(g, &cfg);
+            let engine = McVpTrials::new(g, job.seed);
             let phase = Phase::scattered(|s| match s {
                 PartialState::McVp(p) => Ok(p),
                 s => Err(s),
@@ -745,12 +740,13 @@ pub(crate) fn advance(
 /// `state` is a prior call's [`Outcome::Incomplete`] payload for the
 /// same job (or `None` to start fresh).
 ///
-/// A completed answer is bit-identical to the corresponding direct
-/// `mpmb_core` call, regardless of `threads` and of how many calls the
-/// work was spread across.
+/// A completed answer is bit-identical to one sequential [`Executor`]
+/// run of the method's engines, regardless of `threads` and of how many
+/// calls the work was spread across.
 ///
 /// # Panics
-/// Panics if `job.trials == 0`, as the `mpmb_core` calls do.
+/// Panics if `job.trials == 0`; callers reject it first (the HTTP
+/// `plan` with a 400, the CLI with a usage error).
 pub fn advance_local(
     g: &UncertainBipartiteGraph,
     job: &Job,
@@ -767,8 +763,20 @@ pub fn advance_local(
 mod tests {
     use super::*;
     use bigraph::{GraphBuilder, Left, Right};
-    use mpmb_core::{OrderingListingSampling, OrderingSampling};
+    use mpmb_core::CountDistribution;
     use std::time::Instant;
+
+    /// One sequential executor run of `engine` over `0..trials`: the
+    /// reference every table answer must match bit for bit.
+    fn sequential<E: TrialEngine>(engine: &E, trials: u64) -> E::Acc {
+        Executor::new(1).run(engine, trials, &Cancel::never()).acc
+    }
+
+    /// The OLS candidate set after `job.prep` preparing trials.
+    fn prepared(g: &UncertainBipartiteGraph, job: &Job) -> CandidateSet {
+        let prep = PrepareTrials::new(g, &job.ols());
+        prep.finalize(sequential(&prep, job.prep))
+    }
 
     /// Drives `job` on this node's executor.
     fn local(
@@ -855,67 +863,64 @@ mod tests {
     }
 
     #[test]
-    fn uncancelled_os_matches_core_bitwise() {
+    fn uncancelled_os_matches_the_engine_bitwise() {
         let g = fig1();
+        let job = Job::new(Method::Os, 1_500, 100, 11);
         let cfg = OsConfig {
-            trials: 1_500,
             seed: 11,
             ..Default::default()
         };
-        let core = OrderingSampling::new(cfg).run(&g);
-        let job = Job::new(Method::Os, 1_500, 100, 11);
+        let reference = sequential(&OsTrials::new(&g, &cfg), 1_500).into_distribution();
         let run = advance_local(&g, &job, None, 3, &Cancel::never()).unwrap();
         assert_eq!(run.trials_done, 1_500);
         assert_eq!(run.executed, 1_500);
-        assert_eq!(core.max_abs_diff(&unwrap_dist(run)), 0.0);
+        assert_eq!(reference.max_abs_diff(&unwrap_dist(run)), 0.0);
     }
 
     #[test]
-    fn uncancelled_mcvp_matches_core_bitwise() {
+    fn uncancelled_mcvp_matches_the_engine_bitwise() {
         let g = fig1();
-        let core = mpmb_core::McVp::new(McVpConfig {
-            trials: 800,
-            seed: 5,
-        })
-        .run(&g);
+        let reference = sequential(&McVpTrials::new(&g, 5), 800).into_distribution();
         let job = Job::new(Method::McVp, 800, 100, 5);
         let run = advance_local(&g, &job, None, 2, &Cancel::never()).unwrap();
         assert!(run.completed());
-        assert_eq!(core.max_abs_diff(&unwrap_dist(run)), 0.0);
+        assert_eq!(reference.max_abs_diff(&unwrap_dist(run)), 0.0);
     }
 
     #[test]
-    fn uncancelled_ols_matches_core_bitwise() {
+    fn uncancelled_ols_matches_the_engines_bitwise_at_every_thread_count() {
         let g = fig1();
-        let cfg = OlsConfig {
-            prep_trials: 150,
-            seed: 21,
-            estimator: mpmb_core::EstimatorKind::Optimized { trials: 20_000 },
-            ..Default::default()
-        };
-        let core = OrderingListingSampling::new(cfg).run(&g);
         let job = Job::new(Method::Ols, 20_000, 150, 21);
-        let run = advance_local(&g, &job, None, 2, &Cancel::never()).unwrap();
-        assert_eq!(run.trials_done, 150 + 20_000);
-        assert_eq!(core.distribution.max_abs_diff(&unwrap_dist(run)), 0.0);
+        let cs = prepared(&g, &job);
+        let sample = OptimizedTrials::new(&g, &cs, job.ols().sample_seed());
+        let reference = sequential(&sample, 20_000).into_distribution();
+        for threads in [1, 2, 3, 8] {
+            let run = advance_local(&g, &job, None, threads, &Cancel::never()).unwrap();
+            assert_eq!(run.trials_done, 150 + 20_000);
+            assert_eq!(
+                reference.max_abs_diff(&unwrap_dist(run)),
+                0.0,
+                "threads={threads}"
+            );
+        }
     }
 
     #[test]
-    fn uncancelled_kl_matches_core_bitwise() {
+    fn uncancelled_kl_matches_the_engines_bitwise_at_every_thread_count() {
         let g = fig1();
-        let cfg = OlsConfig {
-            prep_trials: 150,
-            seed: 23,
-            estimator: mpmb_core::EstimatorKind::KarpLuby {
-                policy: KlTrialPolicy::Fixed(400),
-            },
-            ..Default::default()
-        };
-        let core = OrderingListingSampling::new(cfg).run(&g);
         let job = Job::new(Method::OlsKl, 400, 150, 23);
-        let run = advance_local(&g, &job, None, 2, &Cancel::never()).unwrap();
-        assert!(run.completed());
-        assert_eq!(core.distribution.max_abs_diff(&unwrap_dist(run)), 0.0);
+        let cs = prepared(&g, &job);
+        let kl = KarpLubyTrials::new(&g, &cs, KlTrialPolicy::Fixed(400), job.ols().sample_seed());
+        let reference = kl.finalize(sequential(&kl, kl.trials())).distribution;
+        for threads in [1, 2, 3, 8] {
+            let run = advance_local(&g, &job, None, threads, &Cancel::never()).unwrap();
+            assert!(run.completed());
+            assert_eq!(
+                reference.max_abs_diff(&unwrap_dist(run)),
+                0.0,
+                "threads={threads}"
+            );
+        }
     }
 
     #[test]
@@ -962,10 +967,11 @@ mod tests {
     }
 
     #[test]
-    fn query_refines_to_core_result() {
+    fn query_refines_to_the_engine_result() {
         let g = fig1();
         let b = Butterfly::new(Left(0), Left(1), Right(1), Right(2));
-        let core = mpmb_core::estimate_prob_of(&g, &b, 2_000, 9).unwrap();
+        let engine = QueryTrials::new(&g, &b, 9).unwrap();
+        let core = engine.finalize(sequential(&engine, 2_000), 2_000);
         let job = Job {
             butterfly: Some(b),
             ..Job::new(Method::Query, 2_000, 0, 9)
@@ -993,9 +999,10 @@ mod tests {
     }
 
     #[test]
-    fn count_refines_to_core_result() {
+    fn count_refines_to_the_engine_result() {
         let g = fig1();
-        let core = mpmb_core::sample_count_distribution_parallel(&g, 2_000, 13, 2);
+        let histogram = sequential(&CountTrials::new(&g, 13), 2_000);
+        let core: CountDistribution = count_distribution_from_histogram(histogram, 2_000);
         let job = Job::new(Method::Count, 2_000, 0, 13);
         let dist = match refine_to_completion(&g, &job, 2, 300).0 {
             Answer::Count(d) => d,
@@ -1007,17 +1014,10 @@ mod tests {
     }
 
     #[test]
-    fn fast_refines_to_core_result_bitwise() {
+    fn fast_refines_to_the_engine_result_bitwise() {
         let g = fig1();
-        let core = mpmb_core::estimate_fast(
-            &g,
-            &mpmb_core::SublinearConfig {
-                trials: 3_000,
-                seed: 19,
-                delta: 0.1,
-            },
-            2,
-        );
+        let engine = SublinearTrials::new(&g, 19);
+        let core = engine.finalize(sequential(&engine, 3_000), 0.1);
         let job = Job {
             delta: 0.1,
             ..Job::new(Method::Fast, 3_000, 0, 19)
@@ -1057,13 +1057,12 @@ mod tests {
             Outcome::Done(_) => unreachable!(),
         };
         let cfg = OsConfig {
-            trials: 1_000_000,
             seed: 1,
             ..Default::default()
         };
         let resumed = advance_local(&g, &job, Some(state), 4, &Cancel::never()).unwrap();
         assert!(resumed.completed());
-        let core = OrderingSampling::new(cfg).run(&g);
+        let core = sequential(&OsTrials::new(&g, &cfg), 1_000_000).into_distribution();
         assert_eq!(core.max_abs_diff(&unwrap_dist(resumed)), 0.0);
     }
 

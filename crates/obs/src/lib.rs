@@ -30,10 +30,7 @@ mod promtext;
 mod ring;
 mod trace;
 
-pub use metrics::{
-    Counter, Gauge, Histogram, Registry, SolverMetrics, DEFAULT_SECONDS_BUCKETS,
-    PHASE_SECONDS_BUCKETS,
-};
+pub use metrics::{Counter, Gauge, Histogram, Registry, SolverMetrics, PHASE_SECONDS_BUCKETS};
 pub use profile::{render_table, PhaseStat, Profile};
 pub use promtext::merge_prometheus;
 pub use ring::Ring;

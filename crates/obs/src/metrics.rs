@@ -11,9 +11,6 @@ use std::fmt;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Latency buckets for request-scale work, in seconds (1 ms – 10 s).
-pub const DEFAULT_SECONDS_BUCKETS: &[f64] = &[0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0];
-
 /// Finer buckets for solver phases, which can be far below a
 /// millisecond on small graphs (100 µs – 10 s).
 pub const PHASE_SECONDS_BUCKETS: &[f64] = &[

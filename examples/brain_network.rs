@@ -17,13 +17,12 @@ use mpmb::prelude::*;
 /// Runs top-10 MPMB on one cohort and returns (mean weight, mean P).
 fn analyze(group: Group, label: &str) -> (f64, f64) {
     let g = abide::generate(1.0, group, 2026);
-    let result = OrderingListingSampling::new(OlsConfig {
-        prep_trials: 300,
-        seed: 11,
-        estimator: EstimatorKind::Optimized { trials: 30_000 },
-        ..Default::default()
-    })
-    .run(&g);
+    // OLS: 300 preparing trials, then 30,000 shared sampling trials.
+    let job = Job::new(Method::Ols, 30_000, 300, 11);
+    let run = advance_local(&g, &job, None, 1, &Cancel::never()).unwrap();
+    let Outcome::Done(Answer::Distribution(result)) = run.outcome else {
+        unreachable!("an uncancelled ols run ranks butterflies")
+    };
 
     let top = result.top_k(10);
     println!("top-10 MPMBs, {label}:");

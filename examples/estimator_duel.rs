@@ -8,20 +8,24 @@
 
 use datasets::abide::{self, Group};
 use mpmb::prelude::*;
-use mpmb_core::{bounds, estimate_karp_luby, estimate_optimized};
+use mpmb_core::{bounds, KarpLubyTrials, OptimizedTrials, PrepareTrials};
 use std::time::Instant;
 
 fn main() {
     let g = abide::generate(1.0, Group::TypicalControls, 7);
     println!("dataset: {}", GraphStats::compute(&g));
 
-    // Shared preparing phase.
-    let ols = OrderingListingSampling::new(OlsConfig {
-        prep_trials: 200,
-        seed: 3,
-        ..Default::default()
-    });
-    let candidates = ols.prepare(&g);
+    // Shared preparing phase: 200 OS trials, unioned into C_MB. The duel
+    // needs Karp-Luby's Eq. 8 dynamic policy, which the `ols-kl` method
+    // does not expose, so it drives the phase engines directly.
+    let prep = PrepareTrials::new(
+        &g,
+        &OlsConfig {
+            seed: 3,
+            ..Default::default()
+        },
+    );
+    let candidates = prep.finalize(Executor::new(1).run(&prep, 200, &Cancel::never()).acc);
     println!("|C_MB| = {} candidates\n", candidates.len());
 
     // Eq. 8 prediction per candidate (mu = 0.1, like Fig. 10).
@@ -57,21 +61,22 @@ fn main() {
     // count; Karp-Luby the Eq. 8-derived dynamic counts.
     let n_op = 20_000;
     let t = Instant::now();
-    let d_opt = estimate_optimized(&g, &candidates, n_op, 9);
+    let optimized = OptimizedTrials::new(&g, &candidates, 9);
+    let d_opt = Executor::new(1)
+        .run(&optimized, n_op, &Cancel::never())
+        .acc
+        .into_distribution();
     let opt_secs = t.elapsed().as_secs_f64();
 
     let t = Instant::now();
-    let report = estimate_karp_luby(
-        &g,
-        &candidates,
-        KlTrialPolicy::Dynamic {
-            mu,
-            base: n_op,
-            min: 1_000,
-            cap: 200_000,
-        },
-        9,
-    );
+    let policy = KlTrialPolicy::Dynamic {
+        mu,
+        base: n_op,
+        min: 1_000,
+        cap: 200_000,
+    };
+    let kl = KarpLubyTrials::new(&g, &candidates, policy, 9);
+    let report = kl.finalize(Executor::new(1).run(&kl, kl.trials(), &Cancel::never()).acc);
     let kl_secs = t.elapsed().as_secs_f64();
 
     println!("optimized (Alg. 5): {n_op} shared trials in {opt_secs:.3}s");

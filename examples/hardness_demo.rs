@@ -52,12 +52,11 @@ fn main() {
 
     // Approximate model counting by sampling.
     let trials = 60_000;
-    let dist = OrderingSampling::new(OsConfig {
-        trials,
-        seed: 2025,
-        ..Default::default()
-    })
-    .run(&reduction.graph);
+    let job = Job::new(Method::Os, trials, 0, 2025);
+    let run = advance_local(&reduction.graph, &job, None, 1, &Cancel::never()).unwrap();
+    let Outcome::Done(Answer::Distribution(dist)) = run.outcome else {
+        unreachable!("an uncancelled os run ranks butterflies")
+    };
     let est = dist.prob(&reduction.target);
     let est_count = est * (1u64 << reduction.formula.num_vars()) as f64;
     println!(

@@ -41,31 +41,21 @@ fn main() {
         );
     }
 
-    // The three sampling solvers.
-    let trials = 50_000;
-    let mc = McVp::new(McVpConfig { trials, seed: 42 }).run(&g);
-    let os = OrderingSampling::new(OsConfig {
-        trials,
-        seed: 42,
-        ..Default::default()
-    })
-    .run(&g);
-    let ols = OrderingListingSampling::new(OlsConfig {
-        prep_trials: 100,
-        seed: 42,
-        estimator: EstimatorKind::Optimized { trials },
-        ..Default::default()
-    })
-    .run(&g);
-
+    // The three sampling methods: 50,000 trials each (OLS: after 100
+    // preparing trials), seed 42.
     let (b_exact, p_exact) = exact.mpmb().unwrap();
     println!("\nMPMB comparison (exact = {b_exact}, P = {p_exact:.5}):");
-    for (name, got) in [
-        ("MC-VP", mc.mpmb()),
-        ("OS   ", os.mpmb()),
-        ("OLS  ", ols.distribution.mpmb()),
+    for (name, method) in [
+        ("MC-VP", Method::McVp),
+        ("OS   ", Method::Os),
+        ("OLS  ", Method::Ols),
     ] {
-        let (butterfly, p) = got.expect("solver found butterflies");
+        let job = Job::new(method, 50_000, 100, 42);
+        let run = advance_local(&g, &job, None, 1, &Cancel::never()).unwrap();
+        let Outcome::Done(Answer::Distribution(dist)) = run.outcome else {
+            unreachable!("an uncancelled {method} run ranks butterflies")
+        };
+        let (butterfly, p) = dist.mpmb().expect("solver found butterflies");
         println!(
             "  {name}: {butterfly}  P ≈ {p:.5}  (abs err {:.5})",
             (p - p_exact).abs()

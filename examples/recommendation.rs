@@ -60,17 +60,21 @@ fn build(cold_reward: f64) -> UncertainBipartiteGraph {
     b.build().unwrap()
 }
 
-fn main() {
-    let cfg = OsConfig {
-        trials: 60_000,
-        seed: 7,
-        ..Default::default()
+/// 60,000 Ordering Sampling trials on `g`, seed 7.
+fn solve(g: &UncertainBipartiteGraph) -> Distribution {
+    let job = Job::new(Method::Os, 60_000, 0, 7);
+    let run = advance_local(g, &job, None, 1, &Cancel::never()).unwrap();
+    let Outcome::Done(Answer::Distribution(d)) = run.outcome else {
+        unreachable!("an uncancelled os run ranks butterflies")
     };
+    d
+}
 
+fn main() {
     // Unweighted: every like counts 1.0 — the hot-item butterfly wins on
     // probability (Fig. 2(a)).
     let flat = build(0.0);
-    let d_flat = OrderingSampling::new(cfg).run(&flat);
+    let d_flat = solve(&flat);
     show("unweighted (hot items win)", &d_flat, &flat);
     let (top_flat, _) = d_flat.mpmb().unwrap();
     assert_eq!(
@@ -83,7 +87,7 @@ fn main() {
     // Carol–Dave butterfly over skating+chess becomes the MPMB despite
     // its lower probability.
     let weighted = build(1.4);
-    let d_weighted = OrderingSampling::new(cfg).run(&weighted);
+    let d_weighted = solve(&weighted);
     show(
         "\ncold-item reward (diverse recommendation wins)",
         &d_weighted,

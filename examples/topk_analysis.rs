@@ -7,24 +7,23 @@
 
 use datasets::Dataset;
 use mpmb::prelude::*;
-use mpmb_core::{convergence_trace, Executor, OsTrials};
+use mpmb_core::convergence_trace;
 
 fn main() {
     let g = Dataset::MovieLens.generate(0.1, 99);
     println!("dataset: {}", GraphStats::compute(&g));
 
-    // One OLS run provides both the candidate set and the ranking.
-    let result = OrderingListingSampling::new(OlsConfig {
-        prep_trials: 200,
-        seed: 5,
-        estimator: EstimatorKind::Optimized { trials: 20_000 },
-        ..Default::default()
-    })
-    .run(&g);
+    // One OLS run (200 preparing trials, 20,000 sampling trials) ranks
+    // its whole candidate set.
+    let job = Job::new(Method::Ols, 20_000, 200, 5);
+    let run = advance_local(&g, &job, None, 1, &Cancel::never()).unwrap();
+    let Outcome::Done(Answer::Distribution(result)) = run.outcome else {
+        unreachable!("an uncancelled ols run ranks butterflies")
+    };
 
     println!(
-        "\ncandidate set |C_MB| = {}, top-10 MPMBs:",
-        result.candidates.len()
+        "\n{} candidates with a nonzero estimate, top-10 MPMBs:",
+        result.len()
     );
     for (i, (butterfly, p)) in result.top_k(10).iter().enumerate() {
         println!(

@@ -304,6 +304,16 @@ fn run_job(
     Ok(answer)
 }
 
+/// A trial-count flag (`--trials`, `--prep`): zero is a usage error,
+/// as the server's 400 for it is.
+fn count_flag(flags: &Flags, name: &str, default: u64) -> u64 {
+    let n: u64 = flags.get_parsed(name, default);
+    if n == 0 {
+        fail(&format!("--{name} must be positive"));
+    }
+    n
+}
+
 /// `--delta`: the fast tier's certified-interval miss probability.
 fn delta_flag(flags: &Flags) -> f64 {
     let delta: f64 = flags.get_parsed("delta", 0.05);
@@ -334,8 +344,11 @@ fn cmd_solve(flags: &Flags) {
         .get("method")
         .map_or(Ok(Method::Ols), Method::parse_solve)
         .unwrap_or_else(|e| fail(&e));
-    let trials: u64 = flags.get_parsed("trials", 20_000);
-    let prep: u64 = flags.get_parsed("prep", 100);
+    let trials = count_flag(flags, "trials", 20_000);
+    let prep: u64 = match method {
+        Method::Ols | Method::OlsKl => count_flag(flags, "prep", 100),
+        _ => flags.get_parsed("prep", 100),
+    };
     let seed: u64 = flags.get_parsed("seed", 42);
     let k: usize = flags.get_parsed("top-k", 1);
     let diverse = flags.get("diverse").map(|v| {
@@ -432,7 +445,7 @@ fn cmd_query(flags: &Flags) {
         Right(need("v1")),
         Right(need("v2")),
     );
-    let trials: u64 = flags.get_parsed("trials", 20_000);
+    let trials = count_flag(flags, "trials", 20_000);
     let seed: u64 = flags.get_parsed("seed", 42);
     let job = Job {
         butterfly: Some(b),
@@ -463,7 +476,7 @@ fn cmd_count(flags: &Flags) {
         "mem-stats",
     ]);
     let g = load(flags);
-    let trials: u64 = flags.get_parsed("trials", 5_000);
+    let trials = count_flag(flags, "trials", 5_000);
     let seed: u64 = flags.get_parsed("seed", 42);
     let threads: usize = flags.get_parsed("threads", 1);
     let mem_stats: bool = flags.get_parsed("mem-stats", false);

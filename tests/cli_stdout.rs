@@ -189,3 +189,58 @@ fn cli_stdout_matches_the_pinned_bytes() {
     let _ = std::fs::remove_dir_all(&dir);
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
+
+/// A zero trial count is a usage error (exit 2, one `error:` line), not
+/// a panic, for every command that samples; so is `--prep 0` for the
+/// OLS methods, which the server answers with a 400.
+#[test]
+fn zero_trial_counts_are_usage_errors() {
+    let dir = std::env::temp_dir().join(format!("mpmb-cli-zero-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let graph: PathBuf = dir.join("abide-0.02.tsv");
+    let graph = graph.to_str().unwrap();
+    mpmb(&[
+        "generate",
+        "--dataset",
+        "abide",
+        "--scale",
+        "0.02",
+        "--seed",
+        "7",
+        "--output",
+        graph,
+    ]);
+    let cases: &[&[&str]] = &[
+        &["solve", "--trials", "0"],
+        &["solve", "--method", "os", "--trials", "0"],
+        &["solve", "--method", "fast", "--trials", "0"],
+        &["solve", "--method", "ols", "--prep", "0"],
+        &["solve", "--method", "ols-kl", "--prep", "0"],
+        &["count", "--trials", "0"],
+        &["count", "--method", "fast", "--trials", "0"],
+        &[
+            "query", "--u1", "0", "--u2", "1", "--v1", "0", "--v2", "1", "--trials", "0",
+        ],
+    ];
+    for case in cases {
+        let mut args = case.to_vec();
+        args.extend(["--input", graph]);
+        let out = Command::new(env!("CARGO_BIN_EXE_mpmb"))
+            .args(&args)
+            .output()
+            .expect("spawn mpmb");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "mpmb {args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "mpmb {args:?}: {stderr}");
+        assert!(
+            stderr.starts_with("error: ") && stderr.contains("must be positive"),
+            "mpmb {args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "mpmb {args:?} printed an answer");
+    }
+    // `--prep` means nothing to the non-OLS methods, as in a request body.
+    let mut args = vec!["solve", "--method", "os", "--trials", "10", "--prep", "0"];
+    args.extend(["--input", graph]);
+    assert!(!mpmb(&args).is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -1,8 +1,11 @@
 //! Statistical integration tests: the solvers honor the paper's
 //! approximation guarantees on graphs where exact answers are computable.
 
+mod common;
+
+use common::solve;
 use mpmb::prelude::*;
-use mpmb_core::{bounds, convergence_trace, Executor, OsTrials};
+use mpmb_core::{bounds, convergence_trace, OptimizedTrials};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -44,12 +47,7 @@ fn theorem_iv1_bound_delivers_epsilon_delta() {
         checked += 1;
         let (eps, delta) = (0.25, 0.25);
         let n = bounds::mc_trial_lower_bound(p_exact, eps, delta).ceil() as u64;
-        let d = OrderingSampling::new(OsConfig {
-            trials: n,
-            seed: seed ^ 0xFEED,
-            ..Default::default()
-        })
-        .run(&g);
+        let d = solve(&g, Method::Os, n, 0, seed ^ 0xFEED);
         let rel_err = (d.prob(&target) - p_exact).abs() / p_exact;
         if rel_err > eps {
             failures += 1;
@@ -68,35 +66,16 @@ fn all_solvers_converge_to_exact_on_random_instances() {
             continue;
         }
         let trials = 30_000;
-        let mc = McVp::new(McVpConfig { trials, seed }).run(&g);
-        let os = OrderingSampling::new(OsConfig {
-            trials,
-            seed,
-            ..Default::default()
-        })
-        .run(&g);
-        let ols = OrderingListingSampling::new(OlsConfig {
-            prep_trials: 300,
-            seed,
-            estimator: EstimatorKind::Optimized { trials },
-            ..Default::default()
-        })
-        .run(&g);
-        let kl = OrderingListingSampling::new(OlsConfig {
-            prep_trials: 300,
-            seed,
-            estimator: EstimatorKind::KarpLuby {
-                policy: KlTrialPolicy::Fixed(trials),
-            },
-            ..Default::default()
-        })
-        .run(&g);
+        let mc = solve(&g, Method::McVp, trials, 300, seed);
+        let os = solve(&g, Method::Os, trials, 300, seed);
+        let ols = solve(&g, Method::Ols, trials, 300, seed);
+        let kl = solve(&g, Method::OlsKl, trials, 300, seed);
         for (b, &p) in exact.iter() {
             for (name, est) in [
                 ("mcvp", mc.prob(b)),
                 ("os", os.prob(b)),
-                ("ols", ols.distribution.prob(b)),
-                ("ols-kl", kl.distribution.prob(b)),
+                ("ols", ols.prob(b)),
+                ("ols-kl", kl.prob(b)),
             ] {
                 assert!(
                     (est - p).abs() < 0.02,
@@ -151,7 +130,14 @@ fn lemma_vi5_truncation_error_is_bounded() {
             .map(|i| full.get(i).butterfly)
             .collect();
         let truncated = mpmb_core::CandidateSet::from_butterflies(&g, kept.clone());
-        let est = mpmb_core::estimate_optimized(&g, &truncated, 60_000, seed);
+        let est = Executor::new(1)
+            .run(
+                &OptimizedTrials::new(&g, &truncated, seed),
+                60_000,
+                &Cancel::never(),
+            )
+            .acc
+            .into_distribution();
         for i in 0..truncated.len() {
             let b = truncated.get(i).butterfly;
             let p_exact = exact.prob(&b);

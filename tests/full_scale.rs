@@ -2,20 +2,19 @@
 //!
 //! Run with `cargo test --release --test full_scale -- --ignored`.
 
+mod common;
+
+use common::solve;
 use datasets::Dataset;
 use mpmb::prelude::*;
+use mpmb_core::PrepareTrials;
 
 #[test]
 #[ignore = "full Table III sizes; run explicitly with --ignored"]
 fn abide_full_scale_solves() {
     let g = Dataset::Abide.generate(1.0, 1);
     assert_eq!(g.num_edges(), 3_364);
-    let d = OrderingSampling::new(OsConfig {
-        trials: 20_000,
-        seed: 1,
-        ..Default::default()
-    })
-    .run(&g);
+    let d = solve(&g, Method::Os, 20_000, 0, 1);
     assert!(!d.is_empty());
 }
 
@@ -26,13 +25,7 @@ fn movielens_full_scale_solves() {
     assert_eq!(g.num_edges(), 100_836);
     assert_eq!(g.num_left(), 610);
     assert_eq!(g.num_right(), 9_724);
-    let result = OrderingListingSampling::new(OlsConfig {
-        prep_trials: 100,
-        seed: 1,
-        estimator: EstimatorKind::Optimized { trials: 20_000 },
-        ..Default::default()
-    })
-    .run(&g);
+    let result = solve(&g, Method::Ols, 20_000, 100, 1);
     assert!(result.mpmb().is_some());
 }
 
@@ -42,13 +35,7 @@ fn jester_full_scale_solves() {
     let g = Dataset::Jester.generate(1.0, 1);
     assert!(g.num_edges() > 3_000_000, "|E|={}", g.num_edges());
     assert_eq!(g.num_left(), 100);
-    let result = OrderingListingSampling::new(OlsConfig {
-        prep_trials: 100,
-        seed: 1,
-        estimator: EstimatorKind::Optimized { trials: 20_000 },
-        ..Default::default()
-    })
-    .run(&g);
+    let result = solve(&g, Method::Ols, 20_000, 100, 1);
     assert!(result.mpmb().is_some());
 }
 
@@ -58,12 +45,14 @@ fn protein_full_scale_generates_and_prepares() {
     let g = Dataset::Protein.generate(1.0, 1);
     assert!(g.num_edges() > 39_000_000, "|E|={}", g.num_edges());
     // Preparing phase only (a full 20k-trial OS run takes many minutes).
-    let candidates = OrderingListingSampling::new(OlsConfig {
-        prep_trials: 20,
-        seed: 1,
-        ..Default::default()
-    })
-    .prepare(&g);
+    let prep = PrepareTrials::new(
+        &g,
+        &OlsConfig {
+            seed: 1,
+            ..Default::default()
+        },
+    );
+    let candidates = prep.finalize(Executor::new(1).run(&prep, 20, &Cancel::never()).acc);
     assert!(!candidates.is_empty());
 }
 
@@ -98,25 +87,11 @@ fn cross_solver_stress_on_many_random_graphs() {
             continue;
         }
         let trials = 50_000;
-        let os = OrderingSampling::new(OsConfig {
-            trials,
-            seed,
-            ..Default::default()
-        })
-        .run(&g);
-        let ols = OrderingListingSampling::new(OlsConfig {
-            prep_trials: 300,
-            seed,
-            estimator: EstimatorKind::Optimized { trials },
-            ..Default::default()
-        })
-        .run(&g);
+        let os = solve(&g, Method::Os, trials, 300, seed);
+        let ols = solve(&g, Method::Ols, trials, 300, seed);
         for (bf, &p) in exact.iter() {
             assert!((os.prob(bf) - p).abs() < 0.015, "seed {seed} os {bf}");
-            assert!(
-                (ols.distribution.prob(bf) - p).abs() < 0.015,
-                "seed {seed} ols {bf}"
-            );
+            assert!((ols.prob(bf) - p).abs() < 0.015, "seed {seed} ols {bf}");
         }
     }
 }

@@ -122,7 +122,10 @@ fn render_fast(g: &UncertainBipartiteGraph, trials: u64, threads: usize) -> Stri
 }
 
 fn render_count(g: &UncertainBipartiteGraph, trials: u64, threads: usize) -> String {
-    let d = mpmb_core::sample_count_distribution_parallel(g, trials, SEED, threads);
+    let job = Job::new(Method::Count, trials, 0, SEED);
+    let Answer::Count(d) = answer(g, &job, threads) else {
+        panic!("count did not count")
+    };
     let mut hist: Vec<(u64, u64)> = d.histogram.iter().map(|(&k, &v)| (k, v)).collect();
     hist.sort_unstable();
     let mut rows = vec![format!(
@@ -144,7 +147,13 @@ fn render_query(g: &UncertainBipartiteGraph, trials: u64) -> String {
         panic!("ols-kl did not rank")
     };
     let (b, _) = *d.sorted().last().expect("graph has butterflies");
-    let q = mpmb_core::estimate_prob_of(g, &b, trials, SEED).expect("backbone butterfly");
+    let job = Job {
+        butterfly: Some(b),
+        ..Job::new(Method::Query, trials, 0, SEED)
+    };
+    let Answer::Query(q) = answer(g, &job, 1) else {
+        panic!("query did not estimate")
+    };
     format!(
         "{b} exist={} cond={} p={} n={}",
         bits(q.existence_prob),

@@ -1,7 +1,11 @@
 //! Integration tests of the §III-B hardness reduction against both the
 //! exact engine and the sampling solvers.
 
-use mpmb_core::{Monotone2Sat, OrderingSampling, OsConfig, Reduction};
+mod common;
+
+use common::solve;
+use mpmb_core::{Monotone2Sat, Reduction};
+use mpmb_serve::Method;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -68,12 +72,7 @@ fn sampling_counts_models_through_the_reduction() {
     let true_count = f.count_satisfying();
     let r = Reduction::build(f);
     assert!(r.is_exactly_sound());
-    let d = OrderingSampling::new(OsConfig {
-        trials: 60_000,
-        seed: 1234,
-        ..Default::default()
-    })
-    .run(&r.graph);
+    let d = solve(&r.graph, Method::Os, 60_000, 0, 1234);
     let est_count = d.prob(&r.target) * 2f64.powi(5);
     assert!(
         (est_count - true_count as f64).abs() < 1.0,
@@ -107,12 +106,7 @@ fn reduction_scales_to_twenty_variables_for_sampling() {
     let claimed = f.count_satisfying() as f64 / 2f64.powi(20);
     let r = Reduction::build(f);
     assert!(r.is_exactly_sound());
-    let d = OrderingSampling::new(OsConfig {
-        trials: 30_000,
-        seed: 5,
-        ..Default::default()
-    })
-    .run(&r.graph);
+    let d = solve(&r.graph, Method::Os, 30_000, 0, 5);
     let est = d.prob(&r.target);
     assert!(
         (est - claimed).abs() < 0.02,

@@ -7,6 +7,10 @@
 //! (and its handler shuts down every live listener), so all tests
 //! serialize on one mutex and clear the latch up front.
 
+mod common;
+
+use common::os_engine;
+use mpmb_core::{Cancel, Executor};
 use mpmb_serve::client::{call, call_ext};
 use mpmb_serve::json::Json;
 use mpmb_serve::{signal, RetryPolicy, Server, ServerConfig};
@@ -104,13 +108,8 @@ fn concurrent_solves_match_direct_calls_bit_for_bit() {
         let json = Json::parse(&resp).expect("valid JSON");
         assert_eq!(json.get("trials_done").and_then(Json::as_u64), Some(TRIALS));
 
-        // The direct library call with the same parameters.
-        let cfg = mpmb_core::OsConfig {
-            trials: TRIALS,
-            seed,
-            ..Default::default()
-        };
-        let direct = mpmb_core::OrderingSampling::new(cfg).run(&g);
+        // A direct engine run with the same parameters.
+        let direct = os_engine(&g, TRIALS, seed);
         assert_eq!(
             json.get("support").and_then(Json::as_u64),
             Some(direct.len() as u64),
@@ -149,7 +148,7 @@ fn concurrent_solves_match_direct_calls_bit_for_bit() {
         }
     }
 
-    // The query endpoint matches estimate_prob_of bit-for-bit as well.
+    // The query endpoint matches its engine bit-for-bit as well.
     let b = reference_graph();
     let some_bf = mpmb_core::enumerate_backbone_butterflies(&b)
         .into_iter()
@@ -162,7 +161,8 @@ fn concurrent_solves_match_direct_calls_bit_for_bit() {
     let (status, resp) = call(addr.as_str(), "POST", "/v1/query", &body).unwrap();
     assert_eq!(status, 200, "{resp}");
     let json = Json::parse(&resp).unwrap();
-    let direct = mpmb_core::estimate_prob_of(&g, &some_bf, 500, 7).unwrap();
+    let query = mpmb_core::QueryTrials::new(&g, &some_bf, 7).unwrap();
+    let direct = query.finalize(Executor::new(1).run(&query, 500, &Cancel::never()).acc, 500);
     assert_eq!(
         json.get("prob").and_then(Json::as_f64).unwrap().to_bits(),
         direct.prob.to_bits()
@@ -293,16 +293,11 @@ fn timed_out_solve_is_refined_across_requests_to_the_exact_answer() {
         "deadline never fired; timeout_ms too generous"
     );
 
-    // The refined answer equals one uninterrupted library run, bitwise.
+    // The refined answer equals one uninterrupted engine run, bitwise.
     let json = Json::parse(&final_resp).unwrap();
     assert_eq!(json.get("trials_done").and_then(Json::as_u64), Some(TRIALS));
     let g = reference_graph();
-    let direct = mpmb_core::OrderingSampling::new(mpmb_core::OsConfig {
-        trials: TRIALS,
-        seed: 11,
-        ..Default::default()
-    })
-    .run(&g);
+    let direct = os_engine(&g, TRIALS, 11);
     let (_, dp) = direct.mpmb().expect("non-empty distribution");
     let served_p = json
         .get("mpmb")
@@ -351,20 +346,12 @@ fn fast_tier_answers_within_a_deadline_that_503s_os_and_escalates_to_exact() {
     // release; the tier's gain grows with the graph), so m ≈ 2; the
     // 200 ms deadline keeps per-request overhead small beside it.
     let os_rate = trials_per_second(|trials| {
-        mpmb_core::OrderingSampling::new(mpmb_core::OsConfig {
-            trials,
-            seed: 7,
-            ..Default::default()
-        })
-        .run(&g);
+        os_engine(&g, trials, 7);
     });
     let fast_rate = trials_per_second(|trials| {
-        let cfg = mpmb_core::SublinearConfig {
-            trials,
-            seed: 7,
-            ..Default::default()
-        };
-        mpmb_core::estimate_fast(&g, &cfg, 1);
+        let engine = mpmb_core::SublinearTrials::new(&g, 7);
+        let partial = Executor::new(1).run(&engine, trials, &Cancel::never());
+        engine.finalize(partial.acc, 0.05);
     });
     assert!(
         fast_rate >= 2.0 * os_rate,
@@ -445,12 +432,7 @@ fn fast_tier_answers_within_a_deadline_that_503s_os_and_escalates_to_exact() {
     };
     let json = Json::parse(&final_os).unwrap();
     assert_eq!(json.get("trials_done").and_then(Json::as_u64), Some(TRIALS));
-    let direct = mpmb_core::OrderingSampling::new(mpmb_core::OsConfig {
-        trials: TRIALS,
-        seed: 7,
-        ..Default::default()
-    })
-    .run(&reference_graph());
+    let direct = os_engine(&reference_graph(), TRIALS, 7);
     let (_, dp) = direct.mpmb().expect("non-empty distribution");
     let served = json
         .get("mpmb")
@@ -512,16 +494,13 @@ fn count_fast_covers_the_closed_form_and_replays_from_cache() {
     );
     assert_eq!(json.get("trials_done").and_then(Json::as_u64), Some(20_000));
 
-    // The estimate equals the direct library call bit-for-bit, and a
-    // repeat replays the cached body.
-    let direct = mpmb_core::estimate_fast(
-        &reference_graph(),
-        &mpmb_core::SublinearConfig {
-            trials: 20_000,
-            seed: 7,
-            delta: 0.05,
-        },
-        2,
+    // The estimate equals a direct engine run bit-for-bit, and a repeat
+    // replays the cached body.
+    let g = reference_graph();
+    let engine = mpmb_core::SublinearTrials::new(&g, 7);
+    let direct = engine.finalize(
+        Executor::new(2).run(&engine, 20_000, &Cancel::never()).acc,
+        0.05,
     );
     let served = json.get("estimate").and_then(Json::as_f64).unwrap();
     assert_eq!(served.to_bits(), direct.estimate.to_bits());
@@ -817,18 +796,10 @@ fn default_cap_is_worker_pool_size_and_parallel_results_match() {
     .unwrap();
     assert_eq!(r1.0, 200, "{}", r1.1);
     // Evict nothing — but bypass the cache by restarting it: simplest is
-    // to compare against the direct library call instead.
+    // to compare against a direct engine run instead.
     let g = reference_graph();
-    let mcvp_cfg = mpmb_core::McVpConfig {
-        trials: 301,
-        seed: 6,
-    };
-    let direct = mpmb_core::Executor::new(8)
-        .run(
-            &mpmb_core::McVpTrials::new(&g, &mcvp_cfg),
-            301,
-            &mpmb_core::Cancel::never(),
-        )
+    let direct = Executor::new(8)
+        .run(&mpmb_core::McVpTrials::new(&g, 6), 301, &Cancel::never())
         .acc
         .into_distribution();
     let json = Json::parse(&r1.1).unwrap();
@@ -1413,15 +1384,10 @@ fn checkpoint_restores_partials_and_graphs_across_restart() {
     );
 
     // And the stitched-together answer matches one uninterrupted
-    // library run bit-for-bit.
+    // engine run bit-for-bit.
     let json = Json::parse(&final_resp).unwrap();
     assert_eq!(json.get("trials_done").and_then(Json::as_u64), Some(TRIALS));
-    let direct = mpmb_core::OrderingSampling::new(mpmb_core::OsConfig {
-        trials: TRIALS,
-        seed: 21,
-        ..Default::default()
-    })
-    .run(&reference_graph());
+    let direct = os_engine(&reference_graph(), TRIALS, 21);
     let (_, dp) = direct.mpmb().expect("non-empty distribution");
     let served_p = json
         .get("mpmb")

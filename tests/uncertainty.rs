@@ -2,6 +2,9 @@
 //! stand-ins: the adaptive stopping rule against a high-trial reference,
 //! and the butterfly-count distribution against its closed-form mean.
 
+mod common;
+
+use common::{run, solve};
 use datasets::Dataset;
 use mpmb::prelude::*;
 use mpmb_core::{bounds, run_os_adaptive, AdaptiveConfig};
@@ -27,12 +30,7 @@ fn adaptive_run_passes_the_self_check() {
     assert!(result.bound_satisfied, "cap hit at {}", result.trials_used);
     // Exact enumeration is infeasible here (complete ~26×26 graph), so
     // the check runs against a high-trial OS reference.
-    let reference = OrderingSampling::new(OsConfig {
-        trials: 200_000,
-        seed: 0xACC0_7E57,
-        ..Default::default()
-    })
-    .run(&g);
+    let reference = solve(&g, Method::Os, 200_000, 0, 0xACC0_7E57);
     let err = result.distribution.max_abs_diff(&reference);
     assert!(err < 0.03, "err {err}");
     // Theorem IV.1: the run used at least the trials its own MPMB
@@ -50,7 +48,9 @@ fn adaptive_run_passes_the_self_check() {
 fn count_distribution_consistent_with_expected_count() {
     let g = Dataset::MovieLens.generate(0.02, 5);
     let expect = bigraph::expected::expected_butterfly_count(&g);
-    let d = mpmb_core::sample_count_distribution(&g, 2_000, 5);
+    let Answer::Count(d) = run(&g, &Job::new(Method::Count, 2_000, 0, 5), 1) else {
+        panic!("count answers with a count distribution")
+    };
     // Wide tolerance: counts are heavy-tailed; 2k trials suffice for ±6σ/√n.
     let se = (d.variance / 2_000.0).sqrt().max(1e-9);
     assert!(
