@@ -5,8 +5,8 @@
 //! the CLI run at attach time.
 //!
 //! The container format exists to make loading *cheap*: raw CSR
-//! sections mapped or streamed with no float parsing, no sorting, no
-//! rank recomputation (docs/STORAGE.md). `solver_bench`'s
+//! sections mapped or streamed with no float parsing and no sorting of
+//! the edges (docs/STORAGE.md). `solver_bench`'s
 //! `--min-load-speedup` gate turns that into an enforced contract —
 //! perf-smoke runs with `--min-load-speedup 10`, so a regression that
 //! drags attach back toward parse speed fails CI instead of rotting
@@ -28,6 +28,8 @@ pub struct LoadComparison {
     pub open_secs: f64,
     /// `text_secs / container_secs`.
     pub speedup: f64,
+    /// Size of the container file in bytes.
+    pub container_bytes: u64,
 }
 
 impl LoadComparison {
@@ -35,8 +37,8 @@ impl LoadComparison {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"text_parse_secs\": {:.6}, \"container_attach_secs\": {:.6}, \
-             \"container_open_secs\": {:.6}, \"speedup\": {:.3}}}",
-            self.text_secs, self.container_secs, self.open_secs, self.speedup
+             \"container_open_secs\": {:.6}, \"speedup\": {:.3}, \"container_bytes\": {}}}",
+            self.text_secs, self.container_secs, self.open_secs, self.speedup, self.container_bytes
         )
     }
 }
@@ -76,8 +78,8 @@ fn time_min<T>(repeats: u32, mut f: impl FnMut() -> T) -> (f64, T) {
 
 /// Writes `g` as both a text edge list and a container, times `repeats`
 /// loads of each through `read_auto`, and verifies that both loaded
-/// graphs reproduce the original bit-for-bit (container encodings
-/// compared, which covers every derived array the solvers index).
+/// graphs reproduce the original bit-for-bit ([`fingerprint`]s
+/// compared, which cover every array the solvers index).
 ///
 /// Returns the container-loaded graph so a container-mode bench runs
 /// its methods against the materialized arrays, not the generated
@@ -100,8 +102,11 @@ pub fn compare_load_paths(
         bigraph::io::write_edge_list(g, &mut w).expect("write edge list");
     }
     bigraph::write_container_path(g, &container.0).expect("write container");
+    let container_bytes = std::fs::metadata(&container.0)
+        .expect("stat container")
+        .len();
 
-    let reference = container_bytes(g);
+    let reference = fingerprint(g);
     let (text_secs, parsed) = time_min(repeats, || {
         bigraph::io::read_auto(&text.0).expect("parse text")
     });
@@ -112,12 +117,12 @@ pub fn compare_load_paths(
         bigraph::ContainerReader::open(&container.0).expect("open container")
     });
     assert_eq!(
-        container_bytes(&parsed),
+        fingerprint(&parsed),
         reference,
         "text re-parse must reproduce the generated graph bit-for-bit"
     );
     assert_eq!(
-        container_bytes(&attached),
+        fingerprint(&attached),
         reference,
         "container attach must reproduce the generated graph bit-for-bit"
     );
@@ -127,14 +132,25 @@ pub fn compare_load_paths(
         container_secs,
         open_secs,
         speedup: text_secs / container_secs,
+        container_bytes,
     };
     (attached, cmp)
 }
 
-fn container_bytes(g: &UncertainBipartiteGraph) -> Vec<u8> {
+/// A whole-graph fingerprint: the container encoding, which covers the
+/// primary arrays, then the derived arrays a container does not store
+/// (`accept`, the §V-B gathers, the degree ranks).
+fn fingerprint(g: &UncertainBipartiteGraph) -> (Vec<u8>, Vec<u64>, Vec<u32>) {
     let mut bytes = Vec::new();
     bigraph::write_container(g, &mut bytes).expect("encode container");
-    bytes
+    let desc_weights = g.desc_weights().iter().map(|w| w.to_bits());
+    let words = [g.accept_thresholds(), g.desc_accepts()].concat();
+    let ranks = [g.left_ranks(), g.left_by_rank()].concat();
+    (
+        bytes,
+        words.into_iter().chain(desc_weights).collect(),
+        ranks,
+    )
 }
 
 #[cfg(test)]
@@ -146,12 +162,14 @@ mod tests {
     fn comparison_returns_the_attached_graph_and_finite_timings() {
         let g = Dataset::Abide.generate(0.05, 9);
         let (back, cmp) = compare_load_paths(&g, 2);
-        assert_eq!(container_bytes(&g), container_bytes(&back));
+        assert_eq!(fingerprint(&g), fingerprint(&back));
         assert!(cmp.text_secs > 0.0 && cmp.text_secs.is_finite());
         assert!(cmp.container_secs > 0.0 && cmp.container_secs.is_finite());
         assert!(cmp.open_secs > 0.0 && cmp.open_secs.is_finite());
         assert!(cmp.speedup.is_finite());
         let json = cmp.to_json();
         assert!(json.contains("\"speedup\""), "{json}");
+        assert!(cmp.container_bytes > 0);
+        assert!(json.contains("\"container_bytes\""), "{json}");
     }
 }

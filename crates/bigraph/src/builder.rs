@@ -1,6 +1,8 @@
 //! Validating builder for [`UncertainBipartiteGraph`].
 
 use crate::graph::{Adj, UncertainBipartiteGraph};
+use crate::priority::degree_desc_ranks;
+use crate::sample::fixed_point_threshold;
 use crate::types::{Left, Right, Weight};
 use std::fmt;
 
@@ -137,22 +139,16 @@ impl GraphBuilder {
             });
         }
 
-        let mut edge_left = Vec::with_capacity(m);
-        let mut edge_right = Vec::with_capacity(m);
-        let mut weights = Vec::with_capacity(m);
-        let mut probs = Vec::with_capacity(m);
-        for &(u, v, w, p) in &self.edges {
-            edge_left.push(u);
-            edge_right.push(v);
-            weights.push(w);
-            probs.push(p);
-        }
+        let edge_left: Vec<u32> = self.edges.iter().map(|e| e.0).collect();
+        let edge_right: Vec<u32> = self.edges.iter().map(|e| e.1).collect();
+        let weights: Vec<Weight> = self.edges.iter().map(|e| e.2).collect();
+        let probs: Vec<f64> = self.edges.iter().map(|e| e.3).collect();
 
         // CSR construction by counting sort on each side; adjacency lists
         // come out sorted by neighbor id because edges are placed in a
         // second pass over edges pre-sorted by (owner, neighbor).
-        let left_csr = build_csr(nl, m, |i| (edge_left[i], edge_right[i]));
-        let right_csr = build_csr(nr, m, |i| (edge_right[i], edge_left[i]));
+        let (left_offsets, left_adj) = build_csr(nl, m, |i| (edge_left[i], edge_right[i]));
+        let (right_offsets, right_adj) = build_csr(nr, m, |i| (edge_right[i], edge_left[i]));
 
         let mut edges_by_weight_desc: Vec<u32> = (0..m as u32).collect();
         edges_by_weight_desc.sort_unstable_by(|&a, &b| {
@@ -161,48 +157,81 @@ impl GraphBuilder {
                 .then(a.cmp(&b))
         });
 
-        // Hot-path precomputation: fixed-point Bernoulli thresholds (one
-        // integer compare per trial draw instead of an f64 convert), and
-        // weight/threshold arrays gathered into the §V-B scan order so the
-        // solvers' descending-weight scans read memory sequentially.
-        let accept: Vec<u64> = probs
-            .iter()
-            .map(|&p| crate::sample::fixed_point_threshold(p))
-            .collect();
-        let desc_weights: Vec<Weight> = edges_by_weight_desc
-            .iter()
-            .map(|&e| weights[e as usize])
-            .collect();
-        let desc_accept: Vec<u64> = edges_by_weight_desc
-            .iter()
-            .map(|&e| accept[e as usize])
-            .collect();
-
-        // Degree-descending left relabeling for the wedge-listing kernel's
-        // cache-local bucket arena.
-        let left_degrees: Vec<u32> = (0..nl as usize)
-            .map(|u| left_csr.0[u + 1] - left_csr.0[u])
-            .collect();
-        let (left_rank, left_by_rank) = crate::priority::degree_desc_ranks(&left_degrees);
-
-        Ok(UncertainBipartiteGraph {
-            left_offsets: left_csr.0,
-            left_adj: left_csr.1,
-            right_offsets: right_csr.0,
-            right_adj: right_csr.1,
+        Ok(Primaries {
+            left_offsets,
+            left_adj,
+            right_offsets,
+            right_adj,
             edge_left,
             edge_right,
             weights,
             probs,
-            accept,
             edges_by_weight_desc,
+        }
+        .complete())
+    }
+}
+
+/// The arrays that define a graph: CSR offsets and adjacency on both
+/// sides, edge endpoints, weights, probabilities, and the §V-B
+/// weight-descending edge order. [`Primaries::complete`] derives every
+/// other array from them, for the builder and for containers
+/// ([`storage`](crate::storage)), which store only these.
+pub(crate) struct Primaries {
+    pub(crate) left_offsets: Vec<u32>,
+    pub(crate) left_adj: Vec<Adj>,
+    pub(crate) right_offsets: Vec<u32>,
+    pub(crate) right_adj: Vec<Adj>,
+    pub(crate) edge_left: Vec<u32>,
+    pub(crate) edge_right: Vec<u32>,
+    pub(crate) weights: Vec<Weight>,
+    pub(crate) probs: Vec<f64>,
+    pub(crate) edges_by_weight_desc: Vec<u32>,
+}
+
+impl Primaries {
+    /// Derives the hot-path arrays and assembles the graph. The
+    /// primaries must satisfy the builder's invariants (monotone offsets
+    /// ending at `|E|`, probabilities in `[0, 1]`, an in-range order):
+    /// the gathers index through the order and the degrees subtract
+    /// offsets.
+    pub(crate) fn complete(self) -> UncertainBipartiteGraph {
+        // Fixed-point Bernoulli thresholds (one integer compare per trial
+        // draw instead of an f64 convert), and weight/threshold arrays
+        // gathered into the §V-B scan order so the solvers'
+        // descending-weight scans read memory sequentially.
+        let accept: Vec<u64> = self
+            .probs
+            .iter()
+            .map(|&p| fixed_point_threshold(p))
+            .collect();
+        let order = &self.edges_by_weight_desc;
+        let desc_weights: Vec<Weight> = order.iter().map(|&e| self.weights[e as usize]).collect();
+        let desc_accept: Vec<u64> = order.iter().map(|&e| accept[e as usize]).collect();
+
+        // Degree-descending left relabeling for the wedge-listing kernel's
+        // cache-local bucket arena.
+        let left_degrees: Vec<u32> = self.left_offsets.windows(2).map(|w| w[1] - w[0]).collect();
+        let (left_rank, left_by_rank) = degree_desc_ranks(&left_degrees);
+
+        UncertainBipartiteGraph {
+            left_offsets: self.left_offsets,
+            left_adj: self.left_adj,
+            right_offsets: self.right_offsets,
+            right_adj: self.right_adj,
+            edge_left: self.edge_left,
+            edge_right: self.edge_right,
+            weights: self.weights,
+            probs: self.probs,
+            accept,
+            edges_by_weight_desc: self.edges_by_weight_desc,
             desc_weights,
             desc_accept,
             left_rank,
             left_by_rank,
             middle_side: Default::default(),
             desc_endpoints: Default::default(),
-        })
+        }
     }
 }
 

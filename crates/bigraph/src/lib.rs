@@ -43,7 +43,6 @@ pub mod priority;
 pub mod sample;
 pub mod stats;
 pub mod storage;
-pub mod transform;
 pub mod types;
 pub mod world;
 

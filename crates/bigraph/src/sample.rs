@@ -62,17 +62,22 @@ pub const FIXED_POINT_ONE: u64 = 1u64 << 53;
 /// ```
 ///
 /// (the last step because `u` is an integer: `u < x ⟺ u < ⌈x⌉`). The
-/// threshold `t = ⌈p · 2⁵³⌉` is computed here as
-/// `(p * 2⁵³).ceil() as u64`, which is exact by the argument above, so
-/// `accept_word(w, t)` reproduces `random::<f64>() < p` bit-for-bit on
-/// the same raw word `w`. Edge cases: `p = 0 → t = 0` (never accepts,
+/// threshold `t = ⌈p · 2⁵³⌉` is computed here by truncating `x = p · 2⁵³`
+/// to an integer and adding one when that cut anything off. Both
+/// conversions are exact for `0 ≤ x ≤ 2⁵³`, the result equals
+/// `x.ceil() as u64` for every `p`, and unlike `ceil` it needs no libm
+/// call on x86-64's baseline target, which has no rounding instruction.
+/// So `accept_word(w, t)` reproduces `random::<f64>() < p` bit-for-bit
+/// on the same raw word `w`. Edge cases: `p = 0 → t = 0` (never accepts,
 /// `u ≥ 0` always), `p = 1 → t = 2⁵³` (always accepts, `u ≤ 2⁵³ − 1`),
 /// `p = f64::MIN_POSITIVE → t = 1` (accepts exactly the draw `u = 0`,
 /// same as the float compare).
 #[inline]
 pub fn fixed_point_threshold(p: f64) -> u64 {
     debug_assert!((0.0..=1.0).contains(&p), "probability out of range: {p}");
-    (p * FIXED_POINT_ONE as f64).ceil() as u64
+    let x = p * FIXED_POINT_ONE as f64;
+    let t = x as u64;
+    t.saturating_add(u64::from((t as f64) < x))
 }
 
 /// Whether the raw RNG word `word` is an acceptance under `threshold`
@@ -255,6 +260,23 @@ mod tests {
         let t = fixed_point_threshold(f64::MIN_POSITIVE);
         assert!(accept_word(0x7FF, t)); // low 11 bits are discarded
         assert!(!accept_word(0x800, t));
+    }
+
+    #[test]
+    fn threshold_is_the_ceiling() {
+        // Probabilities on, just off and between the 2⁻⁵³ grid points,
+        // subnormals, and random draws from a trial stream.
+        let mut probs = vec![0.0, 1.0, f64::MIN_POSITIVE, 5e-324, 0.3, 1e-9];
+        for k in [1u64, 2, 3, 1 << 20, (1 << 52) + 1, FIXED_POINT_ONE - 1] {
+            let p = k as f64 / FIXED_POINT_ONE as f64;
+            probs.extend([p, p.next_up(), p.next_down()]);
+        }
+        let mut rng = trial_rng(7, 0);
+        probs.extend((0..4096).map(|_| rng.random::<f64>()));
+        for p in probs {
+            let want = (p * FIXED_POINT_ONE as f64).ceil() as u64;
+            assert_eq!(fixed_point_threshold(p), want, "p={p:e}");
+        }
     }
 
     #[test]

@@ -3,17 +3,19 @@
 //! `UBGCONT1` is a sectioned, versioned, checksummed extension of the
 //! [`codec`](crate::codec) conventions (8-byte magic, little-endian
 //! fixed-width integers, FNV-1a 64 checksums). Where the text edge
-//! list requires a full [`GraphBuilder`] rebuild on load (CSR
-//! counting sort, weight-descending sort, threshold precomputation),
-//! a container stores every derived array in the
-//! graph's exact in-memory byte layout: `left_offsets`, adjacency,
-//! edge endpoints, weights, probabilities, the fixed-point `accept`
-//! thresholds, the §V-B `edges_by_weight_desc` order with its gathered
-//! weight/threshold arrays, and the degree-rank relabeling. Attaching a
-//! container is therefore a memcpy (or an mmap) per section, not a
-//! parse — the difference between milliseconds and minutes at the
-//! paper's 39.5 M-edge Protein scale, and the substrate the serving
-//! registry's lazy materialization and eviction are built on.
+//! list requires a full [`GraphBuilder`](crate::GraphBuilder) rebuild
+//! on load (duplicate detection, CSR counting sort, weight-descending
+//! sort), a container stores the graph's *primary* arrays in their
+//! exact in-memory byte layout: offsets and adjacency on both sides,
+//! edge endpoints, weights, probabilities, and the §V-B
+//! `edges_by_weight_desc` order. Attaching a container is a memcpy (or
+//! an mmap) per section plus one linear derivation — the fixed-point
+//! `accept` thresholds, the order's gathered weight/threshold arrays
+//! and the degree-rank relabeling, computed by the same function the
+//! builder uses — not a parse and no sort of the edges: the difference
+//! between milliseconds and minutes at the paper's 39.5 M-edge Protein
+//! scale, and the substrate the serving registry's lazy
+//! materialization and eviction are built on.
 //!
 //! # File layout
 //!
@@ -34,23 +36,28 @@
 //! checksum*, the cheap identity used by checkpoint manifests and
 //! cluster registration to prove two attachments see the same bytes.
 //! Readers skip section ids they do not recognize, so future versions
-//! can append sections without breaking old binaries.
+//! can append sections without breaking old binaries, and a version-1
+//! file (which also stored the derived arrays, under ids now retired)
+//! reads through the same path.
 //!
 //! # Determinism
 //!
 //! [`ContainerReader::materialize`] re-validates every structural
-//! invariant the solvers index by (CSR offset monotonicity, adjacency
-//! sortedness and cross-consistency with the endpoint arrays,
-//! permutation-ness of the derived orders, `accept[e] =
-//! ⌈p(e)·2⁵³⌉`). A container that materializes at all therefore yields
-//! a graph indistinguishable from the builder's output, and a graph
-//! written by [`write_container`] round-trips bit-identically —
-//! which is what lets a serving registry drop and re-attach a graph
-//! between solves without perturbing a single sampled bit.
+//! invariant of the primaries the solvers index by (CSR offset
+//! monotonicity, adjacency sortedness and cross-consistency with the
+//! endpoint arrays, the weight and probability domain, the strict
+//! §V-B order) before deriving anything from them. A container that
+//! materializes at all therefore yields a graph indistinguishable from
+//! the builder's output, and a graph written by [`write_container`]
+//! round-trips bit-identically — which is what lets a serving registry
+//! drop and re-attach a graph between solves without perturbing a
+//! single sampled bit.
 
+use crate::builder::Primaries;
 use crate::codec::{fnv1a64, CodecError};
 use crate::graph::{Adj, UncertainBipartiteGraph};
 use crate::types::EdgeId;
+use std::borrow::Cow;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -59,13 +66,15 @@ use std::path::{Path, PathBuf};
 pub const CONTAINER_MAGIC: &[u8; 8] = b"UBGCONT1";
 
 /// Newest container version this build writes and understands.
-pub const CONTAINER_VERSION: u32 = 1;
+/// Version 1 also stored five derived arrays (section ids 10 and
+/// 12–15); this reader skips them like any unknown id and derives them.
+pub const CONTAINER_VERSION: u32 = 2;
 
 /// Section table entry size in bytes: id + offset + len + checksum.
 const ENTRY_BYTES: usize = 4 + 8 + 8 + 8;
 
 /// Hard cap on the section count a reader will accept. Generous
-/// forward-compatibility headroom (we write 15) while bounding the
+/// forward-compatibility headroom (we write 10) while bounding the
 /// header allocation a hostile count can force to under 2 MiB.
 const MAX_SECTIONS: u32 = 1 << 16;
 
@@ -79,15 +88,14 @@ const SEC_EDGE_LEFT: u32 = 6; // u32 × |E|
 const SEC_EDGE_RIGHT: u32 = 7; // u32 × |E|
 const SEC_WEIGHTS: u32 = 8; // f64 bits × |E|
 const SEC_PROBS: u32 = 9; // f64 bits × |E|
-const SEC_ACCEPT: u32 = 10; // u64 × |E|
 const SEC_DESC_ORDER: u32 = 11; // u32 × |E| (edge ids, weight-descending)
-const SEC_DESC_WEIGHTS: u32 = 12; // f64 bits × |E| (gathered)
-const SEC_DESC_ACCEPT: u32 = 13; // u64 × |E| (gathered)
-const SEC_LEFT_RANK: u32 = 14; // u32 × |L|
-const SEC_LEFT_BY_RANK: u32 = 15; // u32 × |L|
 
-/// The full set of sections a version-1 writer emits, in file order.
-const WRITE_ORDER: [u32; 15] = [
+// Ids 10 and 12–15 held version 1's derived arrays (`accept`, the
+// gathered `desc_weights`/`desc_accept`, `left_rank`/`left_by_rank`).
+// They are retired: never reused, skipped when a v1 file is read.
+
+/// The full set of sections a version-2 writer emits, in file order.
+const WRITE_ORDER: [u32; 10] = [
     SEC_META,
     SEC_LEFT_OFFSETS,
     SEC_LEFT_ADJ,
@@ -97,12 +105,7 @@ const WRITE_ORDER: [u32; 15] = [
     SEC_EDGE_RIGHT,
     SEC_WEIGHTS,
     SEC_PROBS,
-    SEC_ACCEPT,
     SEC_DESC_ORDER,
-    SEC_DESC_WEIGHTS,
-    SEC_DESC_ACCEPT,
-    SEC_LEFT_RANK,
-    SEC_LEFT_BY_RANK,
 ];
 
 /// Errors from container reading and writing. Never a panic: container
@@ -201,63 +204,42 @@ struct SectionEntry {
 // Writing
 // ---------------------------------------------------------------------------
 
-fn push_u32s(buf: &mut Vec<u8>, v: &[u32]) {
-    buf.reserve(v.len() * 4);
-    for &x in v {
-        buf.extend_from_slice(&x.to_le_bytes());
+/// Appends each element's little-endian image, as `f` renders it.
+fn push<T, const W: usize>(buf: &mut Vec<u8>, v: &[T], f: impl Fn(&T) -> [u8; W]) {
+    buf.reserve(v.len() * W);
+    for x in v {
+        buf.extend_from_slice(&f(x));
     }
 }
 
-fn push_u64s(buf: &mut Vec<u8>, v: &[u64]) {
-    buf.reserve(v.len() * 8);
-    for &x in v {
-        buf.extend_from_slice(&x.to_le_bytes());
-    }
+/// An adjacency entry's image: `nbr` then `edge`, each a u32 LE.
+fn adj_bytes(a: &Adj) -> [u8; 8] {
+    (u64::from(a.edge.0) << 32 | u64::from(a.nbr)).to_le_bytes()
 }
 
-fn push_f64s(buf: &mut Vec<u8>, v: &[f64]) {
-    buf.reserve(v.len() * 8);
-    for &x in v {
-        buf.extend_from_slice(&x.to_bits().to_le_bytes());
-    }
-}
-
-fn push_adjs(buf: &mut Vec<u8>, v: &[Adj]) {
-    buf.reserve(v.len() * 8);
-    for a in v {
-        buf.extend_from_slice(&a.nbr.to_le_bytes());
-        buf.extend_from_slice(&a.edge.0.to_le_bytes());
+fn adj_from(b: [u8; 8]) -> Adj {
+    let x = u64::from_le_bytes(b);
+    Adj {
+        nbr: x as u32,
+        edge: EdgeId((x >> 32) as u32),
     }
 }
 
 /// Serializes one section's payload into `buf` (cleared first).
 fn encode_section(g: &UncertainBipartiteGraph, id: u32, buf: &mut Vec<u8>) {
     buf.clear();
+    let dims = [g.num_left(), g.num_right(), g.num_edges()].map(|n| n as u64);
     match id {
-        SEC_META => {
-            push_u64s(
-                buf,
-                &[
-                    g.num_left() as u64,
-                    g.num_right() as u64,
-                    g.num_edges() as u64,
-                ],
-            );
-        }
-        SEC_LEFT_OFFSETS => push_u32s(buf, &g.left_offsets),
-        SEC_LEFT_ADJ => push_adjs(buf, &g.left_adj),
-        SEC_RIGHT_OFFSETS => push_u32s(buf, &g.right_offsets),
-        SEC_RIGHT_ADJ => push_adjs(buf, &g.right_adj),
-        SEC_EDGE_LEFT => push_u32s(buf, &g.edge_left),
-        SEC_EDGE_RIGHT => push_u32s(buf, &g.edge_right),
-        SEC_WEIGHTS => push_f64s(buf, &g.weights),
-        SEC_PROBS => push_f64s(buf, &g.probs),
-        SEC_ACCEPT => push_u64s(buf, &g.accept),
-        SEC_DESC_ORDER => push_u32s(buf, &g.edges_by_weight_desc),
-        SEC_DESC_WEIGHTS => push_f64s(buf, &g.desc_weights),
-        SEC_DESC_ACCEPT => push_u64s(buf, &g.desc_accept),
-        SEC_LEFT_RANK => push_u32s(buf, &g.left_rank),
-        SEC_LEFT_BY_RANK => push_u32s(buf, &g.left_by_rank),
+        SEC_META => push(buf, &dims, |x| x.to_le_bytes()),
+        SEC_LEFT_OFFSETS => push(buf, &g.left_offsets, |x| x.to_le_bytes()),
+        SEC_LEFT_ADJ => push(buf, &g.left_adj, adj_bytes),
+        SEC_RIGHT_OFFSETS => push(buf, &g.right_offsets, |x| x.to_le_bytes()),
+        SEC_RIGHT_ADJ => push(buf, &g.right_adj, adj_bytes),
+        SEC_EDGE_LEFT => push(buf, &g.edge_left, |x| x.to_le_bytes()),
+        SEC_EDGE_RIGHT => push(buf, &g.edge_right, |x| x.to_le_bytes()),
+        SEC_WEIGHTS => push(buf, &g.weights, |x| x.to_le_bytes()),
+        SEC_PROBS => push(buf, &g.probs, |x| x.to_le_bytes()),
+        SEC_DESC_ORDER => push(buf, &g.edges_by_weight_desc, |x| x.to_le_bytes()),
         _ => unreachable!("unknown section id {id} in writer"),
     }
 }
@@ -401,28 +383,6 @@ mod mm {
     }
 }
 
-/// One section's bytes: a zero-copy slice of the mapping, or an owned
-/// buffer streamed from the file.
-enum SectionData<'m> {
-    #[cfg(unix)]
-    Mapped(&'m [u8]),
-    Owned(Vec<u8>),
-    #[cfg(not(unix))]
-    _Phantom(std::marker::PhantomData<&'m ()>),
-}
-
-impl SectionData<'_> {
-    fn as_slice(&self) -> &[u8] {
-        match self {
-            #[cfg(unix)]
-            SectionData::Mapped(s) => s,
-            SectionData::Owned(v) => v,
-            #[cfg(not(unix))]
-            SectionData::_Phantom(_) => &[],
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Reading
 // ---------------------------------------------------------------------------
@@ -494,7 +454,7 @@ impl ContainerReader {
                     entry.id, entry.offset
                 )));
             }
-            if entry.id <= SEC_LEFT_BY_RANK
+            if WRITE_ORDER.contains(&entry.id)
                 && sections.iter().any(|e: &SectionEntry| e.id == entry.id)
             {
                 return Err(invalid(format!("duplicate section id {}", entry.id)));
@@ -565,9 +525,10 @@ impl ContainerReader {
             .ok_or_else(|| invalid(format!("missing required section id {id}")))
     }
 
-    /// Loads, verifies, and validates every section into a fully
-    /// resident graph. Uses a whole-file mmap when the platform grants
-    /// one, streaming sections individually otherwise; either way the
+    /// Loads, verifies, and validates every primary section, then
+    /// derives the rest (`Primaries::complete`) into a fully resident
+    /// graph. Uses a whole-file mmap when the platform grants one,
+    /// streaming sections individually otherwise; either way the
     /// returned graph owns its memory and never aliases the file.
     ///
     /// Above [`PARALLEL_EDGE_CUTOFF`] edges, section verification,
@@ -591,18 +552,20 @@ impl ContainerReader {
         #[cfg(not(unix))]
         let map: Option<()> = None;
 
-        let mut fetch = |id: u32| -> Result<(SectionData<'_>, u64), StorageError> {
+        // One section's bytes and checksum: a zero-copy slice of the
+        // mapping, or an owned buffer streamed from the file.
+        let mut fetch = |id: u32| -> Result<(Cow<'_, [u8]>, u64), StorageError> {
             let e = self.require(id)?;
             #[cfg(unix)]
             if let Some(m) = &map {
                 let s = &m.bytes()[e.offset as usize..(e.offset + e.len) as usize];
-                return Ok((SectionData::Mapped(s), e.checksum));
+                return Ok((Cow::Borrowed(s), e.checksum));
             }
             let _ = &map;
             let mut buf = vec![0u8; e.len as usize];
             file.seek(SeekFrom::Start(e.offset))?;
             read_exact_or_truncated(&mut file, &mut buf)?;
-            Ok((SectionData::Owned(buf), e.checksum))
+            Ok((Cow::Owned(buf), e.checksum))
         };
 
         let nl = self.meta.num_left as usize;
@@ -619,62 +582,33 @@ impl ContainerReader {
         let s_er = fetch(SEC_EDGE_RIGHT)?;
         let s_w = fetch(SEC_WEIGHTS)?;
         let s_p = fetch(SEC_PROBS)?;
-        let s_a = fetch(SEC_ACCEPT)?;
         let s_do = fetch(SEC_DESC_ORDER)?;
-        let s_dw = fetch(SEC_DESC_WEIGHTS)?;
-        let s_da = fetch(SEC_DESC_ACCEPT)?;
-        let s_lr = fetch(SEC_LEFT_RANK)?;
-        let s_lb = fetch(SEC_LEFT_BY_RANK)?;
-
-        fn verified<'s>(
-            id: u32,
-            (data, sum): &'s (SectionData<'_>, u64),
-        ) -> Result<&'s [u8], StorageError> {
-            let s = data.as_slice();
-            if section_checksum(id, s) != *sum {
-                return Err(StorageError::Format(CodecError::BadChecksum));
-            }
-            Ok(s)
-        }
 
         // Decode groups, balanced to roughly equal bytes per thread.
         type R<T> = Result<T, StorageError>;
         let g_left = || -> R<_> {
             Ok((
-                decode_adjs(verified(SEC_LEFT_ADJ, &s_la)?, m, "left_adj")?,
-                decode_u32s(verified(SEC_EDGE_LEFT, &s_el)?, m, "edge_left")?,
+                decode(SEC_LEFT_ADJ, &s_la, m, adj_from)?,
+                decode(SEC_EDGE_LEFT, &s_el, m, u32::from_le_bytes)?,
             ))
         };
         let g_right = || -> R<_> {
             Ok((
-                decode_adjs(verified(SEC_RIGHT_ADJ, &s_ra)?, m, "right_adj")?,
-                decode_u32s(verified(SEC_EDGE_RIGHT, &s_er)?, m, "edge_right")?,
+                decode(SEC_RIGHT_ADJ, &s_ra, m, adj_from)?,
+                decode(SEC_EDGE_RIGHT, &s_er, m, u32::from_le_bytes)?,
             ))
         };
         let g_dist = || -> R<_> {
             Ok((
-                decode_f64s(verified(SEC_WEIGHTS, &s_w)?, m, "weights")?,
-                decode_f64s(verified(SEC_PROBS, &s_p)?, m, "probs")?,
+                decode(SEC_WEIGHTS, &s_w, m, f64::from_le_bytes)?,
+                decode(SEC_PROBS, &s_p, m, f64::from_le_bytes)?,
             ))
         };
-        let g_accept = || -> R<_> {
+        let g_order = || -> R<_> {
             Ok((
-                decode_u64s(verified(SEC_ACCEPT, &s_a)?, m, "accept")?,
-                decode_u64s(verified(SEC_DESC_ACCEPT, &s_da)?, m, "desc_accept")?,
-            ))
-        };
-        let g_desc = || -> R<_> {
-            Ok((
-                decode_u32s(verified(SEC_DESC_ORDER, &s_do)?, m, "desc_order")?,
-                decode_f64s(verified(SEC_DESC_WEIGHTS, &s_dw)?, m, "desc_weights")?,
-            ))
-        };
-        let g_vertex = || -> R<_> {
-            Ok((
-                decode_u32s(verified(SEC_LEFT_OFFSETS, &s_lo)?, nl + 1, "left_offsets")?,
-                decode_u32s(verified(SEC_RIGHT_OFFSETS, &s_ro)?, nr + 1, "right_offsets")?,
-                decode_u32s(verified(SEC_LEFT_RANK, &s_lr)?, nl, "left_rank")?,
-                decode_u32s(verified(SEC_LEFT_BY_RANK, &s_lb)?, nl, "left_by_rank")?,
+                decode(SEC_DESC_ORDER, &s_do, m, u32::from_le_bytes)?,
+                decode(SEC_LEFT_OFFSETS, &s_lo, nl + 1, u32::from_le_bytes)?,
+                decode(SEC_RIGHT_OFFSETS, &s_ro, nr + 1, u32::from_le_bytes)?,
             ))
         };
 
@@ -682,38 +616,25 @@ impl ContainerReader {
             (left_adj, edge_left),
             (right_adj, edge_right),
             (weights, probs),
-            (accept, desc_accept),
-            (edges_by_weight_desc, desc_weights),
-            (left_offsets, right_offsets, left_rank, left_by_rank),
+            (edges_by_weight_desc, left_offsets, right_offsets),
         ) = if fan_out(m) {
             std::thread::scope(|sc| {
                 let h_left = sc.spawn(g_left);
                 let h_right = sc.spawn(g_right);
                 let h_dist = sc.spawn(g_dist);
-                let h_accept = sc.spawn(g_accept);
-                let h_desc = sc.spawn(g_desc);
-                let vertex = g_vertex()?;
+                let order = g_order()?;
                 Ok::<_, StorageError>((
                     h_left.join().unwrap()?,
                     h_right.join().unwrap()?,
                     h_dist.join().unwrap()?,
-                    h_accept.join().unwrap()?,
-                    h_desc.join().unwrap()?,
-                    vertex,
+                    order,
                 ))
             })?
         } else {
-            (
-                g_left()?,
-                g_right()?,
-                g_dist()?,
-                g_accept()?,
-                g_desc()?,
-                g_vertex()?,
-            )
+            (g_left()?, g_right()?, g_dist()?, g_order()?)
         };
 
-        let g = UncertainBipartiteGraph {
+        let p = Primaries {
             left_offsets,
             left_adj,
             right_offsets,
@@ -722,17 +643,10 @@ impl ContainerReader {
             edge_right,
             weights,
             probs,
-            accept,
             edges_by_weight_desc,
-            desc_weights,
-            desc_accept,
-            left_rank,
-            left_by_rank,
-            middle_side: Default::default(),
-            desc_endpoints: Default::default(),
         };
-        validate_graph(&g)?;
-        Ok(g)
+        validate_primaries(&p)?;
+        Ok(p.complete())
     }
 }
 
@@ -759,82 +673,47 @@ fn read_exact_or_truncated<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<(), Sto
     })
 }
 
-fn decode_u32s(bytes: &[u8], expect: usize, what: &str) -> Result<Vec<u32>, StorageError> {
-    if bytes.len() != expect * 4 {
+/// Verifies a fetched section against its checksum, then decodes its
+/// `expect` elements of `W` little-endian bytes each.
+fn decode<T, const W: usize>(
+    id: u32,
+    (data, sum): &(Cow<'_, [u8]>, u64),
+    expect: usize,
+    f: impl Fn([u8; W]) -> T,
+) -> Result<Vec<T>, StorageError> {
+    if section_checksum(id, data) != *sum {
+        return Err(StorageError::Format(CodecError::BadChecksum));
+    }
+    if data.len() != expect * W {
         return Err(invalid(format!(
-            "{what}: {} bytes, expected {}",
-            bytes.len(),
-            expect * 4
+            "section {id}: {} bytes, expected {}",
+            data.len(),
+            expect * W
         )));
     }
-    Ok(bytes
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+    Ok(data
+        .chunks_exact(W)
+        .map(|c| f(c.try_into().unwrap()))
         .collect())
 }
 
-fn decode_u64s(bytes: &[u8], expect: usize, what: &str) -> Result<Vec<u64>, StorageError> {
-    if bytes.len() != expect * 8 {
-        return Err(invalid(format!(
-            "{what}: {} bytes, expected {}",
-            bytes.len(),
-            expect * 8
-        )));
-    }
-    Ok(bytes
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-        .collect())
-}
-
-fn decode_f64s(bytes: &[u8], expect: usize, what: &str) -> Result<Vec<f64>, StorageError> {
-    if bytes.len() != expect * 8 {
-        return Err(invalid(format!(
-            "{what}: {} bytes, expected {}",
-            bytes.len(),
-            expect * 8
-        )));
-    }
-    Ok(bytes
-        .chunks_exact(8)
-        .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().unwrap())))
-        .collect())
-}
-
-fn decode_adjs(bytes: &[u8], expect: usize, what: &str) -> Result<Vec<Adj>, StorageError> {
-    if bytes.len() != expect * 8 {
-        return Err(invalid(format!(
-            "{what}: {} bytes, expected {}",
-            bytes.len(),
-            expect * 8
-        )));
-    }
-    Ok(bytes
-        .chunks_exact(8)
-        .map(|c| Adj {
-            nbr: u32::from_le_bytes(c[0..4].try_into().unwrap()),
-            edge: EdgeId(u32::from_le_bytes(c[4..8].try_into().unwrap())),
-        })
-        .collect())
-}
-
-/// Re-validates every structural invariant a builder-produced graph
-/// satisfies. O(|E| + |V|), run once per materialization; this is what
-/// makes the eviction determinism argument airtight — any container
-/// that materializes is indistinguishable from a built graph.
+/// Re-validates every structural invariant a builder-produced graph's
+/// primaries satisfy. O(|E| + |V|), run once per materialization and
+/// before [`Primaries::complete`], which indexes through them; this is
+/// what makes the eviction determinism argument airtight — any
+/// container that materializes is indistinguishable from a built graph.
 ///
-/// The five passes are independent reads of disjoint invariants, so
+/// The four passes are independent reads of disjoint invariants, so
 /// above [`PARALLEL_EDGE_CUTOFF`] they run on scoped threads; each
 /// pass is written to fail (never panic) on inputs another pass would
 /// reject, since the serial ordering no longer protects it.
-fn validate_graph(g: &UncertainBipartiteGraph) -> Result<(), StorageError> {
-    let nl = g.num_left();
-    let nr = g.num_right();
-    let m = g.num_edges();
+fn validate_primaries(g: &Primaries) -> Result<(), StorageError> {
+    let nl = g.left_offsets.len() - 1;
+    let nr = g.right_offsets.len() - 1;
+    let m = g.weights.len();
 
     // Pass 1: offsets, endpoint ranges, and the edge-domain scalars —
-    // weights and probabilities within the builder's domain, the
-    // fixed-point thresholds exactly re-derivable.
+    // weights and probabilities within the builder's domain.
     let domain = || -> Result<(), StorageError> {
         check_offsets(&g.left_offsets, m, "left_offsets")?;
         check_offsets(&g.right_offsets, m, "right_offsets")?;
@@ -845,17 +724,12 @@ fn validate_graph(g: &UncertainBipartiteGraph) -> Result<(), StorageError> {
                 )));
             }
         }
-        for i in 0..m {
-            let w = g.weights[i];
+        for (i, (&w, &p)) in g.weights.iter().zip(&g.probs).enumerate() {
             if !w.is_finite() || w < 0.0 {
                 return Err(invalid(format!("edge {i}: weight {w} invalid")));
             }
-            let p = g.probs[i];
             if !(0.0..=1.0).contains(&p) {
                 return Err(invalid(format!("edge {i}: probability {p} invalid")));
-            }
-            if g.accept[i] != crate::sample::fixed_point_threshold(p) {
-                return Err(invalid(format!("edge {i}: accept threshold mismatch")));
             }
         }
         Ok(())
@@ -885,30 +759,14 @@ fn validate_graph(g: &UncertainBipartiteGraph) -> Result<(), StorageError> {
         )
     };
 
-    // Pass 4: §V-B order — a permutation, correctly sorted, with the
-    // gathered arrays bit-exact. No explicit permutation bookkeeping:
-    // the order loop below enforces *strict* (weight desc, id asc)
-    // order, which makes all m entries pairwise distinct, and the
-    // gather loop bounds every entry below m — m distinct values in
-    // [0, m) is a permutation.
+    // Pass 4: §V-B order — a permutation, correctly sorted. No explicit
+    // permutation bookkeeping: the order loop below enforces *strict*
+    // (weight desc, id asc) order, which makes all m entries pairwise
+    // distinct, and the range loop bounds every entry below m — m
+    // distinct values in [0, m) is a permutation.
     let desc = || -> Result<(), StorageError> {
-        if g.edges_by_weight_desc.len() != m {
-            return Err(invalid("edges_by_weight_desc sized wrong"));
-        }
-        for (i, &e) in g.edges_by_weight_desc.iter().enumerate() {
-            if e as usize >= m {
-                return Err(invalid(format!("edges_by_weight_desc[{i}] out of range")));
-            }
-            if g.desc_weights[i].to_bits() != g.weights[e as usize].to_bits() {
-                return Err(invalid(format!(
-                    "desc_weights[{i}] not gathered from weights"
-                )));
-            }
-            if g.desc_accept[i] != g.accept[e as usize] {
-                return Err(invalid(format!(
-                    "desc_accept[{i}] not gathered from accept"
-                )));
-            }
+        if let Some(i) = g.edges_by_weight_desc.iter().position(|&e| e as usize >= m) {
+            return Err(invalid(format!("edges_by_weight_desc[{i}] out of range")));
         }
         for w in g.edges_by_weight_desc.windows(2) {
             let (a, b) = (w[0], w[1]);
@@ -922,49 +780,21 @@ fn validate_graph(g: &UncertainBipartiteGraph) -> Result<(), StorageError> {
         Ok(())
     };
 
-    // Pass 5: degree-rank relabeling — inverse permutations in
-    // (degree desc, id asc) order. Degrees go through i64 so a
-    // non-monotonic offsets array (pass 1's to reject) merely yields
-    // negative degrees here instead of underflowing.
-    let ranks = || -> Result<(), StorageError> {
-        if g.left_rank.len() != nl || g.left_by_rank.len() != nl {
-            return Err(invalid("left rank arrays sized wrong"));
-        }
-        check_permutation(&g.left_by_rank, nl, "left_by_rank")?;
-        for (r, &u) in g.left_by_rank.iter().enumerate() {
-            if g.left_rank[u as usize] as usize != r {
-                return Err(invalid("left_rank is not the inverse of left_by_rank"));
-            }
-        }
-        let degree =
-            |u: u32| g.left_offsets[u as usize + 1] as i64 - g.left_offsets[u as usize] as i64;
-        for w in g.left_by_rank.windows(2) {
-            let (a, b) = (w[0], w[1]);
-            if !(degree(a) > degree(b) || (degree(a) == degree(b) && a < b)) {
-                return Err(invalid("left_by_rank not in (degree desc, id asc) order"));
-            }
-        }
-        Ok(())
-    };
-
     if fan_out(m) {
         std::thread::scope(|sc| {
             let h_domain = sc.spawn(domain);
             let h_left = sc.spawn(left_adj);
             let h_right = sc.spawn(right_adj);
-            let h_desc = sc.spawn(desc);
-            ranks()?;
+            desc()?;
             h_domain.join().unwrap()?;
             h_left.join().unwrap()?;
-            h_right.join().unwrap()?;
-            h_desc.join().unwrap()
+            h_right.join().unwrap()
         })
     } else {
         domain()?;
         left_adj()?;
         right_adj()?;
-        desc()?;
-        ranks()
+        desc()
     }
 }
 
@@ -1020,19 +850,6 @@ fn check_adjacency(
                     "{what}: entry disagrees with endpoint arrays"
                 )));
             }
-        }
-    }
-    Ok(())
-}
-
-fn check_permutation(v: &[u32], n: usize, what: &str) -> Result<(), StorageError> {
-    if v.len() != n {
-        return Err(invalid(format!("{what} sized wrong")));
-    }
-    let mut seen = vec![false; n];
-    for &x in v {
-        if x as usize >= n || std::mem::replace(&mut seen[x as usize], true) {
-            return Err(invalid(format!("{what} is not a permutation")));
         }
     }
     Ok(())

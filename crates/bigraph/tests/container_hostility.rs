@@ -4,7 +4,9 @@
 //! tables, and future versions must all come back as error values —
 //! never a panic, never an unbounded allocation. And a graph that
 //! *does* materialize must be bit-identical to the one that was
-//! written, `accept` thresholds and weight-descending order included.
+//! written, the derived `accept` thresholds, gathered arrays and
+//! degree ranks included — also when the file is a version-1
+//! container, which stored those arrays too.
 
 use bigraph::codec::fnv1a64;
 use bigraph::{
@@ -51,18 +53,32 @@ fn container_bytes(g: &UncertainBipartiteGraph) -> Vec<u8> {
     bytes
 }
 
-/// The strongest available equality: two graphs whose container
-/// encodings agree byte-for-byte agree on every array the solvers
-/// index — offsets, adjacency, endpoints, weights, probs, `accept`,
-/// the weight-descending order and its gathered arrays, and the
-/// degree-rank relabeling.
+/// The container encoding (every primary array: offsets, adjacency,
+/// endpoints, weights, probs and the weight-descending order) plus the
+/// derived arrays a container does not store: `accept`, the order's
+/// gathered weights and thresholds, and the degree-rank relabeling.
+type Fingerprint = (Vec<u8>, Vec<u64>, Vec<u64>, Vec<u64>, Vec<u32>, Vec<u32>);
+
+fn fingerprint(g: &UncertainBipartiteGraph) -> Fingerprint {
+    (
+        container_bytes(g),
+        g.accept_thresholds().to_vec(),
+        g.desc_weights().iter().map(|w| w.to_bits()).collect(),
+        g.desc_accepts().to_vec(),
+        g.left_ranks().to_vec(),
+        g.left_by_rank().to_vec(),
+    )
+}
+
+/// The strongest available equality: two graphs with equal
+/// fingerprints agree on every array the solvers index.
 fn assert_bit_identical(a: &UncertainBipartiteGraph, b: &UncertainBipartiteGraph) {
-    assert_eq!(container_bytes(a), container_bytes(b));
+    assert_eq!(fingerprint(a), fingerprint(b));
 }
 
 /// Section-table layout constants, mirrored from the format doc.
 const ENTRY_BYTES: usize = 28;
-const N_SECTIONS: usize = 15;
+const N_SECTIONS: usize = 10;
 const HEADER_LEN: usize = 16 + N_SECTIONS * ENTRY_BYTES + 8;
 
 /// Recomputes the trailing header checksum after a header mutation, so
@@ -165,6 +181,20 @@ fn convert_cycle_preserves_solver_facing_arrays() {
     assert_bit_identical(&g, &back);
 }
 
+#[test]
+fn version_1_containers_still_materialize() {
+    // Written by the version-1 writer, which also stored five derived
+    // arrays (section ids 10 and 12–15). This reader skips them and
+    // derives its own, which must equal the builder's.
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/fig1_v1.ubgc");
+    let bytes = std::fs::read(path).unwrap();
+    assert_eq!(&bytes[..8], CONTAINER_MAGIC);
+    assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 1);
+    assert_eq!(u32::from_le_bytes(bytes[12..16].try_into().unwrap()), 15);
+    let back = read_container_path(std::path::Path::new(path)).unwrap();
+    assert_bit_identical(&fig1(), &back);
+}
+
 /// Random small graphs for the proptests: deduped (left, right) pairs
 /// with finite positive weights and probabilities in (0, 1].
 fn arb_graph() -> impl Strategy<Value = UncertainBipartiteGraph> {
@@ -185,13 +215,13 @@ fn arb_graph() -> impl Strategy<Value = UncertainBipartiteGraph> {
 
 proptest! {
     /// build → convert → attach reproduces the original graph
-    /// bit-identically, `accept` and `edges_by_weight_desc` included.
+    /// bit-identically, derived arrays included.
     #[test]
     fn round_trip_is_bit_identical(g in arb_graph()) {
         let scratch = Scratch::new();
         let written = write_container_path(&g, &scratch.0).unwrap();
         let back = read_container_path(&scratch.0).unwrap();
-        prop_assert_eq!(container_bytes(&g), container_bytes(&back));
+        prop_assert_eq!(fingerprint(&g), fingerprint(&back));
         // And the attach-time checksum is stable across re-opens.
         let reopened = ContainerReader::open(&scratch.0).unwrap();
         prop_assert_eq!(written, reopened.content_checksum());
@@ -236,7 +266,7 @@ proptest! {
         reseal_header(&mut bytes, HEADER_LEN);
         std::fs::write(&scratch.0, &bytes).unwrap();
         if let Ok(back) = read_container_path(&scratch.0) {
-            prop_assert_eq!(container_bytes(&g), container_bytes(&back));
+            prop_assert_eq!(fingerprint(&g), fingerprint(&back));
         }
     }
 }

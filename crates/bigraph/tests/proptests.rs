@@ -188,22 +188,6 @@ proptest! {
         prop_assert!((closed - reference).abs() < 1e-9, "{} vs {}", closed, reference);
     }
 
-    /// Cold-item reward never decreases weights, is monotone in the
-    /// reward parameter, and leaves structure and probabilities alone.
-    #[test]
-    fn cold_reward_monotonicity(edges in arb_edges(8, 8, 30), r1 in 0.0f64..2.0, r2 in 0.0f64..2.0) {
-        let g = build(&edges);
-        let (lo, hi) = if r1 <= r2 { (r1, r2) } else { (r2, r1) };
-        let g_lo = bigraph::transform::reward_cold_items(&g, lo);
-        let g_hi = bigraph::transform::reward_cold_items(&g, hi);
-        for e in g.edge_ids() {
-            prop_assert_eq!(g_lo.endpoints(e), g.endpoints(e));
-            prop_assert_eq!(g_lo.prob(e), g.prob(e));
-            // Quantization tolerance of half a grid step.
-            prop_assert!(g_hi.weight(e) + 1.0 / 128.0 >= g_lo.weight(e));
-        }
-    }
-
     /// Edge-list round-trip: write then read reproduces the graph exactly.
     #[test]
     fn io_roundtrip(edges in arb_edges(10, 10, 40)) {

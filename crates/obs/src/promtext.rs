@@ -9,9 +9,60 @@
 //! dialect [`crate::Registry::render`] emits (`# HELP`/`# TYPE` lines,
 //! `name{labels} value` samples, `\\`/`\"`/`\n` label escapes) and
 //! skips anything it cannot read — a malformed scrape degrades, never
-//! panics.
+//! panics. Families, label sets and bucket bounds are looked up by
+//! hash, so a merge costs time linear in the pages, however many
+//! distinct names a page holds.
 
+use std::borrow::Borrow;
+use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::hash::Hash;
+
+/// Most families read from one page; lines of further families are
+/// skipped. A worker registers well under a hundred, so this bounds
+/// only what a runaway or hostile page can make the merge hold.
+const MAX_FAMILIES_PER_PAGE: usize = 1 << 15;
+
+/// Values in first-seen order, looked up by key in O(1): the merged
+/// page renders in first-seen order, and a linear lookup made a page of
+/// N distinct names or label sets cost O(N²) to merge.
+struct Indexed<K, V> {
+    index: HashMap<K, usize>,
+    entries: Vec<(K, V)>,
+}
+
+impl<K: Hash + Eq + Clone, V> Indexed<K, V> {
+    fn new() -> Self {
+        Indexed {
+            index: HashMap::new(),
+            entries: Vec::new(),
+        }
+    }
+
+    fn get<Q: Hash + Eq + ?Sized>(&self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+    {
+        self.index.get(key).map(|&i| &self.entries[i].1)
+    }
+
+    /// The value under `key`, inserted from `make` when absent.
+    fn entry<Q>(&mut self, key: &Q, make: impl FnOnce() -> V) -> &mut V
+    where
+        Q: Hash + Eq + ToOwned<Owned = K> + ?Sized,
+        K: Borrow<Q>,
+    {
+        let i = match self.index.get(key) {
+            Some(&i) => i,
+            None => {
+                self.entries.push((key.to_owned(), make()));
+                self.index.insert(key.to_owned(), self.entries.len() - 1);
+                self.entries.len() - 1
+            }
+        };
+        &mut self.entries[i].1
+    }
+}
 
 /// One parsed sample line: the full sample name (including any
 /// `_bucket`/`_sum`/`_count` suffix), its labels in source order, and
@@ -27,7 +78,6 @@ struct Sample {
 /// source order.
 #[derive(Debug, Clone)]
 struct ParsedFamily {
-    name: String,
     help: String,
     kind: String,
     samples: Vec<Sample>,
@@ -113,24 +163,25 @@ fn parse_sample(line: &str) -> Option<Sample> {
     })
 }
 
-/// Parses one exposition stream into families. Samples that precede
-/// any `# TYPE` for their family land in an implicit `untyped` family.
-fn parse(text: &str) -> Vec<ParsedFamily> {
-    let mut families: Vec<ParsedFamily> = Vec::new();
-    let find = |families: &mut Vec<ParsedFamily>, name: &str| -> usize {
-        match families.iter().position(|f| f.name == name) {
-            Some(i) => i,
-            None => {
-                families.push(ParsedFamily {
-                    name: name.to_string(),
-                    help: String::new(),
-                    kind: "untyped".to_string(),
-                    samples: Vec::new(),
-                });
-                families.len() - 1
-            }
+/// Parses one exposition stream into families, keyed by name. Samples
+/// that precede any `# TYPE` for their family land in an implicit
+/// `untyped` family. Past [`MAX_FAMILIES_PER_PAGE`] families, lines
+/// naming a new one are skipped.
+fn parse(text: &str) -> Indexed<String, ParsedFamily> {
+    fn family<'f>(
+        families: &'f mut Indexed<String, ParsedFamily>,
+        name: &str,
+    ) -> Option<&'f mut ParsedFamily> {
+        if families.get(name).is_none() && families.entries.len() >= MAX_FAMILIES_PER_PAGE {
+            return None;
         }
-    };
+        Some(families.entry(name, || ParsedFamily {
+            help: String::new(),
+            kind: "untyped".to_string(),
+            samples: Vec::new(),
+        }))
+    }
+    let mut families = Indexed::new();
     for line in text.lines() {
         let line = line.trim_end();
         if line.is_empty() {
@@ -138,15 +189,17 @@ fn parse(text: &str) -> Vec<ParsedFamily> {
         }
         if let Some(rest) = line.strip_prefix("# HELP ") {
             if let Some((name, help)) = rest.split_once(' ') {
-                let i = find(&mut families, name);
-                families[i].help = help.to_string();
+                if let Some(f) = family(&mut families, name) {
+                    f.help = help.to_string();
+                }
             }
             continue;
         }
         if let Some(rest) = line.strip_prefix("# TYPE ") {
             if let Some((name, kind)) = rest.split_once(' ') {
-                let i = find(&mut families, name);
-                families[i].kind = kind.to_string();
+                if let Some(f) = family(&mut families, name) {
+                    f.kind = kind.to_string();
+                }
             }
             continue;
         }
@@ -162,35 +215,36 @@ fn parse(text: &str) -> Vec<ParsedFamily> {
             .find_map(|suf| {
                 let base = sample.name.strip_suffix(suf)?;
                 families
-                    .iter()
-                    .any(|f| f.name == base && f.kind == "histogram")
+                    .get(base)
+                    .is_some_and(|f| f.kind == "histogram")
                     .then(|| base.to_string())
             })
             .unwrap_or_else(|| sample.name.clone());
-        let i = find(&mut families, &family_name);
-        families[i].samples.push(sample);
+        if let Some(f) = family(&mut families, &family_name) {
+            f.samples.push(sample);
+        }
     }
     families
 }
 
+type Labels = Vec<(String, String)>;
+
 /// Aggregated state of one family across every scraped node.
 struct MergedFamily {
-    name: String,
     help: String,
     kind: String,
     /// Aggregate scalar series (counters summed / gauges maxed), keyed
     /// by label set in first-seen order.
-    scalars: Vec<(Vec<(String, String)>, f64)>,
+    scalars: Indexed<Labels, f64>,
     /// Aggregate histogram series keyed by label set minus `le`.
-    hists: Vec<HistAgg>,
+    hists: Indexed<Labels, HistAgg>,
     /// Raw per-node samples, `(node, sample)`, in scrape order.
     per_node: Vec<(String, Sample)>,
 }
 
 struct HistAgg {
-    labels: Vec<(String, String)>,
     /// Cumulative bucket values by `le` text, in first-seen order.
-    buckets: Vec<(String, f64)>,
+    buckets: Indexed<String, f64>,
     sum: f64,
     count: f64,
 }
@@ -215,36 +269,19 @@ fn labels_without_le(labels: &[(String, String)]) -> (Vec<(String, String)>, Opt
 fn fold_sample(merged: &mut MergedFamily, node: &str, sample: &Sample) {
     merged.per_node.push((node.to_string(), sample.clone()));
     match merged.kind.as_str() {
-        "counter" => {
-            match merged
-                .scalars
-                .iter_mut()
-                .find(|(labels, _)| *labels == sample.labels)
-            {
-                Some((_, v)) => *v += sample.value,
-                None => merged.scalars.push((sample.labels.clone(), sample.value)),
-            }
-        }
+        // -0.0 is the exact additive identity, so a first sample keeps
+        // its value bit for bit (a +0.0 start would turn -0 into 0).
+        "counter" => *merged.scalars.entry(&sample.labels[..], || -0.0) += sample.value,
         "histogram" => {
             let (labels, le) = labels_without_le(&sample.labels);
-            let agg = match merged.hists.iter_mut().position(|h| h.labels == labels) {
-                Some(i) => &mut merged.hists[i],
-                None => {
-                    merged.hists.push(HistAgg {
-                        labels,
-                        buckets: Vec::new(),
-                        sum: 0.0,
-                        count: 0.0,
-                    });
-                    merged.hists.last_mut().unwrap()
-                }
-            };
+            let agg = merged.hists.entry(&labels[..], || HistAgg {
+                buckets: Indexed::new(),
+                sum: 0.0,
+                count: 0.0,
+            });
             if sample.name.ends_with("_bucket") {
                 let le = le.unwrap_or_else(|| "+Inf".to_string());
-                match agg.buckets.iter_mut().find(|(b, _)| *b == le) {
-                    Some((_, v)) => *v += sample.value,
-                    None => agg.buckets.push((le, sample.value)),
-                }
+                *agg.buckets.entry(&le[..], || -0.0) += sample.value;
             } else if sample.name.ends_with("_sum") {
                 agg.sum += sample.value;
             } else if sample.name.ends_with("_count") {
@@ -255,14 +292,8 @@ fn fold_sample(merged: &mut MergedFamily, node: &str, sample: &Sample) {
         // worker-count gauge across nodes would be nonsense, the peak is
         // the useful cluster-level reading.
         _ => {
-            match merged
-                .scalars
-                .iter_mut()
-                .find(|(labels, _)| *labels == sample.labels)
-            {
-                Some((_, v)) => *v = v.max(sample.value),
-                None => merged.scalars.push((sample.labels.clone(), sample.value)),
-            }
+            let v = merged.scalars.entry(&sample.labels[..], || sample.value);
+            *v = v.max(sample.value);
         }
     }
 }
@@ -292,23 +323,16 @@ fn render_labels(out: &mut String, labels: &[(String, String)], node: Option<&st
 /// show both the cluster total and the per-node breakdown from one
 /// scrape.
 pub fn merge_prometheus(scrapes: &[(String, String)]) -> String {
-    let mut families: Vec<MergedFamily> = Vec::new();
+    let mut families: Indexed<String, MergedFamily> = Indexed::new();
     for (node, text) in scrapes {
-        for parsed in parse(text) {
-            let merged = match families.iter_mut().position(|f| f.name == parsed.name) {
-                Some(i) => &mut families[i],
-                None => {
-                    families.push(MergedFamily {
-                        name: parsed.name.clone(),
-                        help: parsed.help.clone(),
-                        kind: parsed.kind.clone(),
-                        scalars: Vec::new(),
-                        hists: Vec::new(),
-                        per_node: Vec::new(),
-                    });
-                    families.last_mut().unwrap()
-                }
-            };
+        for (name, parsed) in parse(text).entries {
+            let merged = families.entry(&name[..], || MergedFamily {
+                help: parsed.help.clone(),
+                kind: parsed.kind.clone(),
+                scalars: Indexed::new(),
+                hists: Indexed::new(),
+                per_node: Vec::new(),
+            });
             for sample in &parsed.samples {
                 fold_sample(merged, node, sample);
             }
@@ -316,27 +340,27 @@ pub fn merge_prometheus(scrapes: &[(String, String)]) -> String {
     }
 
     let mut out = String::new();
-    for f in &families {
-        let _ = writeln!(out, "# HELP {} {}", f.name, f.help);
-        let _ = writeln!(out, "# TYPE {} {}", f.name, f.kind);
-        for (labels, value) in &f.scalars {
-            out.push_str(&f.name);
+    for (name, f) in &families.entries {
+        let _ = writeln!(out, "# HELP {name} {}", f.help);
+        let _ = writeln!(out, "# TYPE {name} {}", f.kind);
+        for (labels, value) in &f.scalars.entries {
+            out.push_str(name);
             render_labels(&mut out, labels, None);
             let _ = writeln!(out, " {value}");
         }
-        for h in &f.hists {
-            for (le, value) in &h.buckets {
-                let mut labels = h.labels.clone();
+        for (hist_labels, h) in &f.hists.entries {
+            for (le, value) in &h.buckets.entries {
+                let mut labels = hist_labels.clone();
                 labels.push(("le".to_string(), le.clone()));
-                let _ = write!(out, "{}_bucket", f.name);
+                let _ = write!(out, "{name}_bucket");
                 render_labels(&mut out, &labels, None);
                 let _ = writeln!(out, " {value}");
             }
-            let _ = write!(out, "{}_sum", f.name);
-            render_labels(&mut out, &h.labels, None);
+            let _ = write!(out, "{name}_sum");
+            render_labels(&mut out, hist_labels, None);
             let _ = writeln!(out, " {}", h.sum);
-            let _ = write!(out, "{}_count", f.name);
-            render_labels(&mut out, &h.labels, None);
+            let _ = write!(out, "{name}_count");
+            render_labels(&mut out, hist_labels, None);
             let _ = writeln!(out, " {}", h.count);
         }
         for (node, sample) in &f.per_node {
@@ -370,8 +394,8 @@ mod tests {
     fn round_trips_own_render_format() {
         let r = worker_registry(7, 3, &[0.005, 0.5]);
         let text = r.render();
-        let families = parse(&text);
-        let names: Vec<&str> = families.iter().map(|f| f.name.as_str()).collect();
+        let families = parse(&text).entries;
+        let names: Vec<&str> = families.iter().map(|(name, _)| name.as_str()).collect();
         assert_eq!(
             names,
             [
@@ -380,15 +404,31 @@ mod tests {
                 "mpmb_request_seconds"
             ]
         );
-        assert_eq!(families[0].kind, "counter");
+        assert_eq!(families[0].1.kind, "counter");
         assert_eq!(
-            families[0].samples[0].labels,
+            families[0].1.samples[0].labels,
             vec![("endpoint".to_string(), "solve".to_string())]
         );
-        assert_eq!(families[0].samples[0].value, 7.0);
-        assert_eq!(families[2].kind, "histogram");
+        assert_eq!(families[0].1.samples[0].value, 7.0);
+        assert_eq!(families[2].1.kind, "histogram");
         // 3 finite buckets + +Inf + _sum + _count.
-        assert_eq!(families[2].samples.len(), 6);
+        assert_eq!(families[2].1.samples.len(), 6);
+    }
+
+    #[test]
+    fn families_past_the_cap_are_skipped() {
+        let mut page: String = (0..=MAX_FAMILIES_PER_PAGE)
+            .map(|i| format!("m{i} 1\n"))
+            .collect();
+        page.push_str("# HELP m0 Still the first family.\nm0 2\n");
+        let families = parse(&page);
+        assert_eq!(families.entries.len(), MAX_FAMILIES_PER_PAGE);
+        assert!(families
+            .get(&format!("m{MAX_FAMILIES_PER_PAGE}")[..])
+            .is_none());
+        let first = families.get("m0").unwrap();
+        assert_eq!(first.help, "Still the first family.");
+        assert_eq!(first.samples.len(), 2);
     }
 
     #[test]

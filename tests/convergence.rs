@@ -5,7 +5,7 @@ mod common;
 
 use common::solve;
 use mpmb::prelude::*;
-use mpmb_core::{bounds, convergence_trace, OptimizedTrials};
+use mpmb_core::{bounds, convergence_trace, OlsConfig, OptimizedTrials, PrepareTrials};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -28,33 +28,91 @@ fn random_graph(seed: u64) -> UncertainBipartiteGraph {
 
 #[test]
 fn theorem_iv1_bound_delivers_epsilon_delta() {
-    // For each random instance, run OS with the Theorem IV.1 trial count
-    // for the exact P(B*) at ε=δ=0.25 and check the relative error. With
-    // δ=0.25 an individual failure is possible; across 8 instances the
-    // expected failures are 2 — we allow 3 before declaring the bound
-    // violated (P(>3 failures) < 4% under the guarantee).
-    let mut failures = 0;
-    let mut checked = 0;
-    for seed in 0..8u64 {
-        let g = random_graph(seed);
+    // For each random instance, run every sampler with the Theorem IV.1
+    // trial count for the exact P(B*) at ε=δ=0.25 and check the
+    // relative error. With δ=0.25 an individual failure is possible;
+    // across 8 instances the expected failures are at most 2 per method
+    // — we allow 3 before declaring the bound violated (P(>3 failures)
+    // < 4% under the guarantee). OLS prepares with Lemma VI.4's trial
+    // count for a 1% candidate-miss rate, so a miss adds at most 0.08
+    // expected failures. OLS-KL draws the bound's count per candidate.
+    for method in [Method::Os, Method::McVp, Method::Ols, Method::OlsKl] {
+        let mut failures = 0;
+        let mut checked = 0;
+        for seed in 0..8u64 {
+            let g = random_graph(seed);
+            let exact = mpmb_core::exact_distribution(&g, ExactConfig::default()).unwrap();
+            let Some((target, p_exact)) = exact.mpmb() else {
+                continue;
+            };
+            if p_exact < 0.02 {
+                continue; // bound would demand enormous trial counts
+            }
+            checked += 1;
+            let (eps, delta) = (0.25, 0.25);
+            let n = bounds::mc_trial_lower_bound(p_exact, eps, delta).ceil() as u64;
+            let prep = bounds::prep_trials_for_miss_rate(p_exact, 0.01);
+            let d = solve(&g, method, n, prep, seed ^ 0xFEED);
+            let rel_err = (d.prob(&target) - p_exact).abs() / p_exact;
+            if rel_err > eps {
+                failures += 1;
+            }
+        }
+        assert!(checked >= 5, "too few usable instances: {checked}");
+        assert!(
+            failures <= 3,
+            "{method}: {failures}/{checked} exceeded the ε bound"
+        );
+    }
+}
+
+#[test]
+fn lemma_vi4_candidate_miss_rate_matches_the_bound() {
+    // Lemma VI.4: after N preparing trials the exact MPMB B* is missing
+    // from the candidate set with probability (1 − P(B*))^N, which
+    // `prep_trials_for_miss_rate(P(B*), miss)` holds at or below `miss`.
+    // Over a sweep of 150 seeds per instance and target rate, the
+    // observed misses must match that rate: within 4σ of the binomial
+    // mean (a false alarm has probability < 10⁻⁴), and never above
+    // `miss` by more than that tolerance.
+    let seeds = 150u64;
+    let (mut observed, mut expected, mut variance, mut bound) = (0u64, 0.0, 0.0, 0.0);
+    for instance in 0..8u64 {
+        let g = random_graph(instance);
         let exact = mpmb_core::exact_distribution(&g, ExactConfig::default()).unwrap();
         let Some((target, p_exact)) = exact.mpmb() else {
             continue;
         };
-        if p_exact < 0.02 {
-            continue; // bound would demand enormous trial counts
-        }
-        checked += 1;
-        let (eps, delta) = (0.25, 0.25);
-        let n = bounds::mc_trial_lower_bound(p_exact, eps, delta).ceil() as u64;
-        let d = solve(&g, Method::Os, n, 0, seed ^ 0xFEED);
-        let rel_err = (d.prob(&target) - p_exact).abs() / p_exact;
-        if rel_err > eps {
-            failures += 1;
+        for miss in [0.1, 0.5] {
+            let prep = bounds::prep_trials_for_miss_rate(p_exact, miss);
+            let q = (1.0 - p_exact).powi(prep as i32);
+            assert!(q <= miss, "{prep} trials miss at rate {q} > {miss}");
+            for seed in 0..seeds {
+                let cfg = OlsConfig {
+                    seed,
+                    ..Default::default()
+                };
+                let union = Executor::new(1)
+                    .run(&PrepareTrials::new(&g, &cfg), prep, &Cancel::never())
+                    .acc;
+                observed += u64::from(!union.contains(&target));
+            }
+            expected += q * seeds as f64;
+            variance += q * (1.0 - q) * seeds as f64;
+            bound += miss * seeds as f64;
         }
     }
-    assert!(checked >= 5, "too few usable instances: {checked}");
-    assert!(failures <= 3, "{failures}/{checked} exceeded the ε bound");
+    assert!(expected > 50.0, "too few expected misses: {expected}");
+    let tolerance = 4.0 * variance.sqrt();
+    let observed = observed as f64;
+    assert!(
+        (observed - expected).abs() <= tolerance,
+        "observed {observed} misses, Lemma VI.4 predicts {expected:.1} ± {tolerance:.1}"
+    );
+    assert!(
+        observed <= bound + tolerance,
+        "{observed} misses over the {bound} allowed"
+    );
 }
 
 #[test]
