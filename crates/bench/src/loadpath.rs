@@ -5,8 +5,8 @@
 //! the CLI run at attach time.
 //!
 //! The container format exists to make loading *cheap*: raw CSR
-//! sections mapped or streamed with no float parsing and no sorting of
-//! the edges (docs/STORAGE.md). `solver_bench`'s
+//! sections streamed into their arrays with no float parsing and no
+//! sorting of the edges (docs/STORAGE.md). `solver_bench`'s
 //! `--min-load-speedup` gate turns that into an enforced contract —
 //! perf-smoke runs with `--min-load-speedup 10`, so a regression that
 //! drags attach back toward parse speed fails CI instead of rotting
@@ -22,6 +22,10 @@ pub struct LoadComparison {
     pub text_secs: f64,
     /// Seconds to attach and materialize the container.
     pub container_secs: f64,
+    /// Seconds of that attach spent in materialize's stages, from its
+    /// obs spans: `storage.load` (stream, checksum and decode the
+    /// sections), `storage.validate` and `storage.derive`.
+    pub stage_secs: [f64; 3],
     /// Seconds for a header-only [`bigraph::ContainerReader::open`] —
     /// the parse-free re-attach the serving registry performs at
     /// startup, before any lazy materialization.
@@ -37,8 +41,17 @@ impl LoadComparison {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"text_parse_secs\": {:.6}, \"container_attach_secs\": {:.6}, \
-             \"container_open_secs\": {:.6}, \"speedup\": {:.3}, \"container_bytes\": {}}}",
-            self.text_secs, self.container_secs, self.open_secs, self.speedup, self.container_bytes
+             \"storage_load_secs\": {:.6}, \"storage_validate_secs\": {:.6}, \
+             \"storage_derive_secs\": {:.6}, \"container_open_secs\": {:.6}, \
+             \"speedup\": {:.3}, \"container_bytes\": {}}}",
+            self.text_secs,
+            self.container_secs,
+            self.stage_secs[0],
+            self.stage_secs[1],
+            self.stage_secs[2],
+            self.open_secs,
+            self.speedup,
+            self.container_bytes
         )
     }
 }
@@ -64,16 +77,30 @@ impl Drop for Scratch {
     }
 }
 
+/// The fastest of `repeats` runs of `f`: its seconds and its output.
 fn time_min<T>(repeats: u32, mut f: impl FnMut() -> T) -> (f64, T) {
-    let mut best = f64::INFINITY;
-    let mut last = None;
+    let (mut best, mut best_out) = (f64::INFINITY, None);
     for _ in 0..repeats {
         let start = Instant::now();
         let out = f();
-        best = best.min(start.elapsed().as_secs_f64());
-        last = Some(out);
+        let secs = start.elapsed().as_secs_f64();
+        if secs < best {
+            (best, best_out) = (secs, Some(out));
+        }
     }
-    (best, last.expect("repeats >= 1"))
+    (best, best_out.expect("repeats >= 1"))
+}
+
+/// Seconds each of materialize's stages took in `profile`.
+fn stage_secs(profile: &obs::Profile) -> [f64; 3] {
+    let phases = profile.snapshot();
+    ["storage.load", "storage.validate", "storage.derive"].map(|stage| {
+        phases
+            .iter()
+            .filter(|p| p.name == stage)
+            .map(|p| p.secs)
+            .sum()
+    })
 }
 
 /// Writes `g` as both a text edge list and a container, times `repeats`
@@ -110,8 +137,14 @@ pub fn compare_load_paths(
     let (text_secs, parsed) = time_min(repeats, || {
         bigraph::io::read_auto(&text.0).expect("parse text")
     });
-    let (container_secs, attached) = time_min(repeats, || {
-        bigraph::io::read_auto(&container.0).expect("attach container")
+    let (container_secs, (attached, stage_secs)) = time_min(repeats, || {
+        let profile = std::sync::Arc::new(obs::Profile::new());
+        let _obs = obs::install(obs::ObsCtx {
+            profile: Some(std::sync::Arc::clone(&profile)),
+            ..Default::default()
+        });
+        let g = bigraph::io::read_auto(&container.0).expect("attach container");
+        (g, stage_secs(&profile))
     });
     let (open_secs, _) = time_min(repeats, || {
         bigraph::ContainerReader::open(&container.0).expect("open container")
@@ -130,6 +163,7 @@ pub fn compare_load_paths(
     let cmp = LoadComparison {
         text_secs,
         container_secs,
+        stage_secs,
         open_secs,
         speedup: text_secs / container_secs,
         container_bytes,
@@ -171,5 +205,9 @@ mod tests {
         assert!(json.contains("\"speedup\""), "{json}");
         assert!(cmp.container_bytes > 0);
         assert!(json.contains("\"container_bytes\""), "{json}");
+        let [load, validate, derive] = cmp.stage_secs;
+        assert!(load > 0.0 && validate > 0.0 && derive > 0.0, "{json}");
+        assert!(load + validate + derive <= cmp.container_secs, "{json}");
+        assert!(json.contains("\"storage_derive_secs\""), "{json}");
     }
 }

@@ -1,49 +1,22 @@
-//! Closed-form expected motif counts on uncertain bipartite networks.
+//! Closed-form expected butterfly count on uncertain bipartite networks.
 //!
 //! The related-work line the paper builds on (uncertain butterfly
 //! counting, Zhou et al. VLDB'21) estimates the *expected* number of
 //! butterflies over the possible-world distribution. By edge
-//! independence and linearity of expectation those quantities have exact
-//! closed forms, no sampling needed:
+//! independence and linearity of expectation it has an exact closed
+//! form, no sampling needed:
 //!
 //! * an angle `∠(u, v, u')` exists with probability `p(u,v)·p(u',v)`;
 //! * a butterfly `(u, u', v, v')` exists with probability
 //!   `q_v · q_{v'}` where `q_v = p(u,v)·p(u',v)`, so per left pair the
 //!   expected count is `((Σ_v q_v)² − Σ_v q_v²) / 2`.
 //!
-//! These are useful as workload descriptors (they predict the per-trial
-//! costs of Lemmas IV.1/V.1) and as test oracles.
+//! `mpmb count --method fast` prints it beside the sublinear tier's
+//! estimate, and the tests use it as an oracle.
 
 use crate::fx::FxHashMap;
 use crate::graph::UncertainBipartiteGraph;
-use crate::types::{Right, Side};
-
-/// Expected number of angles (2-paths) whose middle vertex lies on
-/// `side`: `Σ_m ((Σ p)² − Σ p²) / 2` over `m`'s incident edges.
-pub fn expected_angle_count(g: &UncertainBipartiteGraph, side: Side) -> f64 {
-    let count_for = |probs: &mut dyn Iterator<Item = f64>| -> f64 {
-        let (mut s1, mut s2) = (0.0, 0.0);
-        for p in probs {
-            s1 += p;
-            s2 += p * p;
-        }
-        (s1 * s1 - s2) / 2.0
-    };
-    match side {
-        Side::Right => (0..g.num_right())
-            .map(|v| {
-                let v = Right(v as u32);
-                count_for(&mut g.right_adj(v).iter().map(|a| g.prob(a.edge)))
-            })
-            .sum(),
-        Side::Left => (0..g.num_left())
-            .map(|u| {
-                let u = crate::types::Left(u as u32);
-                count_for(&mut g.left_adj(u).iter().map(|a| g.prob(a.edge)))
-            })
-            .sum(),
-    }
-}
+use crate::types::Right;
 
 /// Exact expected number of butterflies over all possible worlds.
 ///
@@ -156,21 +129,6 @@ mod tests {
         let g = b.build().unwrap();
         // K_{3,3}: C(3,2)² = 9 butterflies.
         assert!((expected_butterfly_count(&g) - 9.0).abs() < 1e-12);
-        // Angles with right middles: 3 middles × C(3,2) = 9.
-        assert!((expected_angle_count(&g, Side::Right) - 9.0).abs() < 1e-12);
-        assert!((expected_angle_count(&g, Side::Left) - 9.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn expected_angles_match_hand_computation() {
-        let g = fig1();
-        // Right middles: v0: .5·.3=.15; v1: .6·.4=.24; v2: .8·.7=.56.
-        let e = expected_angle_count(&g, Side::Right);
-        assert!((e - (0.15 + 0.24 + 0.56)).abs() < 1e-12, "e={e}");
-        // Left middles: u0: (.5+.6+.8)² − (.25+.36+.64) all /2 = (3.61−1.25)/2 = 1.18;
-        // u1: ((1.4)² − (.09+.16+.49))/2 = (1.96 − .74)/2 = .61.
-        let e = expected_angle_count(&g, Side::Left);
-        assert!((e - (1.18 + 0.61)).abs() < 1e-12, "e={e}");
     }
 
     #[test]
@@ -182,6 +140,5 @@ mod tests {
         b.add_edge(Left(1), Right(1), 1.0, 0.9).unwrap();
         let g = b.build().unwrap();
         assert_eq!(expected_butterfly_count(&g), 0.0);
-        assert_eq!(expected_angle_count(&g, Side::Right), 0.0);
     }
 }

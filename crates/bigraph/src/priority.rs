@@ -71,13 +71,6 @@ impl VertexPriority {
             Vertex::R(r) => self.right(r),
         }
     }
-
-    /// True iff `a` strictly precedes `b` in priority (i.e. `o(a) > o(b)`
-    /// in the paper's notation would be `higher(a, b)`).
-    #[inline]
-    pub fn higher(&self, a: Vertex, b: Vertex) -> bool {
-        self.rank(a) > self.rank(b)
-    }
 }
 
 /// Dense degree-**descending** ranks over one vertex side (ties broken by
@@ -162,15 +155,5 @@ mod tests {
             assert_eq!(rank[v as usize], r as u32);
         }
         assert_eq!(degree_desc_ranks(&[]), (vec![], vec![]));
-    }
-
-    #[test]
-    fn higher_agrees_with_rank() {
-        let g = star_plus_edge();
-        let p = VertexPriority::from_degrees(&g);
-        let a = Vertex::from(Left(0));
-        let b = Vertex::from(Right(3));
-        assert_eq!(p.higher(a, b), p.rank(a) > p.rank(b));
-        assert!(!p.higher(a, a));
     }
 }

@@ -8,8 +8,9 @@
 //! sort), a container stores the graph's *primary* arrays in their
 //! exact in-memory byte layout: offsets and adjacency on both sides,
 //! edge endpoints, weights, probabilities, and the §V-B
-//! `edges_by_weight_desc` order. Attaching a container is a memcpy (or
-//! an mmap) per section plus one linear derivation — the fixed-point
+//! `edges_by_weight_desc` order. Materializing a container streams each
+//! section into its array, checksumming and decoding a cache-sized
+//! chunk at a time, plus one linear derivation — the fixed-point
 //! `accept` thresholds, the order's gathered weight/threshold arrays
 //! and the degree-rank relabeling, computed by the same function the
 //! builder uses — not a parse and no sort of the edges: the difference
@@ -57,7 +58,6 @@ use crate::builder::Primaries;
 use crate::codec::{fnv1a64, CodecError};
 use crate::graph::{Adj, UncertainBipartiteGraph};
 use crate::types::EdgeId;
-use std::borrow::Cow;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -162,21 +162,43 @@ fn invalid(msg: impl Into<String>) -> StorageError {
 /// guards. The header checksum stays plain `fnv1a64` — it covers a few
 /// hundred bytes and its value is the container's public identity.
 pub fn section_checksum(id: u32, payload: &[u8]) -> u64 {
-    const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+    let whole = payload.len() / 8 * 8;
+    let mut h = SectionHasher::new(id, payload.len() as u64);
+    h.words(&payload[..whole]);
+    h.finish(&payload[whole..])
+}
+
+/// [`section_checksum`] fed a piece at a time, so a section can be
+/// verified while it streams through a small buffer.
+struct SectionHasher(u64);
+
+impl SectionHasher {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = (BASIS ^ u64::from(id)).wrapping_mul(PRIME);
-    h = (h ^ payload.len() as u64).wrapping_mul(PRIME);
-    let mut words = payload.chunks_exact(8);
-    for w in &mut words {
-        h = (h ^ u64::from_le_bytes(w.try_into().unwrap())).wrapping_mul(PRIME);
+
+    fn new(id: u32, len: u64) -> SectionHasher {
+        const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+        let h = (BASIS ^ u64::from(id)).wrapping_mul(Self::PRIME);
+        SectionHasher((h ^ len).wrapping_mul(Self::PRIME))
     }
-    let rem = words.remainder();
-    if !rem.is_empty() {
-        let mut tail = [0u8; 8];
-        tail[..rem.len()].copy_from_slice(rem);
-        h = (h ^ u64::from_le_bytes(tail)).wrapping_mul(PRIME);
+
+    /// Absorbs whole words; `bytes.len()` must be a multiple of 8.
+    fn words(&mut self, bytes: &[u8]) {
+        debug_assert_eq!(bytes.len() % 8, 0);
+        for w in bytes.chunks_exact(8) {
+            self.0 = (self.0 ^ u64::from_le_bytes(w.try_into().unwrap())).wrapping_mul(Self::PRIME);
+        }
     }
-    h
+
+    /// Absorbs the payload's last `< 8` bytes, zero-padded, and returns
+    /// the sum.
+    fn finish(mut self, rem: &[u8]) -> u64 {
+        if !rem.is_empty() {
+            let mut tail = [0u8; 8];
+            tail[..rem.len()].copy_from_slice(rem);
+            self.words(&tail);
+        }
+        self.0
+    }
 }
 
 /// Graph dimensions, readable from the header + META section alone —
@@ -302,85 +324,6 @@ pub fn write_container_path(g: &UncertainBipartiteGraph, path: &Path) -> Result<
     // The checksum is a pure function of the header we just wrote;
     // re-deriving it from disk also proves the file landed intact.
     ContainerReader::open(path).map(|r| r.content_checksum())
-}
-
-// ---------------------------------------------------------------------------
-// mmap (unix) with a portable streamed fallback
-// ---------------------------------------------------------------------------
-
-#[cfg(unix)]
-mod mm {
-    //! Minimal read-only mmap binding. `std` already links the platform
-    //! C library on unix, so declaring the two symbols we need avoids a
-    //! crate dependency.
-    use std::fs::File;
-    use std::os::fd::AsRawFd;
-
-    extern "C" {
-        fn mmap(
-            addr: *mut core::ffi::c_void,
-            len: usize,
-            prot: i32,
-            flags: i32,
-            fd: i32,
-            offset: i64,
-        ) -> *mut core::ffi::c_void;
-        fn munmap(addr: *mut core::ffi::c_void, len: usize) -> i32;
-    }
-
-    const PROT_READ: i32 = 1;
-    const MAP_PRIVATE: i32 = 2;
-
-    /// A whole-file read-only private mapping.
-    pub struct Mmap {
-        ptr: *mut u8,
-        len: usize,
-    }
-
-    // The mapping is read-only and owned; sharing &Mmap across threads
-    // only ever reads the mapped bytes.
-    unsafe impl Send for Mmap {}
-    unsafe impl Sync for Mmap {}
-
-    impl Mmap {
-        /// Maps `len` bytes of `file`; `None` when the kernel refuses
-        /// (callers fall back to streamed reads).
-        pub fn map(file: &File, len: usize) -> Option<Mmap> {
-            if len == 0 {
-                return None;
-            }
-            let ptr = unsafe {
-                mmap(
-                    std::ptr::null_mut(),
-                    len,
-                    PROT_READ,
-                    MAP_PRIVATE,
-                    file.as_raw_fd(),
-                    0,
-                )
-            };
-            if ptr.is_null() || ptr as isize == -1 {
-                return None;
-            }
-            Some(Mmap {
-                ptr: ptr as *mut u8,
-                len,
-            })
-        }
-
-        /// The mapped bytes.
-        pub fn bytes(&self) -> &[u8] {
-            unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
-        }
-    }
-
-    impl Drop for Mmap {
-        fn drop(&mut self) {
-            unsafe {
-                munmap(self.ptr as *mut core::ffi::c_void, self.len);
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -527,88 +470,87 @@ impl ContainerReader {
 
     /// Loads, verifies, and validates every primary section, then
     /// derives the rest (`Primaries::complete`) into a fully resident
-    /// graph. Uses a whole-file mmap when the platform grants one,
-    /// streaming sections individually otherwise; either way the
-    /// returned graph owns its memory and never aliases the file.
+    /// graph that owns its memory and never aliases the file.
     ///
-    /// Above [`PARALLEL_EDGE_CUTOFF`] edges, section verification,
-    /// decoding, and structural validation fan out over scoped
-    /// threads: every per-section and per-pass unit is a pure function
-    /// of the mapped bytes, so the result is bit-identical to the
-    /// serial path — only the wall clock changes. That concurrency is
-    /// what holds up the attach-vs-reparse contract CI enforces.
+    /// Each section streams through a [`CHUNK_BYTES`] buffer: every
+    /// chunk is checksummed and decoded into the section's final array
+    /// in one pass, so the file's bytes are never resident beside the
+    /// decoded graph, and an array is allocated only once its on-disk
+    /// length matches META (a hostile header cannot force an allocation
+    /// larger than the file). The three stages are timed as the obs
+    /// spans `storage.load`, `storage.validate` and `storage.derive`.
+    ///
+    /// Above [`PARALLEL_EDGE_CUTOFF`] edges, loading and structural
+    /// validation fan out over scoped threads, each load group reading
+    /// through its own file handle: every per-section and per-pass unit
+    /// is a pure function of the file's bytes, so the result is
+    /// bit-identical to the serial path — only the wall clock changes.
+    /// That concurrency is what holds up the attach-vs-reparse contract
+    /// CI enforces.
     pub fn materialize(&self) -> Result<UncertainBipartiteGraph, StorageError> {
-        let mut file = File::open(&self.path)?;
-        let file_len = file.metadata()?.len();
+        let p = {
+            let _span = obs::span("storage.load");
+            self.load_primaries()?
+        };
+        {
+            let _span = obs::span("storage.validate");
+            validate_primaries(&p)?;
+        }
+        let _span = obs::span("storage.derive");
+        Ok(p.complete())
+    }
+
+    /// Streams and decodes the nine primary sections.
+    fn load_primaries(&self) -> Result<Primaries, StorageError> {
         // The file may have been swapped since open(); all bounds were
         // validated against the open()-time length, so re-check.
-        for e in &self.sections {
-            if e.offset + e.len > file_len {
-                return Err(invalid("container shrank since attach"));
-            }
+        let file_len = std::fs::metadata(&self.path)?.len();
+        if self.sections.iter().any(|e| e.offset + e.len > file_len) {
+            return Err(invalid("container shrank since attach"));
         }
-        #[cfg(unix)]
-        let map = mm::Mmap::map(&file, file_len as usize);
-        #[cfg(not(unix))]
-        let map: Option<()> = None;
-
-        // One section's bytes and checksum: a zero-copy slice of the
-        // mapping, or an owned buffer streamed from the file.
-        let mut fetch = |id: u32| -> Result<(Cow<'_, [u8]>, u64), StorageError> {
-            let e = self.require(id)?;
-            #[cfg(unix)]
-            if let Some(m) = &map {
-                let s = &m.bytes()[e.offset as usize..(e.offset + e.len) as usize];
-                return Ok((Cow::Borrowed(s), e.checksum));
-            }
-            let _ = &map;
-            let mut buf = vec![0u8; e.len as usize];
-            file.seek(SeekFrom::Start(e.offset))?;
-            read_exact_or_truncated(&mut file, &mut buf)?;
-            Ok((Cow::Owned(buf), e.checksum))
-        };
+        let e_lo = self.require(SEC_LEFT_OFFSETS)?;
+        let e_la = self.require(SEC_LEFT_ADJ)?;
+        let e_ro = self.require(SEC_RIGHT_OFFSETS)?;
+        let e_ra = self.require(SEC_RIGHT_ADJ)?;
+        let e_el = self.require(SEC_EDGE_LEFT)?;
+        let e_er = self.require(SEC_EDGE_RIGHT)?;
+        let e_w = self.require(SEC_WEIGHTS)?;
+        let e_p = self.require(SEC_PROBS)?;
+        let e_do = self.require(SEC_DESC_ORDER)?;
 
         let nl = self.meta.num_left as usize;
         let nr = self.meta.num_right as usize;
         let m = self.meta.num_edges as usize;
 
-        // Fetch every payload first (checksums deferred to the decode
-        // groups below, where they can run concurrently).
-        let s_lo = fetch(SEC_LEFT_OFFSETS)?;
-        let s_la = fetch(SEC_LEFT_ADJ)?;
-        let s_ro = fetch(SEC_RIGHT_OFFSETS)?;
-        let s_ra = fetch(SEC_RIGHT_ADJ)?;
-        let s_el = fetch(SEC_EDGE_LEFT)?;
-        let s_er = fetch(SEC_EDGE_RIGHT)?;
-        let s_w = fetch(SEC_WEIGHTS)?;
-        let s_p = fetch(SEC_PROBS)?;
-        let s_do = fetch(SEC_DESC_ORDER)?;
-
-        // Decode groups, balanced to roughly equal bytes per thread.
+        // Load groups, balanced to roughly equal bytes per thread.
         type R<T> = Result<T, StorageError>;
         let g_left = || -> R<_> {
+            let mut s = SectionStream::open(&self.path)?;
             Ok((
-                decode(SEC_LEFT_ADJ, &s_la, m, adj_from)?,
-                decode(SEC_EDGE_LEFT, &s_el, m, u32::from_le_bytes)?,
+                s.read(e_la, m, adj_from)?,
+                s.read(e_el, m, u32::from_le_bytes)?,
             ))
         };
         let g_right = || -> R<_> {
+            let mut s = SectionStream::open(&self.path)?;
             Ok((
-                decode(SEC_RIGHT_ADJ, &s_ra, m, adj_from)?,
-                decode(SEC_EDGE_RIGHT, &s_er, m, u32::from_le_bytes)?,
+                s.read(e_ra, m, adj_from)?,
+                s.read(e_er, m, u32::from_le_bytes)?,
             ))
         };
         let g_dist = || -> R<_> {
+            let mut s = SectionStream::open(&self.path)?;
             Ok((
-                decode(SEC_WEIGHTS, &s_w, m, f64::from_le_bytes)?,
-                decode(SEC_PROBS, &s_p, m, f64::from_le_bytes)?,
+                s.read(e_w, m, f64::from_le_bytes)?,
+                s.read(e_p, m, f64::from_le_bytes)?,
             ))
         };
         let g_order = || -> R<_> {
+            let mut s = SectionStream::open(&self.path)?;
             Ok((
-                decode(SEC_DESC_ORDER, &s_do, m, u32::from_le_bytes)?,
-                decode(SEC_LEFT_OFFSETS, &s_lo, nl + 1, u32::from_le_bytes)?,
-                decode(SEC_RIGHT_OFFSETS, &s_ro, nr + 1, u32::from_le_bytes)?,
+                s.read(e_do, m, u32::from_le_bytes)?,
+                s.read(e_lo, nl + 1, u32::from_le_bytes)?,
+                s.read(e_ro, nr + 1, u32::from_le_bytes)?,
             ))
         };
 
@@ -634,7 +576,7 @@ impl ContainerReader {
             (g_left()?, g_right()?, g_dist()?, g_order()?)
         };
 
-        let p = Primaries {
+        Ok(Primaries {
             left_offsets,
             left_adj,
             right_offsets,
@@ -644,9 +586,7 @@ impl ContainerReader {
             weights,
             probs,
             edges_by_weight_desc,
-        };
-        validate_primaries(&p)?;
-        Ok(p.complete())
+        })
     }
 }
 
@@ -673,28 +613,69 @@ fn read_exact_or_truncated<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<(), Sto
     })
 }
 
-/// Verifies a fetched section against its checksum, then decodes its
-/// `expect` elements of `W` little-endian bytes each.
-fn decode<T, const W: usize>(
-    id: u32,
-    (data, sum): &(Cow<'_, [u8]>, u64),
-    expect: usize,
-    f: impl Fn([u8; W]) -> T,
-) -> Result<Vec<T>, StorageError> {
-    if section_checksum(id, data) != *sum {
-        return Err(StorageError::Format(CodecError::BadChecksum));
+/// Bytes per read while streaming a section: small enough that a
+/// chunk is still in L2 when the checksum and the decode walk it, and a
+/// multiple of every element width and of the checksum's word.
+const CHUNK_BYTES: usize = 128 << 10;
+
+/// One load group's file handle and chunk buffer.
+struct SectionStream {
+    file: File,
+    buf: Vec<u8>,
+}
+
+impl SectionStream {
+    fn open(path: &Path) -> Result<SectionStream, StorageError> {
+        Ok(SectionStream {
+            file: File::open(path)?,
+            buf: vec![0u8; CHUNK_BYTES],
+        })
     }
-    if data.len() != expect * W {
-        return Err(invalid(format!(
-            "section {id}: {} bytes, expected {}",
-            data.len(),
-            expect * W
-        )));
+
+    /// Streams section `e`, expected to hold `expect` elements of `W`
+    /// little-endian bytes each, checksumming and decoding each chunk
+    /// in the same pass. The checksum is judged before the length, so
+    /// a corrupt section reads as corrupt whatever its length; a
+    /// section whose length disagrees is only hashed, never decoded
+    /// or allocated for.
+    fn read<T, const W: usize>(
+        &mut self,
+        e: SectionEntry,
+        expect: usize,
+        f: impl Fn([u8; W]) -> T,
+    ) -> Result<Vec<T>, StorageError> {
+        let want = expect as u64 * W as u64;
+        let fits = e.len == want;
+        let mut out = Vec::with_capacity(if fits { expect } else { 0 });
+        let mut h = SectionHasher::new(e.id, e.len);
+        self.file.seek(SeekFrom::Start(e.offset))?;
+        let mut left = e.len;
+        let mut tail = ([0u8; 8], 0);
+        while left > 0 {
+            let n = left.min(CHUNK_BYTES as u64) as usize;
+            left -= n as u64;
+            let chunk = &mut self.buf[..n];
+            read_exact_or_truncated(&mut self.file, chunk)?;
+            // Only the section's last chunk can end mid-word.
+            let whole = n / 8 * 8;
+            h.words(&chunk[..whole]);
+            tail.1 = n - whole;
+            tail.0[..tail.1].copy_from_slice(&chunk[whole..]);
+            if fits {
+                out.extend(chunk.chunks_exact(W).map(|c| f(c.try_into().unwrap())));
+            }
+        }
+        if h.finish(&tail.0[..tail.1]) != e.checksum {
+            return Err(StorageError::Format(CodecError::BadChecksum));
+        }
+        if !fits {
+            return Err(invalid(format!(
+                "section {}: {} bytes, expected {want}",
+                e.id, e.len
+            )));
+        }
+        Ok(out)
     }
-    Ok(data
-        .chunks_exact(W)
-        .map(|c| f(c.try_into().unwrap()))
-        .collect())
 }
 
 /// Re-validates every structural invariant a builder-produced graph's

@@ -14,8 +14,50 @@ use bigraph::{
     GraphBuilder, Left, Right, UncertainBipartiteGraph, CONTAINER_MAGIC, CONTAINER_VERSION,
 };
 use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+
+/// Largest single allocation this test binary has asked for, so the
+/// hostile-header tests can check that no claimed size drove a big one.
+static LARGEST_ALLOC: AtomicUsize = AtomicUsize::new(0);
+
+struct TrackLargest;
+
+// SAFETY: every call forwards to `System` unchanged; the wrapper only
+// records the requested size.
+unsafe impl GlobalAlloc for TrackLargest {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LARGEST_ALLOC.fetch_max(layout.size(), Ordering::Relaxed);
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        LARGEST_ALLOC.fetch_max(layout.size(), Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LARGEST_ALLOC.fetch_max(new_size, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: TrackLargest = TrackLargest;
+
+/// Far below what a hostile `u32::MAX` count would ask for, far above
+/// anything these tests' graphs need.
+const LARGE_ALLOC: usize = 256 << 20;
+
+fn assert_no_large_allocation() {
+    let largest = LARGEST_ALLOC.load(Ordering::Relaxed);
+    assert!(
+        largest < LARGE_ALLOC,
+        "a hostile container allocated {largest} bytes"
+    );
+}
 
 /// A unique scratch path per call, cleaned up by [`Scratch::drop`].
 struct Scratch(PathBuf);
@@ -193,6 +235,97 @@ fn version_1_containers_still_materialize() {
     assert_eq!(u32::from_le_bytes(bytes[12..16].try_into().unwrap()), 15);
     let back = read_container_path(std::path::Path::new(path)).unwrap();
     assert_bit_identical(&fig1(), &back);
+}
+
+/// The table entry of section `id` in a version-2 container:
+/// `(position of the entry, offset, len)`.
+fn entry_of(bytes: &[u8], id: u32) -> (usize, usize, usize) {
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    (0..N_SECTIONS)
+        .map(|i| 16 + i * ENTRY_BYTES)
+        .find(|&at| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) == id)
+        .map(|at| (at, word(at + 4), word(at + 12)))
+        .expect("section present")
+}
+
+/// Rewrites section `id`'s table entry to claim `len` bytes, with the
+/// checksum those bytes really have, and reseals the header: only the
+/// structural checks can refuse the result.
+fn relabel_section(bytes: &mut [u8], id: u32, len: usize) {
+    let (at, offset, _) = entry_of(bytes, id);
+    let sum = section_checksum(id, &bytes[offset..offset + len]);
+    bytes[at + 12..at + 20].copy_from_slice(&(len as u64).to_le_bytes());
+    bytes[at + 20..at + 28].copy_from_slice(&sum.to_le_bytes());
+    reseal_header(bytes, HEADER_LEN);
+}
+
+#[test]
+fn meta_claiming_u32_max_edges_is_refused_without_a_large_allocation() {
+    const SEC_META: u32 = 1;
+    let mut bytes = container_bytes(&fig1());
+    let (_, meta, _) = entry_of(&bytes, SEC_META);
+    bytes[meta + 16..meta + 24].copy_from_slice(&u64::from(u32::MAX).to_le_bytes());
+    relabel_section(&mut bytes, SEC_META, 24);
+    let scratch = Scratch::new();
+    std::fs::write(&scratch.0, &bytes).unwrap();
+    let reader = ContainerReader::open(&scratch.0).expect("META itself is well-formed");
+    assert_eq!(reader.meta().num_edges, u64::from(u32::MAX));
+    let err = reader.materialize().map(|_| ()).unwrap_err();
+    assert!(
+        err.to_string().contains("expected"),
+        "want a length error, got: {err}"
+    );
+    assert_no_large_allocation();
+}
+
+#[test]
+fn section_length_disagreeing_with_meta_is_refused() {
+    // EDGE_LEFT loses its last element: the checksum is forged to
+    // match, so only the length check against META can refuse it.
+    const SEC_EDGE_LEFT: u32 = 6;
+    let g = fig1();
+    let mut bytes = container_bytes(&g);
+    let (_, _, len) = entry_of(&bytes, SEC_EDGE_LEFT);
+    assert_eq!(len, 4 * g.num_edges());
+    relabel_section(&mut bytes, SEC_EDGE_LEFT, len - 4);
+    let scratch = Scratch::new();
+    std::fs::write(&scratch.0, &bytes).unwrap();
+    let err = read_container_path(&scratch.0).map(|_| ()).unwrap_err();
+    assert!(
+        err.to_string().contains("section 6: 20 bytes, expected 24"),
+        "want a length error, got: {err}"
+    );
+    // A wrong checksum is judged before the length.
+    let (at, _, _) = entry_of(&bytes, SEC_EDGE_LEFT);
+    bytes[at + 20] ^= 1;
+    reseal_header(&mut bytes, HEADER_LEN);
+    std::fs::write(&scratch.0, &bytes).unwrap();
+    let err = read_container_path(&scratch.0).map(|_| ()).unwrap_err();
+    assert!(
+        err.to_string().contains("checksum"),
+        "want a checksum error, got: {err}"
+    );
+    assert_no_large_allocation();
+}
+
+#[test]
+fn file_truncated_after_open_is_an_error() {
+    let bytes = container_bytes(&fig1());
+    let scratch = Scratch::new();
+    for cut in [HEADER_LEN, bytes.len() / 2, bytes.len() - 1] {
+        std::fs::write(&scratch.0, &bytes).unwrap();
+        let reader = ContainerReader::open(&scratch.0).unwrap();
+        let file = std::fs::OpenOptions::new()
+            .write(true)
+            .open(&scratch.0)
+            .unwrap();
+        file.set_len(cut as u64).unwrap();
+        assert!(
+            reader.materialize().is_err(),
+            "a file cut to {cut} bytes after open must not materialize"
+        );
+    }
+    assert_no_large_allocation();
 }
 
 /// Random small graphs for the proptests: deduped (left, right) pairs

@@ -104,6 +104,28 @@ pub fn measure_peak<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (out, peak.saturating_sub(baseline))
 }
 
+/// The whole process's peak resident set in bytes: `VmHWM` from
+/// `/proc/self/status`, or `None` where the platform has no such file.
+/// Unlike [`peak_bytes`] it counts every resident page, not only heap
+/// allocations: mapped files, thread stacks, allocator slack.
+pub fn process_peak_resident_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    vm_hwm_bytes(&status)
+}
+
+/// The `VmHWM:` line of a `/proc/<pid>/status` page, in bytes.
+pub fn vm_hwm_bytes(status: &str) -> Option<u64> {
+    let kib = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .trim()
+        .strip_suffix("kB")?
+        .trim()
+        .parse::<u64>()
+        .ok()?;
+    Some(kib * 1024)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,5 +163,16 @@ mod tests {
         });
         assert_eq!(v, 42);
         assert!(peak >= 1 << 20, "peak {peak}");
+    }
+
+    #[test]
+    fn vm_hwm_parses_the_status_line() {
+        let status = "Name:\tmpmb\nVmPeak:\t  200 kB\nVmHWM:\t   90128 kB\nVmRSS:\t 1 kB\n";
+        assert_eq!(vm_hwm_bytes(status), Some(90_128 * 1024));
+        assert_eq!(vm_hwm_bytes("VmRSS:\t1 kB\n"), None);
+        assert_eq!(vm_hwm_bytes("VmHWM:\tlots kB\n"), None);
+        if cfg!(target_os = "linux") {
+            assert!(process_peak_resident_bytes().is_some_and(|b| b > 0));
+        }
     }
 }

@@ -99,7 +99,7 @@ pub struct KlCandidate {
 /// per-`(candidate, trial)` RNG stream `trial_rng(seed ^ (0xA5A5… | i),
 /// t)` — the unit every execution mode (sequential, parallel, resumed)
 /// is built from.
-pub fn kl_single_candidate(
+fn kl_single_candidate(
     g: &UncertainBipartiteGraph,
     candidates: &CandidateSet,
     i: usize,

@@ -310,7 +310,11 @@ struct RangeReply {
 /// time is charged to `cluster.network`.
 fn stitch_reply(ctx: &obs::ObsCtx, addr: &str, phases: &[obs::PhaseStat], wall: Duration) {
     let Some(profile) = &ctx.profile else { return };
-    let accounted: f64 = phases.iter().map(|p| p.secs).sum();
+    let accounted: f64 = phases
+        .iter()
+        .filter(|p| !crate::server::is_sub_phase(&p.name))
+        .map(|p| p.secs)
+        .sum();
     for p in phases {
         profile.absorb(&format!("{addr}/{}", p.name), p.secs, p.items, p.calls);
     }

@@ -276,9 +276,17 @@ impl Default for Metrics {
         );
         metrics.registry.gauge_fn(
             "mpmb_peak_rss_bytes",
-            "Peak bytes allocated through the counting allocator (0 when the allocator is not installed).",
+            "Peak heap bytes allocated through the counting allocator (heap only: no mapped files or stacks; 0 when the allocator is not installed).",
             || memtrack::peak_bytes() as i64,
         );
+        // Absent where the platform has no `VmHWM`.
+        if memtrack::process_peak_resident_bytes().is_some() {
+            metrics.registry.gauge_fn(
+                "mpmb_process_peak_resident_bytes",
+                "Peak resident set of the whole process (VmHWM): heap, mapped files and stacks.",
+                || memtrack::process_peak_resident_bytes().unwrap_or(0) as i64,
+            );
+        }
         metrics
     }
 }

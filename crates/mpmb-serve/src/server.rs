@@ -155,6 +155,9 @@ impl Budget {
             // Worker-stitched phases arrive as `addr/phase`; classify
             // by the phase name alone.
             let name = p.name.rsplit('/').next().unwrap_or(&p.name);
+            if is_sub_phase(name) {
+                continue;
+            }
             let slot = match name {
                 "queue.wait" => &mut b.queue,
                 "registry.materialize" => &mut b.materialize,
@@ -201,6 +204,14 @@ impl Budget {
                 .collect(),
         )
     }
+}
+
+/// Whether `phase` times a stage of a phase that already covers it:
+/// `materialize`'s `storage.*` stages run inside `registry.materialize`
+/// (or, on a worker, inside the range call's wall time). Budgets and
+/// stitched worker accounting skip them so no time counts twice.
+pub(crate) fn is_sub_phase(phase: &str) -> bool {
+    phase.starts_with("storage.")
 }
 
 /// One completed solve-like request, as retained for `/debug/trace`.
@@ -1655,4 +1666,35 @@ fn top_json(dist: &Distribution, k: usize, max_shared: Option<u64>) -> Json {
             .map(|(b, p)| Json::obj([("butterfly", butterfly_json(b)), ("prob", Json::Num(*p))]))
             .collect(),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn phase(name: &str, secs: f64) -> obs::PhaseStat {
+        obs::PhaseStat {
+            name: name.to_string(),
+            secs,
+            items: 0,
+            calls: 1,
+        }
+    }
+
+    #[test]
+    fn storage_stages_do_not_count_twice() {
+        let phases = [
+            phase("registry.materialize", 0.050),
+            phase("storage.load", 0.020),
+            phase("storage.validate", 0.015),
+            phase("storage.derive", 0.010),
+            phase("ols.prepare", 0.030),
+            phase("ols.sample", 0.010),
+        ];
+        let b = Budget::from_phases(&phases, 0.100);
+        assert_eq!(b.materialize, 0.050);
+        assert_eq!(b.prepare, 0.030);
+        assert_eq!(b.trials, 0.010);
+        assert!((b.finalize - 0.010).abs() < 1e-12, "{b:?}");
+    }
 }

@@ -74,7 +74,7 @@ subcommands:
   generate  synthetic Table III stand-in datasets
             --dataset abide|movielens|jester|protein  [--scale F] [--seed N]
             [--output FILE]
-            (a `.ubgc` output writes the mmap-ready container, see
+            (a `.ubgc` output writes the graph container, see
             docs/STORAGE.md)
   convert   re-encode a graph into the on-disk container format
             --input FILE  --output FILE.ubgc
@@ -550,7 +550,7 @@ fn cmd_generate(flags: &Flags) {
     let seed: u64 = flags.get_parsed("seed", 42);
     let g = dataset.generate(scale, seed);
     match flags.get("output") {
-        // `.ubgc` selects the mmap-ready container; anything else is
+        // `.ubgc` selects the graph container; anything else is
         // the text edge list.
         Some(path) if path.ends_with(".ubgc") => {
             bigraph::write_container_path(&g, std::path::Path::new(path))

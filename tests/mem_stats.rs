@@ -1,6 +1,8 @@
 //! Smoke tests for the memtrack wiring: with the counting allocator
 //! installed, a solve drives `peak_bytes()` above zero, and the serve
-//! layer surfaces it on `/metrics` as the `mpmb_peak_rss_bytes` gauge.
+//! layer surfaces it on `/metrics` as the `mpmb_peak_rss_bytes` gauge,
+//! beside the whole process's `VmHWM` as
+//! `mpmb_process_peak_resident_bytes`.
 //!
 //! This test binary installs its own `#[global_allocator]` — exactly
 //! what the `mpmb` CLI and `mpmb-serve` daemon do — so the gauge reads
@@ -73,6 +75,17 @@ fn metrics_endpoint_reports_nonzero_peak_rss_after_solve() {
     assert_eq!(status, 200);
     let peak = metric_value(&metrics, "mpmb_peak_rss_bytes");
     assert!(peak > 0, "peak RSS gauge should be nonzero after a solve");
+    // The heap gauge misses mapped files and stacks; the process gauge
+    // (VmHWM, where the platform has it) counts every resident page.
+    if cfg!(target_os = "linux") {
+        let process = metric_value(&metrics, "mpmb_process_peak_resident_bytes");
+        assert!(
+            process >= peak,
+            "process peak {process} below the heap peak {peak}"
+        );
+    } else {
+        assert!(!metrics.contains("mpmb_process_peak_resident_bytes"));
+    }
 
     server.begin_shutdown();
     server.join();

@@ -308,3 +308,51 @@ fn sigkill_restart_reattaches_containers_from_the_manifest() {
     drop(clean);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The `VmHWM` of process `pid`, in bytes.
+#[cfg(target_os = "linux")]
+fn peak_resident_bytes(pid: u32) -> u64 {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).expect("read status");
+    memtrack::vm_hwm_bytes(&status).expect("VmHWM line")
+}
+
+/// Materializing a container must not hold the file's bytes resident
+/// beside the decoded graph: the first solve (which materializes)
+/// raises the server's peak resident set by less than the graph's own
+/// `resident_bytes` plus a quarter of the container's size. Reading
+/// the whole file into memory (or touching every page of a mapping of
+/// it) while the arrays are decoded costs the full container size on
+/// top of the graph.
+#[cfg(target_os = "linux")]
+#[test]
+fn first_materialize_peak_stays_near_the_graph_size() {
+    let dir = scratch_dir("storage-peak");
+    let path = dir.join("protein.ubgc");
+    bigraph::write_container_path(&Dataset::Protein.generate(0.01, 7), &path)
+        .expect("write protein.ubgc");
+    let container_bytes = std::fs::metadata(&path).unwrap().len();
+    let server = spawn_server(&["--graph", &format!("p={}", path.display())]);
+    let pid = server.child.id();
+
+    let before = peak_resident_bytes(pid);
+    post_200(
+        &server.addr,
+        "/v1/solve",
+        r#"{"graph":"p","method":"fast","trials":100,"seed":1}"#,
+    );
+    let grown = peak_resident_bytes(pid).saturating_sub(before);
+    let (_, graph) = graphs_by_name(&server.addr)
+        .into_iter()
+        .find(|(name, _)| name == "p")
+        .expect("graph p listed");
+    assert!(matches!(graph.get("resident"), Some(Json::Bool(true))));
+    let resident = graph.get("resident_bytes").and_then(Json::as_u64).unwrap();
+    let bound = resident + container_bytes / 4;
+    assert!(
+        grown < bound,
+        "first materialize grew the peak by {grown} bytes; bound {bound} \
+         (resident_bytes {resident} + container {container_bytes} / 4)"
+    );
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
