@@ -1,7 +1,6 @@
 //! `solver_bench` — trial-engine throughput benchmark: every sampler
 //! (os, mcvp, ols, ols-kl, fast) through the serving method table's
-//! local entry point — the rows `mpmb serve` runs — and the OLS listing
-//! phase's sharded backbone enumeration (listing), at several thread
+//! local entry point — the rows `mpmb serve` runs — at several thread
 //! counts, as machine-readable JSON.
 //!
 //! ```text
@@ -18,8 +17,8 @@
 //! --trials    sampling-phase trials per solver (default 20000)
 //! --prep      OLS preparing-phase trials (default 200)
 //! --repeats   timing repeats per configuration; min is reported (default 3)
-//! --methods   comma-separated subset of os,mcvp,ols,ols-kl,fast,listing
-//!             (default all); listing's "trials" are butterflies listed
+//! --methods   comma-separated subset of os,mcvp,ols,ols-kl,fast
+//!             (default all)
 //! --container round-trip the graph through a `UBGCONT1` container,
 //!             bench against the attached copy, and report container
 //!             attach vs text re-parse load timings
@@ -42,7 +41,7 @@
 
 use bench::default_scale;
 use datasets::Dataset;
-use mpmb_core::{backbone_candidate_set, CandidateSet, Distribution, FastEstimate};
+use mpmb_core::{Distribution, FastEstimate};
 use mpmb_serve::{advance_local, Answer, Cancel, Job, Method, Outcome};
 use std::sync::Arc;
 use std::time::Instant;
@@ -55,7 +54,7 @@ struct Args {
     trials: u64,
     prep: u64,
     repeats: u32,
-    methods: Vec<Bench>,
+    methods: Vec<Method>,
     container: bool,
     min_load_speedup: f64,
     min_fast_speedup: f64,
@@ -178,67 +177,39 @@ fn parse_args() -> Result<Args, String> {
         return Err("--min-load-speedup requires --container".into());
     }
     if args.min_fast_speedup > 0.0
-        && !(args.methods.contains(&Bench::Table(Method::Os))
-            && args.methods.contains(&Bench::Table(Method::Fast)))
+        && !(args.methods.contains(&Method::Os) && args.methods.contains(&Method::Fast))
     {
         return Err("--min-fast-speedup requires both os and fast in --methods".into());
     }
     Ok(args)
 }
 
-/// One benchmarked row: a method of the serving table, or the OLS
-/// listing kernel on its own.
-#[derive(Clone, Copy, PartialEq)]
-enum Bench {
-    Table(Method),
-    Listing,
-}
-
-impl Bench {
-    fn name(self) -> &'static str {
-        match self {
-            Bench::Table(m) => m.name(),
-            Bench::Listing => "listing",
-        }
-    }
-}
-
-const METHODS: [Bench; 6] = [
-    Bench::Table(Method::Os),
-    Bench::Table(Method::McVp),
-    Bench::Table(Method::Ols),
-    Bench::Table(Method::OlsKl),
-    Bench::Table(Method::Fast),
-    Bench::Listing,
+/// The benchmarked rows: the solve methods of the serving table.
+const METHODS: [Method; 5] = [
+    Method::Os,
+    Method::McVp,
+    Method::Ols,
+    Method::OlsKl,
+    Method::Fast,
 ];
 
 /// What a pass produced: the full sampling distribution for the exact
-/// tiers, the certified estimate for the sublinear fast tier, or the
-/// backbone candidate set for listing. Either way the identity check is
-/// bit-exact — thread count must never change a byte of the answer.
+/// tiers, or the certified estimate for the sublinear fast tier. Either
+/// way the identity check is bit-exact — thread count must never change
+/// a byte of the answer.
 enum BenchResult {
     Dist(Distribution),
     Fast(FastEstimate),
-    Listing(CandidateSet),
 }
 
-/// One pass on `threads` workers; returns the result and the work it
-/// did for the trials/sec figure: the trials the table reports for a
-/// solver (OLS counts preparing too), butterflies listed for listing.
+/// One pass on `threads` workers; returns the result and the trials the
+/// table reports for the trials/sec figure (OLS counts preparing too).
 fn run_method(
     g: &bigraph::UncertainBipartiteGraph,
-    method: Bench,
+    method: Method,
     args: &Args,
     threads: usize,
 ) -> (BenchResult, u64) {
-    let method = match method {
-        Bench::Table(m) => m,
-        Bench::Listing => {
-            let set = backbone_candidate_set(g, threads);
-            let listed = set.len() as u64;
-            return (BenchResult::Listing(set), listed);
-        }
-    };
     let job = Job::new(method, args.trials, args.prep, args.seed);
     let progress = advance_local(g, &job, None, threads, &Cancel::never())
         .unwrap_or_else(|e| panic!("{method}: {e}"));
@@ -267,8 +238,7 @@ fn time_min<F: FnMut() -> (BenchResult, u64)>(repeats: u32, mut f: F) -> (f64, B
 
 /// Bit-exact result equality: same support and zero maximum deviation
 /// for distributions, identical bits across all certified fields for a
-/// fast estimate, and for candidate sets the same butterfly, weight
-/// bits, edges and existence-probability bits at every index.
+/// fast estimate.
 fn identical(a: &BenchResult, b: &BenchResult) -> bool {
     match (a, b) {
         (BenchResult::Dist(a), BenchResult::Dist(b)) => {
@@ -280,16 +250,6 @@ fn identical(a: &BenchResult, b: &BenchResult) -> bool {
                 && a.ci_low.to_bits() == b.ci_low.to_bits()
                 && a.ci_high.to_bits() == b.ci_high.to_bits()
         }
-        (BenchResult::Listing(a), BenchResult::Listing(b)) => {
-            a.len() == b.len()
-                && (0..a.len()).all(|i| {
-                    let (ca, cb) = (a.get(i), b.get(i));
-                    ca.butterfly == cb.butterfly
-                        && ca.weight.to_bits() == cb.weight.to_bits()
-                        && ca.edges == cb.edges
-                        && ca.existence_prob.to_bits() == cb.existence_prob.to_bits()
-                })
-        }
         _ => false,
     }
 }
@@ -298,7 +258,7 @@ fn identical(a: &BenchResult, b: &BenchResult) -> bool {
 /// phase breakdown as a JSON object string. Kept out of the timed loops
 /// so observability never skews the reported throughput (it would not
 /// change the results — instrumented runs are bit-identical).
-fn profile_phases(g: &bigraph::UncertainBipartiteGraph, method: Bench, args: &Args) -> String {
+fn profile_phases(g: &bigraph::UncertainBipartiteGraph, method: Method, args: &Args) -> String {
     let profile = Arc::new(obs::Profile::new());
     {
         let _guard = obs::install(obs::ObsCtx {
@@ -342,7 +302,7 @@ fn main() {
 
     let mut methods_json = Vec::new();
     let mut mismatches: Vec<String> = Vec::new();
-    let mut seq_secs_of: Vec<(Bench, f64)> = Vec::new();
+    let mut seq_secs_of: Vec<(Method, f64)> = Vec::new();
     for &method in &args.methods {
         let (seq_secs, seq_dist, seq_trials) =
             time_min(args.repeats, || run_method(&g, method, &args, 1));
@@ -425,12 +385,7 @@ fn main() {
     // fast must beat sequential os by the gated factor, or serving it
     // as a deadline tier would be pointless.
     if args.min_fast_speedup > 0.0 {
-        let secs = |m| {
-            seq_secs_of
-                .iter()
-                .find(|(k, _)| *k == Bench::Table(m))
-                .map(|(_, s)| *s)
-        };
+        let secs = |m| seq_secs_of.iter().find(|(k, _)| *k == m).map(|(_, s)| *s);
         let (os, fast) = (secs(Method::Os).unwrap(), secs(Method::Fast).unwrap());
         let speedup = os / fast;
         eprintln!(

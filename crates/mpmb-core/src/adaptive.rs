@@ -11,7 +11,7 @@
 
 use crate::bounds::mc_trial_lower_bound;
 use crate::butterfly::Butterfly;
-use crate::distribution::{Distribution, Tally};
+use crate::distribution::Distribution;
 use crate::engine::{Cancel, Executor, Partial, TrialEngine};
 use crate::os::{OsConfig, OsTrials};
 use bigraph::UncertainBipartiteGraph;
@@ -99,7 +99,7 @@ pub fn run_os_adaptive(g: &UncertainBipartiteGraph, cfg: &AdaptiveConfig) -> Ada
         t = (t + cfg.batch).min(cfg.max_trials);
         executor.resume_within(&os, &mut partial, 0..t, &Cancel::never());
         // Stopping rule: enough trials for the running MPMB estimate?
-        if let Some((_, count)) = running_argmax(&partial.acc) {
+        if let Some((_, count)) = partial.acc.leader() {
             let mu = count as f64 / t as f64;
             if mu > 0.0 && (t as f64) >= mc_trial_lower_bound(mu, cfg.epsilon, cfg.delta) {
                 satisfied = true;
@@ -109,7 +109,7 @@ pub fn run_os_adaptive(g: &UncertainBipartiteGraph, cfg: &AdaptiveConfig) -> Ada
     }
 
     let tally = partial.acc;
-    let target = running_argmax(&tally).map(|(b, c)| (b, c as f64 / t as f64));
+    let target = tally.leader().map(|(b, c)| (b, c as f64 / t as f64));
     AdaptiveResult {
         distribution: tally.into_distribution(),
         trials_used: t,
@@ -134,14 +134,6 @@ pub fn fast_escalation_needed(estimate: f64, half_width: f64, epsilon: f64) -> b
         return half_width > 0.0;
     }
     half_width > epsilon * estimate
-}
-
-/// The butterfly with the highest hit count, deterministic under ties.
-fn running_argmax(tally: &Tally) -> Option<(Butterfly, u64)> {
-    tally
-        .counts()
-        .map(|(&b, &c)| (b, c))
-        .max_by(|(b1, c1), (b2, c2)| c1.cmp(c2).then_with(|| b2.cmp(b1)))
 }
 
 #[cfg(test)]

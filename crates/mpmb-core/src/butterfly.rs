@@ -88,9 +88,7 @@ impl fmt::Display for Butterfly {
 /// `(u₁, u₂)`-major order.
 ///
 /// For graphs with many butterflies prefer [`for_each_backbone_butterfly`]
-/// (streams without materializing the output vector) or the
-/// multi-threaded [`crate::listing::enumerate_backbone_butterflies_parallel`]
-/// (identical output, shard-parallel).
+/// (streams without materializing the output vector).
 pub fn enumerate_backbone_butterflies(g: &UncertainBipartiteGraph) -> Vec<Butterfly> {
     let mut out = Vec::new();
     for_each_backbone_butterfly(g, |b| out.push(b));
@@ -100,15 +98,15 @@ pub fn enumerate_backbone_butterflies(g: &UncertainBipartiteGraph) -> Vec<Butter
 /// Streams every backbone butterfly of `g` to `f`, each exactly once, in
 /// canonical `(u₁, u₂)`-major order.
 ///
-/// Backed by the wedge kernel in [`crate::listing`]: `O(Σ wedges)` rather
-/// than the `O(|L|²)` pair scan the order is defined by.
+/// Backed by the wedge kernel in `listing.rs`: `O(Σ wedges)` rather than
+/// the `O(|L|²)` pair scan the order is defined by.
 pub fn for_each_backbone_butterfly(g: &UncertainBipartiteGraph, f: impl FnMut(Butterfly)) {
-    crate::listing::for_each_sequential(g, f);
+    crate::listing::for_each(g, f);
 }
 
 /// Counts backbone butterflies without materializing them.
 pub fn count_backbone_butterflies(g: &UncertainBipartiteGraph) -> u64 {
-    crate::listing::count_backbone_butterflies_parallel(g, 1)
+    crate::listing::count(g)
 }
 
 /// Brute-force maximum-weighted butterfly set `S_MB(W)` (Equation 3) of a

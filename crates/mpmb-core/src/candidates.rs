@@ -68,9 +68,7 @@ impl CandidateSet {
     /// sorts by weight descending (ties by canonical butterfly order) and
     /// computes `L(i)`. The sort key is a *total* order, so the resulting
     /// indices depend only on the candidate contents — never on the input
-    /// order. This is what lets [`crate::listing::backbone_candidate_set`]
-    /// merge per-shard buffers and still match the sequential build
-    /// byte-for-byte.
+    /// order.
     pub(crate) fn from_unique_candidates(mut candidates: Vec<Candidate>) -> Self {
         candidates.sort_unstable_by(|a, b| {
             b.weight

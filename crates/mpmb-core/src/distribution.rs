@@ -157,6 +157,16 @@ impl Tally {
         self.counts.get(b).copied().unwrap_or(0)
     }
 
+    /// The running leader: the most-hit butterfly with its hit count.
+    /// Ties go to the smaller butterfly in canonical order, as in
+    /// [`Distribution::mpmb`].
+    pub fn leader(&self) -> Option<(Butterfly, u64)> {
+        self.counts
+            .iter()
+            .map(|(&b, &c)| (b, c))
+            .max_by(|(b1, c1), (b2, c2)| c1.cmp(c2).then_with(|| b2.cmp(b1)))
+    }
+
     /// Merges another tally (disjoint trial ranges) into this one.
     pub fn merge(&mut self, other: Tally) {
         self.trials += other.trials;
@@ -217,6 +227,13 @@ mod tests {
         let d = Distribution::from_exact(probs);
         // Tie at 0.5: the canonically smaller butterfly wins.
         assert_eq!(d.mpmb(), Some((bf(0, 1, 0, 1), 0.5)));
+        // The running leader of a tally breaks a hit tie the same way.
+        let mut tally = Tally::new();
+        tally.record_trial(&[bf(0, 2, 0, 1)]);
+        tally.record_trial(&[bf(0, 1, 0, 1), bf(0, 3, 0, 1)]);
+        tally.record_trial(&[bf(0, 2, 0, 1), bf(0, 1, 0, 1)]);
+        assert_eq!(tally.leader(), Some((bf(0, 1, 0, 1), 2)));
+        assert_eq!(Tally::new().leader(), None);
     }
 
     #[test]

@@ -188,9 +188,8 @@ impl<'g> SublinearTrials<'g> {
     }
 }
 
-/// [`SublinearTrials::finalize`] without the engine (the serving layer
-/// finalizes restored checkpoints whose graph is already dropped).
-pub fn finalize_rows(rows: &mut [FastSample], delta: f64) -> FastEstimate {
+/// The body of [`SublinearTrials::finalize`].
+fn finalize_rows(rows: &mut [FastSample], delta: f64) -> FastEstimate {
     assert!(delta > 0.0 && delta < 1.0, "delta must be in (0,1)");
     rows.sort_unstable_by_key(|r| r.0);
     let n = rows.len() as u64;

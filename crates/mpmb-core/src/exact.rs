@@ -154,14 +154,6 @@ pub fn exact_prob(
     Ok(exact_distribution(g, cfg)?.prob(b))
 }
 
-/// Exact MPMB (Definition 5).
-pub fn exact_mpmb(
-    g: &UncertainBipartiteGraph,
-    cfg: ExactConfig,
-) -> Result<Option<(Butterfly, f64)>, ExactError> {
-    Ok(exact_distribution(g, cfg)?.mpmb())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,7 +229,7 @@ mod tests {
         let d = exact_distribution(&g, ExactConfig::default()).unwrap();
         assert!((d.prob(&bf(0, 1, 0, 2)) - 0.06384).abs() < 1e-12);
         assert!((d.prob(&bf(0, 1, 1, 2)) - 0.11424).abs() < 1e-12);
-        let (best, p) = exact_mpmb(&g, ExactConfig::default()).unwrap().unwrap();
+        let (best, p) = d.mpmb().unwrap();
         assert_eq!(best, bf(0, 1, 1, 2));
         assert!((p - 0.11424).abs() < 1e-12);
     }
@@ -310,7 +302,7 @@ mod tests {
         let g = b.build().unwrap();
         let d = exact_distribution(&g, ExactConfig::default()).unwrap();
         assert!(d.is_empty());
-        assert_eq!(exact_mpmb(&g, ExactConfig::default()).unwrap(), None);
+        assert_eq!(d.mpmb(), None);
     }
 
     #[test]

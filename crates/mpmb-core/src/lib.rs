@@ -37,7 +37,7 @@ pub mod engine;
 pub mod estimators;
 pub mod exact;
 pub mod hardness;
-pub mod listing;
+mod listing;
 pub mod mcvp;
 pub mod ols;
 pub mod os;
@@ -63,13 +63,9 @@ pub use engine::{
 };
 pub use estimators::karp_luby::{KarpLubyTrials, KlCandidate, KlReport, KlTrialPolicy};
 pub use estimators::optimized::OptimizedTrials;
-pub use estimators::sublinear::{finalize_rows, FastEstimate, FastSample, SublinearTrials};
-pub use exact::{exact_distribution, exact_mpmb, exact_prob, ExactConfig, ExactError};
+pub use estimators::sublinear::{FastEstimate, FastSample, SublinearTrials};
+pub use exact::{exact_distribution, exact_prob, ExactConfig, ExactError};
 pub use hardness::{Monotone2Sat, Reduction};
-pub use listing::{
-    backbone_candidate_set, count_backbone_butterflies_parallel,
-    enumerate_backbone_butterflies_parallel, listing_shards,
-};
 pub use mcvp::McVpTrials;
 pub use ols::{OlsConfig, PrepareTrials};
 pub use os::{

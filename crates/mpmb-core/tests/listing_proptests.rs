@@ -1,28 +1,26 @@
-//! Property-based verification of the parallel listing kernel.
+//! Property-based verification of the backbone listing kernel.
 //!
-//! The central invariant: parallel listing is *bit-identical* to the
-//! sequential path — same butterfly stream (content and order), same
-//! candidate indices, same weight bits — for every thread count. This is
-//! what keeps candidate-index-keyed RNG streams (Karp-Luby) stable when
-//! a caller flips `--threads`.
-//!
-//! Also cross-checks `count_backbone_butterflies` against the
-//! closed-form expectation in `bigraph::expected`: with every edge
-//! probability forced to 1 the expected count IS the backbone count.
+//! The central invariant: the wedge kernel lists exactly the butterflies
+//! of the `O(|L|²)` pairwise scan, in the scan's canonical
+//! `(u₁, u₂)`-major order. OLS keys Karp-Luby RNG streams by candidate
+//! index, so the order is part of the answer. Also checks that OLS
+//! prepare is thread-count independent, and cross-checks
+//! `count_backbone_butterflies` against the closed-form expectation in
+//! `bigraph::expected`: with every edge probability forced to 1 the
+//! expected count IS the backbone count.
 
 use bigraph::expected::expected_butterfly_count;
 use bigraph::{GraphBuilder, Left, Right};
 use mpmb_core::{
-    backbone_candidate_set, count_backbone_butterflies, count_backbone_butterflies_parallel,
-    enumerate_backbone_butterflies, enumerate_backbone_butterflies_parallel, listing_shards,
-    Cancel, CandidateSet, Executor, OlsConfig, PrepareTrials,
+    count_backbone_butterflies, enumerate_backbone_butterflies, Butterfly, Cancel, CandidateSet,
+    Executor, OlsConfig, PrepareTrials,
 };
 use proptest::prelude::*;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 3, 8];
 
 /// Denser variant of the solver proptests' generator: ≤ 24 edges over a
-/// 6×6 grid so multi-butterfly (and multi-shard) graphs are common.
+/// 6×6 grid so multi-butterfly graphs are common.
 fn arb_graph() -> impl Strategy<Value = Vec<(u32, u32, f64, f64)>> {
     proptest::collection::btree_set((0u32..6, 0u32..6), 0..=24).prop_flat_map(|pairs| {
         let pairs: Vec<(u32, u32)> = pairs.into_iter().collect();
@@ -50,6 +48,35 @@ fn build(edges: &[(u32, u32, f64, f64)]) -> bigraph::UncertainBipartiteGraph {
     b.build().unwrap()
 }
 
+/// The pairwise reference: for every left pair `a < b`, merge the two
+/// sorted adjacency lists and emit each pair of common right neighbours
+/// in `(v₁, v₂)` lexicographic order. This defines the canonical order.
+fn pairwise_butterflies(g: &bigraph::UncertainBipartiteGraph) -> Vec<Butterfly> {
+    let mut out = Vec::new();
+    let nl = g.num_left() as u32;
+    for a in 0..nl {
+        for b in (a + 1)..nl {
+            let (la, lb) = (g.left_adj(Left(a)), g.left_adj(Left(b)));
+            let common: Vec<u32> = la
+                .iter()
+                .map(|x| x.nbr)
+                .filter(|v| lb.binary_search_by_key(v, |y| y.nbr).is_ok())
+                .collect();
+            for x in 0..common.len() {
+                for &v2 in &common[(x + 1)..] {
+                    out.push(Butterfly::new(
+                        Left(a),
+                        Left(b),
+                        Right(common[x]),
+                        Right(v2),
+                    ));
+                }
+            }
+        }
+    }
+    out
+}
+
 /// Byte-level candidate set equality: same indices, same butterflies,
 /// same weight/probability bits, same edge ids, same `L(i)`.
 fn assert_candidate_sets_identical(
@@ -69,43 +96,14 @@ fn assert_candidate_sets_identical(
 }
 
 proptest! {
-    /// Parallel enumeration: identical butterfly stream (content AND
-    /// order) at every thread count, and shards always tile `0..|L|`.
+    /// The wedge kernel equals the pairwise scan in content and order,
+    /// and the count equals the scan's length.
     #[test]
-    fn parallel_listing_is_bit_identical(edges in arb_graph()) {
+    fn wedge_kernel_matches_pairwise_scan(edges in arb_graph()) {
         let g = build(&edges);
-        let seq = enumerate_backbone_butterflies(&g);
-        let count = count_backbone_butterflies(&g);
-        prop_assert_eq!(count, seq.len() as u64);
-        for threads in THREAD_COUNTS {
-            prop_assert_eq!(
-                &enumerate_backbone_butterflies_parallel(&g, threads),
-                &seq,
-                "threads={}", threads
-            );
-            prop_assert_eq!(count_backbone_butterflies_parallel(&g, threads), count);
-            let shards = listing_shards(&g, threads * 4);
-            let mut expect = 0u32;
-            for s in &shards {
-                prop_assert_eq!(s.start, expect);
-                prop_assert!(!s.is_empty());
-                expect = s.end;
-            }
-            prop_assert_eq!(expect as usize, g.num_left());
-        }
-    }
-
-    /// Full-backbone candidate set: byte-identical to the sequential
-    /// `from_butterflies` build at every thread count — candidate
-    /// indices included.
-    #[test]
-    fn parallel_candidate_set_is_bit_identical(edges in arb_graph()) {
-        let g = build(&edges);
-        let seq = CandidateSet::from_butterflies(&g, enumerate_backbone_butterflies(&g));
-        for threads in THREAD_COUNTS {
-            let par = backbone_candidate_set(&g, threads);
-            assert_candidate_sets_identical(&seq, &par)?;
-        }
+        let reference = pairwise_butterflies(&g);
+        prop_assert_eq!(&enumerate_backbone_butterflies(&g), &reference);
+        prop_assert_eq!(count_backbone_butterflies(&g), reference.len() as u64);
     }
 
     /// OLS prepare: the threaded preparing phase yields the same

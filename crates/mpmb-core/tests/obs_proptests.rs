@@ -11,9 +11,9 @@
 
 use bigraph::{GraphBuilder, Left, Right, UncertainBipartiteGraph};
 use mpmb_core::{
-    backbone_candidate_set, Butterfly, Cancel, CandidateSet, Executor, KarpLubyTrials, KlCandidate,
-    KlTrialPolicy, McVpTrials, OlsConfig, OptimizedTrials, OsConfig, OsTrials, PrepareTrials,
-    QueryTrials, Tally,
+    enumerate_backbone_butterflies, Butterfly, Cancel, CandidateSet, Executor, KarpLubyTrials,
+    KlCandidate, KlTrialPolicy, McVpTrials, OlsConfig, OptimizedTrials, OsConfig, OsTrials,
+    PrepareTrials, QueryTrials, Tally,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -211,7 +211,7 @@ proptest! {
         }
     }
 
-    /// Conditioned queries and the parallel candidate-set build are
+    /// Conditioned queries and the backbone candidate-set build are
     /// likewise untouched by instrumentation.
     #[test]
     fn query_and_listing_unchanged_by_observability(
@@ -219,13 +219,12 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let g = build(&edges);
-        let base_set = without_ctx(|| backbone_candidate_set(&g, 1));
-        for threads in OBS_THREADS {
-            let (set, _) = with_full_observability(|| backbone_candidate_set(&g, threads));
-            prop_assert_eq!(set.len(), base_set.len());
-            for i in 0..set.len() {
-                prop_assert_eq!(set.get(i).butterfly, base_set.get(i).butterfly);
-            }
+        let listing = || CandidateSet::from_butterflies(&g, enumerate_backbone_butterflies(&g));
+        let base_set = without_ctx(listing);
+        let (set, _) = with_full_observability(listing);
+        prop_assert_eq!(set.len(), base_set.len());
+        for i in 0..set.len() {
+            prop_assert_eq!(set.get(i).butterfly, base_set.get(i).butterfly);
         }
         if base_set.is_empty() {
             return Ok(());

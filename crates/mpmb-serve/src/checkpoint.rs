@@ -193,7 +193,7 @@ impl CheckpointStore {
 }
 
 /// [`CheckpointStore::load`] against an explicit path.
-pub fn load_file(path: &Path) -> LoadOutcome {
+fn load_file(path: &Path) -> LoadOutcome {
     let bytes = match std::fs::read(path) {
         Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return LoadOutcome::Missing,

@@ -63,11 +63,12 @@ pub(crate) fn handle_solve_range(state: &AppState, req: &Request) -> Response {
             return Response::error(404, &format!("graph `{}` is not registered here", rr.graph))
         }
     };
-    // Materialize (container-backed graphs load lazily); the Arc pins
+    // Materialize through the handler's path (container-backed graphs
+    // load lazily, under a `registry.materialize` span); the Arc pins
     // the graph against eviction for the duration of the range.
-    let graph = match state.registry.materialize(&entry) {
+    let graph = match crate::server::materialize_graph(state, &entry) {
         Ok(g) => g,
-        Err(e) => return Response::error(503, &format!("graph unavailable: {e}")),
+        Err(resp) => return resp,
     };
     let threads = (rr.threads.max(1) as usize).min(state.solver_thread_cap);
     let cancel = Cancel::at(state.timeout.map(|t| Instant::now() + t));
@@ -124,7 +125,10 @@ mod tests {
     use crate::solve::Method;
     use bigraph::{GraphBuilder, Left, Right};
     use mpmb_core::engine::Partial;
-    use mpmb_core::{OsConfig, OsTrials, SublinearTrials, TrialEngine};
+    use mpmb_core::{
+        enumerate_backbone_butterflies, CandidateSet, OsConfig, OsTrials, SublinearTrials,
+        TrialEngine,
+    };
 
     fn graph() -> UncertainBipartiteGraph {
         let mut b = GraphBuilder::new();
@@ -235,7 +239,11 @@ mod tests {
                     .unwrap();
             }
         }
-        let foreign = mpmb_core::backbone_candidate_set(&b.build().unwrap(), 1);
+        let foreign_graph = b.build().unwrap();
+        let foreign = CandidateSet::from_butterflies(
+            &foreign_graph,
+            enumerate_backbone_butterflies(&foreign_graph),
+        );
         for method in [Method::Ols, Method::OlsKl] {
             let request = RangeRequest {
                 candidates: Some(foreign.clone()),
@@ -248,7 +256,8 @@ mod tests {
             );
         }
         // The worker's own listing passes the same check.
-        let own = mpmb_core::backbone_candidate_set(&graph(), 1);
+        let g = graph();
+        let own = CandidateSet::from_butterflies(&g, enumerate_backbone_butterflies(&g));
         let request = RangeRequest {
             candidates: Some(own),
             ..rr(Method::Ols, 50, 0, 50)

@@ -476,7 +476,7 @@ impl Registry {
 /// attach lazily, anything else parses eagerly), or
 /// `dataset:NAME[:scale[:seed]]` with NAME one of the Table III
 /// stand-ins (`abide`, `movielens`, `jester`, `protein`).
-pub fn load_spec(spec: &str) -> Result<GraphHandle, RegistryError> {
+fn load_spec(spec: &str) -> Result<GraphHandle, RegistryError> {
     if let Some(rest) = spec.strip_prefix("dataset:") {
         let mut parts = rest.split(':');
         let name = parts.next().unwrap_or("");

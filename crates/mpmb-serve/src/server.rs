@@ -207,9 +207,9 @@ impl Budget {
 }
 
 /// Whether `phase` times a stage of a phase that already covers it:
-/// `materialize`'s `storage.*` stages run inside `registry.materialize`
-/// (or, on a worker, inside the range call's wall time). Budgets and
-/// stitched worker accounting skip them so no time counts twice.
+/// `materialize`'s `storage.*` stages run inside `registry.materialize`.
+/// Budgets and stitched worker accounting skip them so no time counts
+/// twice.
 pub(crate) fn is_sub_phase(phase: &str) -> bool {
     phase.starts_with("storage.")
 }
@@ -798,8 +798,9 @@ thread_local! {
 /// Resolves a graph handle into a solver-ready graph, materializing a
 /// container-backed one on first use. Records whether the graph was
 /// already resident for the request trace. The returned `Arc` pins the
-/// graph against eviction for as long as the handler holds it.
-fn materialize_graph(
+/// graph against eviction for as long as the handler holds it. Both the
+/// request handlers and a cluster worker's range call load through here.
+pub(crate) fn materialize_graph(
     state: &AppState,
     handle: &Arc<crate::registry::GraphHandle>,
 ) -> Result<Arc<bigraph::UncertainBipartiteGraph>, Response> {

@@ -107,10 +107,9 @@ impl PartialState {
     /// The running MPMB leader and its estimate at this point of the
     /// run, if the phase tracks one:
     ///
-    /// * tally phases (`os`, `mcvp`, `ols` sampling) report the
-    ///   most-hit butterfly (ties broken toward the lexicographically
-    ///   larger butterfly, matching [`crate::solve`]'s finalization)
-    ///   with its hit fraction;
+    /// * tally phases (`os`, `mcvp`, `ols` sampling) report
+    ///   [`Tally::leader`] (ties go to the smaller butterfly, as in
+    ///   [`mpmb_core::Distribution::mpmb`]) with its hit fraction;
     /// * the Karp-Luby phase reports the completed candidate with the
     ///   highest estimated `P(B)`;
     /// * preparing, query, and count phases have no leader yet.
@@ -120,10 +119,7 @@ impl PartialState {
             if trials == 0 {
                 return None;
             }
-            p.acc
-                .counts()
-                .max_by(|a, b| a.1.cmp(b.1).then_with(|| b.0.cmp(a.0)))
-                .map(|(b, &c)| (*b, c as f64 / trials as f64))
+            p.acc.leader().map(|(b, c)| (b, c as f64 / trials as f64))
         }
         match self {
             PartialState::Os(p) | PartialState::McVp(p) => tally_leader(p),

@@ -434,6 +434,50 @@ fn worker_ranges_ship_their_sampling_phase() {
     }
 }
 
+/// A worker loads a container-backed graph through the handler's
+/// materialize path, so its range reply carries a `registry.materialize`
+/// phase and the coordinator books the load to materialize rather than
+/// to `cluster.network`.
+#[test]
+fn worker_ranges_on_container_graphs_ship_their_materialize_phase() {
+    let dir = scratch_dir("container-range");
+    let container = dir.join("c.ubgc");
+    let g = datasets::Dataset::Abide.generate(0.01, 3);
+    bigraph::storage::write_container_path(&g, &container).expect("write container");
+    let flag = format!("c={}", container.display());
+    let worker = spawn_server(&["--role", "worker", "--timeout-ms", "0", "--graph", &flag]);
+    let coord = spawn_coordinator_with(&[&worker], 200, &["--graph", &flag]);
+    let (status, _, got) = call_ext(
+        coord.addr.as_str(),
+        "POST",
+        "/v1/solve",
+        "{\"graph\":\"c\",\"method\":\"os\",\"trials\":2000,\"seed\":73}",
+        &[("X-Request-Id", "worker-materialize-e2e")],
+    )
+    .unwrap();
+    assert_eq!(status, 200, "{got}");
+
+    let (status, resp) = call(coord.addr.as_str(), "GET", "/debug/trace", "").unwrap();
+    assert_eq!(status, 200, "{resp}");
+    let json = Json::parse(&resp).unwrap();
+    let entry = json
+        .get("traces")
+        .and_then(Json::as_arr)
+        .unwrap()
+        .iter()
+        .find(|t| t.get("trace_id").and_then(Json::as_str) == Some("worker-materialize-e2e"))
+        .expect("cluster solve retained in the coordinator ring");
+    let phase = format!("{}/registry.materialize", worker.addr);
+    let stat = entry
+        .get("phases")
+        .and_then(|p| p.get(&phase))
+        .unwrap_or_else(|| panic!("no `{phase}` in the stitched trace: {entry}"));
+    assert!(
+        stat.get("calls").and_then(Json::as_u64).unwrap() > 0,
+        "{phase}: {stat}"
+    );
+}
+
 /// The range protocol has one wire version: a worker answers a version-1
 /// request frame with a 400 naming the version, never a guess.
 #[test]
