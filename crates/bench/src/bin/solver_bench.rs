@@ -83,16 +83,7 @@ fn parse_args() -> Result<Args, String> {
     while let Some(a) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
         match a.as_str() {
-            "--dataset" => {
-                let name = value("--dataset")?;
-                args.dataset = match name.to_ascii_lowercase().as_str() {
-                    "abide" => Dataset::Abide,
-                    "movielens" => Dataset::MovieLens,
-                    "jester" => Dataset::Jester,
-                    "protein" => Dataset::Protein,
-                    other => return Err(format!("unknown dataset `{other}`")),
-                };
-            }
+            "--dataset" => args.dataset = Dataset::parse(&value("--dataset")?)?,
             "--scale" => {
                 args.scale = Some(
                     value("--scale")?

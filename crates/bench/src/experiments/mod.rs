@@ -1,6 +1,7 @@
 //! One module per table/figure of the paper's evaluation (§VIII).
 //!
-//! Each experiment is a function from datasets + options to [`Table`]s,
+//! Each experiment is a function from datasets + options to
+//! [`Table`](crate::report::Table)s,
 //! so the `repro` binary only parses flags and prints, and the logic is
 //! unit-testable on tiny inputs.
 
@@ -21,8 +22,8 @@ use crate::timing::{budgeted, BudgetedTime};
 use crate::TrialPlan;
 use bigraph::UncertainBipartiteGraph;
 use mpmb_core::{
-    Cancel, CandidateSet, Distribution, Executor, KarpLubyTrials, KlReport, KlTrialPolicy,
-    McVpTrials, OlsConfig, OptimizedTrials, OsConfig, OsTrials, PrepareTrials,
+    sample_seed, Cancel, CandidateSet, Distribution, Executor, KarpLubyTrials, KlReport,
+    KlTrialPolicy, McVpTrials, OptimizedTrials, OsConfig, OsTrials, PrepareTrials,
 };
 use mpmb_serve::{advance_local, Answer, Job, Outcome};
 use std::time::Duration;
@@ -100,13 +101,7 @@ pub fn solve_distribution(g: &UncertainBipartiteGraph, job: &Job) -> Distributio
 /// OLS's preparing phase (Algorithm 3 lines 2–4) on one thread: the
 /// candidate set of `prep` OS trials on `seed`'s preparing stream.
 pub fn ols_candidates(g: &UncertainBipartiteGraph, prep: u64, seed: u64) -> CandidateSet {
-    let engine = PrepareTrials::new(
-        g,
-        &OlsConfig {
-            seed,
-            ..Default::default()
-        },
-    );
+    let engine = PrepareTrials::new(g, seed);
     engine.finalize(Executor::new(1).run(&engine, prep, &Cancel::never()).acc)
 }
 
@@ -153,12 +148,7 @@ pub fn ols_kl_dynamic(g: &UncertainBipartiteGraph, plan: &TrialPlan, seed: u64) 
         min: (plan.sampling_trials / 20).max(1),
         cap: plan.sampling_trials * 10,
     };
-    let sample_seed = OlsConfig {
-        seed,
-        ..Default::default()
-    }
-    .sample_seed();
-    karp_luby(g, &candidates, policy, sample_seed)
+    karp_luby(g, &candidates, policy, sample_seed(seed))
 }
 
 #[cfg(test)]
@@ -236,16 +226,12 @@ mod tests {
         let g = &d.graph;
         let job = Job::new(Method::Ols, 400, 30, 13);
         let candidates = ols_candidates(g, 30, 13);
-        let sample_seed = OlsConfig {
-            seed: 13,
-            ..Default::default()
-        }
-        .sample_seed();
-        let composed = optimized(g, &candidates, 400, sample_seed);
+        let stream = sample_seed(13);
+        let composed = optimized(g, &candidates, 400, stream);
         assert_eq!(composed.max_abs_diff(&solve_distribution(g, &job)), 0.0);
 
         let kl = Job::new(Method::OlsKl, 200, 30, 13);
-        let report = karp_luby(g, &candidates, KlTrialPolicy::Fixed(200), sample_seed);
+        let report = karp_luby(g, &candidates, KlTrialPolicy::Fixed(200), stream);
         assert_eq!(
             report
                 .distribution

@@ -105,7 +105,7 @@ fn stage_secs(profile: &obs::Profile) -> [f64; 3] {
 
 /// Writes `g` as both a text edge list and a container, times `repeats`
 /// loads of each through `read_auto`, and verifies that both loaded
-/// graphs reproduce the original bit-for-bit ([`fingerprint`]s
+/// graphs reproduce the original bit-for-bit (their fingerprints are
 /// compared, which cover every array the solvers index).
 ///
 /// Returns the container-loaded graph so a container-mode bench runs

@@ -472,15 +472,15 @@ impl ContainerReader {
     /// derives the rest (`Primaries::complete`) into a fully resident
     /// graph that owns its memory and never aliases the file.
     ///
-    /// Each section streams through a [`CHUNK_BYTES`] buffer: every
-    /// chunk is checksummed and decoded into the section's final array
-    /// in one pass, so the file's bytes are never resident beside the
+    /// Each section streams through a 128 KiB (`CHUNK_BYTES`) buffer:
+    /// every chunk is checksummed and decoded into the section's final
+    /// array in one pass, so the file's bytes are never resident beside the
     /// decoded graph, and an array is allocated only once its on-disk
     /// length matches META (a hostile header cannot force an allocation
     /// larger than the file). The three stages are timed as the obs
     /// spans `storage.load`, `storage.validate` and `storage.derive`.
     ///
-    /// Above [`PARALLEL_EDGE_CUTOFF`] edges, loading and structural
+    /// Above 2¹⁶ (`PARALLEL_EDGE_CUTOFF`) edges, loading and structural
     /// validation fan out over scoped threads, each load group reading
     /// through its own file handle: every per-section and per-pass unit
     /// is a pure function of the file's bytes, so the result is

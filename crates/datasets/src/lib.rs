@@ -72,6 +72,16 @@ impl Dataset {
         }
     }
 
+    /// Parses a dataset by its name, case-insensitively (`abide`,
+    /// `movielens`, `jester`, `protein`). The error names the input in
+    /// lowercase.
+    pub fn parse(name: &str) -> Result<Dataset, String> {
+        Dataset::all()
+            .into_iter()
+            .find(|d| d.name().eq_ignore_ascii_case(name))
+            .ok_or_else(|| format!("unknown dataset `{}`", name.to_ascii_lowercase()))
+    }
+
     /// The published Table III sizes.
     pub fn paper_stats(&self) -> PaperStats {
         match self {
@@ -118,6 +128,19 @@ pub(crate) fn scaled(count: usize, scale: f64, min: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn parse_ignores_case_and_names_unknown_input() {
+        for d in Dataset::all() {
+            assert_eq!(Dataset::parse(d.name()), Ok(d));
+            assert_eq!(Dataset::parse(&d.name().to_ascii_lowercase()), Ok(d));
+        }
+        assert_eq!(Dataset::parse("MOVIELENS"), Ok(Dataset::MovieLens));
+        assert_eq!(
+            Dataset::parse("ZZZ"),
+            Err("unknown dataset `zzz`".to_string())
+        );
+    }
 
     #[test]
     fn names_and_order() {

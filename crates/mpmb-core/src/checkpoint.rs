@@ -267,7 +267,7 @@ impl<A: Checkpoint> Checkpoint for Partial<A> {
 mod tests {
     use super::*;
     use crate::engine::{Cancel, Executor};
-    use crate::{McVpTrials, OlsConfig, PrepareTrials};
+    use crate::{McVpTrials, PrepareTrials};
     use bigraph::{GraphBuilder, UncertainBipartiteGraph};
 
     fn fig1() -> UncertainBipartiteGraph {
@@ -412,11 +412,7 @@ mod tests {
     #[test]
     fn prepare_partial_round_trips() {
         let g = fig1();
-        let cfg = OlsConfig {
-            seed: 5,
-            ..Default::default()
-        };
-        let engine = PrepareTrials::new(&g, &cfg);
+        let engine = PrepareTrials::new(&g, 5);
         let exec = Executor::new(1).check_every(16);
         let p = exec.run(&engine, 200, &Cancel::after_trials(64));
         assert!(!p.completed());

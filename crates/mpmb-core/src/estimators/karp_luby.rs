@@ -173,7 +173,8 @@ fn kl_single_candidate(
 /// `t` end to end (its whole inner trial loop), so cancellation and
 /// resume operate at candidate granularity and the per-candidate RNG
 /// streams are untouched by scheduling. Run with
-/// [`Executor::check_every`]`(1)` — one "trial" here is heavy.
+/// [`Executor::check_every`](crate::Executor::check_every)`(1)` — one
+/// "trial" here is heavy.
 pub struct KarpLubyTrials<'a> {
     g: &'a UncertainBipartiteGraph,
     candidates: &'a CandidateSet,

@@ -67,7 +67,7 @@ pub use estimators::sublinear::{FastEstimate, FastSample, SublinearTrials};
 pub use exact::{exact_distribution, exact_prob, ExactConfig, ExactError};
 pub use hardness::{Monotone2Sat, Reduction};
 pub use mcvp::McVpTrials;
-pub use ols::{OlsConfig, PrepareTrials};
+pub use ols::{sample_seed, PrepareTrials};
 pub use os::{
     os_smb_of_world, EdgeOracle, OsConfig, OsEngine, OsTrials, SamplingOracle, StreamingOracle,
     WorldOracle,

@@ -24,46 +24,7 @@ use crate::butterfly::Butterfly;
 use crate::candidates::CandidateSet;
 use crate::engine::TrialEngine;
 use crate::os::{OsConfig, OsEngine, StreamingOracle};
-use bigraph::{trial_rng, Side, UncertainBipartiteGraph};
-
-/// Configuration of OLS's preparing phase and of the seeds both phases
-/// derive. Trial counts are the caller's: the preparing budget
-/// (paper default `N_os = 100`) and the estimator's (`N_op = 2·10⁴`, or
-/// a [`KlTrialPolicy`](crate::estimators::karp_luby::KlTrialPolicy)).
-#[derive(Clone, Copy, Debug)]
-pub struct OlsConfig {
-    /// Base RNG seed. The preparing and sampling phases derive disjoint
-    /// streams from it.
-    pub seed: u64,
-    /// §V-B pruning in the preparing phase (ablation toggle).
-    pub edge_ordering: bool,
-    /// Middle side override for the preparing phase.
-    pub middle_side: Option<Side>,
-}
-
-impl Default for OlsConfig {
-    fn default() -> Self {
-        OlsConfig {
-            seed: 0x5EED,
-            edge_ordering: true,
-            middle_side: None,
-        }
-    }
-}
-
-impl OlsConfig {
-    /// The derived seed of the preparing-phase OS trial stream.
-    pub fn prep_seed(&self) -> u64 {
-        prep_seed(self.seed)
-    }
-
-    /// The derived seed of the sampling-phase estimator stream (both
-    /// [`OptimizedTrials`](crate::estimators::optimized::OptimizedTrials)
-    /// and [`KarpLubyTrials`](crate::estimators::karp_luby::KarpLubyTrials)).
-    pub fn sample_seed(&self) -> u64 {
-        sample_seed(self.seed)
-    }
-}
+use bigraph::{trial_rng, UncertainBipartiteGraph};
 
 /// The OLS preparing phase as a [`TrialEngine`]: each trial runs one OS
 /// trial (on the derived `prep_seed` stream) and appends its `S_MB` to
@@ -76,14 +37,13 @@ pub struct PrepareTrials<'g> {
 }
 
 impl<'g> PrepareTrials<'g> {
-    /// Builds the phase-1 engine from an OLS configuration.
-    pub fn new(g: &'g UncertainBipartiteGraph, cfg: &OlsConfig) -> Self {
+    /// Builds the phase-1 engine for an OLS run seeded with `seed`.
+    /// The trial budget is the caller's (paper default `N_os = 100`).
+    pub fn new(g: &'g UncertainBipartiteGraph, seed: u64) -> Self {
         PrepareTrials {
             g,
             os_cfg: OsConfig {
-                seed: prep_seed(cfg.seed),
-                edge_ordering: cfg.edge_ordering,
-                middle_side: cfg.middle_side,
+                seed: prep_seed(seed),
                 ..Default::default()
             },
         }
@@ -127,12 +87,16 @@ impl<'g> TrialEngine for PrepareTrials<'g> {
     }
 }
 
-/// Disjoint derived seeds for the two phases.
+/// The preparing-phase OS trial stream of an OLS run seeded with
+/// `seed`; disjoint from [`sample_seed`]'s.
 fn prep_seed(seed: u64) -> u64 {
     seed ^ 0x00C0_FFEE_0000_0001
 }
 
-fn sample_seed(seed: u64) -> u64 {
+/// The sampling-phase estimator stream of an OLS run seeded with `seed`
+/// (both [`OptimizedTrials`](crate::estimators::optimized::OptimizedTrials)
+/// and [`KarpLubyTrials`](crate::estimators::karp_luby::KarpLubyTrials)).
+pub fn sample_seed(seed: u64) -> u64 {
     seed ^ 0x00C0_FFEE_0000_0002
 }
 
@@ -157,21 +121,9 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn cfg(seed: u64) -> OlsConfig {
-        OlsConfig {
-            seed,
-            ..Default::default()
-        }
-    }
-
     /// Phase 1: the candidate set after `prep` preparing trials.
-    fn prepare(
-        g: &UncertainBipartiteGraph,
-        cfg: &OlsConfig,
-        prep: u64,
-        threads: usize,
-    ) -> CandidateSet {
-        let engine = PrepareTrials::new(g, cfg);
+    fn prepare(g: &UncertainBipartiteGraph, seed: u64, prep: u64, threads: usize) -> CandidateSet {
+        let engine = PrepareTrials::new(g, seed);
         let union = Executor::new(threads)
             .run(&engine, prep, &Cancel::never())
             .acc;
@@ -181,12 +133,12 @@ mod tests {
     /// Phase 2 with Algorithm 5.
     fn optimized(
         g: &UncertainBipartiteGraph,
-        cfg: &OlsConfig,
+        seed: u64,
         cs: &CandidateSet,
         trials: u64,
         threads: usize,
     ) -> Distribution {
-        let engine = OptimizedTrials::new(g, cs, cfg.sample_seed());
+        let engine = OptimizedTrials::new(g, cs, sample_seed(seed));
         Executor::new(threads)
             .run(&engine, trials, &Cancel::never())
             .acc
@@ -196,12 +148,12 @@ mod tests {
     /// Phase 2 with Algorithm 4.
     fn karp_luby(
         g: &UncertainBipartiteGraph,
-        cfg: &OlsConfig,
+        seed: u64,
         cs: &CandidateSet,
         trials: u64,
         threads: usize,
     ) -> KlReport {
-        let engine = KarpLubyTrials::new(g, cs, KlTrialPolicy::Fixed(trials), cfg.sample_seed());
+        let engine = KarpLubyTrials::new(g, cs, KlTrialPolicy::Fixed(trials), sample_seed(seed));
         let acc = Executor::new(threads)
             .run(&engine, engine.trials(), &Cancel::never())
             .acc;
@@ -226,31 +178,31 @@ mod tests {
         // Every Fig. 1 butterfly has P(B) ≥ 0.036; with 200 preparing
         // trials the miss probability per butterfly is < 0.07% — and the
         // chosen seed finds all three.
-        let cs = prepare(&fig1(), &cfg(42), 200, 1);
+        let cs = prepare(&fig1(), 42, 200, 1);
         assert_eq!(cs.len(), 3, "candidate set {:?}", cs);
     }
 
     #[test]
     fn ols_optimized_converges_to_exact() {
         let g = fig1();
-        let cs = prepare(&g, &cfg(7), 200, 1);
-        assert_close_to_exact(&g, &optimized(&g, &cfg(7), &cs, 60_000, 1));
+        let cs = prepare(&g, 7, 200, 1);
+        assert_close_to_exact(&g, &optimized(&g, 7, &cs, 60_000, 1));
     }
 
     #[test]
     fn ols_karp_luby_converges_to_exact() {
         let g = fig1();
-        let cs = prepare(&g, &cfg(8), 200, 1);
-        let report = karp_luby(&g, &cfg(8), &cs, 60_000, 1);
+        let cs = prepare(&g, 8, 200, 1);
+        let report = karp_luby(&g, 8, &cs, 60_000, 1);
         assert_close_to_exact(&g, &report.distribution);
     }
 
     #[test]
     fn both_estimators_agree_with_each_other() {
         let g = fig1();
-        let cs = prepare(&g, &cfg(12), 200, 1);
-        let opt = optimized(&g, &cfg(12), &cs, 40_000, 1);
-        let kl = karp_luby(&g, &cfg(12), &cs, 40_000, 1).distribution;
+        let cs = prepare(&g, 12, 200, 1);
+        let opt = optimized(&g, 12, &cs, 40_000, 1);
+        let kl = karp_luby(&g, 12, &cs, 40_000, 1).distribution;
         assert!(
             opt.max_abs_diff(&kl) < 0.015,
             "diff = {}",
@@ -261,20 +213,20 @@ mod tests {
     #[test]
     fn empty_graph_yields_empty_candidate_set() {
         let g = GraphBuilder::new().build().unwrap();
-        let cs = prepare(&g, &OlsConfig::default(), 100, 1);
+        let cs = prepare(&g, 0x5EED, 100, 1);
         assert!(cs.is_empty());
-        assert!(optimized(&g, &OlsConfig::default(), &cs, 100, 1).is_empty());
+        assert!(optimized(&g, 0x5EED, &cs, 100, 1).is_empty());
     }
 
     #[test]
     fn threads_do_not_change_either_phase() {
         let g = fig1();
-        let c = cfg(9);
-        let seq = prepare(&g, &c, 150, 1);
-        let opt = optimized(&g, &c, &seq, 2_000, 1);
-        let kl = karp_luby(&g, &c, &seq, 1_000, 1).distribution;
+        let c = 9;
+        let seq = prepare(&g, c, 150, 1);
+        let opt = optimized(&g, c, &seq, 2_000, 1);
+        let kl = karp_luby(&g, c, &seq, 1_000, 1).distribution;
         for threads in [2, 3, 8] {
-            let par = prepare(&g, &c, 150, threads);
+            let par = prepare(&g, c, 150, threads);
             assert_eq!(seq.len(), par.len());
             for i in 0..seq.len() {
                 assert_eq!(
@@ -283,9 +235,9 @@ mod tests {
                     "candidate index {i} differs at threads={threads}"
                 );
             }
-            let par_opt = optimized(&g, &c, &par, 2_000, threads);
+            let par_opt = optimized(&g, c, &par, 2_000, threads);
             assert_eq!(opt.max_abs_diff(&par_opt), 0.0, "threads={threads}");
-            let par_kl = karp_luby(&g, &c, &par, 1_000, threads).distribution;
+            let par_kl = karp_luby(&g, c, &par, 1_000, threads).distribution;
             assert_eq!(kl.max_abs_diff(&par_kl), 0.0, "threads={threads}");
         }
     }
@@ -293,8 +245,8 @@ mod tests {
     #[test]
     fn top_k_is_sorted_by_probability() {
         let g = fig1();
-        let cs = prepare(&g, &cfg(5), 200, 1);
-        let top = optimized(&g, &cfg(5), &cs, 20_000, 1).top_k(3);
+        let cs = prepare(&g, 5, 200, 1);
+        let top = optimized(&g, 5, &cs, 20_000, 1).top_k(3);
         for w in top.windows(2) {
             assert!(w[0].1 >= w[1].1);
         }

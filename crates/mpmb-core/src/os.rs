@@ -7,7 +7,8 @@
 //!   later edge can participate in a maximum butterfly and the trial stops.
 //!   Combined with lazy sampling, the pruned tail is never even sampled.
 //! * **Angle Ordering (§V-C)** — per endpoint pair only the two heaviest
-//!   angle weight classes are kept ([`TopTwoAngles`], Table II).
+//!   angle weight classes are kept ([`TopTwoAngles`](crate::TopTwoAngles),
+//!   Table II).
 //! * **Fast Butterfly Creating (§V-D)** — `w_max` is maintained during the
 //!   scan and only butterflies achieving it are materialized afterwards.
 

@@ -12,7 +12,7 @@ use bigraph::{GraphBuilder, Left, Right, UncertainBipartiteGraph};
 use mpmb_core::{
     enumerate_backbone_butterflies, run_os_adaptive, AdaptiveConfig, Butterfly, Cancel,
     CandidateSet, Executor, FastSample, KarpLubyTrials, KlCandidate, KlTrialPolicy, McVpTrials,
-    OlsConfig, OptimizedTrials, OsConfig, OsTrials, Partial, PrepareTrials, SublinearTrials, Tally,
+    OptimizedTrials, OsConfig, OsTrials, Partial, PrepareTrials, SublinearTrials, Tally,
     TrialEngine,
 };
 use proptest::prelude::*;
@@ -158,9 +158,9 @@ proptest! {
     ) {
         let threads = THREAD_COUNTS[threads_idx];
         let g = build(&edges);
-        let (cfg, prep_trials) = (OlsConfig { seed, ..Default::default() }, 48);
+        let prep_trials = 48;
 
-        let prep = PrepareTrials::new(&g, &cfg);
+        let prep = PrepareTrials::new(&g, seed);
         let (base_union, resumed) = run_interrupted(&prep, prep_trials, budget.min(47), threads, 16);
         let base_cands = prep.finalize(base_union);
         let cands = prep.finalize(resumed.acc);

@@ -13,7 +13,7 @@ use bigraph::expected::expected_butterfly_count;
 use bigraph::{GraphBuilder, Left, Right};
 use mpmb_core::{
     count_backbone_butterflies, enumerate_backbone_butterflies, Butterfly, Cancel, CandidateSet,
-    Executor, OlsConfig, PrepareTrials,
+    Executor, PrepareTrials,
 };
 use proptest::prelude::*;
 
@@ -111,7 +111,7 @@ proptest! {
     #[test]
     fn ols_prepare_is_thread_count_independent(edges in arb_graph(), seed in 0u64..1_000) {
         let g = build(&edges);
-        let prep = PrepareTrials::new(&g, &OlsConfig { seed, ..Default::default() });
+        let prep = PrepareTrials::new(&g, seed);
         let prepare = |threads| prep.finalize(Executor::new(threads).run(&prep, 60, &Cancel::never()).acc);
         let seq = prepare(1);
         for threads in THREAD_COUNTS {

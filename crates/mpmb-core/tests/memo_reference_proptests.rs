@@ -6,8 +6,8 @@
 
 use bigraph::{trial_rng, GraphBuilder, LazyEdgeSampler, Left, Right, UncertainBipartiteGraph};
 use mpmb_core::{
-    enumerate_backbone_butterflies, Butterfly, Cancel, CandidateSet, Executor, OlsConfig,
-    OptimizedTrials, PrepareTrials, Tally, TrialEngine,
+    enumerate_backbone_butterflies, Butterfly, Cancel, CandidateSet, Executor, OptimizedTrials,
+    PrepareTrials, Tally, TrialEngine,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -117,8 +117,8 @@ proptest! {
         // Either every backbone butterfly (many overlapping candidates)
         // or a preparing phase's union (the production candidate set).
         let cands = if from_prep {
-            let (cfg, prep_trials) = (OlsConfig { seed, ..Default::default() }, 32);
-            let prep = PrepareTrials::new(&g, &cfg);
+            let prep_trials = 32;
+            let prep = PrepareTrials::new(&g, seed);
             prep.finalize(Executor::new(1).run(&prep, prep_trials, &Cancel::never()).acc)
         } else {
             CandidateSet::from_butterflies(&g, enumerate_backbone_butterflies(&g))

@@ -12,8 +12,8 @@
 use bigraph::{GraphBuilder, Left, Right, UncertainBipartiteGraph};
 use mpmb_core::{
     enumerate_backbone_butterflies, Butterfly, Cancel, CandidateSet, Executor, KarpLubyTrials,
-    KlCandidate, KlTrialPolicy, McVpTrials, OlsConfig, OptimizedTrials, OsConfig, OsTrials,
-    PrepareTrials, QueryTrials, Tally,
+    KlCandidate, KlTrialPolicy, McVpTrials, OptimizedTrials, OsConfig, OsTrials, PrepareTrials,
+    QueryTrials, Tally,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -80,10 +80,8 @@ fn with_full_observability<T>(f: impl FnOnce() -> T) -> (T, Arc<obs::Profile>) {
     let profile = Arc::new(obs::Profile::new());
     let registry = Arc::new(obs::Registry::new());
     let solver = Arc::new(obs::SolverMetrics::new(registry));
-    let trace_id = obs::next_trace_id();
     let guard = obs::install(obs::ObsCtx {
-        trace_id: Some(trace_id.clone()),
-        span: Some(obs::SpanContext::root(trace_id)),
+        span: Some(obs::SpanContext::root(obs::next_trace_id())),
         profile: Some(profile.clone()),
         solver: Some(solver),
     });
@@ -152,8 +150,8 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let g = build(&edges);
-        let (cfg, prep_trials) = (OlsConfig { seed, ..Default::default() }, 48);
-        let prep = PrepareTrials::new(&g, &cfg);
+        let prep_trials = 48;
+        let prep = PrepareTrials::new(&g, seed);
         let (base_cands, kl_base) = without_ctx(|| {
             let union = Executor::new(1).run(&prep, prep_trials, &Cancel::never()).acc;
             let cands = prep.finalize(union);
@@ -259,14 +257,8 @@ fn profile_phase_items_match_trials() {
         }
         b.build().unwrap()
     };
-    let (cfg, prep_trials) = (
-        OlsConfig {
-            seed: 7,
-            ..Default::default()
-        },
-        32,
-    );
-    let prep = PrepareTrials::new(&g, &cfg);
+    let prep_trials = 32;
+    let prep = PrepareTrials::new(&g, 7);
     let started = std::time::Instant::now();
     let ((), profile) = with_full_observability(|| {
         let union = Executor::new(2)

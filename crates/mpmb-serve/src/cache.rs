@@ -12,7 +12,7 @@
 //! * [`CacheEntry::Complete`] — a rendered response body, replayed
 //!   verbatim on a hit;
 //! * [`CacheEntry::Partial`] — the resumable
-//!   [`PartialState`](crate::solve::PartialState) of a request that hit
+//!   [`crate::solve::PartialState`] of a request that hit
 //!   its deadline. A repeat of the same request *resumes* from it with
 //!   a fresh deadline instead of restarting at trial zero, so each 503
 //!   carries more trials than the last and the answer eventually

@@ -93,7 +93,7 @@ impl Snapshot {
     }
 
     /// Parses a sealed frame back into a snapshot. A frame of any
-    /// version but [`VERSION`] is `BadVersion`.
+    /// version but the current `VERSION` (2) is `BadVersion`.
     pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, CodecError> {
         let payload = match open_frame(MAGIC, VERSION, bytes)? {
             (VERSION, payload) => payload,

@@ -35,7 +35,6 @@ use crate::solve::{Cancel, Job, PartialState};
 use mpmb_core::engine::Partial;
 use mpmb_core::{chunk_ranges, CandidateSet, TrialEngine};
 use std::ops::Range;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The coordinator's range runner (`solve::Runner::Cluster`).
@@ -187,7 +186,6 @@ impl Scatter<'_> {
                         s.spawn(move || {
                             let _g = hop.map(|sc| {
                                 obs::install(obs::ObsCtx {
-                                    trace_id: Some(Arc::clone(&sc.trace_id)),
                                     span: Some(sc),
                                     profile: None,
                                     solver: None,

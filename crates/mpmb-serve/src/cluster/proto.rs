@@ -233,7 +233,7 @@ mod tests {
     use bigraph::codec::Encoder;
     use bigraph::{GraphBuilder, Left, Right, UncertainBipartiteGraph};
     use mpmb_core::engine::{Cancel, Partial};
-    use mpmb_core::{Executor, OlsConfig, OsConfig, OsTrials, PrepareTrials, Tally};
+    use mpmb_core::{Executor, OsConfig, OsTrials, PrepareTrials, Tally};
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -262,11 +262,7 @@ mod tests {
     }
 
     fn candidates(g: &UncertainBipartiteGraph) -> CandidateSet {
-        let cfg = OlsConfig {
-            seed: 7,
-            ..Default::default()
-        };
-        let engine = PrepareTrials::new(g, &cfg);
+        let engine = PrepareTrials::new(g, 7);
         let partial = Executor::new(1).run(&engine, 50, &Cancel::never());
         engine.finalize(partial.acc)
     }

@@ -51,7 +51,6 @@ pub(crate) fn handle_solve_range(state: &AppState, req: &Request) -> Response {
     let _trace_guard = rr.trace.as_ref().map(|t| {
         let sc = obs::SpanContext::child_of(Arc::from(t.trace_id.as_str()), t.parent_span);
         obs::install(obs::ObsCtx {
-            trace_id: Some(Arc::clone(&sc.trace_id)),
             span: Some(sc),
             profile: outer.profile.clone(),
             solver: outer.solver.clone(),

@@ -23,6 +23,7 @@
 //! top of the probabilistic rates.
 
 use crate::http::{render_head, Response};
+use crate::server::Route;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -107,14 +108,10 @@ impl FaultPlan {
         Ok(plan)
     }
 
-    /// Whether a request path participates in fault injection.
-    fn eligible(method: &str, path: &str) -> bool {
-        !(method == "GET" && matches!(path, "/metrics" | "/healthz"))
-    }
-
-    /// Draws the action (if any) for the next eligible request.
-    pub fn decide(&self, method: &str, path: &str) -> Option<FaultAction> {
-        if !Self::eligible(method, path) {
+    /// Draws the action (if any) for the next request the plan covers;
+    /// an exempt route draws nothing and consumes no ordinal.
+    pub(crate) fn decide(&self, route: Route) -> Option<FaultAction> {
+        if route.fault_exempt() {
             return None;
         }
         let ordinal = self.ordinal.fetch_add(1, Ordering::Relaxed);
@@ -213,27 +210,33 @@ mod tests {
         assert!(FaultPlan::parse("seed=x").is_err());
     }
 
+    fn solve() -> Route {
+        Route::parse("POST", "/v1/solve")
+    }
+
     #[test]
     fn empty_spec_never_faults() {
         let p = FaultPlan::parse("").unwrap();
         for _ in 0..1_000 {
-            assert_eq!(p.decide("POST", "/v1/solve"), None);
+            assert_eq!(p.decide(solve()), None);
         }
     }
 
     #[test]
     fn observability_paths_are_exempt_and_do_not_consume_ordinals() {
-        let p = FaultPlan::parse("seed=1,panic_at=0").unwrap();
-        assert_eq!(p.decide("GET", "/metrics"), None);
-        assert_eq!(p.decide("GET", "/healthz"), None);
-        // The first eligible request still draws ordinal 0.
-        assert_eq!(p.decide("POST", "/v1/solve"), Some(FaultAction::Panic));
+        let p = FaultPlan::parse("seed=1,panic_at=1").unwrap();
+        assert_eq!(p.decide(Route::parse("GET", "/metrics")), None);
+        assert_eq!(p.decide(Route::parse("GET", "/healthz")), None);
+        // The federated page is not exempt: it draws ordinal 0, so the
+        // next request draws the forced panic.
+        assert_eq!(p.decide(Route::parse("GET", "/metrics/cluster")), None);
+        assert_eq!(p.decide(solve()), Some(FaultAction::Panic));
     }
 
     #[test]
     fn panic_at_fires_exactly_once() {
         let p = FaultPlan::parse("seed=1,panic_at=2").unwrap();
-        let actions: Vec<_> = (0..6).map(|_| p.decide("POST", "/v1/solve")).collect();
+        let actions: Vec<_> = (0..6).map(|_| p.decide(solve())).collect();
         assert_eq!(actions[2], Some(FaultAction::Panic));
         assert_eq!(
             actions
@@ -253,7 +256,7 @@ mod tests {
             .unwrap();
             let (mut r, mut s, mut pa, mut pn) = (0u64, 0u64, 0u64, 0u64);
             for _ in 0..10_000 {
-                match p.decide("POST", "/v1/solve") {
+                match p.decide(solve()) {
                     Some(FaultAction::Reset) => r += 1,
                     Some(FaultAction::SlowWrite) => s += 1,
                     Some(FaultAction::PartialBody) => pa += 1,

@@ -113,24 +113,6 @@ pub struct Metrics {
     budget_spent: Vec<Arc<Histogram>>,
 }
 
-/// Index of an endpoint name in [`ENDPOINTS`].
-pub fn endpoint_index(path: &str) -> usize {
-    let name = match path {
-        "/v1/solve" => "solve",
-        "/v1/query" => "query",
-        "/v1/count" => "count",
-        "/v1/topk" => "topk",
-        "/v1/graphs" => "graphs",
-        "/healthz" => "healthz",
-        "/metrics" | "/metrics/cluster" => "metrics",
-        p if p.starts_with("/admin/") => "admin",
-        p if p.starts_with("/debug/") => "debug",
-        p if p.starts_with("/v1/internal/") => "internal",
-        _ => "other",
-    };
-    ENDPOINTS.iter().position(|&e| e == name).unwrap()
-}
-
 impl Default for Metrics {
     fn default() -> Self {
         let registry = Arc::new(Registry::new());
@@ -307,9 +289,11 @@ impl Metrics {
         }
     }
 
-    /// Records one finished request.
-    pub fn record(&self, endpoint: usize, status: u16, elapsed: Duration) {
-        let em = &self.endpoints[endpoint];
+    /// Records one finished request under its `endpoint` label, one of
+    /// [`ENDPOINTS`].
+    pub fn record(&self, endpoint: &str, status: u16, elapsed: Duration) {
+        let index = ENDPOINTS.iter().position(|&e| e == endpoint);
+        let em = &self.endpoints[index.expect("a label from ENDPOINTS")];
         let sidx = STATUSES
             .iter()
             .position(|&s| s == status)
@@ -331,10 +315,9 @@ mod tests {
     #[test]
     fn histogram_buckets_are_cumulative_and_complete() {
         let m = Metrics::default();
-        let ei = endpoint_index("/v1/solve");
-        m.record(ei, 200, Duration::from_millis(3));
-        m.record(ei, 200, Duration::from_millis(30));
-        m.record(ei, 503, Duration::from_secs(20)); // +Inf tail
+        m.record("solve", 200, Duration::from_millis(3));
+        m.record("solve", 200, Duration::from_millis(30));
+        m.record("solve", 503, Duration::from_secs(20)); // +Inf tail
         let text = m.render();
         assert!(text.contains("mpmb_requests_total{endpoint=\"solve\",status=\"200\"} 2"));
         assert!(text.contains("mpmb_requests_total{endpoint=\"solve\",status=\"503\"} 1"));
@@ -348,19 +331,10 @@ mod tests {
     }
 
     #[test]
-    fn endpoint_index_covers_all_paths() {
-        assert_eq!(ENDPOINTS[endpoint_index("/v1/solve")], "solve");
-        assert_eq!(ENDPOINTS[endpoint_index("/admin/shutdown")], "admin");
-        assert_eq!(ENDPOINTS[endpoint_index("/debug/trace")], "debug");
-        assert_eq!(ENDPOINTS[endpoint_index("/nope")], "other");
-    }
-
-    #[test]
     fn unlisted_statuses_fold_into_other() {
         let m = Metrics::default();
-        let ei = endpoint_index("/v1/count");
-        m.record(ei, 200, Duration::from_millis(1));
-        m.record(ei, 418, Duration::from_millis(1)); // folds into `other`
+        m.record("count", 200, Duration::from_millis(1));
+        m.record("count", 418, Duration::from_millis(1)); // folds into `other`
         let text = m.render();
         assert!(text.contains("endpoint=\"count\",status=\"200\"} 1"));
         assert!(text.contains("endpoint=\"count\",status=\"other\"} 1"));

@@ -497,17 +497,9 @@ fn load_spec(spec: &str) -> Result<GraphHandle, RegistryError> {
                 "scale must be in (0,1], got {scale}"
             )));
         }
-        let dataset = match name.to_ascii_lowercase().as_str() {
-            "abide" => datasets::Dataset::Abide,
-            "movielens" => datasets::Dataset::MovieLens,
-            "jester" => datasets::Dataset::Jester,
-            "protein" => datasets::Dataset::Protein,
-            other => {
-                return Err(RegistryError::Load(format!(
-                    "unknown dataset `{other}` (expected abide|movielens|jester|protein)"
-                )))
-            }
-        };
+        let dataset = datasets::Dataset::parse(name).map_err(|e| {
+            RegistryError::Load(format!("{e} (expected abide|movielens|jester|protein)"))
+        })?;
         Ok(GraphHandle::new_memory(
             format!("dataset:{}:{scale}:{seed}", name.to_ascii_lowercase()),
             dataset.generate(scale, seed),

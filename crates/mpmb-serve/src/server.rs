@@ -24,7 +24,7 @@ use crate::cluster::{self, Cluster, ClusterError, Role};
 use crate::fault::{self, FaultAction, FaultPlan};
 use crate::http::{read_request, write_response, ReadError, Request, Response};
 use crate::json::Json;
-use crate::metrics::{endpoint_index, Metrics};
+use crate::metrics::Metrics;
 use crate::registry::{Registry, RegistryError};
 use crate::signal;
 use crate::solve::{self, Answer, Cancel, Job, Method, Outcome, PartialState, Runner};
@@ -670,17 +670,14 @@ fn handle_connection(state: &AppState, stream: TcpStream, queued: Duration) {
             Err(ReadError::Io(_)) => return,
             Err(ReadError::Bad { status, msg }) => {
                 let resp = Response::error(status, &msg);
-                state
-                    .metrics
-                    .record(endpoint_index("/"), status, Duration::ZERO);
+                // No request line, so no route: counted under `other`.
+                state.metrics.record("other", status, Duration::ZERO);
                 let _ = write_response(&mut writer, &resp, true);
                 return;
             }
             Ok(req) => {
-                let injected = state
-                    .faults
-                    .as_ref()
-                    .and_then(|plan| plan.decide(&req.method, &req.path));
+                let route = Route::parse(&req.method, &req.path);
+                let injected = state.faults.as_ref().and_then(|plan| plan.decide(route));
                 if injected.is_some() {
                     state.metrics.faults_injected.inc();
                 }
@@ -708,7 +705,6 @@ fn handle_connection(state: &AppState, stream: TcpStream, queued: Duration) {
                 // unwind — its locks recover from poisoning.
                 let handled = std::panic::catch_unwind(AssertUnwindSafe(|| {
                     let _obs = obs::install(obs::ObsCtx {
-                        trace_id: Some(Arc::clone(&trace_id)),
                         span: Some(obs::SpanContext::root(Arc::clone(&trace_id))),
                         profile: Some(Arc::clone(&profile)),
                         solver: Some(Arc::clone(&state.solver)),
@@ -716,7 +712,7 @@ fn handle_connection(state: &AppState, stream: TcpStream, queued: Duration) {
                     if injected == Some(FaultAction::Panic) {
                         panic!("fault injection: forced worker panic");
                     }
-                    let resp = route(state, &req);
+                    let (resp, graph) = dispatch(state, route, &req);
                     let elapsed = started.elapsed();
                     obs::event(
                         "http.access",
@@ -727,41 +723,37 @@ fn handle_connection(state: &AppState, stream: TcpStream, queued: Duration) {
                             ("dur_us", (elapsed.as_micros() as u64).into()),
                         ],
                     );
-                    (resp, elapsed)
+                    (resp, graph, elapsed)
                 }));
                 drop(inflight);
-                let (resp, elapsed) = match handled {
-                    Ok(pair) => pair,
+                let (resp, graph, elapsed) = match handled {
+                    Ok(handled) => handled,
                     Err(_) => {
                         state.metrics.worker_panics.inc();
-                        state
-                            .metrics
-                            .record(endpoint_index(&req.path), 500, started.elapsed());
+                        state.metrics.record(route.endpoint, 500, started.elapsed());
                         return;
                     }
                 };
-                state
-                    .metrics
-                    .record(endpoint_index(&req.path), resp.status, elapsed);
-                // Deadline-budget attribution covers accept to response:
-                // handler wall time plus the connection's queue wait.
-                let budget = solve_like(&req.path).then(|| {
-                    let b = Budget::from_phases(
-                        &profile.snapshot(),
-                        elapsed.as_secs_f64() + queued_secs,
-                    );
-                    state.metrics.observe_budget(b.values());
-                    b
+                state.metrics.record(route.endpoint, resp.status, elapsed);
+                // A solve-like request's deadline budget covers accept to
+                // response: handler wall time plus the connection's queue
+                // wait. Its summary is retained for `/debug/trace`.
+                let budget = route.solve_like.then(|| {
+                    let phases = profile.snapshot();
+                    let budget = Budget::from_phases(&phases, elapsed.as_secs_f64() + queued_secs);
+                    state.metrics.observe_budget(budget.values());
+                    state.traces.push(SolveTrace {
+                        trace_id: trace_id.to_string(),
+                        endpoint: req.path.clone(),
+                        graph: graph.name,
+                        status: resp.status,
+                        dur_us: elapsed.as_micros() as u64,
+                        resident_at_start: graph.resident_at_start,
+                        phases,
+                        budget,
+                    });
+                    budget
                 });
-                record_solve_trace(
-                    state,
-                    &req,
-                    resp.status,
-                    &trace_id,
-                    elapsed,
-                    &profile,
-                    budget,
-                );
                 let mut resp = resp.with_header("X-Request-Id", trace_id.as_ref());
                 if state.budget_header {
                     if let Some(b) = &budget {
@@ -787,102 +779,133 @@ fn handle_connection(state: &AppState, stream: TcpStream, queued: Duration) {
     }
 }
 
-thread_local! {
-    /// Residency of the request's graph at the moment the handler first
-    /// touched it, captured by [`materialize_graph`] and read back by
-    /// [`record_solve_trace`]. Thread-local works because a request is
-    /// routed and trace-recorded on the same worker thread.
-    static RESIDENCY_AT_START: std::cell::Cell<Option<bool>> = const { std::cell::Cell::new(None) };
-}
-
 /// Resolves a graph handle into a solver-ready graph, materializing a
-/// container-backed one on first use. Records whether the graph was
-/// already resident for the request trace. The returned `Arc` pins the
-/// graph against eviction for as long as the handler holds it. Both the
+/// container-backed one on first use. The returned `Arc` pins the graph
+/// against eviction for as long as the handler holds it. Both the
 /// request handlers and a cluster worker's range call load through here.
 pub(crate) fn materialize_graph(
     state: &AppState,
     handle: &Arc<crate::registry::GraphHandle>,
 ) -> Result<Arc<bigraph::UncertainBipartiteGraph>, Response> {
-    let resident = handle.is_resident();
-    RESIDENCY_AT_START.with(|c| c.set(Some(resident)));
     let mut sp = obs::span("registry.materialize");
-    sp.field("resident", resident);
+    sp.field("resident", handle.is_resident());
     state.registry.materialize(handle).map_err(|e| {
         Response::error(503, &format!("graph unavailable: {e}")).with_header("Retry-After", "1")
     })
 }
 
-/// Dispatches one request to its handler.
-fn route(state: &AppState, req: &Request) -> Response {
-    RESIDENCY_AT_START.with(|c| c.set(None));
-    match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => handle_healthz(state),
-        ("GET", "/v1/graphs") => handle_list_graphs(state),
-        ("POST", "/v1/graphs") => handle_register_graph(state, req),
-        ("POST", "/v1/solve" | "/v1/topk" | "/v1/query" | "/v1/count") => {
-            handle_solve_like(state, req).unwrap_or_else(|resp| resp)
+/// The handler a [`Route`] dispatches to.
+#[derive(Clone, Copy)]
+enum Handler {
+    Healthz,
+    ListGraphs,
+    RegisterGraph,
+    SolveLike(Endpoint),
+    SolveRange,
+    Metrics,
+    MetricsCluster,
+    DebugTrace,
+    Shutdown,
+    /// A served path under a method it does not serve: 405.
+    MethodNotAllowed,
+    /// No such path: 404.
+    NotFound,
+}
+
+/// One request resolved at the HTTP edge, once, from its method and
+/// path: the handler it reaches and the `endpoint` label of its
+/// `mpmb_requests_total` series. [`Route::parse`] is the server's one
+/// route table.
+#[derive(Clone, Copy)]
+pub(crate) struct Route {
+    handler: Handler,
+    /// The `endpoint` label of the request's metric series (one of
+    /// [`crate::metrics::ENDPOINTS`]).
+    pub(crate) endpoint: &'static str,
+    /// Whether the path is solve-like, whatever the method: such
+    /// requests (a 405 included) get a deadline budget and a
+    /// `/debug/trace` entry.
+    solve_like: bool,
+}
+
+impl Route {
+    /// Resolves a request. An unknown path is a 404 labelled by its
+    /// prefix (`/admin/`, `/debug/`, `/v1/internal/`), else `other`; a
+    /// served path under another method is a 405 with the path's label.
+    pub(crate) fn parse(method: &str, path: &str) -> Route {
+        use Handler as H;
+        let (endpoint, served): (&'static str, &[(&str, Handler)]) = match path {
+            "/healthz" => ("healthz", &[("GET", H::Healthz)]),
+            "/v1/graphs" => (
+                "graphs",
+                &[("GET", H::ListGraphs), ("POST", H::RegisterGraph)],
+            ),
+            "/v1/solve" => ("solve", &[("POST", H::SolveLike(Endpoint::Solve))]),
+            "/v1/topk" => ("topk", &[("POST", H::SolveLike(Endpoint::TopK))]),
+            "/v1/query" => ("query", &[("POST", H::SolveLike(Endpoint::Query))]),
+            "/v1/count" => ("count", &[("POST", H::SolveLike(Endpoint::Count))]),
+            "/v1/internal/solve-range" => ("internal", &[("POST", H::SolveRange)]),
+            "/metrics" => ("metrics", &[("GET", H::Metrics)]),
+            "/metrics/cluster" => ("metrics", &[("GET", H::MetricsCluster)]),
+            "/debug/trace" => ("debug", &[("GET", H::DebugTrace)]),
+            "/admin/shutdown" => ("admin", &[("POST", H::Shutdown)]),
+            p if p.starts_with("/admin/") => ("admin", &[]),
+            p if p.starts_with("/debug/") => ("debug", &[]),
+            p if p.starts_with("/v1/internal/") => ("internal", &[]),
+            _ => ("other", &[]),
+        };
+        let handler = match served.iter().find(|(m, _)| *m == method) {
+            Some(&(_, handler)) => handler,
+            None if served.is_empty() => H::NotFound,
+            None => H::MethodNotAllowed,
+        };
+        let solve_like = served.iter().any(|(_, h)| matches!(h, H::SolveLike(_)));
+        Route {
+            handler,
+            endpoint,
+            solve_like,
         }
-        ("POST", "/v1/internal/solve-range") => cluster::worker::handle_solve_range(state, req),
-        ("GET", "/metrics") => Response::metrics_text(state.metrics.render()),
-        ("GET", "/metrics/cluster") => handle_metrics_cluster(state),
-        ("GET", "/debug/trace") => handle_debug_trace(state, req),
-        ("POST", "/admin/shutdown") => {
-            state.begin_drain();
-            Response::json(202, Json::obj([("draining", Json::Bool(true))]).to_string())
-        }
-        (
-            _,
-            "/healthz"
-            | "/v1/graphs"
-            | "/v1/solve"
-            | "/v1/topk"
-            | "/v1/query"
-            | "/v1/count"
-            | "/v1/internal/solve-range"
-            | "/metrics"
-            | "/metrics/cluster"
-            | "/debug/trace"
-            | "/admin/shutdown",
-        ) => Response::error(405, "method not allowed"),
-        _ => Response::error(404, "no such endpoint"),
+    }
+
+    /// Whether fault injection skips the request: the observability
+    /// reads (`GET /healthz`, `GET /metrics`), so watching a faulty
+    /// server is never itself faulted.
+    pub(crate) fn fault_exempt(&self) -> bool {
+        matches!(self.handler, Handler::Healthz | Handler::Metrics)
     }
 }
 
-/// Whether a path gets deadline-budget attribution and a
-/// `/debug/trace` entry.
-fn solve_like(path: &str) -> bool {
-    matches!(path, "/v1/solve" | "/v1/topk" | "/v1/query" | "/v1/count")
+/// The graph a solve-like request named, as `/debug/trace` reports it.
+#[derive(Default)]
+struct TracedGraph {
+    /// The body's string `graph` field (empty when the body does not
+    /// parse or has none, or the request never reached the handler).
+    name: String,
+    /// Whether that graph was materialized when the handler reached it
+    /// (`None` when the request never reached a registered graph).
+    resident_at_start: Option<bool>,
 }
 
-/// Retains a solve-like request's trace summary for `/debug/trace`.
-fn record_solve_trace(
-    state: &AppState,
-    req: &Request,
-    status: u16,
-    trace_id: &Arc<str>,
-    elapsed: Duration,
-    profile: &Arc<obs::Profile>,
-    budget: Option<Budget>,
-) {
-    let Some(budget) = budget else {
-        return;
+/// Runs the request's handler, with the graph a solve-like request
+/// named.
+fn dispatch(state: &AppState, route: Route, req: &Request) -> (Response, TracedGraph) {
+    let resp = match route.handler {
+        Handler::SolveLike(endpoint) => return handle_solve_like(state, endpoint, req),
+        Handler::Healthz => handle_healthz(state),
+        Handler::ListGraphs => handle_list_graphs(state),
+        Handler::RegisterGraph => handle_register_graph(state, req),
+        Handler::SolveRange => cluster::worker::handle_solve_range(state, req),
+        Handler::Metrics => Response::metrics_text(state.metrics.render()),
+        Handler::MetricsCluster => handle_metrics_cluster(state),
+        Handler::DebugTrace => handle_debug_trace(state, req),
+        Handler::Shutdown => {
+            state.begin_drain();
+            Response::json(202, Json::obj([("draining", Json::Bool(true))]).to_string())
+        }
+        Handler::MethodNotAllowed => Response::error(405, "method not allowed"),
+        Handler::NotFound => Response::error(404, "no such endpoint"),
     };
-    let graph = std::str::from_utf8(&req.body)
-        .ok()
-        .and_then(|t| Json::parse(t).ok())
-        .and_then(|b| b.get("graph").and_then(Json::as_str).map(str::to_string))
-        .unwrap_or_default();
-    state.traces.push(SolveTrace {
-        trace_id: trace_id.to_string(),
-        endpoint: req.path.clone(),
-        graph,
-        status,
-        dur_us: elapsed.as_micros() as u64,
-        resident_at_start: RESIDENCY_AT_START.with(std::cell::Cell::get),
-        phases: profile.snapshot(),
-        budget,
-    });
+    (resp, TracedGraph::default())
 }
 
 /// The first value of `key` in a raw query string (no percent-decoding;
@@ -1119,49 +1142,62 @@ struct Plan {
 
 /// The one pipeline behind `/v1/solve`, `/v1/topk`, `/v1/query`, and
 /// `/v1/count`: parse → key → cache lookup → drive → 503 or render.
-/// `Err` carries a response that ends the request early.
-fn handle_solve_like(state: &AppState, req: &Request) -> Result<Response, Response> {
-    let endpoint = match req.path.as_str() {
-        "/v1/topk" => Endpoint::TopK,
-        "/v1/query" => Endpoint::Query,
-        "/v1/count" => Endpoint::Count,
-        _ => Endpoint::Solve,
+/// Returns the response with the graph the request named.
+fn handle_solve_like(
+    state: &AppState,
+    endpoint: Endpoint,
+    req: &Request,
+) -> (Response, TracedGraph) {
+    let mut traced = TracedGraph::default();
+    // `Err` carries a response that ends the request early.
+    let mut respond = || -> Result<Response, Response> {
+        let body = parse_body(req)?;
+        let name = body
+            .get("graph")
+            .and_then(Json::as_str)
+            .ok_or_else(|| Response::error(400, "missing string field `graph`"))?;
+        traced.name = name.to_string();
+        let entry = state
+            .registry
+            .get(name)
+            .ok_or_else(|| Response::error(404, &format!("graph `{name}` is not registered")))?;
+        traced.resident_at_start = Some(entry.is_resident());
+        let graph = materialize_graph(state, &entry)?;
+        let plan = plan(state, endpoint, name, &body)?;
+        let prior = match lookup_cache(state, &plan.key) {
+            CacheLookup::Complete(hit) => return Ok(Response::json(200, hit)),
+            CacheLookup::Partial(p) => Some(p),
+            CacheLookup::Miss => None,
+        };
+        let deadline = state.timeout.map(|t| Instant::now() + t);
+        let progress = drive(
+            state,
+            name,
+            &graph,
+            &plan.job,
+            plan.threads,
+            prior,
+            deadline,
+        )
+        .map_err(|e| error_response(&e))?;
+        state.metrics.trials_executed.add(progress.executed);
+        let (done, requested) = (progress.trials_done, progress.trials_requested);
+        let answer = match progress.outcome {
+            Outcome::Done(answer) => answer,
+            Outcome::Incomplete(partial) => {
+                return Ok(deadline_response(
+                    state, &plan.key, partial, done, requested,
+                ))
+            }
+        };
+        let body = render(
+            state, name, &graph, &plan, answer, done, requested, deadline,
+        );
+        state.cache.put_complete(&plan.key, &body);
+        Ok(Response::json(200, body))
     };
-    let body = parse_body(req)?;
-    let (name, entry) = lookup_graph(state, &body)?;
-    let graph = materialize_graph(state, &entry)?;
-    let plan = plan(state, endpoint, &name, &body)?;
-    let prior = match lookup_cache(state, &plan.key) {
-        CacheLookup::Complete(hit) => return Ok(Response::json(200, hit)),
-        CacheLookup::Partial(p) => Some(p),
-        CacheLookup::Miss => None,
-    };
-    let deadline = state.timeout.map(|t| Instant::now() + t);
-    let progress = drive(
-        state,
-        &name,
-        &graph,
-        &plan.job,
-        plan.threads,
-        prior,
-        deadline,
-    )
-    .map_err(|e| error_response(&e))?;
-    state.metrics.trials_executed.add(progress.executed);
-    let (done, requested) = (progress.trials_done, progress.trials_requested);
-    let answer = match progress.outcome {
-        Outcome::Done(answer) => answer,
-        Outcome::Incomplete(partial) => {
-            return Ok(deadline_response(
-                state, &plan.key, partial, done, requested,
-            ))
-        }
-    };
-    let body = render(
-        state, &name, &graph, &plan, answer, done, requested, deadline,
-    );
-    state.cache.put_complete(&plan.key, &body);
-    Ok(Response::json(200, body))
+    let resp = respond().unwrap_or_else(|resp| resp);
+    (resp, traced)
 }
 
 /// Runs `job` through the method table on this node's range runner: the
@@ -1593,23 +1629,6 @@ fn parse_body(req: &Request) -> Result<Json, Response> {
     Json::parse(text).map_err(|e| Response::error(400, &format!("bad JSON: {e}")))
 }
 
-fn lookup_graph(
-    state: &AppState,
-    body: &Json,
-) -> Result<(String, Arc<crate::registry::GraphHandle>), Response> {
-    let name = body
-        .get("graph")
-        .and_then(Json::as_str)
-        .ok_or_else(|| Response::error(400, "missing string field `graph`"))?;
-    match state.registry.get(name) {
-        Some(handle) => Ok((name.to_string(), handle)),
-        None => Err(Response::error(
-            404,
-            &format!("graph `{name}` is not registered"),
-        )),
-    }
-}
-
 fn butterfly_field(body: &Json) -> Result<Butterfly, Response> {
     let arr = body
         .get("butterfly")
@@ -1680,6 +1699,15 @@ mod tests {
             items: 0,
             calls: 1,
         }
+    }
+
+    #[test]
+    fn endpoint_labels_cover_all_paths() {
+        let label = |path| Route::parse("GET", path).endpoint;
+        assert_eq!(label("/v1/solve"), "solve");
+        assert_eq!(label("/admin/shutdown"), "admin");
+        assert_eq!(label("/debug/trace"), "debug");
+        assert_eq!(label("/nope"), "other");
     }
 
     #[test]

@@ -45,9 +45,9 @@ use bigraph::UncertainBipartiteGraph;
 pub use mpmb_core::engine::{Cancel, Partial, CHECK_EVERY};
 use mpmb_core::Checkpoint;
 use mpmb_core::{
-    count_distribution_from_histogram, Butterfly, CandidateSet, CountDistribution, CountTrials,
-    Distribution, Executor, FastEstimate, FastSample, KarpLubyTrials, KlCandidate, KlTrialPolicy,
-    McVpTrials, OlsConfig, OptimizedTrials, OsConfig, OsTrials, PrepareTrials, QueryResult,
+    count_distribution_from_histogram, sample_seed, Butterfly, CandidateSet, CountDistribution,
+    CountTrials, Distribution, Executor, FastEstimate, FastSample, KarpLubyTrials, KlCandidate,
+    KlTrialPolicy, McVpTrials, OptimizedTrials, OsConfig, OsTrials, PrepareTrials, QueryResult,
     QueryTrials, SublinearTrials, Tally, TrialEngine,
 };
 use std::ops::Range;
@@ -380,15 +380,6 @@ impl Job {
             butterfly: None,
         }
     }
-
-    /// The OLS config a single-node run would use — seeding (notably
-    /// `sample_seed()`) must match exactly.
-    fn ols(&self) -> OlsConfig {
-        OlsConfig {
-            seed: self.seed,
-            ..Default::default()
-        }
-    }
 }
 
 /// Where a phase's trial ranges run.
@@ -591,7 +582,7 @@ fn step(
         // to estimation, so a coordinator runs it itself and ships the
         // result with every range request.
         PartialState::OlsPrepare(p) => {
-            let engine = PrepareTrials::new(g, &job.ols());
+            let engine = PrepareTrials::new(g, job.seed);
             let phase = Phase {
                 report: |job, p| (p.trials_done(), job.prep + job.trials),
                 ..Phase::local()
@@ -605,7 +596,7 @@ fn step(
             candidates,
             partial,
         } => {
-            let engine = OptimizedTrials::new(g, candidates, job.ols().sample_seed());
+            let engine = OptimizedTrials::new(g, candidates, sample_seed(job.seed));
             let phase = Phase {
                 report: |job, p| (job.prep + p.trials_done(), job.prep + p.trials_requested()),
                 ..Phase::scattered(|s| match s {
@@ -625,7 +616,7 @@ fn step(
             partial,
         } => {
             let policy = KlTrialPolicy::Fixed(job.trials);
-            let engine = KarpLubyTrials::new(g, candidates, policy, job.ols().sample_seed());
+            let engine = KarpLubyTrials::new(g, candidates, policy, sample_seed(job.seed));
             let phase = Phase {
                 every: 1,
                 report: |job, p: &Partial<Vec<_>>| {
@@ -770,7 +761,7 @@ mod tests {
 
     /// The OLS candidate set after `job.prep` preparing trials.
     fn prepared(g: &UncertainBipartiteGraph, job: &Job) -> CandidateSet {
-        let prep = PrepareTrials::new(g, &job.ols());
+        let prep = PrepareTrials::new(g, job.seed);
         prep.finalize(sequential(&prep, job.prep))
     }
 
@@ -888,7 +879,7 @@ mod tests {
         let g = fig1();
         let job = Job::new(Method::Ols, 20_000, 150, 21);
         let cs = prepared(&g, &job);
-        let sample = OptimizedTrials::new(&g, &cs, job.ols().sample_seed());
+        let sample = OptimizedTrials::new(&g, &cs, sample_seed(job.seed));
         let reference = sequential(&sample, 20_000).into_distribution();
         for threads in [1, 2, 3, 8] {
             let run = advance_local(&g, &job, None, threads, &Cancel::never()).unwrap();
@@ -906,7 +897,7 @@ mod tests {
         let g = fig1();
         let job = Job::new(Method::OlsKl, 400, 150, 23);
         let cs = prepared(&g, &job);
-        let kl = KarpLubyTrials::new(&g, &cs, KlTrialPolicy::Fixed(400), job.ols().sample_seed());
+        let kl = KarpLubyTrials::new(&g, &cs, KlTrialPolicy::Fixed(400), sample_seed(job.seed));
         let reference = kl.finalize(sequential(&kl, kl.trials())).distribution;
         for threads in [1, 2, 3, 8] {
             let run = advance_local(&g, &job, None, threads, &Cancel::never()).unwrap();

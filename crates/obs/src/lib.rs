@@ -37,6 +37,5 @@ pub use ring::Ring;
 pub use trace::{
     current, event, install, next_span_id, next_trace_id, observing, set_sink_file,
     set_sink_file_capped, set_sink_off, set_sink_stderr, span, span_context, thread_ord,
-    trace_enabled, trace_id, trace_rotations, with_solver, CtxGuard, FieldValue, ObsCtx, Span,
-    SpanContext,
+    trace_enabled, trace_rotations, with_solver, CtxGuard, FieldValue, ObsCtx, Span, SpanContext,
 };

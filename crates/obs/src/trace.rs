@@ -222,10 +222,9 @@ impl SpanContext {
 /// logical operation (a CLI solve, an HTTP request).
 #[derive(Clone, Default)]
 pub struct ObsCtx {
-    /// Trace/request id stamped onto every span and event.
-    pub trace_id: Option<Arc<str>>,
     /// This hop's position in the cross-node trace tree; when set, its
-    /// span/parent ids are stamped onto every span and event line.
+    /// trace id and span/parent ids are stamped onto every span and
+    /// event line.
     pub span: Option<SpanContext>,
     /// Phase table closed spans aggregate into.
     pub profile: Option<Arc<Profile>>,
@@ -235,10 +234,7 @@ pub struct ObsCtx {
 
 impl ObsCtx {
     fn is_empty(&self) -> bool {
-        self.trace_id.is_none()
-            && self.span.is_none()
-            && self.profile.is_none()
-            && self.solver.is_none()
+        self.span.is_none() && self.profile.is_none() && self.solver.is_none()
     }
 }
 
@@ -283,14 +279,6 @@ pub fn current() -> ObsCtx {
 
 fn ctx_active() -> bool {
     CTX_ACTIVE.with(|a| a.get())
-}
-
-/// The current trace id, if one is installed.
-pub fn trace_id() -> Option<Arc<str>> {
-    if !ctx_active() {
-        return None;
-    }
-    CTX.with(|c| c.borrow().trace_id.clone())
 }
 
 /// The current span context, if one is installed.
@@ -412,11 +400,9 @@ fn line_prologue(kind: &str, name: &str) -> String {
     push_json_str(&mut out, kind);
     out.push_str(",\"name\":");
     push_json_str(&mut out, name);
-    if let Some(id) = trace_id() {
-        out.push_str(",\"trace\":");
-        push_json_str(&mut out, &id);
-    }
     if let Some(sc) = span_context() {
+        out.push_str(",\"trace\":");
+        push_json_str(&mut out, &sc.trace_id);
         let _ = write!(out, ",\"span\":{}", sc.span_id);
         if let Some(parent) = sc.parent_span_id {
             let _ = write!(out, ",\"parent\":{parent}");
@@ -544,8 +530,7 @@ mod tests {
         let _l = sink_lock();
         let profile = Arc::new(Profile::new());
         let guard = install(ObsCtx {
-            trace_id: Some(next_trace_id()),
-            span: None,
+            span: Some(SpanContext::root(next_trace_id())),
             profile: Some(profile.clone()),
             solver: None,
         });
@@ -607,7 +592,7 @@ mod tests {
         let path = dir.join("trace.jsonl");
         set_sink_file(&path).unwrap();
         let _g = install(ObsCtx {
-            trace_id: Some(Arc::from("req-123")),
+            span: Some(SpanContext::root(Arc::from("req-123"))),
             ..Default::default()
         });
         {
@@ -653,7 +638,6 @@ mod tests {
         set_sink_file(&path).unwrap();
         {
             let _g = install(ObsCtx {
-                trace_id: Some(Arc::clone(&hop.trace_id)),
                 span: Some(hop.clone()),
                 profile: None,
                 solver: None,
@@ -687,8 +671,7 @@ mod tests {
         let before = trace_rotations();
         set_sink_file_capped(&path, Some(256)).unwrap();
         let _g = install(ObsCtx {
-            trace_id: Some(Arc::from("rot-test")),
-            span: None,
+            span: Some(SpanContext::root(Arc::from("rot-test"))),
             profile: None,
             solver: None,
         });

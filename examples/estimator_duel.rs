@@ -18,13 +18,7 @@ fn main() {
     // Shared preparing phase: 200 OS trials, unioned into C_MB. The duel
     // needs Karp-Luby's Eq. 8 dynamic policy, which the `ols-kl` method
     // does not expose, so it drives the phase engines directly.
-    let prep = PrepareTrials::new(
-        &g,
-        &OlsConfig {
-            seed: 3,
-            ..Default::default()
-        },
-    );
+    let prep = PrepareTrials::new(&g, 3);
     let candidates = prep.finalize(Executor::new(1).run(&prep, 200, &Cancel::never()).acc);
     println!("|C_MB| = {} candidates\n", candidates.len());
 

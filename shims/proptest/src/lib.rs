@@ -1,9 +1,9 @@
 //! Offline stand-in for `proptest`.
 //!
 //! Implements the subset the workspace's property tests use: the
-//! [`Strategy`] trait with `prop_map`/`prop_flat_map`, numeric-range and
-//! tuple strategies, [`Just`], `any::<T>()`, `collection::{vec,
-//! btree_set}`, and the `proptest!`/`prop_assert!`/`prop_assert_eq!`
+//! [`Strategy`](strategy::Strategy) trait with `prop_map`/`prop_flat_map`,
+//! numeric-range and tuple strategies, [`Just`](strategy::Just),
+//! `any::<T>()`, `collection::{vec, btree_set}`, and the `proptest!`/`prop_assert!`/`prop_assert_eq!`
 //! macros. Each test runs `PROPTEST_CASES` random cases (default 32)
 //! from a seed derived deterministically from the test name, so failures
 //! reproduce run-to-run. Unlike real proptest there is **no shrinking**:

@@ -375,10 +375,8 @@ fn cmd_solve(flags: &Flags) {
     // the trial loop's results — proptests pin bit-identity.
     let profile = Arc::new(obs::Profile::new());
     let _obs_guard = (profile_on || flags.get("trace-json").is_some()).then(|| {
-        let trace_id = obs::next_trace_id();
         obs::install(obs::ObsCtx {
-            trace_id: Some(Arc::clone(&trace_id)),
-            span: Some(obs::SpanContext::root(trace_id)),
+            span: Some(obs::SpanContext::root(obs::next_trace_id())),
             profile: Some(Arc::clone(&profile)),
             solver: None,
         })
@@ -539,13 +537,7 @@ fn cmd_generate(flags: &Flags) {
     let name = flags
         .get("dataset")
         .unwrap_or_else(|| fail("--dataset is required"));
-    let dataset = match name.to_ascii_lowercase().as_str() {
-        "abide" => Dataset::Abide,
-        "movielens" => Dataset::MovieLens,
-        "jester" => Dataset::Jester,
-        "protein" => Dataset::Protein,
-        other => fail(&format!("unknown dataset `{other}`")),
-    };
+    let dataset = Dataset::parse(name).unwrap_or_else(|e| fail(&e));
     let scale: f64 = flags.get_parsed("scale", 0.01);
     let seed: u64 = flags.get_parsed("seed", 42);
     let g = dataset.generate(scale, seed);

@@ -61,8 +61,7 @@ pub mod prelude {
         UncertainBipartiteGraph, Weight,
     };
     pub use mpmb_core::{
-        Butterfly, Cancel, Distribution, ExactConfig, Executor, KlTrialPolicy, OlsConfig, OsConfig,
-        OsTrials,
+        Butterfly, Cancel, Distribution, ExactConfig, Executor, KlTrialPolicy, OsConfig, OsTrials,
     };
     pub use mpmb_serve::{advance_local, Answer, Job, Method, Outcome};
 }

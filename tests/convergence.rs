@@ -5,7 +5,7 @@ mod common;
 
 use common::solve;
 use mpmb::prelude::*;
-use mpmb_core::{bounds, convergence_trace, OlsConfig, OptimizedTrials, PrepareTrials};
+use mpmb_core::{bounds, convergence_trace, OptimizedTrials, PrepareTrials};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -88,12 +88,8 @@ fn lemma_vi4_candidate_miss_rate_matches_the_bound() {
             let q = (1.0 - p_exact).powi(prep as i32);
             assert!(q <= miss, "{prep} trials miss at rate {q} > {miss}");
             for seed in 0..seeds {
-                let cfg = OlsConfig {
-                    seed,
-                    ..Default::default()
-                };
                 let union = Executor::new(1)
-                    .run(&PrepareTrials::new(&g, &cfg), prep, &Cancel::never())
+                    .run(&PrepareTrials::new(&g, seed), prep, &Cancel::never())
                     .acc;
                 observed += u64::from(!union.contains(&target));
             }

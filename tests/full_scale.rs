@@ -45,13 +45,7 @@ fn protein_full_scale_generates_and_prepares() {
     let g = Dataset::Protein.generate(1.0, 1);
     assert!(g.num_edges() > 39_000_000, "|E|={}", g.num_edges());
     // Preparing phase only (a full 20k-trial OS run takes many minutes).
-    let prep = PrepareTrials::new(
-        &g,
-        &OlsConfig {
-            seed: 1,
-            ..Default::default()
-        },
-    );
+    let prep = PrepareTrials::new(&g, 1);
     let candidates = prep.finalize(Executor::new(1).run(&prep, 20, &Cancel::never()).acc);
     assert!(!candidates.is_empty());
 }

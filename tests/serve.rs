@@ -866,6 +866,184 @@ fn unknown_graph_and_bad_requests_are_4xx() {
     server.join();
 }
 
+/// `mpmb_requests_total` counts from a `/metrics` page, keyed by
+/// `(endpoint, status)` label.
+fn request_counts(metrics_text: &str) -> std::collections::BTreeMap<(String, String), u64> {
+    metrics_text
+        .lines()
+        .filter_map(|l| l.strip_prefix("mpmb_requests_total{endpoint=\""))
+        .map(|rest| {
+            let (endpoint, rest) = rest.split_once("\",status=\"").expect("status label");
+            let (status, value) = rest.split_once("\"} ").expect("sample value");
+            let key = (endpoint.to_string(), status.to_string());
+            (key, value.parse().expect("integer count"))
+        })
+        .collect()
+}
+
+/// Every served `(method, path)`, each served path under a wrong method,
+/// unknown paths under each labelled prefix and elsewhere, and a
+/// malformed request line: each gets its status and is counted under
+/// its `endpoint` label, and no other request series moves.
+#[test]
+fn route_table_statuses_and_endpoint_labels() {
+    let _guard = lock();
+    let (server, addr) = start(default_cfg());
+    register_graph(&addr);
+
+    let solve = "{\"graph\":\"g\",\"method\":\"os\",\"trials\":50,\"seed\":3}";
+    let count = "{\"graph\":\"g\",\"trials\":50,\"seed\":3}";
+    let query = "{\"graph\":\"g\",\"butterfly\":[0,1,0,1],\"trials\":50,\"seed\":3}";
+    let register = format!("{{\"name\":\"h\",\"spec\":\"{GRAPH_SPEC}\"}}");
+    let cases: [(&str, &str, &str, u16, &str); 29] = [
+        // Served.
+        ("GET", "/healthz", "", 200, "healthz"),
+        ("GET", "/v1/graphs", "", 200, "graphs"),
+        ("POST", "/v1/graphs", &register, 200, "graphs"),
+        ("POST", "/v1/solve", solve, 200, "solve"),
+        ("POST", "/v1/topk", solve, 200, "topk"),
+        ("POST", "/v1/query", query, 200, "query"),
+        ("POST", "/v1/count", count, 200, "count"),
+        ("POST", "/v1/internal/solve-range", "junk", 400, "internal"),
+        ("GET", "/metrics", "", 200, "metrics"),
+        ("GET", "/metrics/cluster", "", 404, "metrics"),
+        ("GET", "/debug/trace", "", 200, "debug"),
+        // Served paths, wrong method.
+        ("POST", "/healthz", "", 405, "healthz"),
+        ("DELETE", "/v1/graphs", "", 405, "graphs"),
+        ("GET", "/v1/solve", "", 405, "solve"),
+        ("GET", "/v1/topk", "", 405, "topk"),
+        ("GET", "/v1/query", "", 405, "query"),
+        ("GET", "/v1/count", "", 405, "count"),
+        ("GET", "/v1/internal/solve-range", "", 405, "internal"),
+        ("POST", "/metrics", "", 405, "metrics"),
+        ("POST", "/metrics/cluster", "", 405, "metrics"),
+        ("POST", "/debug/trace", "", 405, "debug"),
+        ("GET", "/admin/shutdown", "", 405, "admin"),
+        // Unknown paths: prefix labels, else `other`.
+        ("POST", "/admin/nope", "", 404, "admin"),
+        ("GET", "/debug/nope", "", 404, "debug"),
+        ("POST", "/v1/internal/nope", "", 404, "internal"),
+        ("GET", "/metrics/nope", "", 404, "other"),
+        ("POST", "/v1/solve/extra", solve, 404, "other"),
+        ("GET", "/v1/nope", "", 404, "other"),
+        ("GET", "/", "", 404, "other"),
+    ];
+    let status_label = |s: u16| match s {
+        200 | 400 | 404 | 429 | 503 => s.to_string(),
+        _ => "other".to_string(),
+    };
+    let mut expected = std::collections::BTreeMap::new();
+    *expected
+        .entry(("graphs".to_string(), "200".to_string()))
+        .or_insert(0) += 1; // `register_graph` above
+    for (method, path, body, status, endpoint) in cases {
+        let (got, resp) = call(addr.as_str(), method, path, body).unwrap();
+        assert_eq!(got, status, "{method} {path}: {resp}");
+        *expected
+            .entry((endpoint.to_string(), status_label(status)))
+            .or_insert(0) += 1;
+    }
+
+    // A request line with no target is answered 400 and closed.
+    let mut s = TcpStream::connect(addr.as_str()).unwrap();
+    s.write_all(b"GARBAGE\r\n\r\n").unwrap();
+    let mut raw = String::new();
+    s.read_to_string(&mut raw).unwrap();
+    assert!(raw.starts_with("HTTP/1.1 400"), "{raw}");
+    *expected
+        .entry(("other".to_string(), "400".to_string()))
+        .or_insert(0) += 1;
+
+    let (_, metrics) = call(addr.as_str(), "GET", "/metrics", "").unwrap();
+    let counts = request_counts(&metrics);
+    for (key, count) in &counts {
+        assert_eq!(
+            *count,
+            expected.get(key).copied().unwrap_or(0),
+            "mpmb_requests_total{key:?}"
+        );
+    }
+    for key in expected.keys() {
+        assert!(counts.contains_key(key), "no series for {key:?}");
+    }
+
+    // The drain answers 202 before the server stops taking requests.
+    let (status, resp) = call(addr.as_str(), "POST", "/admin/shutdown", "").unwrap();
+    assert_eq!(status, 202, "{resp}");
+    server.join();
+}
+
+/// `/debug/trace` names each solve-like request's graph and its
+/// residency whether the request succeeded or not: unparseable bodies,
+/// bodies without a string `graph` and wrong methods name none, an
+/// unknown graph is named but never reached, and errors after the graph
+/// was found keep both.
+#[test]
+fn debug_trace_names_the_graph_on_every_status() {
+    let _guard = lock();
+    let (server, addr) = start(default_cfg());
+    register_graph(&addr);
+
+    let cases = [
+        (
+            "/v1/solve",
+            "{\"graph\":\"g\",\"trials\":40}",
+            200,
+            "g",
+            "true",
+        ),
+        (
+            "/v1/count",
+            "{\"graph\":\"g\",\"trials\":40}",
+            200,
+            "g",
+            "true",
+        ),
+        ("/v1/solve", "not json", 400, "", "null"),
+        ("/v1/solve", "", 400, "", "null"),
+        ("/v1/topk", "{\"trials\":40}", 400, "", "null"),
+        ("/v1/solve", "{\"graph\":7}", 400, "", "null"),
+        ("/v1/query", "{\"graph\":\"nope\"}", 404, "nope", "null"),
+        (
+            "/v1/solve",
+            "{\"graph\":\"g\",\"method\":\"zzz\"}",
+            400,
+            "g",
+            "true",
+        ),
+        ("/v1/query", "{\"graph\":\"g\"}", 400, "g", "true"),
+        // The wrong method on a solve-like path is traced too.
+        ("/v1/topk", "", 405, "", "null"),
+    ];
+    for (i, (path, body, status, _, _)) in cases.iter().enumerate() {
+        let id = format!("trace-graph-{i}");
+        let method = if *status == 405 { "GET" } else { "POST" };
+        let (got, _, resp) =
+            call_ext(addr.as_str(), method, path, body, &[("X-Request-Id", &id)]).unwrap();
+        assert_eq!(got, *status, "{path} {body}: {resp}");
+    }
+
+    let (_, resp) = call(addr.as_str(), "GET", "/debug/trace", "").unwrap();
+    let json = Json::parse(&resp).unwrap();
+    let traces = json.get("traces").and_then(Json::as_arr).unwrap();
+    for (i, (path, body, status, graph, resident)) in cases.iter().enumerate() {
+        let id = format!("trace-graph-{i}");
+        let entry = traces
+            .iter()
+            .find(|t| t.get("trace_id").and_then(Json::as_str) == Some(id.as_str()))
+            .unwrap_or_else(|| panic!("{id} retained"));
+        let field = |name| entry.get(name).unwrap().to_string();
+        assert_eq!(field("endpoint"), format!("\"{path}\""), "{body}");
+        assert_eq!(field("status"), status.to_string(), "{body}");
+        assert_eq!(field("graph"), format!("\"{graph}\""), "{body}");
+        assert_eq!(field("resident_at_start"), *resident, "{body}");
+    }
+
+    server.begin_shutdown();
+    server.join();
+}
+
 /// A ~200 KB `[[[[…` body would recurse an uncapped JSON parser off the
 /// end of a worker thread's stack — an abort no `catch_unwind` can
 /// stop. It must be an ordinary 400, and the server must keep serving.
