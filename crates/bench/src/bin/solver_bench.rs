@@ -21,7 +21,8 @@
 //!             (default all)
 //! --container round-trip the graph through a `UBGCONT1` container,
 //!             bench against the attached copy, and report container
-//!             attach vs text re-parse load timings
+//!             attach vs text re-parse load timings and the attached
+//!             graph's footprint (`graph_resident_bytes`, `bytes_per_edge`)
 //! --min-load-speedup  with --container: exit non-zero unless attach
 //!             beats text re-parse by at least this factor (default 0,
 //!             no gate; perf-smoke passes 10)

@@ -34,6 +34,12 @@ pub struct LoadComparison {
     pub speedup: f64,
     /// Size of the container file in bytes.
     pub container_bytes: u64,
+    /// The attached graph's [`UncertainBipartiteGraph::resident_bytes`]:
+    /// the heap its arrays hold, the figure `--mem-budget` charges.
+    pub graph_resident_bytes: u64,
+    /// `graph_resident_bytes / |E|`: per-edge arrays plus the per-vertex
+    /// ones amortized over the edges.
+    pub bytes_per_edge: f64,
 }
 
 impl LoadComparison {
@@ -43,7 +49,8 @@ impl LoadComparison {
             "{{\"text_parse_secs\": {:.6}, \"container_attach_secs\": {:.6}, \
              \"storage_load_secs\": {:.6}, \"storage_validate_secs\": {:.6}, \
              \"storage_derive_secs\": {:.6}, \"container_open_secs\": {:.6}, \
-             \"speedup\": {:.3}, \"container_bytes\": {}}}",
+             \"speedup\": {:.3}, \"container_bytes\": {}, \
+             \"graph_resident_bytes\": {}, \"bytes_per_edge\": {:.2}}}",
             self.text_secs,
             self.container_secs,
             self.stage_secs[0],
@@ -51,7 +58,9 @@ impl LoadComparison {
             self.stage_secs[2],
             self.open_secs,
             self.speedup,
-            self.container_bytes
+            self.container_bytes,
+            self.graph_resident_bytes,
+            self.bytes_per_edge
         )
     }
 }
@@ -160,6 +169,7 @@ pub fn compare_load_paths(
         "container attach must reproduce the generated graph bit-for-bit"
     );
 
+    let graph_resident_bytes = attached.resident_bytes();
     let cmp = LoadComparison {
         text_secs,
         container_secs,
@@ -167,23 +177,29 @@ pub fn compare_load_paths(
         open_secs,
         speedup: text_secs / container_secs,
         container_bytes,
+        graph_resident_bytes,
+        bytes_per_edge: graph_resident_bytes as f64 / attached.num_edges().max(1) as f64,
     };
     (attached, cmp)
 }
 
 /// A whole-graph fingerprint: the container encoding, which covers the
 /// primary arrays, then the derived arrays a container does not store
-/// (`accept`, the §V-B gathers, the degree ranks).
+/// (the §V-B gathers, the degree ranks).
 fn fingerprint(g: &UncertainBipartiteGraph) -> (Vec<u8>, Vec<u64>, Vec<u32>) {
     let mut bytes = Vec::new();
     bigraph::write_container(g, &mut bytes).expect("encode container");
     let desc_weights = g.desc_weights().iter().map(|w| w.to_bits());
-    let words = [g.accept_thresholds(), g.desc_accepts()].concat();
-    let ranks = [g.left_ranks(), g.left_by_rank()].concat();
+    let ends = g.desc_endpoints().iter().flat_map(|&(u, v)| [u, v]);
+    let ranks = g.left_ranks().iter().chain(g.left_by_rank());
     (
         bytes,
-        words.into_iter().chain(desc_weights).collect(),
-        ranks,
+        g.desc_accepts()
+            .iter()
+            .copied()
+            .chain(desc_weights)
+            .collect(),
+        ends.chain(ranks.copied()).collect(),
     )
 }
 
@@ -209,5 +225,9 @@ mod tests {
         assert!(load > 0.0 && validate > 0.0 && derive > 0.0, "{json}");
         assert!(load + validate + derive <= cmp.container_secs, "{json}");
         assert!(json.contains("\"storage_derive_secs\""), "{json}");
+        assert_eq!(cmp.graph_resident_bytes, g.resident_bytes());
+        assert!(cmp.bytes_per_edge >= 60.0, "{json}");
+        assert!(json.contains("\"graph_resident_bytes\""), "{json}");
+        assert!(json.contains("\"bytes_per_edge\""), "{json}");
     }
 }

@@ -3,6 +3,7 @@
 use crate::graph::{Adj, UncertainBipartiteGraph};
 use crate::priority::degree_desc_ranks;
 use crate::sample::fixed_point_threshold;
+use crate::storage::gather;
 use crate::types::{Left, Right, Weight};
 use std::fmt;
 
@@ -176,7 +177,8 @@ impl GraphBuilder {
 /// sides, edge endpoints, weights, probabilities, and the §V-B
 /// weight-descending edge order. [`Primaries::complete`] derives every
 /// other array from them, for the builder and for containers
-/// ([`storage`](crate::storage)), which store only these.
+/// ([`storage`](crate::storage)), which store only these. The by-id
+/// endpoints are only an input: the graph keeps them in scan order.
 pub(crate) struct Primaries {
     pub(crate) left_offsets: Vec<u32>,
     pub(crate) left_adj: Vec<Adj>,
@@ -196,18 +198,22 @@ impl Primaries {
     /// the gathers index through the order and the degrees subtract
     /// offsets.
     pub(crate) fn complete(self) -> UncertainBipartiteGraph {
-        // Fixed-point Bernoulli thresholds (one integer compare per trial
-        // draw instead of an f64 convert), and weight/threshold arrays
-        // gathered into the §V-B scan order so the solvers'
-        // descending-weight scans read memory sequentially.
-        let accept: Vec<u64> = self
-            .probs
-            .iter()
-            .map(|&p| fixed_point_threshold(p))
-            .collect();
+        // The §V-B scan's arrays, gathered into its order so the solvers'
+        // descending-weight scans read memory sequentially: endpoints,
+        // weights and fixed-point Bernoulli thresholds (one integer
+        // compare per trial draw instead of an f64 convert). The by-id
+        // endpoints are dropped before the other gathers, so the derive
+        // never holds more than the finished graph's bytes. The
+        // thresholds are computed in a sequential pass over the gathered
+        // probabilities: inside the gather loop they cost twice as much.
         let order = &self.edges_by_weight_desc;
-        let desc_weights: Vec<Weight> = order.iter().map(|&e| self.weights[e as usize]).collect();
-        let desc_accept: Vec<u64> = order.iter().map(|&e| accept[e as usize]).collect();
+        let desc_endpoints = gather(order, |e| (self.edge_left[e], self.edge_right[e]));
+        drop((self.edge_left, self.edge_right));
+        let desc_weights = gather(order, |e| self.weights[e]);
+        let mut desc_accept = gather(order, |e| self.probs[e].to_bits());
+        for t in &mut desc_accept {
+            *t = fixed_point_threshold(f64::from_bits(*t));
+        }
 
         // Degree-descending left relabeling for the wedge-listing kernel's
         // cache-local bucket arena.
@@ -219,18 +225,15 @@ impl Primaries {
             left_adj: self.left_adj,
             right_offsets: self.right_offsets,
             right_adj: self.right_adj,
-            edge_left: self.edge_left,
-            edge_right: self.edge_right,
             weights: self.weights,
             probs: self.probs,
-            accept,
             edges_by_weight_desc: self.edges_by_weight_desc,
             desc_weights,
             desc_accept,
+            desc_endpoints,
             left_rank,
             left_by_rank,
             middle_side: Default::default(),
-            desc_endpoints: Default::default(),
         }
     }
 }

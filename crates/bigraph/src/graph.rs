@@ -3,7 +3,10 @@
 //! Storage is CSR on both sides plus dense parallel edge arrays, built once
 //! by [`GraphBuilder`](crate::GraphBuilder) and immutable afterwards: the
 //! solvers sample tens of thousands of trials against one graph, so the
-//! representation is optimized for repeated read-only scans.
+//! representation is optimized for repeated read-only scans. Each
+//! per-edge attribute is held once, in the order its hot reader walks
+//! it; weights alone are held in both orders, because MC-VP's wedge
+//! loop reads them by id and the §V-B scan by position.
 
 use crate::types::{EdgeId, Left, Right, Side, Weight};
 use std::sync::OnceLock;
@@ -28,16 +31,8 @@ pub struct UncertainBipartiteGraph {
     pub(crate) left_adj: Vec<Adj>,
     pub(crate) right_offsets: Vec<u32>,
     pub(crate) right_adj: Vec<Adj>,
-    pub(crate) edge_left: Vec<u32>,
-    pub(crate) edge_right: Vec<u32>,
     pub(crate) weights: Vec<Weight>,
     pub(crate) probs: Vec<f64>,
-    /// Fixed-point Bernoulli acceptance thresholds, one per edge:
-    /// `accept[e] = ⌈p(e) · 2⁵³⌉` (see
-    /// [`fixed_point_threshold`](crate::fixed_point_threshold)).
-    /// Precomputed once so the million-trial sampling loops compare raw
-    /// `next_u64` words with a single integer compare.
-    pub(crate) accept: Vec<u64>,
     /// Edge ids sorted by weight, descending (ties by id). Precomputed at
     /// build time because the §V-B edge ordering is the backbone of both OS
     /// and OLS, and sorting 39M edges per solver call would dominate.
@@ -45,9 +40,18 @@ pub struct UncertainBipartiteGraph {
     /// `weights[e]` gathered into `edges_by_weight_desc` order: the §V-B
     /// scan reads weights sequentially instead of random-gathering.
     pub(crate) desc_weights: Vec<Weight>,
-    /// `accept[e]` gathered into `edges_by_weight_desc` order, for the
-    /// same sequential-scan reason.
+    /// Fixed-point Bernoulli acceptance thresholds
+    /// `⌈p(e) · 2⁵³⌉` (see
+    /// [`fixed_point_threshold`](crate::fixed_point_threshold)) in
+    /// `edges_by_weight_desc` order: the §V-B scan compares each raw
+    /// `next_u64` word with one sequentially loaded integer. By-id draws
+    /// compute the threshold from `probs` instead.
     pub(crate) desc_accept: Vec<u64>,
+    /// `(left, right)` endpoints in `edges_by_weight_desc` order: the
+    /// one copy of the edges' endpoints. The OS scan reads a present
+    /// edge's endpoints sequentially; by-id readers scatter them back
+    /// with [`edge_endpoints`](Self::edge_endpoints).
+    pub(crate) desc_endpoints: Vec<(u32, u32)>,
     /// Degree-descending rank of each left vertex (ties by id ascending):
     /// `left_rank[u] = r` means `u` is the `r`-th most-connected left
     /// vertex. The wedge-listing kernel buckets by rank so hot counters
@@ -59,10 +63,6 @@ pub struct UncertainBipartiteGraph {
     /// first use: it costs two passes over every edge, and every OS
     /// engine (one per chunk of every request) asks for it.
     pub(crate) middle_side: OnceLock<Side>,
-    /// [`desc_endpoints`](Self::desc_endpoints), built on first use:
-    /// only the Ordering Sampling scan reads it, and every OS engine
-    /// (one per chunk of every request) shares the one copy.
-    pub(crate) desc_endpoints: OnceLock<Vec<(u32, u32)>>,
 }
 
 impl UncertainBipartiteGraph {
@@ -96,26 +96,17 @@ impl UncertainBipartiteGraph {
         self.probs[e.index()]
     }
 
-    /// Fixed-point acceptance threshold `⌈p(e) · 2⁵³⌉` of edge `e` (see
-    /// [`fixed_point_threshold`](crate::fixed_point_threshold)).
-    #[inline]
-    pub fn accept_threshold(&self, e: EdgeId) -> u64 {
-        self.accept[e.index()]
-    }
-
-    /// All acceptance thresholds, indexed by edge id.
-    #[inline]
-    pub fn accept_thresholds(&self) -> &[u64] {
-        &self.accept
-    }
-
-    /// Endpoints of edge `e`.
-    #[inline]
-    pub fn endpoints(&self, e: EdgeId) -> (Left, Right) {
-        (
-            Left(self.edge_left[e.index()]),
-            Right(self.edge_right[e.index()]),
-        )
+    /// `(left, right)` endpoints of every edge, indexed by edge id: one
+    /// `O(|E|)` scatter of [`Self::desc_endpoints`] through
+    /// [`Self::desc_edge_ids`] into a fresh `8·|E|`-byte array. For cold
+    /// readers (writers, generators, tests); the graph keeps no by-id
+    /// copy.
+    pub fn edge_endpoints(&self) -> Vec<(Left, Right)> {
+        let mut out = vec![(Left(0), Right(0)); self.num_edges()];
+        for (&e, &(u, v)) in self.edges_by_weight_desc.iter().zip(&self.desc_endpoints) {
+            out[e as usize] = (Left(u), Right(v));
+        }
+        out
     }
 
     /// All edge ids, ascending.
@@ -144,7 +135,9 @@ impl UncertainBipartiteGraph {
         &self.desc_weights
     }
 
-    /// Acceptance thresholds aligned with [`Self::desc_edge_ids`].
+    /// Acceptance thresholds aligned with [`Self::desc_edge_ids`]:
+    /// `desc_accepts()[i]` is
+    /// [`fixed_point_threshold`](crate::fixed_point_threshold)`(prob(desc_edge_ids()[i]))`.
     #[inline]
     pub fn desc_accepts(&self) -> &[u64] {
         &self.desc_accept
@@ -154,15 +147,10 @@ impl UncertainBipartiteGraph {
     /// `desc_endpoints()[i]` are the endpoints of `desc_edge_ids()[i]`.
     /// Lets the §V-B scan read each present edge's endpoints
     /// sequentially instead of gathering them through the edge-id
-    /// permutation. Built on first call (one `O(|E|)` pass, `8·|E|`
-    /// bytes) and cached for the graph's lifetime.
+    /// permutation.
+    #[inline]
     pub fn desc_endpoints(&self) -> &[(u32, u32)] {
-        self.desc_endpoints.get_or_init(|| {
-            self.edges_by_weight_desc
-                .iter()
-                .map(|&e| (self.edge_left[e as usize], self.edge_right[e as usize]))
-                .collect()
-        })
+        &self.desc_endpoints
     }
 
     /// Degree-descending ranks of the left vertices (ties by id): the
@@ -315,22 +303,18 @@ impl UncertainBipartiteGraph {
     /// A pure function of the graph's dimensions (element counts ×
     /// element sizes, ignoring allocator slack), so the serving
     /// registry's memory-budget accounting is deterministic across
-    /// runs and platforms. The lazily built
-    /// [`desc_endpoints`](Self::desc_endpoints) pairs count from the
-    /// start: any OS or OLS solve builds them.
+    /// runs and platforms: 60 bytes per edge, plus the per-vertex
+    /// offsets and ranks.
     pub fn resident_bytes(&self) -> u64 {
         use std::mem::size_of;
         let u32s = self.left_offsets.len()
             + self.right_offsets.len()
-            + self.edge_left.len()
-            + self.edge_right.len()
             + self.edges_by_weight_desc.len()
-            + 2 * self.edges_by_weight_desc.len() // desc_endpoints
+            + 2 * self.desc_endpoints.len()
             + self.left_rank.len()
             + self.left_by_rank.len();
         let u64s = self.weights.len()
             + self.probs.len()
-            + self.accept.len()
             + self.desc_weights.len()
             + self.desc_accept.len();
         let adjs = self.left_adj.len() + self.right_adj.len();
@@ -366,8 +350,7 @@ mod tests {
     #[test]
     fn adjacency_is_consistent_both_sides() {
         let g = fig1_graph();
-        for e in g.edge_ids() {
-            let (u, v) = g.endpoints(e);
+        for (e, (u, v)) in g.edge_ids().zip(g.edge_endpoints()) {
             assert!(g.left_neighbors(u).any(|(r, ee)| r == v && ee == e));
             assert!(g.right_neighbors(v).any(|(l, ee)| l == u && ee == e));
         }
@@ -431,8 +414,9 @@ mod tests {
         let g = fig1_graph();
         let ends = g.desc_endpoints();
         assert_eq!(ends.len(), g.num_edges());
+        let by_id = g.edge_endpoints();
         for (&e, &(u, v)) in g.desc_edge_ids().iter().zip(ends) {
-            assert_eq!(g.endpoints(EdgeId(e)), (Left(u), Right(v)));
+            assert_eq!(by_id[e as usize], (Left(u), Right(v)));
         }
     }
 

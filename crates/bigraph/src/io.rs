@@ -127,8 +127,7 @@ pub fn write_edge_list<W: Write>(g: &UncertainBipartiteGraph, mut w: W) -> std::
         g.num_edges()
     )?;
     writeln!(w, "# left\tright\tweight\tprob")?;
-    for e in g.edge_ids() {
-        let (u, v) = g.endpoints(e);
+    for (e, (u, v)) in g.edge_ids().zip(g.edge_endpoints()) {
         writeln!(w, "{}\t{}\t{}\t{}", u.0, v.0, g.weight(e), g.prob(e))?;
     }
     Ok(())
@@ -155,8 +154,8 @@ mod tests {
         write_edge_list(&g, &mut out).unwrap();
         let g2 = read_edge_list(Cursor::new(out)).unwrap();
         assert_eq!(g2.num_edges(), g.num_edges());
+        assert_eq!(g.edge_endpoints(), g2.edge_endpoints());
         for e in g.edge_ids() {
-            assert_eq!(g.endpoints(e), g2.endpoints(e));
             assert_eq!(g.weight(e), g2.weight(e));
             assert_eq!(g.prob(e), g2.prob(e));
         }

@@ -72,12 +72,19 @@ pub const FIXED_POINT_ONE: u64 = 1u64 << 53;
 /// `u ≥ 0` always), `p = 1 → t = 2⁵³` (always accepts, `u ≤ 2⁵³ − 1`),
 /// `p = f64::MIN_POSITIVE → t = 1` (accepts exactly the draw `u = 0`,
 /// same as the float compare).
+///
+/// The conversions go through `i64`: `0 ≤ x ≤ 2⁵³` is exact there too,
+/// and x86-64 converts `f64 ⇄ i64` in one instruction each where the
+/// `u64` conversions take a compare-and-adjust sequence. By-id draws
+/// compute the threshold per draw, so this is on their hot path. `p`
+/// must lie in `[0, 1]`, which the graph builder and the container
+/// reader enforce.
 #[inline]
 pub fn fixed_point_threshold(p: f64) -> u64 {
     debug_assert!((0.0..=1.0).contains(&p), "probability out of range: {p}");
     let x = p * FIXED_POINT_ONE as f64;
-    let t = x as u64;
-    t.saturating_add(u64::from((t as f64) < x))
+    let t = x as i64;
+    (t + i64::from((t as f64) < x)) as u64
 }
 
 /// Whether the raw RNG word `word` is an acceptance under `threshold`
@@ -92,13 +99,13 @@ pub fn accept_word(word: u64, threshold: u64) -> bool {
 /// Edges with `p = 1` never consume randomness asymmetrically: the draw is
 /// always performed so outcome sequences stay aligned across graphs that
 /// differ only in probabilities. The accept/reject decision uses the
-/// precomputed fixed-point threshold (an integer compare on the raw
+/// fixed-point threshold of `p(e)` (an integer compare on the raw
 /// `next_u64` word) and is bit-identical to the historical
 /// `rng.random::<f64>() < g.prob(e)` — both consume exactly one `u64`
 /// per draw, and [`fixed_point_threshold`] proves the decision equal.
 #[inline]
 pub fn bernoulli_edge(g: &UncertainBipartiteGraph, e: EdgeId, rng: &mut impl Rng) -> bool {
-    accept_word(rng.next_u64(), g.accept_threshold(e))
+    accept_word(rng.next_u64(), fixed_point_threshold(g.prob(e)))
 }
 
 /// Samples complete possible worlds into a reusable buffer.
@@ -117,24 +124,25 @@ impl WorldSampler {
     /// created for a graph with the same number of edges.
     ///
     /// Draws are batched: a buffer of raw `next_u64` words is filled per
-    /// chunk, then compared against the precomputed thresholds in a tight
-    /// integer loop. The words are consumed in edge-id order — exactly
-    /// the sequence the per-edge path would draw — so sampled worlds are
-    /// bit-identical to repeated [`bernoulli_edge`] calls.
+    /// chunk, then compared against the probabilities' fixed-point
+    /// thresholds in a tight integer loop. The words are consumed in
+    /// edge-id order — exactly the sequence the per-edge path would
+    /// draw — so sampled worlds are bit-identical to repeated
+    /// [`bernoulli_edge`] calls.
     pub fn sample_into(g: &UncertainBipartiteGraph, world: &mut PossibleWorld, rng: &mut impl Rng) {
         assert_eq!(world.domain(), g.num_edges(), "world/graph mismatch");
         world.clear();
         const BATCH: usize = 256;
         let mut words = [0u64; BATCH];
-        let accept = g.accept_thresholds();
+        let probs = &g.probs;
         let mut base = 0usize;
-        while base < accept.len() {
-            let n = (accept.len() - base).min(BATCH);
+        while base < probs.len() {
+            let n = (probs.len() - base).min(BATCH);
             for w in &mut words[..n] {
                 *w = rng.next_u64();
             }
-            for (i, &t) in accept[base..base + n].iter().enumerate() {
-                if accept_word(words[i], t) {
+            for (i, &p) in probs[base..base + n].iter().enumerate() {
+                if accept_word(words[i], fixed_point_threshold(p)) {
                     world.insert(EdgeId((base + i) as u32));
                 }
             }

@@ -10,10 +10,11 @@
 //! edge endpoints, weights, probabilities, and the §V-B
 //! `edges_by_weight_desc` order. Materializing a container streams each
 //! section into its array, checksumming and decoding a cache-sized
-//! chunk at a time, plus one linear derivation — the fixed-point
-//! `accept` thresholds, the order's gathered weight/threshold arrays
-//! and the degree-rank relabeling, computed by the same function the
-//! builder uses — not a parse and no sort of the edges: the difference
+//! chunk at a time, plus one linear derivation — the order's gathered
+//! endpoint, weight and fixed-point threshold arrays and the
+//! degree-rank relabeling, computed by the same function the builder
+//! uses, which then drops the by-id endpoint sections — not a parse and
+//! no sort of the edges: the difference
 //! between milliseconds and minutes at the paper's 39.5 M-edge Protein
 //! scale, and the substrate the serving registry's lazy
 //! materialization and eviction are built on.
@@ -57,7 +58,7 @@
 use crate::builder::Primaries;
 use crate::codec::{fnv1a64, CodecError};
 use crate::graph::{Adj, UncertainBipartiteGraph};
-use crate::types::EdgeId;
+use crate::types::{EdgeId, Left, Right};
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -247,8 +248,10 @@ fn adj_from(b: [u8; 8]) -> Adj {
     }
 }
 
-/// Serializes one section's payload into `buf` (cleared first).
-fn encode_section(g: &UncertainBipartiteGraph, id: u32, buf: &mut Vec<u8>) {
+/// Serializes one section's payload into `buf` (cleared first). `ends`
+/// is [`UncertainBipartiteGraph::edge_endpoints`], the by-id endpoints
+/// sections 6 and 7 store.
+fn encode_section(g: &UncertainBipartiteGraph, ends: &[(Left, Right)], id: u32, buf: &mut Vec<u8>) {
     buf.clear();
     let dims = [g.num_left(), g.num_right(), g.num_edges()].map(|n| n as u64);
     match id {
@@ -257,8 +260,8 @@ fn encode_section(g: &UncertainBipartiteGraph, id: u32, buf: &mut Vec<u8>) {
         SEC_LEFT_ADJ => push(buf, &g.left_adj, adj_bytes),
         SEC_RIGHT_OFFSETS => push(buf, &g.right_offsets, |x| x.to_le_bytes()),
         SEC_RIGHT_ADJ => push(buf, &g.right_adj, adj_bytes),
-        SEC_EDGE_LEFT => push(buf, &g.edge_left, |x| x.to_le_bytes()),
-        SEC_EDGE_RIGHT => push(buf, &g.edge_right, |x| x.to_le_bytes()),
+        SEC_EDGE_LEFT => push(buf, ends, |(u, _)| u.0.to_le_bytes()),
+        SEC_EDGE_RIGHT => push(buf, ends, |(_, v)| v.0.to_le_bytes()),
         SEC_WEIGHTS => push(buf, &g.weights, |x| x.to_le_bytes()),
         SEC_PROBS => push(buf, &g.probs, |x| x.to_le_bytes()),
         SEC_DESC_ORDER => push(buf, &g.edges_by_weight_desc, |x| x.to_le_bytes()),
@@ -274,12 +277,13 @@ pub fn write_container<W: Write>(
     mut w: W,
 ) -> Result<(), StorageError> {
     // Pass 1: lengths + checksums.
+    let ends = g.edge_endpoints();
     let mut buf = Vec::new();
     let mut entries = Vec::with_capacity(WRITE_ORDER.len());
     let header_len = 8 + 4 + 4 + WRITE_ORDER.len() * ENTRY_BYTES + 8;
     let mut offset = header_len as u64;
     for &id in &WRITE_ORDER {
-        encode_section(g, id, &mut buf);
+        encode_section(g, &ends, id, &mut buf);
         entries.push(SectionEntry {
             id,
             offset,
@@ -306,7 +310,7 @@ pub fn write_container<W: Write>(
 
     // Pass 2: payloads, in table order.
     for &id in &WRITE_ORDER {
-        encode_section(g, id, &mut buf);
+        encode_section(g, &ends, id, &mut buf);
         w.write_all(&buf)?;
     }
     w.flush()?;
@@ -470,7 +474,9 @@ impl ContainerReader {
 
     /// Loads, verifies, and validates every primary section, then
     /// derives the rest (`Primaries::complete`) into a fully resident
-    /// graph that owns its memory and never aliases the file.
+    /// graph that owns its memory and never aliases the file. The by-id
+    /// endpoint sections are decoded into temporaries, validated, and
+    /// dropped by the derive once it has gathered them into scan order.
     ///
     /// Each section streams through a 128 KiB (`CHUNK_BYTES`) buffer:
     /// every chunk is checksummed and decoded into the section's final
@@ -480,8 +486,8 @@ impl ContainerReader {
     /// larger than the file). The three stages are timed as the obs
     /// spans `storage.load`, `storage.validate` and `storage.derive`.
     ///
-    /// Above 2¹⁶ (`PARALLEL_EDGE_CUTOFF`) edges, loading and structural
-    /// validation fan out over scoped threads, each load group reading
+    /// Above 2¹⁶ (`PARALLEL_EDGE_CUTOFF`) edges, loading, structural
+    /// validation and the derive's gathers fan out over scoped threads, each load group reading
     /// through its own file handle: every per-section and per-pass unit
     /// is a pure function of the file's bytes, so the result is
     /// bit-identical to the serial path — only the wall clock changes.
@@ -601,6 +607,34 @@ const PARALLEL_EDGE_CUTOFF: usize = 1 << 16;
 /// thread to run them on.
 fn fan_out(m: usize) -> bool {
     m >= PARALLEL_EDGE_CUTOFF && std::thread::available_parallelism().is_ok_and(|p| p.get() > 1)
+}
+
+/// `order.iter().map(|&e| f(e as usize)).collect()`: the derive's
+/// gathers into the §V-B scan order. Above [`PARALLEL_EDGE_CUTOFF`]
+/// edges the second half of the output fills on a scoped thread; each
+/// element is a pure function of its position, so the result is the
+/// serial one.
+pub(crate) fn gather<T: Copy + Default + Send>(
+    order: &[u32],
+    f: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    let mut out = vec![T::default(); order.len()];
+    let fill = |out: &mut [T], order: &[u32]| {
+        for (o, &e) in out.iter_mut().zip(order) {
+            *o = f(e as usize);
+        }
+    };
+    if fan_out(order.len()) {
+        let mid = order.len() / 2;
+        let (lo, hi) = out.split_at_mut(mid);
+        std::thread::scope(|sc| {
+            sc.spawn(|| fill(hi, &order[mid..]));
+            fill(lo, &order[..mid]);
+        });
+    } else {
+        fill(&mut out, order);
+    }
+    out
 }
 
 fn read_exact_or_truncated<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<(), StorageError> {
@@ -856,7 +890,6 @@ pub fn peek_container_checksum(path: &Path) -> Option<u64> {
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
-    use crate::types::{Left, Right};
 
     fn demo_graph() -> UncertainBipartiteGraph {
         let mut b = GraphBuilder::new();
@@ -893,10 +926,8 @@ mod tests {
         assert_eq!(g2.left_adj, g.left_adj);
         assert_eq!(g2.right_offsets, g.right_offsets);
         assert_eq!(g2.right_adj, g.right_adj);
-        assert_eq!(g2.edge_left, g.edge_left);
-        assert_eq!(g2.edge_right, g.edge_right);
+        assert_eq!(g2.desc_endpoints, g.desc_endpoints);
         assert_eq!(g2.edges_by_weight_desc, g.edges_by_weight_desc);
-        assert_eq!(g2.accept, g.accept);
         assert_eq!(g2.desc_accept, g.desc_accept);
         assert_eq!(g2.left_rank, g.left_rank);
         assert_eq!(g2.left_by_rank, g.left_by_rank);

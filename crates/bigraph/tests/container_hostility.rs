@@ -10,10 +10,13 @@
 
 use bigraph::codec::fnv1a64;
 use bigraph::{
-    read_container_path, section_checksum, write_container, write_container_path, ContainerReader,
-    GraphBuilder, Left, Right, UncertainBipartiteGraph, CONTAINER_MAGIC, CONTAINER_VERSION,
+    accept_word, fixed_point_threshold, read_container_path, section_checksum, trial_rng,
+    write_container, write_container_path, ContainerReader, GraphBuilder, LazyEdgeSampler, Left,
+    PossibleWorld, Right, UncertainBipartiteGraph, WorldSampler, CONTAINER_MAGIC,
+    CONTAINER_VERSION, FIXED_POINT_ONE,
 };
 use proptest::prelude::*;
+use rand::RngCore;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -97,14 +100,21 @@ fn container_bytes(g: &UncertainBipartiteGraph) -> Vec<u8> {
 
 /// The container encoding (every primary array: offsets, adjacency,
 /// endpoints, weights, probs and the weight-descending order) plus the
-/// derived arrays a container does not store: `accept`, the order's
-/// gathered weights and thresholds, and the degree-rank relabeling.
-type Fingerprint = (Vec<u8>, Vec<u64>, Vec<u64>, Vec<u64>, Vec<u32>, Vec<u32>);
+/// derived arrays a container does not store: the order's gathered
+/// endpoints, weights and thresholds, and the degree-rank relabeling.
+type Fingerprint = (
+    Vec<u8>,
+    Vec<(u32, u32)>,
+    Vec<u64>,
+    Vec<u64>,
+    Vec<u32>,
+    Vec<u32>,
+);
 
 fn fingerprint(g: &UncertainBipartiteGraph) -> Fingerprint {
     (
         container_bytes(g),
-        g.accept_thresholds().to_vec(),
+        g.desc_endpoints().to_vec(),
         g.desc_weights().iter().map(|w| w.to_bits()).collect(),
         g.desc_accepts().to_vec(),
         g.left_ranks().to_vec(),
@@ -212,7 +222,14 @@ fn convert_cycle_preserves_solver_facing_arrays() {
     assert_eq!(g.num_left(), back.num_left());
     assert_eq!(g.num_right(), back.num_right());
     assert_eq!(g.num_edges(), back.num_edges());
-    assert_eq!(g.accept_thresholds(), back.accept_thresholds());
+    let thresholds = |g: &UncertainBipartiteGraph| -> Vec<u64> {
+        g.edge_ids()
+            .map(|e| fixed_point_threshold(g.prob(e)))
+            .collect()
+    };
+    assert_eq!(thresholds(&g), thresholds(&back));
+    assert_eq!(g.edge_endpoints(), back.edge_endpoints());
+    assert_eq!(g.desc_endpoints(), back.desc_endpoints());
     assert_eq!(g.desc_edge_ids(), back.desc_edge_ids());
     assert_eq!(g.desc_weights(), back.desc_weights());
     assert_eq!(g.desc_accepts(), back.desc_accepts());
@@ -328,25 +345,136 @@ fn file_truncated_after_open_is_an_error() {
     assert_no_large_allocation();
 }
 
-/// Random small graphs for the proptests: deduped (left, right) pairs
-/// with finite positive weights and probabilities in (0, 1].
-fn arb_graph() -> impl Strategy<Value = UncertainBipartiteGraph> {
+/// Random small edge lists: deduped (left, right) pairs on vertices
+/// `0..8` with finite positive weights and probabilities in (0, 1].
+fn arb_edges() -> impl Strategy<Value = Vec<(u32, u32, f64, f64)>> {
     proptest::collection::vec((0u32..8, 0u32..8, 1u32..1_000, 1u32..=1_000), 0..24).prop_map(
         |edges| {
-            let mut b = GraphBuilder::new();
             let mut seen = std::collections::HashSet::new();
-            for (l, r, w, p) in edges {
-                if seen.insert((l, r)) {
-                    b.add_edge(Left(l), Right(r), w as f64 / 16.0, p as f64 / 1_000.0)
-                        .unwrap();
-                }
-            }
-            b.build().unwrap()
+            edges
+                .into_iter()
+                .filter(|&(l, r, _, _)| seen.insert((l, r)))
+                .map(|(l, r, w, p)| (l, r, w as f64 / 16.0, p as f64 / 1_000.0))
+                .collect()
         },
     )
 }
 
+fn build(edges: &[(u32, u32, f64, f64)]) -> UncertainBipartiteGraph {
+    let mut b = GraphBuilder::new();
+    for &(l, r, w, p) in edges {
+        b.add_edge(Left(l), Right(r), w, p).unwrap();
+    }
+    b.build().unwrap()
+}
+
+/// Random small graphs for the proptests.
+fn arb_graph() -> impl Strategy<Value = UncertainBipartiteGraph> {
+    arb_edges().prop_map(|edges| build(&edges))
+}
+
+/// An RNG whose every word is the same: feeds one chosen word to a
+/// by-id draw.
+struct FixedWord(u64);
+
+impl RngCore for FixedWord {
+    fn next_u32(&mut self) -> u32 {
+        self.0 as u32
+    }
+    fn next_u64(&mut self) -> u64 {
+        self.0
+    }
+}
+
+/// The threshold a by-id draw compared against when the graph stored
+/// one per edge: `⌈p · 2⁵³⌉`.
+fn stored_threshold(p: f64) -> u64 {
+    (p * FIXED_POINT_ONE as f64).ceil() as u64
+}
+
+/// Checks that `g` holds every per-edge value of `edges` (edge `i` is
+/// `edges[i]`), however its arrays lay them out.
+fn check_layout(
+    g: &UncertainBipartiteGraph,
+    edges: &[(u32, u32, f64, f64)],
+    words: &[u64],
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    // Endpoints: by id, in both CSRs, and in scan order.
+    let ends = g.edge_endpoints();
+    let want: Vec<_> = edges
+        .iter()
+        .map(|&(u, v, _, _)| (Left(u), Right(v)))
+        .collect();
+    prop_assert_eq!(&ends, &want);
+    for u in (0..g.num_left() as u32).map(Left) {
+        for (v, e) in g.left_neighbors(u) {
+            prop_assert_eq!(ends[e.index()], (u, v));
+        }
+    }
+    for v in (0..g.num_right() as u32).map(Right) {
+        for (u, e) in g.right_neighbors(v) {
+            prop_assert_eq!(ends[e.index()], (u, v));
+        }
+    }
+    prop_assert_eq!(g.desc_endpoints().len(), g.num_edges());
+    for (&e, &(u, v)) in g.desc_edge_ids().iter().zip(g.desc_endpoints()) {
+        prop_assert_eq!(ends[e as usize], (Left(u), Right(v)));
+    }
+
+    // Thresholds: the scan's stored ones, and every by-id draw's
+    // decision, on random words and on the words straddling `t`.
+    for (&e, &t) in g.desc_edge_ids().iter().zip(g.desc_accepts()) {
+        prop_assert_eq!(t, stored_threshold(edges[e as usize].3));
+    }
+    for e in g.edge_ids() {
+        prop_assert_eq!(g.prob(e).to_bits(), edges[e.index()].3.to_bits());
+        let t = stored_threshold(g.prob(e));
+        let straddle = [t.saturating_sub(1), t, t + 1].map(|u| u.min(FIXED_POINT_ONE - 1) << 11);
+        for &w in words.iter().chain(&straddle) {
+            let drawn = bigraph::sample::bernoulli_edge(g, e, &mut FixedWord(w));
+            prop_assert_eq!(drawn, accept_word(w, t), "edge {:?} word {:#x}", e, w);
+            let mut memo = LazyEdgeSampler::new(g.num_edges());
+            memo.begin_trial();
+            prop_assert_eq!(memo.is_present(g, e, &mut FixedWord(w)), drawn);
+        }
+    }
+    // A whole sampled world draws one word per edge, in id order.
+    let mut world = PossibleWorld::empty(g.num_edges());
+    WorldSampler::sample_into(g, &mut world, &mut trial_rng(seed, 0));
+    let mut rng = trial_rng(seed, 0);
+    for e in g.edge_ids() {
+        let want = accept_word(rng.next_u64(), stored_threshold(g.prob(e)));
+        prop_assert_eq!(world.contains(e), want, "edge {:?}", e);
+    }
+    Ok(())
+}
+
 proptest! {
+    /// Each per-edge value is kept once yet none is lost: built and
+    /// attached graphs alike give back every edge's endpoints (by id, in
+    /// both CSRs, in scan order) and decide every by-id draw as the
+    /// per-edge stored threshold did. The appended edges carry the
+    /// probabilities where the threshold's rounding is delicate.
+    #[test]
+    fn layout_keeps_every_value(
+        edges in arb_edges(),
+        words in proptest::collection::vec(any::<u64>(), 1..16),
+        seed in any::<u64>(),
+    ) {
+        let mut edges = edges;
+        let half = 0.5f64;
+        let delicate = [0.0, 1.0, f64::MIN_POSITIVE, 5e-324, half.next_down(), half.next_up()];
+        for (i, &p) in (8u32..).zip(&delicate) {
+            edges.push((i, i, 1.0, p));
+        }
+        let g = build(&edges);
+        check_layout(&g, &edges, &words, seed)?;
+        let scratch = Scratch::new();
+        write_container_path(&g, &scratch.0).unwrap();
+        check_layout(&read_container_path(&scratch.0).unwrap(), &edges, &words, seed)?;
+    }
+
     /// build → convert → attach reproduces the original graph
     /// bit-identically, derived arrays included.
     #[test]

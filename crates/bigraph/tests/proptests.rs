@@ -42,8 +42,7 @@ proptest! {
     fn csr_sides_agree(edges in arb_edges(12, 12, 60)) {
         let g = build(&edges);
         prop_assert_eq!(g.num_edges(), edges.len());
-        for e in g.edge_ids() {
-            let (u, v) = g.endpoints(e);
+        for (e, (u, v)) in g.edge_ids().zip(g.edge_endpoints()) {
             prop_assert!(g.left_neighbors(u).any(|(r, ee)| r == v && ee == e));
             prop_assert!(g.right_neighbors(v).any(|(l, ee)| l == u && ee == e));
             prop_assert_eq!(g.find_edge(u, v), Some(e));
@@ -196,8 +195,8 @@ proptest! {
         bigraph::io::write_edge_list(&g, &mut buf).unwrap();
         let g2 = bigraph::io::read_edge_list(std::io::Cursor::new(buf)).unwrap();
         prop_assert_eq!(g.num_edges(), g2.num_edges());
+        prop_assert_eq!(g.edge_endpoints(), g2.edge_endpoints());
         for e in g.edge_ids() {
-            prop_assert_eq!(g.endpoints(e), g2.endpoints(e));
             prop_assert_eq!(g.weight(e), g2.weight(e));
             prop_assert_eq!(g.prob(e), g2.prob(e));
         }

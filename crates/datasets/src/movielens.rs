@@ -54,8 +54,8 @@ pub fn generate(scale: f64, seed: u64) -> UncertainBipartiteGraph {
     // Draw ratings around each item's bias, clamped to the grid.
     let mut edge_rating: Vec<f64> = Vec::with_capacity(skeleton.num_edges());
     let mut item_sum: FxHashMap<u32, (f64, u32)> = FxHashMap::default();
-    for e in skeleton.edge_ids() {
-        let (_, v) = skeleton.endpoints(e);
+    let ends = skeleton.edge_endpoints();
+    for &(_, v) in &ends {
         let raw = item_bias[v.index()] + bigraph::generators::standard_normal(&mut rng) * 0.8;
         let idx = RATING_GRID
             .iter()
@@ -73,9 +73,7 @@ pub fn generate(scale: f64, seed: u64) -> UncertainBipartiteGraph {
     // Second pass: reliability = 1 − |rating − item mean| / 4.5.
     let mut b = GraphBuilder::with_capacity(skeleton.num_edges());
     b.reserve_vertices(users, movies);
-    for e in skeleton.edge_ids() {
-        let (u, v) = skeleton.endpoints(e);
-        let rating = edge_rating[e.index()];
+    for (&(u, v), &rating) in ends.iter().zip(&edge_rating) {
         let (sum, cnt) = item_sum[&v.0];
         let mean = sum / cnt as f64;
         let reliability = (1.0 - (rating - mean).abs() / 4.5).clamp(0.02, 0.98);
@@ -151,14 +149,13 @@ mod tests {
         let g = generate(0.05, 9);
         // Recover item means from the generated graph itself.
         let mut sums: std::collections::HashMap<u32, (f64, u32)> = Default::default();
-        for e in g.edge_ids() {
-            let (_, v) = g.endpoints(e);
+        let ends = g.edge_endpoints();
+        for (e, &(_, v)) in g.edge_ids().zip(&ends) {
             let s = sums.entry(v.0).or_insert((0.0, 0));
             s.0 += g.weight(e);
             s.1 += 1;
         }
-        for e in g.edge_ids() {
-            let (_, v) = g.endpoints(e);
+        for (e, &(_, v)) in g.edge_ids().zip(&ends) {
             let (s, c) = sums[&v.0];
             let mean = s / c as f64;
             let expect = (1.0 - (g.weight(e) - mean).abs() / 4.5).clamp(0.02, 0.98);
@@ -170,14 +167,15 @@ mod tests {
     fn deterministic_per_seed() {
         let a = generate(0.02, 11);
         let b = generate(0.02, 11);
+        assert_eq!(a.edge_endpoints(), b.edge_endpoints());
         for e in a.edge_ids() {
-            assert_eq!(a.endpoints(e), b.endpoints(e));
             assert_eq!(a.weight(e), b.weight(e));
             assert_eq!(a.prob(e), b.prob(e));
         }
         let c = generate(0.02, 12);
+        let (ends_a, ends_c) = (a.edge_endpoints(), c.edge_endpoints());
         assert!(a
             .edge_ids()
-            .any(|e| a.endpoints(e) != c.endpoints(e) || a.weight(e) != c.weight(e)));
+            .any(|e| ends_a[e.index()] != ends_c[e.index()] || a.weight(e) != c.weight(e)));
     }
 }

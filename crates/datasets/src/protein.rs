@@ -136,8 +136,8 @@ mod tests {
         let a = generate(0.0005, 4);
         let b = generate(0.0005, 4);
         assert_eq!(a.num_edges(), b.num_edges());
+        assert_eq!(a.edge_endpoints(), b.edge_endpoints());
         for e in a.edge_ids() {
-            assert_eq!(a.endpoints(e), b.endpoints(e));
             assert_eq!(a.prob(e), b.prob(e));
         }
     }

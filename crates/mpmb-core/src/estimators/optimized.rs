@@ -44,7 +44,7 @@ impl<'a> OptimizedTrials<'a> {
             .map(|cand| {
                 cand.edges.map(|e| {
                     *slot_of.entry(e).or_insert_with(|| {
-                        accept.push(g.accept_threshold(e));
+                        accept.push(bigraph::fixed_point_threshold(g.prob(e)));
                         accept.len() as u32 - 1
                     })
                 })

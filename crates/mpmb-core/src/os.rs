@@ -72,7 +72,7 @@ impl<R: Rng> EdgeOracle for SamplingOracle<'_, R> {
 /// preparation, and the threshold solver).
 ///
 /// Each query consumes exactly one `next_u64` word and compares it
-/// against the edge's precomputed fixed-point threshold — the same draw,
+/// against the edge's fixed-point threshold — the same draw,
 /// in the same stream position, as [`LazyEdgeSampler::is_present`] on
 /// first access, so replacing the lazy sampler in a single-scan engine
 /// is bit-identical. Skipping the memo removes the per-edge stamp/
@@ -94,7 +94,8 @@ impl<'a, R: Rng> StreamingOracle<'a, R> {
 impl<R: Rng> EdgeOracle for StreamingOracle<'_, R> {
     #[inline]
     fn present(&mut self, e: EdgeId) -> bool {
-        bigraph::accept_word(self.rng.next_u64(), self.g.accept_threshold(e))
+        let t = bigraph::fixed_point_threshold(self.g.prob(e));
+        bigraph::accept_word(self.rng.next_u64(), t)
     }
 
     #[inline]

@@ -18,8 +18,8 @@
 //!   it keeps, shows here.
 
 use bigraph::{
-    accept_word, trial_rng, EdgeId, GraphBuilder, Left, PossibleWorld, Right, Side,
-    UncertainBipartiteGraph,
+    accept_word, fixed_point_threshold, trial_rng, EdgeId, GraphBuilder, Left, PossibleWorld,
+    Right, Side, UncertainBipartiteGraph,
 };
 use mpmb_core::angle::DIRECT_MAX_PAIRS;
 use mpmb_core::{
@@ -54,7 +54,10 @@ impl TrialEngine for FullScanReference<'_> {
         world.clear();
         for &e in self.g.desc_edge_ids() {
             let e = EdgeId(e);
-            world.set(e, accept_word(rng.next_u64(), self.g.accept_threshold(e)));
+            world.set(
+                e,
+                accept_word(rng.next_u64(), fixed_point_threshold(self.g.prob(e))),
+            );
         }
         let (_, smb) = max_butterflies_in_world(self.g, world);
         tally.record_trial(smb.iter());
@@ -146,7 +149,7 @@ proptest! {
         for _ in 0..6 {
             let mut w = PossibleWorld::empty(g.num_edges());
             for e in g.edge_ids() {
-                w.set(e, accept_word(rng.next_u64(), g.accept_threshold(e)));
+                w.set(e, accept_word(rng.next_u64(), fixed_point_threshold(g.prob(e))));
             }
             worlds.push(w);
         }

@@ -666,7 +666,8 @@ mod tests {
         let r = Registry::with_budget(1);
         let h = r.load("g", p.to_str().unwrap()).unwrap();
         let g1 = r.materialize(&h).unwrap();
-        let before: Vec<u64> = g1.accept_thresholds().to_vec();
+        let before = g1.desc_accepts().to_vec();
+        let ends_before = g1.desc_endpoints().to_vec();
         let desc_before: Vec<u32> = g1.desc_edge_ids().to_vec();
         drop(g1);
         // Force the eviction sweep with a second handle's materialize.
@@ -675,7 +676,8 @@ mod tests {
         let _g2 = r.materialize(&h2).unwrap();
         assert!(!h.is_resident());
         let g3 = r.materialize(&h).unwrap();
-        assert_eq!(g3.accept_thresholds(), &before[..]);
+        assert_eq!(g3.desc_accepts(), &before[..]);
+        assert_eq!(g3.desc_endpoints(), &ends_before[..]);
         assert_eq!(g3.desc_edge_ids(), &desc_before[..]);
         let _ = std::fs::remove_file(p);
         let _ = std::fs::remove_file(p2);

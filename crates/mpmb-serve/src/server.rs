@@ -738,7 +738,7 @@ fn handle_connection(state: &AppState, stream: TcpStream, queued: Duration) {
                 // A solve-like request's deadline budget covers accept to
                 // response: handler wall time plus the connection's queue
                 // wait. Its summary is retained for `/debug/trace`.
-                let budget = route.solve_like.then(|| {
+                let budget = route.solve_like().then(|| {
                     let phases = profile.snapshot();
                     let budget = Budget::from_phases(&phases, elapsed.as_secs_f64() + queued_secs);
                     state.metrics.observe_budget(budget.values());
@@ -822,10 +822,6 @@ pub(crate) struct Route {
     /// The `endpoint` label of the request's metric series (one of
     /// [`crate::metrics::ENDPOINTS`]).
     pub(crate) endpoint: &'static str,
-    /// Whether the path is solve-like, whatever the method: such
-    /// requests (a 405 included) get a deadline budget and a
-    /// `/debug/trace` entry.
-    solve_like: bool,
 }
 
 impl Route {
@@ -859,12 +855,15 @@ impl Route {
             None if served.is_empty() => H::NotFound,
             None => H::MethodNotAllowed,
         };
-        let solve_like = served.iter().any(|(_, h)| matches!(h, H::SolveLike(_)));
-        Route {
-            handler,
-            endpoint,
-            solve_like,
-        }
+        Route { handler, endpoint }
+    }
+
+    /// Whether the request reaches a solve-like handler: such requests
+    /// get a deadline budget and a `/debug/trace` entry. A wrong method
+    /// on a solve-like path is a 405 that does no solve work, so it gets
+    /// neither.
+    pub(crate) fn solve_like(&self) -> bool {
+        matches!(self.handler, Handler::SolveLike(_))
     }
 
     /// Whether fault injection skips the request: the observability

@@ -79,8 +79,9 @@ subcommands:
   convert   re-encode a graph into the on-disk container format
             --input FILE  --output FILE.ubgc
             (the container attaches without a parse step: `mpmb serve`
-            maps its sections on demand and can evict/reload the graph
-            under --mem-budget; see docs/STORAGE.md)
+            streams its sections into the graph on first use and can
+            evict/reload the graph under --mem-budget; see
+            docs/STORAGE.md)
   serve     long-running HTTP query daemon (see docs/SERVING.md)
             [--listen ADDR] [--threads N] [--queue N] [--timeout-ms N]
             [--cache-capacity N] [--max-solver-threads N]

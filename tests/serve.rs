@@ -331,8 +331,8 @@ fn timed_out_solve_is_refined_across_requests_to_the_exact_answer() {
 #[test]
 fn fast_tier_answers_within_a_deadline_that_503s_os_and_escalates_to_exact() {
     let _guard = lock();
-    // Container-backed graph: the fast tier has to work against the
-    // mmap-served storage path, not just in-memory registrations.
+    // Container-backed graph: the fast tier has to work against a graph
+    // materialized from its container, not just in-memory registrations.
     let dir = scratch_dir("fast-tier");
     let container = dir.join("g.ubgc");
     let g = reference_graph();
@@ -982,7 +982,10 @@ fn route_table_statuses_and_endpoint_labels() {
 #[test]
 fn debug_trace_names_the_graph_on_every_status() {
     let _guard = lock();
-    let (server, addr) = start(default_cfg());
+    let (server, addr) = start(ServerConfig {
+        budget_header: true,
+        ..default_cfg()
+    });
     register_graph(&addr);
 
     let cases = [
@@ -1013,16 +1016,40 @@ fn debug_trace_names_the_graph_on_every_status() {
             "true",
         ),
         ("/v1/query", "{\"graph\":\"g\"}", 400, "g", "true"),
-        // The wrong method on a solve-like path is traced too.
-        ("/v1/topk", "", 405, "", "null"),
     ];
     for (i, (path, body, status, _, _)) in cases.iter().enumerate() {
         let id = format!("trace-graph-{i}");
-        let method = if *status == 405 { "GET" } else { "POST" };
-        let (got, _, resp) =
-            call_ext(addr.as_str(), method, path, body, &[("X-Request-Id", &id)]).unwrap();
+        let (got, headers, resp) =
+            call_ext(addr.as_str(), "POST", path, body, &[("X-Request-Id", &id)]).unwrap();
         assert_eq!(got, *status, "{path} {body}: {resp}");
+        assert!(
+            headers.iter().any(|(k, _)| k == "x-mpmb-budget"),
+            "{path} {body}: budget header missing"
+        );
     }
+
+    // The wrong method on a solve-like path reaches no solve-like
+    // handler: no budget (header or histogram observation), no trace.
+    let budgets_observed = || {
+        let (_, text) = call(addr.as_str(), "GET", "/metrics", "").unwrap();
+        text.lines()
+            .filter(|l| l.starts_with("mpmb_deadline_spent_seconds_count{"))
+            .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
+            .sum::<u64>()
+    };
+    let observed = budgets_observed();
+    assert!(observed > 0, "the solve-like cases were budgeted");
+    let (got, headers, resp) = call_ext(
+        addr.as_str(),
+        "GET",
+        "/v1/topk",
+        "",
+        &[("X-Request-Id", "trace-graph-405")],
+    )
+    .unwrap();
+    assert_eq!(got, 405, "{resp}");
+    assert!(!headers.iter().any(|(k, _)| k == "x-mpmb-budget"));
+    assert_eq!(budgets_observed(), observed);
 
     let (_, resp) = call(addr.as_str(), "GET", "/debug/trace", "").unwrap();
     let json = Json::parse(&resp).unwrap();
@@ -1039,6 +1066,9 @@ fn debug_trace_names_the_graph_on_every_status() {
         assert_eq!(field("graph"), format!("\"{graph}\""), "{body}");
         assert_eq!(field("resident_at_start"), *resident, "{body}");
     }
+    assert!(!traces
+        .iter()
+        .any(|t| t.get("trace_id").and_then(Json::as_str) == Some("trace-graph-405")));
 
     server.begin_shutdown();
     server.join();
