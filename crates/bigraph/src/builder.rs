@@ -3,7 +3,6 @@
 use crate::graph::{Adj, UncertainBipartiteGraph};
 use crate::priority::degree_desc_ranks;
 use crate::sample::fixed_point_threshold;
-use crate::storage::gather;
 use crate::types::{Left, Right, Weight};
 use std::fmt;
 
@@ -198,22 +197,41 @@ impl Primaries {
     /// the gathers index through the order and the degrees subtract
     /// offsets.
     pub(crate) fn complete(self) -> UncertainBipartiteGraph {
-        // The §V-B scan's arrays, gathered into its order so the solvers'
-        // descending-weight scans read memory sequentially: endpoints,
-        // weights and fixed-point Bernoulli thresholds (one integer
-        // compare per trial draw instead of an f64 convert). The by-id
-        // endpoints are dropped before the other gathers, so the derive
-        // never holds more than the finished graph's bytes. The
-        // thresholds are computed in a sequential pass over the gathered
-        // probabilities: inside the gather loop they cost twice as much.
-        let order = &self.edges_by_weight_desc;
-        let desc_endpoints = gather(order, |e| (self.edge_left[e], self.edge_right[e]));
-        drop((self.edge_left, self.edge_right));
-        let desc_weights = gather(order, |e| self.weights[e]);
-        let mut desc_accept = gather(order, |e| self.probs[e].to_bits());
-        for t in &mut desc_accept {
-            *t = fixed_point_threshold(f64::from_bits(*t));
-        }
+        self.complete_with(&|lo, hi| {
+            lo();
+            hi();
+        })
+    }
+
+    /// [`complete`](Self::complete), with the scan-order pass split into
+    /// two halves that `join` runs — one after the other, or (the
+    /// container reader's fan-out) concurrently. Every position is a
+    /// pure function of its order entry, so the result is the same.
+    pub(crate) fn complete_with(self, join: Join) -> UncertainBipartiteGraph {
+        // The §V-B scan's arrays, gathered into its order in one pass so
+        // the solvers' descending-weight scans read memory sequentially:
+        // endpoints, weights and fixed-point Bernoulli thresholds (one
+        // integer compare per trial draw instead of an f64 convert).
+        let m = self.edges_by_weight_desc.len();
+        let mut desc_endpoints = vec![(0, 0); m];
+        let mut desc_weights = vec![0.0; m];
+        let mut desc_accept = vec![0; m];
+        let fill = |order: &[u32], ends: &mut [(u32, u32)], ws: &mut [Weight], ts: &mut [u64]| {
+            for (((&e, end), w), t) in order.iter().zip(ends).zip(ws).zip(ts) {
+                let e = e as usize;
+                *end = (self.edge_left[e], self.edge_right[e]);
+                *w = self.weights[e];
+                *t = fixed_point_threshold(self.probs[e]);
+            }
+        };
+        let (order_lo, order_hi) = self.edges_by_weight_desc.split_at(m / 2);
+        let (ends_lo, ends_hi) = desc_endpoints.split_at_mut(m / 2);
+        let (ws_lo, ws_hi) = desc_weights.split_at_mut(m / 2);
+        let (ts_lo, ts_hi) = desc_accept.split_at_mut(m / 2);
+        join(
+            &mut || fill(order_lo, &mut *ends_lo, &mut *ws_lo, &mut *ts_lo),
+            &mut || fill(order_hi, &mut *ends_hi, &mut *ws_hi, &mut *ts_hi),
+        );
 
         // Degree-descending left relabeling for the wedge-listing kernel's
         // cache-local bucket arena.
@@ -237,6 +255,10 @@ impl Primaries {
         }
     }
 }
+
+/// Runs two independent tasks, in either order or at once; see
+/// [`Primaries::complete_with`].
+pub(crate) type Join<'a> = &'a dyn Fn(&mut (dyn FnMut() + Send), &mut (dyn FnMut() + Send));
 
 /// Builds one side's CSR. `key(i)` returns `(owner, neighbor)` for edge `i`.
 fn build_csr(n: u32, m: usize, key: impl Fn(usize) -> (u32, u32)) -> (Vec<u32>, Vec<Adj>) {

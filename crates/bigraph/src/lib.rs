@@ -52,7 +52,8 @@ pub use codec::{fnv1a64, open_frame, seal_frame, CodecError, Decoder, Encoder};
 pub use graph::UncertainBipartiteGraph;
 pub use priority::{degree_desc_ranks, VertexPriority};
 pub use sample::{
-    accept_word, fixed_point_threshold, trial_rng, LazyEdgeSampler, WorldSampler, FIXED_POINT_ONE,
+    accept_prob, accept_word, fixed_point_threshold, trial_rng, LazyEdgeSampler, WorldSampler,
+    FIXED_POINT_ONE,
 };
 pub use stats::GraphStats;
 pub use storage::{

@@ -75,10 +75,9 @@ pub const FIXED_POINT_ONE: u64 = 1u64 << 53;
 ///
 /// The conversions go through `i64`: `0 ≤ x ≤ 2⁵³` is exact there too,
 /// and x86-64 converts `f64 ⇄ i64` in one instruction each where the
-/// `u64` conversions take a compare-and-adjust sequence. By-id draws
-/// compute the threshold per draw, so this is on their hot path. `p`
-/// must lie in `[0, 1]`, which the graph builder and the container
-/// reader enforce.
+/// `u64` conversions take a compare-and-adjust sequence. `p` must lie
+/// in `[0, 1]`, which the graph builder and the container reader
+/// enforce.
 #[inline]
 pub fn fixed_point_threshold(p: f64) -> u64 {
     debug_assert!((0.0..=1.0).contains(&p), "probability out of range: {p}");
@@ -94,18 +93,28 @@ pub fn accept_word(word: u64, threshold: u64) -> bool {
     (word >> 11) < threshold
 }
 
+/// `accept_word(word, fixed_point_threshold(p))` without forming the
+/// threshold: `u < ⌈x⌉ ⟺ u < x` for the integer `u = word >> 11`, and
+/// both sides of `u < x = p · 2⁵³` are exact in `f64` (see
+/// [`fixed_point_threshold`]). One convert and one multiply per draw,
+/// for draws that read `p` by edge id rather than a stored threshold.
+#[inline]
+pub fn accept_prob(word: u64, p: f64) -> bool {
+    (((word >> 11) as i64) as f64) < p * FIXED_POINT_ONE as f64
+}
+
 /// Draws one Bernoulli outcome for edge `e` of `g`.
 ///
 /// Edges with `p = 1` never consume randomness asymmetrically: the draw is
 /// always performed so outcome sequences stay aligned across graphs that
-/// differ only in probabilities. The accept/reject decision uses the
-/// fixed-point threshold of `p(e)` (an integer compare on the raw
-/// `next_u64` word) and is bit-identical to the historical
-/// `rng.random::<f64>() < g.prob(e)` — both consume exactly one `u64`
-/// per draw, and [`fixed_point_threshold`] proves the decision equal.
+/// differ only in probabilities. The accept/reject decision
+/// ([`accept_prob`] on the raw `next_u64` word) is bit-identical to the
+/// historical `rng.random::<f64>() < g.prob(e)` — both consume exactly
+/// one `u64` per draw, and [`fixed_point_threshold`] proves the
+/// decision equal.
 #[inline]
 pub fn bernoulli_edge(g: &UncertainBipartiteGraph, e: EdgeId, rng: &mut impl Rng) -> bool {
-    accept_word(rng.next_u64(), fixed_point_threshold(g.prob(e)))
+    accept_prob(rng.next_u64(), g.prob(e))
 }
 
 /// Samples complete possible worlds into a reusable buffer.
@@ -124,8 +133,8 @@ impl WorldSampler {
     /// created for a graph with the same number of edges.
     ///
     /// Draws are batched: a buffer of raw `next_u64` words is filled per
-    /// chunk, then compared against the probabilities' fixed-point
-    /// thresholds in a tight integer loop. The words are consumed in
+    /// chunk, then compared against the probabilities ([`accept_prob`])
+    /// in a tight loop. The words are consumed in
     /// edge-id order — exactly the sequence the per-edge path would
     /// draw — so sampled worlds are bit-identical to repeated
     /// [`bernoulli_edge`] calls.
@@ -142,7 +151,7 @@ impl WorldSampler {
                 *w = rng.next_u64();
             }
             for (i, &p) in probs[base..base + n].iter().enumerate() {
-                if accept_word(words[i], fixed_point_threshold(p)) {
+                if accept_prob(words[i], p) {
                     world.insert(EdgeId((base + i) as u32));
                 }
             }
@@ -283,8 +292,8 @@ mod tests {
 
     #[test]
     fn integer_compare_matches_float_compare_exhaustively() {
-        // The decision `accept_word(w, fixed_point_threshold(p))` must
-        // equal the historical `(w >> 11) as f64 * 2⁻⁵³ < p` for raw
+        // The decisions `accept_word(w, fixed_point_threshold(p))` and
+        // `accept_prob(w, p)` must equal the historical `(w >> 11) as f64 * 2⁻⁵³ < p` for raw
         // words straddling each probability's threshold, plus random
         // words from real trial streams.
         let probs = [
@@ -311,6 +320,7 @@ mod tests {
             for &w in &words {
                 let float_decision = (w >> 11) as f64 * scale < p;
                 assert_eq!(accept_word(w, t), float_decision, "p={p} w={w:#x} t={t}");
+                assert_eq!(accept_prob(w, p), float_decision, "p={p} w={w:#x}");
             }
         }
     }

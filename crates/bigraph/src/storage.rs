@@ -12,12 +12,12 @@
 //! section into its array, checksumming and decoding a cache-sized
 //! chunk at a time, plus one linear derivation — the order's gathered
 //! endpoint, weight and fixed-point threshold arrays and the
-//! degree-rank relabeling, computed by the same function the builder
-//! uses, which then drops the by-id endpoint sections — not a parse and
-//! no sort of the edges: the difference
-//! between milliseconds and minutes at the paper's 39.5 M-edge Protein
-//! scale, and the substrate the serving registry's lazy
-//! materialization and eviction are built on.
+//! degree-rank relabeling, computed in one pass by the same function the
+//! builder uses, which then drops the by-id endpoint sections — not a
+//! parse and no sort of the edges: the difference between milliseconds
+//! and minutes at the paper's 39.5 M-edge Protein scale, and the
+//! substrate the serving registry's lazy materialization and eviction
+//! are built on.
 //!
 //! # File layout
 //!
@@ -48,7 +48,9 @@
 //! invariant of the primaries the solvers index by (CSR offset
 //! monotonicity, adjacency sortedness and cross-consistency with the
 //! endpoint arrays, the weight and probability domain, the strict
-//! §V-B order) before deriving anything from them. A container that
+//! §V-B order) before it returns the graph: all but the order's
+//! sortedness before deriving anything, which the derive needs, and
+//! that one on the derived scan-order weights. A container that
 //! materializes at all therefore yields a graph indistinguishable from
 //! the builder's output, and a graph written by [`write_container`]
 //! round-trips bit-identically — which is what lets a serving registry
@@ -476,7 +478,7 @@ impl ContainerReader {
     /// derives the rest (`Primaries::complete`) into a fully resident
     /// graph that owns its memory and never aliases the file. The by-id
     /// endpoint sections are decoded into temporaries, validated, and
-    /// dropped by the derive once it has gathered them into scan order.
+    /// dropped once the derive has gathered them into scan order.
     ///
     /// Each section streams through a 128 KiB (`CHUNK_BYTES`) buffer:
     /// every chunk is checksummed and decoded into the section's final
@@ -487,10 +489,11 @@ impl ContainerReader {
     /// spans `storage.load`, `storage.validate` and `storage.derive`.
     ///
     /// Above 2¹⁶ (`PARALLEL_EDGE_CUTOFF`) edges, loading, structural
-    /// validation and the derive's gathers fan out over scoped threads, each load group reading
-    /// through its own file handle: every per-section and per-pass unit
-    /// is a pure function of the file's bytes, so the result is
-    /// bit-identical to the serial path — only the wall clock changes.
+    /// validation and the derive's scan-order pass fan out over scoped
+    /// threads, each load group reading through its own file handle:
+    /// every per-section and per-pass unit is a pure function of the
+    /// file's bytes, so the result is bit-identical to the serial path —
+    /// only the wall clock changes.
     /// That concurrency is what holds up the attach-vs-reparse contract
     /// CI enforces.
     pub fn materialize(&self) -> Result<UncertainBipartiteGraph, StorageError> {
@@ -502,8 +505,22 @@ impl ContainerReader {
             let _span = obs::span("storage.validate");
             validate_primaries(&p)?;
         }
-        let _span = obs::span("storage.derive");
-        Ok(p.complete())
+        let g = {
+            let _span = obs::span("storage.derive");
+            if fan_out(p.weights.len()) {
+                p.complete_with(&|lo, hi| {
+                    std::thread::scope(|sc| {
+                        sc.spawn(hi);
+                        lo();
+                    })
+                })
+            } else {
+                p.complete()
+            }
+        };
+        let _span = obs::span("storage.validate");
+        check_scan_order(&g)?;
+        Ok(g)
     }
 
     /// Streams and decodes the nine primary sections.
@@ -597,9 +614,9 @@ impl ContainerReader {
 }
 
 /// Edge count above which [`ContainerReader::materialize`] fans
-/// decoding and validation out over scoped threads. Below it the
-/// thread-spawn overhead dwarfs the work; above it the sections are
-/// megabytes and the fan-out is what meets the attach-speed contract.
+/// decoding, validation and the derive out over scoped threads. Below
+/// it the thread-spawn overhead dwarfs the work; above it the sections
+/// are megabytes and the fan-out is what meets the attach-speed contract.
 const PARALLEL_EDGE_CUTOFF: usize = 1 << 16;
 
 /// Whether materialization of an `m`-edge graph should fan out:
@@ -607,34 +624,6 @@ const PARALLEL_EDGE_CUTOFF: usize = 1 << 16;
 /// thread to run them on.
 fn fan_out(m: usize) -> bool {
     m >= PARALLEL_EDGE_CUTOFF && std::thread::available_parallelism().is_ok_and(|p| p.get() > 1)
-}
-
-/// `order.iter().map(|&e| f(e as usize)).collect()`: the derive's
-/// gathers into the §V-B scan order. Above [`PARALLEL_EDGE_CUTOFF`]
-/// edges the second half of the output fills on a scoped thread; each
-/// element is a pure function of its position, so the result is the
-/// serial one.
-pub(crate) fn gather<T: Copy + Default + Send>(
-    order: &[u32],
-    f: impl Fn(usize) -> T + Sync,
-) -> Vec<T> {
-    let mut out = vec![T::default(); order.len()];
-    let fill = |out: &mut [T], order: &[u32]| {
-        for (o, &e) in out.iter_mut().zip(order) {
-            *o = f(e as usize);
-        }
-    };
-    if fan_out(order.len()) {
-        let mid = order.len() / 2;
-        let (lo, hi) = out.split_at_mut(mid);
-        std::thread::scope(|sc| {
-            sc.spawn(|| fill(hi, &order[mid..]));
-            fill(lo, &order[..mid]);
-        });
-    } else {
-        fill(&mut out, order);
-    }
-    out
 }
 
 fn read_exact_or_truncated<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<(), StorageError> {
@@ -718,17 +707,22 @@ impl SectionStream {
 /// what makes the eviction determinism argument airtight — any
 /// container that materializes is indistinguishable from a built graph.
 ///
-/// The four passes are independent reads of disjoint invariants, so
-/// above [`PARALLEL_EDGE_CUTOFF`] they run on scoped threads; each
-/// pass is written to fail (never panic) on inputs another pass would
-/// reject, since the serial ordering no longer protects it.
+/// The order's sortedness is checked after the derive, on its gathered
+/// weights ([`check_scan_order`]); here every order entry is only
+/// bounded below `|E|`, which is all the derive's gathers need.
+///
+/// The three passes are independent reads of disjoint invariants, so
+/// above [`PARALLEL_EDGE_CUTOFF`] edges the left adjacency is checked
+/// on a scoped thread; each pass is written to fail (never panic) on
+/// inputs another pass would reject, since the serial ordering no
+/// longer protects it.
 fn validate_primaries(g: &Primaries) -> Result<(), StorageError> {
     let nl = g.left_offsets.len() - 1;
     let nr = g.right_offsets.len() - 1;
     let m = g.weights.len();
 
-    // Pass 1: offsets, endpoint ranges, and the edge-domain scalars —
-    // weights and probabilities within the builder's domain.
+    // Pass 1: offsets, endpoint and order ranges, and the edge-domain
+    // scalars — weights and probabilities within the builder's domain.
     let domain = || -> Result<(), StorageError> {
         check_offsets(&g.left_offsets, m, "left_offsets")?;
         check_offsets(&g.right_offsets, m, "right_offsets")?;
@@ -738,6 +732,9 @@ fn validate_primaries(g: &Primaries) -> Result<(), StorageError> {
                     "edge {i} endpoints ({u},{v}) out of range"
                 )));
             }
+        }
+        if let Some(i) = g.edges_by_weight_desc.iter().position(|&e| e as usize >= m) {
+            return Err(invalid(format!("edges_by_weight_desc[{i}] out of range")));
         }
         for (i, (&w, &p)) in g.weights.iter().zip(&g.probs).enumerate() {
             if !w.is_finite() || w < 0.0 {
@@ -774,42 +771,36 @@ fn validate_primaries(g: &Primaries) -> Result<(), StorageError> {
         )
     };
 
-    // Pass 4: §V-B order — a permutation, correctly sorted. No explicit
-    // permutation bookkeeping: the order loop below enforces *strict*
-    // (weight desc, id asc) order, which makes all m entries pairwise
-    // distinct, and the range loop bounds every entry below m — m
-    // distinct values in [0, m) is a permutation.
-    let desc = || -> Result<(), StorageError> {
-        if let Some(i) = g.edges_by_weight_desc.iter().position(|&e| e as usize >= m) {
-            return Err(invalid(format!("edges_by_weight_desc[{i}] out of range")));
-        }
-        for w in g.edges_by_weight_desc.windows(2) {
-            let (a, b) = (w[0], w[1]);
-            let ord = g.weights[b as usize]
-                .total_cmp(&g.weights[a as usize])
-                .then(a.cmp(&b));
-            if ord != std::cmp::Ordering::Less {
-                return Err(invalid("edges_by_weight_desc not in §V-B order"));
-            }
-        }
-        Ok(())
-    };
-
     if fan_out(m) {
         std::thread::scope(|sc| {
-            let h_domain = sc.spawn(domain);
             let h_left = sc.spawn(left_adj);
-            let h_right = sc.spawn(right_adj);
-            desc()?;
-            h_domain.join().unwrap()?;
-            h_left.join().unwrap()?;
-            h_right.join().unwrap()
+            domain()?;
+            right_adj()?;
+            h_left.join().unwrap()
         })
     } else {
         domain()?;
         left_adj()?;
-        right_adj()?;
-        desc()
+        right_adj()
+    }
+}
+
+/// Checks that the order a container supplied is the §V-B order:
+/// strictly (weight desc, id asc). Run after the derive, so it reads the
+/// order's gathered weights sequentially instead of indexing `weights`
+/// through it. No permutation bookkeeping: strict order makes all `|E|`
+/// entries pairwise distinct, and [`validate_primaries`] bounds each
+/// below `|E|` — `|E|` distinct values in `[0, |E|)` is a permutation.
+fn check_scan_order(g: &UncertainBipartiteGraph) -> Result<(), StorageError> {
+    let sorted = g
+        .desc_weights
+        .windows(2)
+        .zip(g.edges_by_weight_desc.windows(2))
+        .all(|(w, e)| w[1].total_cmp(&w[0]).then(e[0].cmp(&e[1])).is_lt());
+    if sorted {
+        Ok(())
+    } else {
+        Err(invalid("edges_by_weight_desc not in §V-B order"))
     }
 }
 

@@ -94,8 +94,7 @@ impl<'a, R: Rng> StreamingOracle<'a, R> {
 impl<R: Rng> EdgeOracle for StreamingOracle<'_, R> {
     #[inline]
     fn present(&mut self, e: EdgeId) -> bool {
-        let t = bigraph::fixed_point_threshold(self.g.prob(e));
-        bigraph::accept_word(self.rng.next_u64(), t)
+        bigraph::accept_prob(self.rng.next_u64(), self.g.prob(e))
     }
 
     #[inline]
