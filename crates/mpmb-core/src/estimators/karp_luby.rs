@@ -16,7 +16,7 @@ use crate::candidates::CandidateSet;
 use crate::distribution::Distribution;
 use crate::engine::TrialEngine;
 use bigraph::fx::FxHashMap;
-use bigraph::{trial_rng, EdgeId, LazyEdgeSampler, UncertainBipartiteGraph};
+use bigraph::{fixed_point_threshold, trial_rng, EdgeId, LazyEdgeSampler, UncertainBipartiteGraph};
 use rand::Rng;
 
 /// How many Karp-Luby trials each candidate receives.
@@ -111,8 +111,10 @@ fn kl_single_candidate(
 
     // Residual events D_j = B_j ∖ B_i and their probabilities
     // (Algorithm 4 lines 3–4). Impossible events (p = 0) can never
-    // occur and are excluded from the union outright.
-    let mut residuals: Vec<Vec<EdgeId>> = Vec::with_capacity(l_i);
+    // occur and are excluded from the union outright. Each residual
+    // edge carries its acceptance threshold, computed once here rather
+    // than on every trial's draw.
+    let mut residuals: Vec<Vec<(EdgeId, u64)>> = Vec::with_capacity(l_i);
     let mut prefix: Vec<f64> = Vec::with_capacity(l_i);
     let mut s_i = 0.0;
     for j in 0..l_i {
@@ -120,7 +122,11 @@ fn kl_single_candidate(
         let p_j: f64 = g.edges_existence_prob(&d_j);
         if p_j > 0.0 {
             s_i += p_j;
-            residuals.push(d_j);
+            residuals.push(
+                d_j.into_iter()
+                    .map(|e| (e, fixed_point_threshold(g.prob(e))))
+                    .collect(),
+            );
             prefix.push(s_i);
         }
     }
@@ -144,13 +150,16 @@ fn kl_single_candidate(
         let x: f64 = rng.random::<f64>() * s_i;
         let j = prefix.partition_point(|&c| c <= x).min(residuals.len() - 1);
         // Line 7: condition on D_j present.
-        for &e in &residuals[j] {
+        for &(e, _) in &residuals[j] {
             sampler.force_present(e);
         }
         // Line 8: canonical iff no earlier event fully present.
         let mut canonical = true;
         'earlier: for d_k in residuals.iter().take(j) {
-            if d_k.iter().all(|&e| sampler.is_present(g, e, &mut rng)) {
+            if d_k
+                .iter()
+                .all(|&(e, t)| sampler.is_present_slot(e.index(), t, &mut rng))
+            {
                 canonical = false;
                 break 'earlier;
             }
